@@ -1,9 +1,8 @@
-"""Deterministic generators with partial transition functions.
+"""Deterministic generators with partial transition functions, and the
+breadth-first search kernel that the engine's state-space walks run on.
 
 A generator recognizes the prefix-closed language of all words along which
-its transition function stays defined.  Marked states are neutralized: every
-public constructor re-marks exactly the reachable states, so the marked
-language always coincides with the (prefix-closed) language.  The empty
+its transition function stays defined; there is no marking.  The empty
 language, which has no such representation, is carried by a dedicated
 ``recognizes_empty_language`` flag.
 
@@ -123,16 +122,17 @@ class Generator:
 
     States are canonical dense integers: 0 is the initial state, reachable
     states come first in breadth-first order (events sorted), unreachable
-    states follow sorted by label.  Original state names are retained as
-    display labels.  Do not instantiate directly; use ``make_generator`` or
-    the other public constructors.
+    states follow sorted by label.  A label names a state for display only:
+    a parsed or word-built generator keeps its state names, and a constructed
+    one labels each state with the node it was discovered as (a pair of
+    operand states, or a tuple of subset members).  Do not instantiate
+    directly; use ``make_generator`` or the other public constructors.
     """
 
     alphabet: Alphabet
-    labels: tuple[str, ...]
+    labels: tuple
     transitions: dict[tuple[int, str], int]
     initial: int
-    marked: frozenset[int]
     reachable_count: int
     recognizes_empty_language: bool = False
 
@@ -159,44 +159,69 @@ class Generator:
         return state
 
 
+def search(start, successors):
+    """Breadth-first search from ``start``.
+
+    ``successors(node)`` yields ``(event, target)`` pairs in sorted event
+    order; a ``None`` target is a violation and ends the search.  Returns
+    ``(nodes, edges, violation)``: the nodes in discovery order, the edges
+    ``{(index, event): index}`` between them, and the word leading to the
+    violation (None when there is none).  Nodes are expanded in discovery
+    order and a parent pointer records each node's first discovery, so the
+    violation word is the shortest one, ties broken lexicographically, and
+    the node order is the canonical state order of a generator built from
+    the edges."""
+    nodes = [start]
+    ids = {start: 0}
+    parents: list[tuple[int, str]] = [(0, "")]
+    edges: dict[tuple[int, str], int] = {}
+    for index, node in enumerate(nodes):
+        for event, target in successors(node):
+            if target is None:
+                word = [event]
+                while index:
+                    index, event = parents[index]
+                    word.append(event)
+                return nodes, edges, tuple(reversed(word))
+            found = ids.get(target)
+            if found is None:
+                found = ids[target] = len(nodes)
+                nodes.append(target)
+                parents.append((index, event))
+            edges[(index, event)] = found
+    return nodes, edges, None
+
+
 def _canonicalize(
     alphabet: Alphabet,
     labels: list[str],
     transitions: dict[tuple[int, str], int],
     initial: int,
-    empty: bool = False,
 ) -> Generator:
-    """Rename states to canonical ids (BFS order from the initial state,
-    then unreachable states by label) and mark the reachable set."""
-    order = [initial]
-    seen = {initial}
-    queue = deque(order)
-    while queue:
-        state = queue.popleft()
+    """Rename arbitrarily numbered states to canonical ids: breadth-first
+    order from the initial state, then unreachable states by label."""
+    def successors(state):
         for event in alphabet.sorted_events:
             target = transitions.get((state, event))
-            if target is not None and target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-    reachable_count = len(order)
-    order.extend(sorted(set(range(len(labels))) - seen, key=lambda i: labels[i]))
-    remap = {old: new for new, old in enumerate(order)}
-    new_transitions: dict[tuple[int, str], int] = {}
-    for new_state, old_state in enumerate(order):
-        for event in alphabet.sorted_events:
-            target = transitions.get((old_state, event))
             if target is not None:
-                new_transitions[(new_state, event)] = remap[target]
-    marked = frozenset() if empty else frozenset(range(reachable_count))
+                yield event, target
+
+    order, edges, _ = search(initial, successors)
+    reachable_count = len(order)
+    order.extend(sorted(set(range(len(labels))) - set(order),
+                        key=lambda i: labels[i]))
+    remap = {old: new for new, old in enumerate(order)}
+    for new_state in range(reachable_count, len(order)):
+        for event in alphabet.sorted_events:
+            target = transitions.get((order[new_state], event))
+            if target is not None:
+                edges[(new_state, event)] = remap[target]
     return Generator(
         alphabet=alphabet,
         labels=tuple(labels[old] for old in order),
-        transitions=new_transitions,
+        transitions=edges,
         initial=0,
-        marked=marked,
         reachable_count=reachable_count,
-        recognizes_empty_language=empty,
     )
 
 
@@ -205,12 +230,8 @@ def make_generator(
     alphabet: Alphabet,
     transitions: Mapping[tuple[str, str], str] | Iterable[tuple[str, str, str]],
     initial: str,
-    marked: Iterable[str] | None = None,
 ) -> Generator:
-    """Validate and build a generator from named states.
-
-    ``marked`` is accepted for interface completeness but is replaced by the
-    reachable-state set (prefix-closed convention).  Raises
+    """Validate and build a generator from named states.  Raises
     ``DeterminismError`` for a duplicate (state, event) transition and
     ``ValidationError`` for references to unknown states or events.
     """
@@ -225,9 +246,6 @@ def make_generator(
     index = {name: i for i, name in enumerate(names)}
     if initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
-    for name in marked or ():
-        if name not in index:
-            raise ValidationError(f"unknown marked state: {name!r}")
 
     if isinstance(transitions, Mapping):
         triples = [(src, event, dst) for (src, event), dst in transitions.items()]
@@ -252,13 +270,14 @@ def make_generator(
 
 def empty_generator(alphabet: Alphabet) -> Generator:
     """The generator of the empty language over ``alphabet``."""
-    return _canonicalize(alphabet, ["dead"], {}, 0, empty=True)
+    return Generator(alphabet, ("dead",), {}, 0, 1,
+                     recognizes_empty_language=True)
 
 
 def universal_generator(alphabet: Alphabet) -> Generator:
     """One state, self-loops on every event: recognizes all of E*."""
     table = {(0, event): 0 for event in alphabet.sorted_events}
-    return _canonicalize(alphabet, ["all"], table, 0)
+    return Generator(alphabet, ("all",), table, 0, 1)
 
 
 def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
@@ -292,15 +311,14 @@ def membership(g: Generator, word: Iterable[str]) -> bool:
 
 
 def trim_accessible(g: Generator) -> Generator:
-    """Drop states unreachable from the initial state; language unchanged."""
+    """Drop states unreachable from the initial state; language unchanged.
+    Reachable states come first, so the numbering is kept."""
     if g.reachable_count == g.num_states:
         return g
     keep = g.reachable_count
     table = {k: v for k, v in g.transitions.items() if k[0] < keep}
-    return _canonicalize(
-        g.alphabet, list(g.labels[:keep]), table, g.initial,
-        empty=g.recognizes_empty_language,
-    )
+    return Generator(g.alphabet, g.labels[:keep], table, g.initial, keep,
+                     g.recognizes_empty_language)
 
 
 def reachable_events(g: Generator) -> frozenset[str]:

@@ -43,10 +43,10 @@ from .coordination import (
     conditionally_independent,
     default_coordinator,
     is_conditionally_controllable,
+    observer_occ_reports,
     suggest_coordinator_events,
     sup_cc,
     synthesize_supervisors,
-    _observer_occ_reports,
 )
 from .errors import DescoordError, PreconditionError, ProjectError
 from .language import (
@@ -352,11 +352,11 @@ def cmd_check(args) -> int:
         reports.append(("condition (ii.b)", full.condition_iib))
     elif args.which == "observer":
         reports.extend((name, rep)
-                       for name, rep in _observer_occ_reports(g1, g2, scheme)
+                       for name, rep in observer_occ_reports(g1, g2, scheme)
                        if name.startswith("observer"))
     elif args.which == "occ":
         reports.extend((name, rep)
-                       for name, rep in _observer_occ_reports(g1, g2, scheme)
+                       for name, rep in observer_occ_reports(g1, g2, scheme)
                        if name.startswith("occ"))
     elif args.which == "optimality":
         reports.append(("optimality conditions",
@@ -518,6 +518,17 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _bound(text: str) -> int:
+    """argparse type of ``--oracle-bound``: a word length, so not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="desc",
@@ -535,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a property check")
     p_check.add_argument("which", choices=CHECKS)
     common(p_check)
-    p_check.add_argument("--oracle-bound", type=int, default=0,
+    p_check.add_argument("--oracle-bound", type=_bound, default=0,
                          help="also verify against the brute-force oracle "
                               "at this word-length bound")
 
@@ -547,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--force", action="store_true",
                          help="compute even when observer/OCC preconditions "
                               "fail (result marked uncertified)")
-    p_synth.add_argument("--oracle-bound", type=int, default=0)
+    p_synth.add_argument("--oracle-bound", type=_bound, default=0)
 
     p_compose = sub.add_parser("compose",
                                help="synchronous product of named generators")

@@ -101,17 +101,25 @@ def conditionally_independent(g1: Generator, g2: Generator,
                                        "independent given the coordinator")
 
 
+def _projected_parts(k: Generator, scheme: CoordinationScheme):
+    """P_k(K), P_{1+k}(K) and P_{2+k}(K): computed once per public entry
+    point and shared by every check and synthesis step on its path."""
+    return tuple(project(k, ProjectionSpec(k.alphabet, target.events))
+                 for target in (scheme.ek, scheme.e1k, scheme.e2k))
+
+
 def conditionally_decomposable(k: Generator,
                                scheme: CoordinationScheme) -> PropertyReport:
     """Does K equal the synchronous product of its projections onto
     E_{1+k}, E_{2+k} and E_k?  K is always contained in that product, so a
     counterexample is a word of the product outside K."""
     _check_spec_alphabet(k, scheme)
-    parts = [
-        project(k, ProjectionSpec(k.alphabet, target.events))
-        for target in (scheme.e1k, scheme.e2k, scheme.ek)
-    ]
-    composed = sync_product(sync_product(parts[0], parts[1]), parts[2])
+    return _decomposable(k, _projected_parts(k, scheme))
+
+
+def _decomposable(k: Generator, parts) -> PropertyReport:
+    pk, p1k, p2k = parts
+    composed = sync_product(sync_product(p1k, p2k), pk)
     inclusion = language_subset(composed, k)
     if inclusion.holds:
         return PropertyReport(True, detail="specification is conditionally "
@@ -123,11 +131,14 @@ def conditionally_decomposable(k: Generator,
     )
 
 
-def _projected_parts(k: Generator, scheme: CoordinationScheme):
-    pk = project(k, ProjectionSpec(k.alphabet, scheme.ek.events))
-    p1k = project(k, ProjectionSpec(k.alphabet, scheme.e1k.events))
-    p2k = project(k, ProjectionSpec(k.alphabet, scheme.e2k.events))
-    return pk, p1k, p2k
+def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
+                               gk: Generator) -> None:
+    plant = sync_product(sync_product(g1, g2), gk)
+    inclusion = language_subset(k, plant)
+    if not inclusion.holds:
+        raise PreconditionError(
+            "specification is not contained in the plant language", inclusion
+        )
 
 
 def is_conditionally_controllable(
@@ -148,14 +159,19 @@ def is_conditionally_controllable(
     ``PreconditionError`` carrying the witness word."""
     _check_plants(g1, g2, gk, scheme)
     _check_spec_alphabet(k, scheme)
-    plant = sync_product(sync_product(g1, g2), gk)
-    inclusion = language_subset(k, plant)
-    if not inclusion.holds:
-        raise PreconditionError(
-            "specification is not contained in the plant language", inclusion
-        )
-    pk, p1k, p2k = _projected_parts(k, scheme)
+    _require_spec_within_plant(k, g1, g2, gk)
+    return _conditionally_controllable(g1, g2, gk, scheme,
+                                       _projected_parts(k, scheme))
 
+
+def _conditionally_controllable(
+    g1: Generator,
+    g2: Generator,
+    gk: Generator,
+    scheme: CoordinationScheme,
+    parts,
+) -> ConditionalControllabilityReport:
+    pk, p1k, p2k = parts
     cond_i = is_controllable(pk, gk, scheme.ek.uncontrollable)
 
     def side_condition(own: Generator, own_plant: Generator,
@@ -191,23 +207,27 @@ def synthesize_supervisors(
         raise PreconditionError("subsystems are not conditionally "
                                 "independent given the coordinator",
                                 independent)
-    decomposable = conditionally_decomposable(k, scheme)
+    _check_spec_alphabet(k, scheme)
+    parts = _projected_parts(k, scheme)
+    decomposable = _decomposable(k, parts)
     if not decomposable.holds:
         raise PreconditionError("specification is not conditionally "
                                 "decomposable", decomposable)
-    report = is_conditionally_controllable(k, g1, g2, gk, scheme)
+    _check_plants(g1, g2, gk, scheme)
+    _require_spec_within_plant(k, g1, g2, gk)
+    report = _conditionally_controllable(g1, g2, gk, scheme, parts)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "
                                 "controllable", report.first_failure())
-    pk, p1k, p2k = _projected_parts(k, scheme)
-    return Supervisor(pk), Supervisor(p1k), Supervisor(p2k)
+    return tuple(Supervisor(part) for part in parts)
 
 
-def _observer_occ_reports(g1: Generator, g2: Generator,
-                          scheme: CoordinationScheme):
+def observer_occ_reports(g1: Generator, g2: Generator,
+                         scheme: CoordinationScheme):
     """The distributed-synthesis preconditions: for i = 1, 2 the projection
     from E_{i+k} to E_k must be an observer for, and output control
-    consistent for, the inverse image of L(G_i) in E_{i+k}*."""
+    consistent for, the inverse image of L(G_i) in E_{i+k}*.  Returns
+    ``(name, report)`` pairs in a fixed order."""
     out = []
     for i, (g, eik) in enumerate(((g1, scheme.e1k), (g2, scheme.e2k)), 1):
         lifted = inverse_project(g, eik)
@@ -218,14 +238,15 @@ def _observer_occ_reports(g1: Generator, g2: Generator,
     return out
 
 
-def _certify_preconditions(k: Generator, g1: Generator, g2: Generator,
-                           scheme: CoordinationScheme, force: bool) -> bool:
-    decomposable = conditionally_decomposable(k, scheme)
+def _certify_preconditions(k: Generator, parts, g1: Generator,
+                           g2: Generator, scheme: CoordinationScheme,
+                           force: bool) -> bool:
+    decomposable = _decomposable(k, parts)
     if not decomposable.holds:
         raise PreconditionError("specification is not conditionally "
                                 "decomposable", decomposable)
     certified = True
-    for name, report in _observer_occ_reports(g1, g2, scheme):
+    for name, report in observer_occ_reports(g1, g2, scheme):
         if not report.holds:
             if not force:
                 raise PreconditionError(f"{name} precondition failed", report)
@@ -254,58 +275,23 @@ def sup_cc(
     stake)."""
     _check_plants(g1, g2, gk, scheme)
     _check_spec_alphabet(k, scheme)
-    certified = _certify_preconditions(k, g1, g2, scheme, force)
+    parts = _projected_parts(k, scheme)
+    certified = _certify_preconditions(k, parts, g1, g2, scheme, force)
+    pk, p1k, p2k = parts
 
     full = scheme.full
-    ek_spec = ProjectionSpec(full, scheme.ek.events)
-    pk = project(k, ek_spec)
     # L_1 ∥ L_2 lives over the ambient alphabet E, so events private to the
     # coordinator interleave freely before the projection onto E_k.
     ambient_12 = inverse_project(sync_product(g1, g2), full)
-    pk_plant = project(ambient_12, ek_spec)
+    pk_plant = project(ambient_12, ProjectionSpec(full, scheme.ek.events))
     sup_k = sup_c(sync_product(sync_product(pk, pk_plant), gk), gk,
                   scheme.ek.uncontrollable)
 
-    locals_ = []
-    for g, eik in ((g1, scheme.e1k), (g2, scheme.e2k)):
-        pik = project(k, ProjectionSpec(full, eik.events))
-        locals_.append(sup_c(sync_product(pik, g), sync_product(g, sup_k),
-                             eik.uncontrollable))
-    sup_1k, sup_2k = locals_
-    composed = sync_product(sync_product(sup_k, sup_1k), sup_2k)
-    return SynthesisResult(sup_k, sup_1k, sup_2k, composed, certified)
-
-
-def sup_cc_simplified(
-    k: Generator,
-    g1: Generator,
-    g2: Generator,
-    gk: Generator,
-    scheme: CoordinationScheme,
-    force: bool = False,
-) -> SynthesisResult:
-    """The simplified chain for K ⊆ L (checked): supC_k = supC(P_k(K), L_k,
-    E_{k,u}) and supC_{i+k} = supC(P_{i+k}(K), L_i ∥ supC_k, E_{i+k,u}).
-    Yields the same result as ``sup_cc`` whenever K ⊆ L."""
-    _check_plants(g1, g2, gk, scheme)
-    _check_spec_alphabet(k, scheme)
-    plant = sync_product(sync_product(g1, g2), gk)
-    inclusion = language_subset(k, plant)
-    if not inclusion.holds:
-        raise PreconditionError(
-            "specification is not contained in the plant language", inclusion
-        )
-    certified = _certify_preconditions(k, g1, g2, scheme, force)
-
-    full = scheme.full
-    pk = project(k, ProjectionSpec(full, scheme.ek.events))
-    sup_k = sup_c(pk, gk, scheme.ek.uncontrollable)
-    locals_ = []
-    for g, eik in ((g1, scheme.e1k), (g2, scheme.e2k)):
-        pik = project(k, ProjectionSpec(full, eik.events))
-        locals_.append(sup_c(pik, sync_product(g, sup_k),
-                             eik.uncontrollable))
-    sup_1k, sup_2k = locals_
+    sup_1k, sup_2k = (
+        sup_c(sync_product(pik, g), sync_product(g, sup_k),
+              eik.uncontrollable)
+        for pik, g, eik in ((p1k, g1, scheme.e1k), (p2k, g2, scheme.e2k))
+    )
     composed = sync_product(sync_product(sup_k, sup_1k), sup_2k)
     return SynthesisResult(sup_k, sup_1k, sup_2k, composed, certified)
 
@@ -386,7 +372,7 @@ def suggest_coordinator_events(k: Generator, g1: Generator,
         if not conditionally_decomposable(k, scheme).holds:
             return False
         return all(report.holds
-                   for _, report in _observer_occ_reports(g1, g2, scheme))
+                   for _, report in observer_occ_reports(g1, g2, scheme))
 
     while True:
         if passes(current):

@@ -3,8 +3,10 @@ projection, inverse projection, and decidable comparisons.
 
 Everything here is a pure function returning canonical generators, so
 identical inputs always produce identical automata (state order included).
-Counterexamples from the comparison checks are shortest, ties broken by
-lexicographic event order.
+Every walk runs on ``automata.search``: a constructed generator takes the
+search's discovery order as its state order, and a counterexample is the
+search's violation word, shortest with ties broken by lexicographic event
+order.
 """
 
 from collections import deque
@@ -17,9 +19,8 @@ from .automata import (
     Alphabet,
     Generator,
     PropertyReport,
-    Word,
-    _canonicalize,
     empty_generator,
+    search,
     union_alphabets,
 )
 from .errors import AlphabetMismatchError, ValidationError
@@ -92,7 +93,8 @@ def widen_alphabet(g: Generator, superset: Alphabet) -> Generator:
     union_alphabets(g.alphabet, superset)
     if g.recognizes_empty_language:
         return empty_generator(superset)
-    return _canonicalize(superset, list(g.labels), dict(g.transitions), g.initial)
+    return Generator(superset, g.labels, g.transitions, g.initial,
+                     g.reachable_count)
 
 
 def sync_product(g1: Generator, g2: Generator) -> Generator:
@@ -105,26 +107,16 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     in1 = g1.alphabet.events
     in2 = g2.alphabet.events
 
-    start = (g1.initial, g2.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    labels = [f"({g1.labels[start[0]]},{g2.labels[start[1]]})"]
-    table: dict[tuple[int, str], int] = {}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
+    def successors(pair):
         q1, q2 = pair
         for event in merged.sorted_events:
             t1 = g1.step(q1, event) if event in in1 else q1
             t2 = g2.step(q2, event) if event in in2 else q2
-            if t1 is None or t2 is None:
-                continue
-            nxt = (t1, t2)
-            if nxt not in ids:
-                ids[nxt] = len(labels)
-                labels.append(f"({g1.labels[t1]},{g2.labels[t2]})")
-                queue.append(nxt)
-            table[(ids[pair], event)] = ids[nxt]
-    return _canonicalize(merged, labels, table, 0)
+            if t1 is not None and t2 is not None:
+                yield event, (t1, t2)
+
+    nodes, edges, _ = search((g1.initial, g2.initial), successors)
+    return Generator(merged, tuple(nodes), edges, 0, len(nodes))
 
 
 def project(g: Generator, spec: ProjectionSpec) -> Generator:
@@ -152,27 +144,14 @@ def project(g: Generator, spec: ProjectionSpec) -> Generator:
                     queue.append(nxt)
         return tuple(sorted(seen))
 
-    start = closure([g.initial])
-    ids: dict[tuple[int, ...], int] = {start: 0}
-    labels = ["{" + ",".join(map(str, start)) + "}"]
-    table: dict[tuple[int, str], int] = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
+    def successors(subset):
         for event in target.sorted_events:
-            stepped = [
-                t for s in subset
-                if (t := g.step(s, event)) is not None
-            ]
-            if not stepped:
-                continue
-            nxt = closure(stepped)
-            if nxt not in ids:
-                ids[nxt] = len(labels)
-                labels.append("{" + ",".join(map(str, nxt)) + "}")
-                queue.append(nxt)
-            table[(ids[subset], event)] = ids[nxt]
-    return _canonicalize(target, labels, table, 0)
+            stepped = [t for s in subset if (t := g.step(s, event)) is not None]
+            if stepped:
+                yield event, closure(stepped)
+
+    nodes, edges, _ = search(closure([g.initial]), successors)
+    return Generator(target, tuple(nodes), edges, 0, len(nodes))
 
 
 def inverse_project(g: Generator, superset: Alphabet) -> Generator:
@@ -189,7 +168,7 @@ def inverse_project(g: Generator, superset: Alphabet) -> Generator:
     for state in g.states:
         for event in fresh:
             table[(state, event)] = state
-    return _canonicalize(superset, list(g.labels), table, g.initial)
+    return Generator(superset, g.labels, table, g.initial, g.reachable_count)
 
 
 def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
@@ -202,23 +181,18 @@ def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
     if g2.recognizes_empty_language:
         return PropertyReport(False, EPSILON,
                               "right-hand language is empty")
-    start = (g1.initial, g2.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (q1, q2), word = queue.popleft()
+
+    def successors(pair):
+        q1, q2 = pair
         for event in g1.alphabet.sorted_events:
             t1 = g1.step(q1, event)
-            if t1 is None:
-                continue
-            t2 = g2.step(q2, event)
-            if t2 is None:
-                return PropertyReport(False, word + (event,),
-                                      "word is in the left language only")
-            pair = (t1, t2)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair, word + (event,)))
+            if t1 is not None:
+                t2 = g2.step(q2, event)
+                yield event, None if t2 is None else (t1, t2)
+
+    word = search((g1.initial, g2.initial), successors)[2]
+    if word is not None:
+        return PropertyReport(False, word, "word is in the left language only")
     return PropertyReport(True, detail="inclusion holds")
 
 
@@ -250,29 +224,14 @@ def language_union(g1: Generator, g2: Generator) -> Generator:
     alphabet = g1.alphabet
     DEAD = -1
 
-    def name(q1: int, q2: int) -> str:
-        l1 = g1.labels[q1] if q1 != DEAD else "-"
-        l2 = g2.labels[q2] if q2 != DEAD else "-"
-        return f"({l1},{l2})"
-
-    start = (g1.initial, g2.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    labels = [name(*start)]
-    table: dict[tuple[int, str], int] = {}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
+    def successors(pair):
         q1, q2 = pair
         for event in alphabet.sorted_events:
             t1 = g1.step(q1, event) if q1 != DEAD else None
             t2 = g2.step(q2, event) if q2 != DEAD else None
-            if t1 is None and t2 is None:
-                continue
-            nxt = (t1 if t1 is not None else DEAD,
-                   t2 if t2 is not None else DEAD)
-            if nxt not in ids:
-                ids[nxt] = len(labels)
-                labels.append(name(*nxt))
-                queue.append(nxt)
-            table[(ids[pair], event)] = ids[nxt]
-    return _canonicalize(alphabet, labels, table, 0)
+            if t1 is not None or t2 is not None:
+                yield event, (DEAD if t1 is None else t1,
+                              DEAD if t2 is None else t2)
+
+    nodes, edges, _ = search((g1.initial, g2.initial), successors)
+    return Generator(alphabet, tuple(nodes), edges, 0, len(nodes))

@@ -4,7 +4,7 @@ supremal-synthesis procedure in ``coordination``."""
 
 from collections import deque
 
-from .automata import EPSILON, Generator, PropertyReport, Word
+from .automata import Generator, PropertyReport, search
 from .errors import AlphabetMismatchError, ValidationError
 from .language import ProjectionSpec, project
 
@@ -47,34 +47,24 @@ def is_observer(g: Generator, spec: ProjectionSpec) -> PropertyReport:
                     queue.append(nxt)
         matchable.append(frozenset(enabled))
 
-    start = (g.initial, det.initial)
-    seen_pairs = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (q, x), word = queue.popleft()
+    def successors(pair):
+        q, x = pair
         for event in g.alphabet.sorted_events:
             if event in hidden:
                 nxt = g.step(q, event)
-                if nxt is None:
-                    continue
-                pair = (nxt, x)
-            else:
-                dx = det.step(x, event)
-                if dx is None:
-                    continue
+                if nxt is not None:
+                    yield event, (nxt, x)
+            elif (dx := det.step(x, event)) is not None:
                 if event not in matchable[q]:
-                    return PropertyReport(
-                        False, word + (event,),
-                        "projected continuation is not realizable after "
-                        "this word",
-                    )
-                nq = g.step(q, event)
-                if nq is None:
-                    continue
-                pair = (nq, dx)
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
-                queue.append((pair, word + (event,)))
+                    yield event, None
+                elif (nq := g.step(q, event)) is not None:
+                    yield event, (nq, dx)
+
+    word = search((g.initial, det.initial), successors)[2]
+    if word is not None:
+        return PropertyReport(
+            False, word,
+            "projected continuation is not realizable after this word")
     return PropertyReport(True, detail="observer property holds")
 
 
@@ -97,26 +87,23 @@ def is_occ(g: Generator, spec: ProjectionSpec, eu) -> PropertyReport:
         return PropertyReport(True, detail="empty language")
     target = spec.target_events
 
-    start = (g.initial, False)
-    seen = {start}
-    queue: deque[tuple[tuple[int, bool], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (q, dirty), word = queue.popleft()
+    def successors(node):
+        q, dirty = node
         for event in g.alphabet.sorted_events:
             nxt = g.step(q, event)
             if nxt is None:
                 continue
-            if event in target:
-                if dirty and event in eu:
-                    return PropertyReport(
-                        False, word + (event,),
-                        "controllable hidden event precedes an "
-                        "uncontrollable projected event",
-                    )
-                node = (nxt, False)
+            if event not in target:
+                yield event, (nxt, dirty or event not in eu)
+            elif dirty and event in eu:
+                yield event, None
             else:
-                node = (nxt, dirty or event not in eu)
-            if node not in seen:
-                seen.add(node)
-                queue.append((node, word + (event,)))
+                yield event, (nxt, False)
+
+    word = search((g.initial, False), successors)[2]
+    if word is not None:
+        return PropertyReport(
+            False, word,
+            "controllable hidden event precedes an uncontrollable projected "
+            "event")
     return PropertyReport(True, detail="output control consistency holds")

@@ -6,16 +6,13 @@ computation a plain delete-and-retrim fixpoint on the product automaton:
 no marking or nonblocking trimming is involved.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import (
-    EPSILON,
     Generator,
     PropertyReport,
-    Word,
-    _canonicalize,
     empty_generator,
+    search,
     union_alphabets,
 )
 from .errors import AlphabetMismatchError, PreconditionError, ValidationError
@@ -54,101 +51,75 @@ def is_controllable(k: Generator, l: Generator, eu) -> PropertyReport:
     eu = _check_controllability_args(k, l, eu)
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return PropertyReport(True, detail="vacuously controllable")
-    start = (k.initial, l.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (qk, ql), word = queue.popleft()
+
+    def successors(pair):
+        qk, ql = pair
         for event in k.alphabet.sorted_events:
             tk = k.step(qk, event)
             tl = l.step(ql, event)
             if event in eu and tl is not None and tk is None:
-                return PropertyReport(
-                    False, word + (event,),
-                    "uncontrollable continuation leaves the specification",
-                )
-            if tk is None or tl is None:
-                continue
-            pair = (tk, tl)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair, word + (event,)))
+                yield event, None
+            elif tk is not None and tl is not None:
+                yield event, (tk, tl)
+
+    word = search((k.initial, l.initial), successors)[2]
+    if word is not None:
+        return PropertyReport(
+            False, word, "uncontrollable continuation leaves the specification")
     return PropertyReport(True, detail="controllability holds")
 
 
 def sup_c(k: Generator, l: Generator, eu) -> Generator:
     """Supremal controllable sublanguage of K (∩ L) with respect to L and
-    E_u, as the greatest fixpoint on the product of K and L: repeatedly
-    delete product states where L enables an uncontrollable event the
-    current iterate does not, then re-trim.  K ⊆ L is not required; the
-    product construction intersects implicitly."""
+    E_u, as the greatest fixpoint on the product of K and L: a product state
+    is deleted where L enables an uncontrollable event that K does not, or
+    where an uncontrollable event leads to a deleted state.  Deletion runs
+    once, backwards along uncontrollable edges from the first violations,
+    and the result is the part still reachable through surviving states.
+    K ⊆ L is not required; the product construction intersects
+    implicitly."""
     eu = _check_controllability_args(k, l, eu)
     alphabet = k.alphabet
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return empty_generator(alphabet)
 
-    # Reachable product state space (= the generator of K ∩ L).
-    start = (k.initial, l.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    pairs = [start]
-    edges: dict[tuple[int, str], int] = {}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
+    def product(pair):
         qk, ql = pair
         for event in alphabet.sorted_events:
             tk = k.step(qk, event)
             tl = l.step(ql, event)
-            if tk is None or tl is None:
-                continue
-            nxt = (tk, tl)
-            if nxt not in ids:
-                ids[nxt] = len(pairs)
-                pairs.append(nxt)
-                queue.append(nxt)
-            edges[(ids[pair], event)] = ids[nxt]
+            if tk is not None and tl is not None:
+                yield event, (tk, tl)
 
-    alive = set(range(len(pairs)))
-    while True:
-        # Restrict to states reachable through surviving states.
-        if 0 not in alive:
-            return empty_generator(alphabet)
-        reach = {0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for event in alphabet.sorted_events:
-                nxt = edges.get((node, event))
-                if nxt is not None and nxt in alive and nxt not in reach:
-                    reach.add(nxt)
-                    queue.append(nxt)
-        alive = reach
-        bad = set()
-        for node in alive:
-            _, ql = pairs[node]
-            for event in eu:
-                if l.step(ql, event) is None:
-                    continue
-                nxt = edges.get((node, event))
-                if nxt is None or nxt not in alive:
-                    bad.add(node)
-                    break
-        if not bad:
-            break
-        alive -= bad
+    pairs, edges, _ = search((k.initial, l.initial), product)
 
-    labels = []
-    remap = {}
-    for node in sorted(alive):
-        remap[node] = len(labels)
-        qk, ql = pairs[node]
-        labels.append(f"({k.labels[qk]},{l.labels[ql]})")
-    table = {
-        (remap[node], event): remap[target]
-        for (node, event), target in edges.items()
-        if node in alive and target in alive
+    predecessors: dict[int, list[int]] = {}
+    for (node, event), target in edges.items():
+        if event in eu:
+            predecessors.setdefault(target, []).append(node)
+    deleted = {
+        node for node, (_, ql) in enumerate(pairs)
+        if any((node, event) not in edges and l.step(ql, event) is not None
+               for event in eu)
     }
-    return _canonicalize(alphabet, labels, table, remap[0])
+    worklist = list(deleted)
+    while worklist:
+        for node in predecessors.get(worklist.pop(), ()):
+            if node not in deleted:
+                deleted.add(node)
+                worklist.append(node)
+    if 0 in deleted:
+        return empty_generator(alphabet)
+
+    def surviving(node):
+        for event in alphabet.sorted_events:
+            target = edges.get((node, event))
+            if target is not None and target not in deleted:
+                yield event, target
+
+    nodes, table, _ = search(0, surviving)
+    return Generator(alphabet, tuple(pairs[node] for node in nodes), table, 0,
+                     len(nodes))
 
 
 def is_admissible(s: Supervisor, g: Generator, eu=None) -> PropertyReport:
@@ -168,25 +139,21 @@ def is_admissible(s: Supervisor, g: Generator, eu=None) -> PropertyReport:
         return PropertyReport(True, detail="closed loop is empty")
     in_s = rep.alphabet.events
     in_g = g.alphabet.events
-    start = (rep.initial, g.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[int, int], Word]] = deque([(start, EPSILON)])
-    while queue:
-        (qs, qg), word = queue.popleft()
+
+    def successors(pair):
+        qs, qg = pair
         for event in merged.sorted_events:
             ts = rep.step(qs, event) if event in in_s else qs
             tg = g.step(qg, event) if event in in_g else qg
             if event in eu and tg is not None and event in in_s and ts is None:
-                return PropertyReport(
-                    False, word + (event,),
-                    "supervisor disables an uncontrollable plant event",
-                )
-            if ts is None or tg is None:
-                continue
-            pair = (ts, tg)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair, word + (event,)))
+                yield event, None
+            elif ts is not None and tg is not None:
+                yield event, (ts, tg)
+
+    word = search((rep.initial, g.initial), successors)[2]
+    if word is not None:
+        return PropertyReport(
+            False, word, "supervisor disables an uncontrollable plant event")
     return PropertyReport(True, detail="supervisor is admissible")
 
 

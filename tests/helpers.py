@@ -13,11 +13,11 @@ from descoord import (
     default_coordinator,
     from_words,
     make_generator,
+    observer_occ_reports,
     parse_word,
     sync_product,
     trim_accessible,
 )
-from descoord.coordination import _observer_occ_reports
 from descoord.oracle import bounded_language, erase
 
 w = parse_word
@@ -127,7 +127,7 @@ def distributed_instance(rng: random.Random, require_preconditions=True,
         gk = random_generator(rng, scheme.ek)
     if require_preconditions:
         if not all(rep.holds
-                   for _, rep in _observer_occ_reports(g1, g2, scheme)):
+                   for _, rep in observer_occ_reports(g1, g2, scheme)):
             return None
     if contained:
         k = contained_decomposable_spec(rng, scheme, g1, g2, gk)

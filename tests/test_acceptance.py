@@ -27,6 +27,7 @@ from descoord import (
     language_equal,
     language_subset,
     language_union,
+    observer_occ_reports,
     project,
     sup_c,
     sup_cc,
@@ -37,7 +38,6 @@ from descoord import (
     widen_alphabet,
 )
 from descoord.cli import generator_to_text, main, parse_generator
-from descoord.coordination import _observer_occ_reports
 from descoord.oracle import (
     bounded_language,
     brute_product,
@@ -148,7 +148,7 @@ def test_criterion_03_precondition_narrative(tmp_path, cell, announce):
         scheme = CoordinationScheme(cell.e1, cell.e2,
                                     cell.full.restrict(kept))
         occ_failures = [rep for name, rep in
-                        _observer_occ_reports(cell.g1, cell.g2, scheme)
+                        observer_occ_reports(cell.g1, cell.g2, scheme)
                         if name.startswith("occ") and not rep.holds]
         assert occ_failures
         for report in occ_failures:

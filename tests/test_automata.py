@@ -35,8 +35,7 @@ def test_make_generator_canonical_ids_and_marking():
     )
     assert g.initial == 0
     assert g.labels[0] == "x"
-    assert g.marked == frozenset({0, 1})
-    assert g.num_states == 3  # z kept, just unreachable and unmarked
+    assert g.num_states == 3  # z kept, just unreachable
     assert g.reachable_count == 2
 
 

@@ -264,6 +264,18 @@ def test_oracle_bound_flags(tmp_path, cell, capsys):
     assert "consistent" in output
 
 
+def test_negative_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
+    project = write_project(tmp_path, cell)
+    for argv in (["check", "conddec"],
+                 ["synth", "supc", "-o", str(tmp_path / "out")]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "-p", str(project), "--oracle-bound", "-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--oracle-bound: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
+
 def test_auto_everything_project(tmp_path, cell):
     named = {"g1": cell.g1, "g2": cell.g2, "spec": cell.k}
     for name, g in named.items():

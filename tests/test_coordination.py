@@ -27,7 +27,6 @@ from descoord import (
     suggest_coordinator_events,
     sup_c,
     sup_cc,
-    sup_cc_simplified,
     sync_product,
     synthesize_supervisors,
     universal_generator,
@@ -202,37 +201,6 @@ def test_force_overrides_observer_occ_but_not_decomposability(cell):
     gk_cu = default_coordinator(cell.g1, cell.g2, scheme_cu.ek)
     with pytest.raises(PreconditionError):
         sup_cc(cell.k, cell.g1, cell.g2, gk_cu, scheme_cu, force=True)
-
-
-def test_simplified_chain_matches_on_golden_data(cell):
-    full = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme)
-    simple = sup_cc_simplified(cell.k, cell.g1, cell.g2, cell.gk,
-                               cell.scheme)
-    for a, b in [(full.sup_k, simple.sup_k), (full.sup_1k, simple.sup_1k),
-                 (full.sup_2k, simple.sup_2k),
-                 (full.composed, simple.composed)]:
-        assert language_equal(a, b).holds
-
-
-def test_simplified_chain_requires_containment(cell):
-    outside = from_words(cell.full, ["a1.a1", "a2.a1", "a1.a2.u",
-                                     "c.u1.u2", "c.u2.u1"])
-    with pytest.raises(PreconditionError) as info:
-        sup_cc_simplified(outside, cell.g1, cell.g2, cell.gk, cell.scheme)
-    assert info.value.report.counterexample == w("a1.a1")
-
-
-def test_simplified_and_full_chain_agree_on_contained_specs():
-    rng = random.Random(32)
-    instances = collect_instances(
-        321, 25,
-        lambda r: distributed_instance(r, coordinator="default",
-                                       contained=True),
-    )
-    for k, g1, g2, gk, scheme in instances:
-        full = sup_cc(k, g1, g2, gk, scheme)
-        simple = sup_cc_simplified(k, g1, g2, gk, scheme)
-        assert language_equal(full.composed, simple.composed).holds
 
 
 # ---------------------------------------------------------------------------

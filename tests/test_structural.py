@@ -8,9 +8,9 @@ from descoord import (
     ProjectionSpec,
     is_observer,
     is_occ,
+    observer_occ_reports,
     sync_product,
 )
-from descoord.coordination import _observer_occ_reports
 from descoord.language import CoordinationScheme
 
 from helpers import (
@@ -40,7 +40,7 @@ def test_observer_failure_without_continuation():
 
 
 def test_observer_holds_for_lifted_subsystems(cell):
-    for name, report in _observer_occ_reports(cell.g1, cell.g2, cell.scheme):
+    for name, report in observer_occ_reports(cell.g1, cell.g2, cell.scheme):
         assert report.holds, name
 
 
@@ -50,7 +50,7 @@ def test_occ_fails_when_private_start_is_hidden(cell):
     small = cell.full.restrict({"c", "u"})
     scheme = CoordinationScheme(cell.e1, cell.e2, small)
     occ_reports = [rep for name, rep in
-                   _observer_occ_reports(cell.g1, cell.g2, scheme)
+                   observer_occ_reports(cell.g1, cell.g2, scheme)
                    if name.startswith("occ")]
     assert not occ_reports[0].holds
     assert occ_reports[0].counterexample == w("a1.u")
@@ -60,7 +60,7 @@ def test_occ_fails_when_private_start_is_hidden(cell):
 
 def test_occ_holds_for_the_chosen_coordinator_alphabet(cell):
     occ_reports = [rep for name, rep in
-                   _observer_occ_reports(cell.g1, cell.g2, cell.scheme)
+                   observer_occ_reports(cell.g1, cell.g2, cell.scheme)
                    if name.startswith("occ")]
     assert all(rep.holds for rep in occ_reports)
 
@@ -144,7 +144,7 @@ def test_observer_composition_lemma():
 def test_occ_composition_lemma(cell):
     # The distributed-synthesis hypotheses imply OCC of the coordinator
     # projection for the whole plant.
-    for name, report in _observer_occ_reports(cell.g1, cell.g2, cell.scheme):
+    for name, report in observer_occ_reports(cell.g1, cell.g2, cell.scheme):
         assert report.holds, name
     plant = sync_product(sync_product(cell.g1, cell.g2), cell.gk)
     assert is_occ(plant, ProjectionSpec(cell.full, cell.ek.events),
