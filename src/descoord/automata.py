@@ -13,6 +13,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     ControllabilityConflictError,
@@ -125,16 +126,23 @@ class Generator:
     states follow sorted by label.  A label names a state for display only:
     a parsed or word-built generator keeps its state names, and a constructed
     one labels each state with the node it was discovered as (a pair of
-    operand states, or a tuple of subset members).  Do not instantiate
-    directly; use ``make_generator`` or the other public constructors.
+    operand states, or a tuple of subset members).  ``rows[q]`` maps each
+    event defined at state ``q``, in sorted order, to its target; rows are
+    made read-only here.  Do not instantiate directly; use
+    ``make_generator`` or the other public constructors.
     """
 
     alphabet: Alphabet
     labels: tuple
-    transitions: dict[tuple[int, str], int]
+    rows: tuple[Mapping[str, int], ...]
     initial: int
     reachable_count: int
     recognizes_empty_language: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(
+            row if type(row) is MappingProxyType else MappingProxyType(row)
+            for row in self.rows))
 
     @property
     def num_states(self) -> int:
@@ -144,8 +152,12 @@ class Generator:
     def states(self) -> range:
         return range(len(self.labels))
 
+    @property
+    def num_transitions(self) -> int:
+        return sum(map(len, self.rows))
+
     def step(self, state: int, event: str) -> int | None:
-        return self.transitions.get((state, event))
+        return self.rows[state].get(event)
 
     def run(self, word: Iterable[str]) -> int | None:
         """Extended transition function: the state after ``word``, or None."""
@@ -153,7 +165,7 @@ class Generator:
         for event in word:
             if event not in self.alphabet.events:
                 raise ValidationError(f"event {event!r} not in the alphabet")
-            state = self.transitions.get((state, event))
+            state = self.rows[state].get(event)
             if state is None:
                 return None
         return state
@@ -164,62 +176,56 @@ def search(start, successors):
 
     ``successors(node)`` yields ``(event, target)`` pairs in sorted event
     order; a ``None`` target is a violation and ends the search.  Returns
-    ``(nodes, edges, violation)``: the nodes in discovery order, the edges
-    ``{(index, event): index}`` between them, and the word leading to the
-    violation (None when there is none).  Nodes are expanded in discovery
-    order and a parent pointer records each node's first discovery, so the
-    violation word is the shortest one, ties broken lexicographically, and
-    the node order is the canonical state order of a generator built from
-    the edges."""
+    ``(nodes, rows, violation)``: the nodes in discovery order, one row
+    ``{event: index}`` per expanded node, its events in sorted order, and
+    the word leading to the violation (None when there is none).  Nodes are
+    expanded in discovery order and a parent pointer records each node's
+    first discovery, so the violation word is the shortest one, ties broken
+    lexicographically, and the node order is the canonical state order of a
+    generator built from the rows."""
     nodes = [start]
     ids = {start: 0}
     parents: list[tuple[int, str]] = [(0, "")]
-    edges: dict[tuple[int, str], int] = {}
+    rows: list[dict[str, int]] = []
     for index, node in enumerate(nodes):
+        rows.append(row := {})
         for event, target in successors(node):
             if target is None:
                 word = [event]
                 while index:
                     index, event = parents[index]
                     word.append(event)
-                return nodes, edges, tuple(reversed(word))
+                return nodes, rows, tuple(reversed(word))
             found = ids.get(target)
             if found is None:
                 found = ids[target] = len(nodes)
                 nodes.append(target)
                 parents.append((index, event))
-            edges[(index, event)] = found
-    return nodes, edges, None
+            row[event] = found
+    return nodes, rows, None
 
 
 def _canonicalize(
     alphabet: Alphabet,
     labels: list[str],
-    transitions: dict[tuple[int, str], int],
+    rows: list[dict[str, int]],
     initial: int,
 ) -> Generator:
     """Rename arbitrarily numbered states to canonical ids: breadth-first
-    order from the initial state, then unreachable states by label."""
-    def successors(state):
-        for event in alphabet.sorted_events:
-            target = transitions.get((state, event))
-            if target is not None:
-                yield event, target
-
-    order, edges, _ = search(initial, successors)
+    order from the initial state, then unreachable states by label.  The
+    rows given may list their events in any order."""
+    order, new_rows, _ = search(initial, lambda q: sorted(rows[q].items()))
     reachable_count = len(order)
     order.extend(sorted(set(range(len(labels))) - set(order),
                         key=lambda i: labels[i]))
     remap = {old: new for new, old in enumerate(order)}
-    for new_state in range(reachable_count, len(order)):
-        for event in alphabet.sorted_events:
-            target = transitions.get((order[new_state], event))
-            if target is not None:
-                edges[(new_state, event)] = remap[target]
+    new_rows.extend(
+        {event: remap[target] for event, target in sorted(rows[old].items())}
+        for old in order[reachable_count:])
     return Generator(
         alphabet=alphabet,
         labels=tuple(labels[old] for old in order),
-        transitions=edges,
+        rows=new_rows,
         initial=0,
         reachable_count=reachable_count,
     )
@@ -236,13 +242,13 @@ def make_generator(
     ``ValidationError`` for references to unknown states or events.
     """
     names = list(states)
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"invalid state name: {name!r}")
     if len(names) != len(set(names)):
         raise ValidationError("duplicate state names")
     if not names:
         raise ValidationError("a generator needs at least one state")
-    for name in names:
-        if not isinstance(name, str) or not name:
-            raise ValidationError(f"invalid state name: {name!r}")
     index = {name: i for i, name in enumerate(names)}
     if initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
@@ -252,32 +258,32 @@ def make_generator(
     else:
         triples = [tuple(t) for t in transitions]
 
-    table: dict[tuple[int, str], int] = {}
+    rows: list[dict[str, int]] = [{} for _ in names]
     for src, event, dst in triples:
         if src not in index or dst not in index:
             raise ValidationError(f"transition {src!r}-{event!r}->{dst!r} "
                                   f"references an unknown state")
         if event not in alphabet.events:
             raise ValidationError(f"transition label {event!r} not in the alphabet")
-        key = (index[src], event)
-        if key in table and table[key] != index[dst]:
+        row = rows[index[src]]
+        if event in row and row[event] != index[dst]:
             raise DeterminismError(
                 f"duplicate transition on ({src!r}, {event!r})"
             )
-        table[key] = index[dst]
-    return _canonicalize(alphabet, names, table, index[initial])
+        row[event] = index[dst]
+    return _canonicalize(alphabet, names, rows, index[initial])
 
 
 def empty_generator(alphabet: Alphabet) -> Generator:
     """The generator of the empty language over ``alphabet``."""
-    return Generator(alphabet, ("dead",), {}, 0, 1,
+    return Generator(alphabet, ("dead",), ({},), 0, 1,
                      recognizes_empty_language=True)
 
 
 def universal_generator(alphabet: Alphabet) -> Generator:
     """One state, self-loops on every event: recognizes all of E*."""
-    table = {(0, event): 0 for event in alphabet.sorted_events}
-    return Generator(alphabet, ("all",), table, 0, 1)
+    return Generator(alphabet, ("all",),
+                     (dict.fromkeys(alphabet.sorted_events, 0),), 0, 1)
 
 
 def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
@@ -288,7 +294,7 @@ def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
             if event not in alphabet.events:
                 raise ValidationError(f"event {event!r} not in the alphabet")
     labels = ["ε"]
-    table: dict[tuple[int, str], int] = {}
+    rows: list[dict[str, int]] = [{}]
     nodes: dict[Word, int] = {EPSILON: 0}
     for word in sorted(parsed):
         for cut in range(1, len(word) + 1):
@@ -296,8 +302,9 @@ def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
             if prefix not in nodes:
                 nodes[prefix] = len(labels)
                 labels.append(format_word(prefix))
-                table[(nodes[prefix[:-1]], prefix[-1])] = nodes[prefix]
-    return _canonicalize(alphabet, labels, table, 0)
+                rows.append({})
+                rows[nodes[prefix[:-1]]][prefix[-1]] = nodes[prefix]
+    return _canonicalize(alphabet, labels, rows, 0)
 
 
 def membership(g: Generator, word: Iterable[str]) -> bool:
@@ -316,18 +323,15 @@ def trim_accessible(g: Generator) -> Generator:
     if g.reachable_count == g.num_states:
         return g
     keep = g.reachable_count
-    table = {k: v for k, v in g.transitions.items() if k[0] < keep}
-    return Generator(g.alphabet, g.labels[:keep], table, g.initial, keep,
-                     g.recognizes_empty_language)
+    return Generator(g.alphabet, g.labels[:keep], g.rows[:keep], g.initial,
+                     keep, g.recognizes_empty_language)
 
 
 def reachable_events(g: Generator) -> frozenset[str]:
     """Events occurring on transitions of the accessible part of G."""
     if g.recognizes_empty_language:
         return frozenset()
-    return frozenset(
-        event for (state, event) in g.transitions if state < g.reachable_count
-    )
+    return frozenset().union(*g.rows[:g.reachable_count])
 
 
 def shortest_words(g: Generator, count: int) -> list[Word]:
@@ -340,8 +344,6 @@ def shortest_words(g: Generator, count: int) -> list[Word]:
     while queue and len(out) < count:
         state, word = queue.popleft()
         out.append(word)
-        for event in g.alphabet.sorted_events:
-            target = g.step(state, event)
-            if target is not None:
-                queue.append((target, word + (event,)))
+        for event, target in g.rows[state].items():
+            queue.append((target, word + (event,)))
     return out

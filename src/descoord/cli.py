@@ -43,7 +43,8 @@ from .coordination import (
     conditionally_independent,
     default_coordinator,
     is_conditionally_controllable,
-    observer_occ_reports,
+    observer_reports,
+    occ_reports,
     suggest_coordinator_events,
     sup_cc,
     synthesize_supervisors,
@@ -79,7 +80,7 @@ def serialize_generator(g: Generator, name: str) -> dict:
         "initial": f"q{g.initial}",
         "transitions": [
             [f"q{src}", event, f"q{dst}"]
-            for (src, event), dst in sorted(g.transitions.items())
+            for src, row in enumerate(g.rows) for event, dst in row.items()
         ],
     }
     if g.recognizes_empty_language:
@@ -91,7 +92,13 @@ def generator_to_text(g: Generator, name: str) -> str:
     return json.dumps(serialize_generator(g, name), indent=2) + "\n"
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator]:
+    """Check the shape of a generator document, then build the generator.
+    Every error is a ``ProjectError`` whose message starts with ``origin``."""
     def fail(msg: str):
         raise ProjectError(f"{origin}: {msg}")
 
@@ -103,32 +110,34 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
     events = doc.get("events")
     if not isinstance(events, list):
         fail("missing or invalid 'events'")
-    names, controllable = [], []
-    for entry in events:
-        if (not isinstance(entry, dict) or "name" not in entry
-                or not isinstance(entry.get("controllable"), bool)):
-            fail("each event needs 'name' and boolean 'controllable'")
-        names.append(entry["name"])
-        if entry["controllable"]:
-            controllable.append(entry["name"])
+    if not all(isinstance(entry, dict) and isinstance(entry.get("name"), str)
+               and isinstance(entry.get("controllable"), bool)
+               for entry in events):
+        fail("each event needs a string 'name' and boolean 'controllable'")
+    names = [entry["name"] for entry in events]
     if len(set(names)) != len(names):
         fail("duplicate event names")
-    try:
-        alphabet = Alphabet(frozenset(names), frozenset(controllable))
-        if doc.get("recognizes_empty_language"):
-            return name, empty_generator(alphabet)
-        states = doc.get("states")
-        initial = doc.get("initial")
-        transitions = doc.get("transitions", [])
-        if not isinstance(states, list) or not isinstance(initial, str):
-            fail("missing 'states' or 'initial'")
-        if not all(isinstance(t, list) and len(t) == 3 for t in transitions):
+    empty = doc.get("recognizes_empty_language", False)
+    if not isinstance(empty, bool):
+        fail("'recognizes_empty_language' must be a boolean")
+    states = doc.get("states")
+    initial = doc.get("initial")
+    transitions = doc.get("transitions", [])
+    if not empty:
+        if not _strings(states) or not isinstance(initial, str):
+            fail("'states' must be a list of names and 'initial' a name")
+        if not (isinstance(transitions, list)
+                and all(_strings(t) and len(t) == 3 for t in transitions)):
             fail("'transitions' must be [source, event, target] triples")
-        if "marked" in doc:
-            print(f"warning: {origin}: 'marked' ignored "
-                  f"(prefix-closed convention)", file=sys.stderr)
-        g = make_generator(states, alphabet,
-                           [tuple(t) for t in transitions], initial)
+    if "marked" in doc:
+        print(f"warning: {origin}: 'marked' ignored "
+              f"(prefix-closed convention)", file=sys.stderr)
+    try:
+        alphabet = Alphabet(frozenset(names), frozenset(
+            entry["name"] for entry in events if entry["controllable"]))
+        if empty:
+            return name, empty_generator(alphabet)
+        g = make_generator(states, alphabet, transitions, initial)
     except DescoordError as exc:
         raise ProjectError(f"{origin}: {exc}") from exc
     return name, g
@@ -144,35 +153,34 @@ class ProjectFile:
     origin: Path
 
 
-def load_project(path: str) -> ProjectFile:
-    origin = Path(path)
+def _read_json(path: Path):
     try:
-        raw = origin.read_text(encoding="utf-8")
-    except OSError as exc:
+        # ValueError: bytes that are not UTF-8, or a NUL in the path.
+        raw = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
         raise ProjectError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ProjectError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    if not isinstance(doc, dict) or "generators" not in doc:
+    except RecursionError as exc:
+        raise ProjectError(f"{path}: JSON nested too deeply") from exc
+
+
+def load_project(path: str) -> ProjectFile:
+    origin = Path(path)
+    doc = _read_json(origin)
+    if not isinstance(doc, dict) or not isinstance(doc.get("generators"),
+                                                   list):
         raise ProjectError(f"{path}: project needs a 'generators' list")
     generators: dict[str, Generator] = {}
     for entry in doc["generators"]:
         if isinstance(entry, str):
             gen_path = origin.parent / entry
-            try:
-                gen_doc = json.loads(gen_path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ProjectError(f"cannot read {gen_path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ProjectError(
-                    f"{gen_path}: invalid JSON at line {exc.lineno}, "
-                    f"column {exc.colno}: {exc.msg}"
-                ) from exc
-            name, g = parse_generator(gen_doc, str(gen_path))
+            name, g = parse_generator(_read_json(gen_path), str(gen_path))
         else:
             name, g = parse_generator(entry, f"{path} (inline)")
         if name in generators:
@@ -199,11 +207,18 @@ def resolve_coordination(project: ProjectFile):
     for key in ("g1", "g2", "spec"):
         if key not in block:
             raise ProjectError(f"coordination block is missing {key!r}")
+    gk_field = block.get("gk", "auto")
+    ek_field = block.get("ek", "auto")
+    if not all(isinstance(name, str) for name in
+               (block["g1"], block["g2"], block["spec"], gk_field)):
+        raise ProjectError("coordination 'g1', 'g2', 'gk' and 'spec' must be "
+                           "generator names")
+    if ek_field != "auto" and not _strings(ek_field):
+        raise ProjectError("coordination 'ek' must be \"auto\" or a list of "
+                           "event names")
     g1 = _lookup(project, block["g1"])
     g2 = _lookup(project, block["g2"])
     k = _lookup(project, block["spec"])
-    gk_field = block.get("gk", "auto")
-    ek_field = block.get("ek", "auto")
 
     try:
         if gk_field == "auto":
@@ -351,13 +366,9 @@ def cmd_check(args) -> int:
         reports.append(("condition (ii.a)", full.condition_iia))
         reports.append(("condition (ii.b)", full.condition_iib))
     elif args.which == "observer":
-        reports.extend((name, rep)
-                       for name, rep in observer_occ_reports(g1, g2, scheme)
-                       if name.startswith("observer"))
+        reports.extend(observer_reports(g1, g2, scheme))
     elif args.which == "occ":
-        reports.extend((name, rep)
-                       for name, rep in observer_occ_reports(g1, g2, scheme)
-                       if name.startswith("occ"))
+        reports.extend(occ_reports(g1, g2, scheme))
     elif args.which == "optimality":
         reports.append(("optimality conditions",
                         check_optimality_conditions(g1, g2, gk, scheme)))
@@ -376,12 +387,12 @@ def _write_generator(directory: Path, stem: str, g: Generator,
     if json_mode:
         print(json.dumps({
             "artifact": stem, "path": str(path), "states": g.num_states,
-            "transitions": len(g.transitions),
+            "transitions": g.num_transitions,
             "empty_language": g.recognizes_empty_language,
         }, sort_keys=True))
     else:
         print(f"wrote {path} ({g.num_states} states, "
-              f"{len(g.transitions)} transitions)")
+              f"{g.num_transitions} transitions)")
 
 
 def cmd_synth(args) -> int:
@@ -464,9 +475,9 @@ def cmd_compose(args) -> int:
     Path(args.out).write_text(generator_to_text(result, name),
                               encoding="utf-8")
     emit_note(f"wrote {args.out} ({result.num_states} states, "
-              f"{len(result.transitions)} transitions)",
+              f"{result.num_transitions} transitions)",
               args.json, path=args.out, states=result.num_states,
-              transitions=len(result.transitions))
+              transitions=result.num_transitions)
     return 0
 
 
@@ -478,9 +489,9 @@ def cmd_project(args) -> int:
     Path(args.out).write_text(
         generator_to_text(result, args.name), encoding="utf-8")
     emit_note(f"wrote {args.out} ({result.num_states} states, "
-              f"{len(result.transitions)} transitions)",
+              f"{result.num_transitions} transitions)",
               args.json, path=args.out, states=result.num_states,
-              transitions=len(result.transitions))
+              transitions=result.num_transitions)
     return 0
 
 
@@ -498,7 +509,7 @@ def cmd_info(args) -> int:
             "events": events,
             "reachable_events": sorted(reachable_events(g)),
             "states": g.num_states,
-            "transitions": len(g.transitions),
+            "transitions": g.num_transitions,
             "empty_language": g.recognizes_empty_language,
             "sample_words": samples,
         }, sort_keys=True))
@@ -507,7 +518,7 @@ def cmd_info(args) -> int:
             f"{e['name']}{'' if e['controllable'] else ' (u)'}"
             for e in events)
         print(f"generator {args.name}: {g.num_states} states, "
-              f"{len(g.transitions)} transitions")
+              f"{g.num_transitions} transitions")
         print(f"  events: {flags}")
         print(f"  reachable events: "
               f"{', '.join(sorted(reachable_events(g))) or '(none)'}")
@@ -600,7 +611,8 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DescoordError as exc:
+    except (DescoordError, OSError) as exc:
+        # OSError: an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -222,20 +222,39 @@ def synthesize_supervisors(
     return tuple(Supervisor(part) for part in parts)
 
 
+def _lifted_subsystems(g1: Generator, g2: Generator,
+                       scheme: CoordinationScheme):
+    """For i = 1, 2: the inverse image of L(G_i) in E_{i+k}*, and the
+    projection from E_{i+k} to E_k."""
+    subsystems = ((g1, scheme.e1k), (g2, scheme.e2k))
+    return [(i, inverse_project(g, eik), ProjectionSpec(eik, scheme.ek.events))
+            for i, (g, eik) in enumerate(subsystems, 1)]
+
+
+def observer_reports(g1: Generator, g2: Generator,
+                     scheme: CoordinationScheme):
+    """The observer halves of ``observer_occ_reports``."""
+    return [(f"observer(subsystem {i})", is_observer(lifted, pspec))
+            for i, lifted, pspec in _lifted_subsystems(g1, g2, scheme)]
+
+
+def occ_reports(g1: Generator, g2: Generator, scheme: CoordinationScheme):
+    """The OCC halves of ``observer_occ_reports``."""
+    return [(f"occ(subsystem {i})",
+             is_occ(lifted, pspec, pspec.source.uncontrollable))
+            for i, lifted, pspec in _lifted_subsystems(g1, g2, scheme)]
+
+
 def observer_occ_reports(g1: Generator, g2: Generator,
                          scheme: CoordinationScheme):
     """The distributed-synthesis preconditions: for i = 1, 2 the projection
     from E_{i+k} to E_k must be an observer for, and output control
     consistent for, the inverse image of L(G_i) in E_{i+k}*.  Returns
-    ``(name, report)`` pairs in a fixed order."""
-    out = []
-    for i, (g, eik) in enumerate(((g1, scheme.e1k), (g2, scheme.e2k)), 1):
-        lifted = inverse_project(g, eik)
-        pspec = ProjectionSpec(eik, scheme.ek.events)
-        out.append((f"observer(subsystem {i})", is_observer(lifted, pspec)))
-        out.append((f"occ(subsystem {i})",
-                    is_occ(lifted, pspec, eik.uncontrollable)))
-    return out
+    ``(name, report)`` pairs in the order observer 1, OCC 1, observer 2,
+    OCC 2."""
+    return [pair for both in zip(observer_reports(g1, g2, scheme),
+                                 occ_reports(g1, g2, scheme))
+            for pair in both]
 
 
 def _certify_preconditions(k: Generator, parts, g1: Generator,

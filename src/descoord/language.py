@@ -6,7 +6,7 @@ identical inputs always produce identical automata (state order included).
 Every walk runs on ``automata.search``: a constructed generator takes the
 search's discovery order as its state order, and a counterexample is the
 search's violation word, shortest with ties broken by lexicographic event
-order.
+order.  A walk over one generator iterates its rows, not its alphabet.
 """
 
 from collections import deque
@@ -93,7 +93,7 @@ def widen_alphabet(g: Generator, superset: Alphabet) -> Generator:
     union_alphabets(g.alphabet, superset)
     if g.recognizes_empty_language:
         return empty_generator(superset)
-    return Generator(superset, g.labels, g.transitions, g.initial,
+    return Generator(superset, g.labels, g.rows, g.initial,
                      g.reachable_count)
 
 
@@ -109,14 +109,15 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
 
     def successors(pair):
         q1, q2 = pair
+        row1, row2 = g1.rows[q1], g2.rows[q2]
         for event in merged.sorted_events:
-            t1 = g1.step(q1, event) if event in in1 else q1
-            t2 = g2.step(q2, event) if event in in2 else q2
+            t1 = row1.get(event) if event in in1 else q1
+            t2 = row2.get(event) if event in in2 else q2
             if t1 is not None and t2 is not None:
                 yield event, (t1, t2)
 
-    nodes, edges, _ = search((g1.initial, g2.initial), successors)
-    return Generator(merged, tuple(nodes), edges, 0, len(nodes))
+    nodes, rows, _ = search((g1.initial, g2.initial), successors)
+    return Generator(merged, tuple(nodes), rows, 0, len(nodes))
 
 
 def project(g: Generator, spec: ProjectionSpec) -> Generator:
@@ -136,22 +137,21 @@ def project(g: Generator, spec: ProjectionSpec) -> Generator:
         seen = set(states)
         queue = deque(seen)
         while queue:
-            state = queue.popleft()
-            for event in hidden:
-                nxt = g.step(state, event)
-                if nxt is not None and nxt not in seen:
+            for event, nxt in g.rows[queue.popleft()].items():
+                if event in hidden and nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
         return tuple(sorted(seen))
 
     def successors(subset):
         for event in target.sorted_events:
-            stepped = [t for s in subset if (t := g.step(s, event)) is not None]
+            stepped = [t for s in subset
+                       if (t := g.rows[s].get(event)) is not None]
             if stepped:
                 yield event, closure(stepped)
 
-    nodes, edges, _ = search(closure([g.initial]), successors)
-    return Generator(target, tuple(nodes), edges, 0, len(nodes))
+    nodes, rows, _ = search(closure([g.initial]), successors)
+    return Generator(target, tuple(nodes), rows, 0, len(nodes))
 
 
 def inverse_project(g: Generator, superset: Alphabet) -> Generator:
@@ -164,11 +164,9 @@ def inverse_project(g: Generator, superset: Alphabet) -> Generator:
     if g.recognizes_empty_language:
         return empty_generator(superset)
     fresh = superset.events - g.alphabet.events
-    table = dict(g.transitions)
-    for state in g.states:
-        for event in fresh:
-            table[(state, event)] = state
-    return Generator(superset, g.labels, table, g.initial, g.reachable_count)
+    rows = [dict(sorted([*row.items(), *((event, state) for event in fresh)]))
+            for state, row in enumerate(g.rows)]
+    return Generator(superset, g.labels, rows, g.initial, g.reachable_count)
 
 
 def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
@@ -184,11 +182,10 @@ def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
 
     def successors(pair):
         q1, q2 = pair
-        for event in g1.alphabet.sorted_events:
-            t1 = g1.step(q1, event)
-            if t1 is not None:
-                t2 = g2.step(q2, event)
-                yield event, None if t2 is None else (t1, t2)
+        row2 = g2.rows[q2]
+        for event, t1 in g1.rows[q1].items():
+            t2 = row2.get(event)
+            yield event, None if t2 is None else (t1, t2)
 
     word = search((g1.initial, g2.initial), successors)[2]
     if word is not None:
@@ -226,12 +223,13 @@ def language_union(g1: Generator, g2: Generator) -> Generator:
 
     def successors(pair):
         q1, q2 = pair
+        row1 = g1.rows[q1] if q1 != DEAD else {}
+        row2 = g2.rows[q2] if q2 != DEAD else {}
         for event in alphabet.sorted_events:
-            t1 = g1.step(q1, event) if q1 != DEAD else None
-            t2 = g2.step(q2, event) if q2 != DEAD else None
-            if t1 is not None or t2 is not None:
-                yield event, (DEAD if t1 is None else t1,
-                              DEAD if t2 is None else t2)
+            t1 = row1.get(event, DEAD)
+            t2 = row2.get(event, DEAD)
+            if t1 != DEAD or t2 != DEAD:
+                yield event, (t1, t2)
 
-    nodes, edges, _ = search((g1.initial, g2.initial), successors)
-    return Generator(alphabet, tuple(nodes), edges, 0, len(nodes))
+    nodes, rows, _ = search((g1.initial, g2.initial), successors)
+    return Generator(alphabet, tuple(nodes), rows, 0, len(nodes))

@@ -35,11 +35,7 @@ def is_observer(g: Generator, spec: ProjectionSpec) -> PropertyReport:
         queue = deque([state])
         enabled = set()
         while queue:
-            current = queue.popleft()
-            for event in g.alphabet.sorted_events:
-                nxt = g.step(current, event)
-                if nxt is None:
-                    continue
+            for event, nxt in g.rows[queue.popleft()].items():
                 if event in target:
                     enabled.add(event)
                 elif nxt not in seen:
@@ -49,15 +45,16 @@ def is_observer(g: Generator, spec: ProjectionSpec) -> PropertyReport:
 
     def successors(pair):
         q, x = pair
+        row, det_row = g.rows[q], det.rows[x]
         for event in g.alphabet.sorted_events:
             if event in hidden:
-                nxt = g.step(q, event)
+                nxt = row.get(event)
                 if nxt is not None:
                     yield event, (nxt, x)
-            elif (dx := det.step(x, event)) is not None:
+            elif (dx := det_row.get(event)) is not None:
                 if event not in matchable[q]:
                     yield event, None
-                elif (nq := g.step(q, event)) is not None:
+                elif (nq := row.get(event)) is not None:
                     yield event, (nq, dx)
 
     word = search((g.initial, det.initial), successors)[2]
@@ -89,10 +86,7 @@ def is_occ(g: Generator, spec: ProjectionSpec, eu) -> PropertyReport:
 
     def successors(node):
         q, dirty = node
-        for event in g.alphabet.sorted_events:
-            nxt = g.step(q, event)
-            if nxt is None:
-                continue
+        for event, nxt in g.rows[q].items():
             if event not in target:
                 yield event, (nxt, dirty or event not in eu)
             elif dirty and event in eu:

@@ -54,13 +54,13 @@ def is_controllable(k: Generator, l: Generator, eu) -> PropertyReport:
 
     def successors(pair):
         qk, ql = pair
-        for event in k.alphabet.sorted_events:
-            tk = k.step(qk, event)
-            tl = l.step(ql, event)
-            if event in eu and tl is not None and tk is None:
-                yield event, None
-            elif tk is not None and tl is not None:
+        row_k = k.rows[qk]
+        for event, tl in l.rows[ql].items():
+            tk = row_k.get(event)
+            if tk is not None:
                 yield event, (tk, tl)
+            elif event in eu:
+                yield event, None
 
     word = search((k.initial, l.initial), successors)[2]
     if word is not None:
@@ -85,22 +85,22 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
 
     def product(pair):
         qk, ql = pair
-        for event in alphabet.sorted_events:
-            tk = k.step(qk, event)
-            tl = l.step(ql, event)
-            if tk is not None and tl is not None:
+        row_l = l.rows[ql]
+        for event, tk in k.rows[qk].items():
+            tl = row_l.get(event)
+            if tl is not None:
                 yield event, (tk, tl)
 
-    pairs, edges, _ = search((k.initial, l.initial), product)
+    pairs, rows, _ = search((k.initial, l.initial), product)
 
     predecessors: dict[int, list[int]] = {}
-    for (node, event), target in edges.items():
-        if event in eu:
-            predecessors.setdefault(target, []).append(node)
+    for node, row in enumerate(rows):
+        for event, target in row.items():
+            if event in eu:
+                predecessors.setdefault(target, []).append(node)
     deleted = {
         node for node, (_, ql) in enumerate(pairs)
-        if any((node, event) not in edges and l.step(ql, event) is not None
-               for event in eu)
+        if any(event in eu and event not in rows[node] for event in l.rows[ql])
     }
     worklist = list(deleted)
     while worklist:
@@ -112,14 +112,13 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
         return empty_generator(alphabet)
 
     def surviving(node):
-        for event in alphabet.sorted_events:
-            target = edges.get((node, event))
-            if target is not None and target not in deleted:
+        for event, target in rows[node].items():
+            if target not in deleted:
                 yield event, target
 
-    nodes, table, _ = search(0, surviving)
-    return Generator(alphabet, tuple(pairs[node] for node in nodes), table, 0,
-                     len(nodes))
+    nodes, survivors, _ = search(0, surviving)
+    return Generator(alphabet, tuple(pairs[node] for node in nodes),
+                     survivors, 0, len(nodes))
 
 
 def is_admissible(s: Supervisor, g: Generator, eu=None) -> PropertyReport:
@@ -142,9 +141,10 @@ def is_admissible(s: Supervisor, g: Generator, eu=None) -> PropertyReport:
 
     def successors(pair):
         qs, qg = pair
+        row_s, row_g = rep.rows[qs], g.rows[qg]
         for event in merged.sorted_events:
-            ts = rep.step(qs, event) if event in in_s else qs
-            tg = g.step(qg, event) if event in in_g else qg
+            ts = row_s.get(event) if event in in_s else qs
+            tg = row_g.get(event) if event in in_g else qg
             if event in eu and tg is not None and event in in_s and ts is None:
                 yield event, None
             elif ts is not None and tg is not None:

@@ -58,7 +58,7 @@ def sub_automaton(rng: random.Random, g: Generator,
     """A random subautomaton of g: L(sub) ⊆ L(g), prefix-closed."""
     triples = [
         (f"s{src}", event, f"s{dst}")
-        for (src, event), dst in sorted(g.transitions.items())
+        for src, row in enumerate(g.rows) for event, dst in row.items()
         if rng.random() < keep
     ]
     sub = make_generator([f"s{i}" for i in range(g.num_states)],

@@ -1,5 +1,6 @@
 """Tests for generators, alphabets and the basic language queries."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from descoord import (
     Alphabet,
     DeterminismError,
+    Generator,
     ValidationError,
     empty_generator,
     format_word,
@@ -56,6 +58,24 @@ def test_make_generator_rejects_unknown_references():
         make_generator(["1"], AB, [], "ghost")
     with pytest.raises(ValidationError):
         make_generator(["1", "1"], AB, [], "1")
+
+
+def test_generators_are_immutable(cell):
+    g = cell.g1
+    with pytest.raises(TypeError):
+        g.rows[0]["x"] = 0
+    for field in dataclasses.fields(Generator):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, field.name, getattr(g, field.name))
+
+
+def test_read_api_agrees_with_the_rows(cell):
+    g = cell.g1
+    assert g.num_transitions == sum(len(row) for row in g.rows) == 4
+    assert g.step(0, "c") == g.rows[0]["c"]
+    assert g.step(0, "u") is None
+    assert g.run(("c", "u1")) == g.rows[g.rows[0]["c"]]["u1"]
+    assert g.run(("u",)) is None
 
 
 def test_alphabet_validation():
@@ -165,4 +185,4 @@ def test_random_generator_helper_is_deterministic():
     alpha = Alphabet({"a", "b"}, {"a"})
     g1 = random_generator(random.Random(3), alpha)
     g2 = random_generator(random.Random(3), alpha)
-    assert g1.labels == g2.labels and g1.transitions == g2.transitions
+    assert g1.labels == g2.labels and g1.rows == g2.rows

@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import collections
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descoord import (
+    coordination,
     empty_generator,
     from_words,
     language_equal,
@@ -18,7 +24,6 @@ from descoord.cli import (
     parse_generator,
     serialize_generator,
 )
-
 
 
 def write_project(tmp_path, cell, ek=("a1", "a2", "c", "u"), gk="auto",
@@ -243,6 +248,17 @@ def test_unresolved_names_exit_2(tmp_path, cell, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_2(tmp_path, cell, capsys):
+    project = write_project(tmp_path, cell)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for argv in (["synth", "supc", "-o", str(taken)],
+                 ["compose", "-o", str(tmp_path / "no" / "x.json"), "g1"]):
+        assert main([argv[0], "-p", str(project), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "not-a-check", "-p", "x.json"])
@@ -300,3 +316,135 @@ def test_inline_generators_load(tmp_path, cell):
     project.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_project(str(project))
     assert language_equal(loaded.generators["g1"], cell.g1).holds
+
+
+def inline_project(cell) -> dict:
+    """A valid project document with the workcell's generators inline."""
+    return {
+        "generators": [serialize_generator(g, name) for name, g in
+                       (("g1", cell.g1), ("g2", cell.g2), ("spec", cell.k))],
+        "coordination": {"g1": "g1", "g2": "g2", "gk": "auto",
+                         "spec": "spec", "ek": ["a1", "a2", "c", "u"]},
+    }
+
+
+def put(doc, path, value):
+    """``doc`` with the field at ``path`` (keys and indices) set to
+    ``value``; the empty path replaces the whole document."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+GEN = ("generators", 0)
+TRIPLES = "'transitions' must be [source, event, target] triples"
+EK = "coordination 'ek' must be \"auto\" or a list of event names"
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(
+        (*GEN, "states", 0), ["q0"],
+        "{p} (inline): 'states' must be a list of names and 'initial' a name",
+        id="state-as-list"),
+    pytest.param(
+        (*GEN, "events", 0, "name"), ["a1"],
+        "{p} (inline): each event needs a string 'name' and boolean "
+        "'controllable'",
+        id="event-name-as-list"),
+    pytest.param((*GEN, "transitions", 0, 1), ["c"],
+                 "{p} (inline): " + TRIPLES, id="transition-event-as-list"),
+    pytest.param((*GEN, "transitions", 0), ["q0", "c"],
+                 "{p} (inline): " + TRIPLES, id="origin-prefixed-once"),
+    pytest.param((*GEN, "transitions"), 5, "{p} (inline): " + TRIPLES,
+                 id="transitions-not-a-list"),
+    pytest.param(
+        (*GEN, "recognizes_empty_language"), "yes",
+        "{p} (inline): 'recognizes_empty_language' must be a boolean",
+        id="empty-flag-not-boolean"),
+    pytest.param(
+        ("coordination", "g1"), ["g1"],
+        "coordination 'g1', 'g2', 'gk' and 'spec' must be generator names",
+        id="g1-as-list"),
+    pytest.param(("coordination", "ek"), 5, EK, id="ek-as-number"),
+    pytest.param(("coordination", "ek"), "ab", EK, id="ek-as-string"),
+    pytest.param(("generators",), "g.json",
+                 "{p}: project needs a 'generators' list",
+                 id="generators-as-string"),
+    pytest.param((), b"\xff{}",
+                 "cannot read {p}: 'utf-8' codec can't decode byte 0xff in "
+                 "position 0: invalid start byte",
+                 id="not-utf-8"),
+    pytest.param((), b"[" * 100000, "{p}: JSON nested too deeply",
+                 id="nested-too-deeply"),
+])
+def test_malformed_input_exits_2_with_one_line(tmp_path, cell, capsys, path,
+                                               value, message):
+    project = tmp_path / "p.json"
+    doc = put(inline_project(cell), path, value)
+    project.write_bytes(doc if isinstance(doc, bytes)
+                        else json.dumps(doc).encode())
+    assert main(["check", "conddec", "-p", str(project)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(p=project)}\n"
+    assert captured.out == ""
+
+
+FIELDS = [
+    (), ("generators",), ("coordination",), GEN, (*GEN, "name"),
+    (*GEN, "events"), (*GEN, "events", 0), (*GEN, "events", 0, "name"),
+    (*GEN, "events", 0, "controllable"), (*GEN, "states"),
+    (*GEN, "states", 0), (*GEN, "initial"), (*GEN, "transitions"),
+    (*GEN, "transitions", 0), (*GEN, "transitions", 0, 0),
+    (*GEN, "transitions", 0, 1), (*GEN, "recognizes_empty_language"),
+    (*GEN, "marked"),
+    *(("coordination", key) for key in ("g1", "g2", "gk", "spec", "ek")),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(st.sampled_from(FIELDS), JSON_VALUES,
+       st.sampled_from([["check", "conddec"], ["check", "occ"],
+                        ["info", "g1"]]))
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_json_in_any_field_never_escapes(tmp_path_factory, cell,
+                                                   path, value, command):
+    project = tmp_path_factory.getbasetemp() / "fuzz.json"
+    project.write_text(json.dumps(put(inline_project(cell), path, value)),
+                       encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main([*command, "-p", str(project)])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_each_check_runs_only_its_own_check(tmp_path, cell, monkeypatch,
+                                            capsys):
+    project = write_project(tmp_path, cell)
+    calls = collections.Counter()
+    for name in ("is_observer", "is_occ"):
+        def counted(*args, _check=getattr(coordination, name), _name=name):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(coordination, name, counted)
+    assert main(["check", "occ", "-p", str(project)]) == 0
+    assert calls == {"is_occ": 2}
+    calls.clear()
+    assert main(["check", "observer", "-p", str(project)]) == 0
+    assert calls == {"is_observer": 2}
+    capsys.readouterr()

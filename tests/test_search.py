@@ -1,7 +1,9 @@
 """Invariants of the breadth-first search kernel that every state-space
-walk runs on: constructions come out in canonical state order, and the
-counterexamples of the checks are the shortest-then-lexicographic
-violating words of their definitions."""
+walk runs on: constructions come out in canonical state order with
+read-only, sorted rows, and the counterexamples of the checks are the
+shortest-then-lexicographic violating words of their definitions."""
+
+from types import MappingProxyType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,20 @@ from hypothesis import strategies as st
 from descoord import (
     Alphabet,
     ProjectionSpec,
+    empty_generator,
+    from_words,
     inverse_project,
     is_controllable,
     language_subset,
     language_union,
     make_generator,
     project,
+    shortest_words,
     sup_c,
     sync_product,
+    trim_accessible,
+    universal_generator,
+    widen_alphabet,
 )
 from descoord.oracle import bounded_language
 
@@ -29,7 +37,7 @@ def rebuilt(g):
     return make_generator(
         [str(i) for i in g.states], g.alphabet,
         [(str(src), event, str(dst))
-         for (src, event), dst in g.transitions.items()],
+         for src, row in enumerate(g.rows) for event, dst in row.items()],
         str(g.initial),
     )
 
@@ -43,17 +51,29 @@ def test_constructions_are_canonical_by_construction(g, rng):
     wide = Alphabet(g.alphabet.events | {"x"}, g.alphabet.controllable)
     same = random_generator(rng, g.alphabet)
     results = [
+        g,
+        from_words(g.alphabet, shortest_words(g, 6)),
         sync_product(g, random_generator(rng, other)),
         project(g, ProjectionSpec(g.alphabet, shared)),
         language_union(g, same),
         sup_c(same, g, g.alphabet.uncontrollable),
         sup_c(sub_automaton(rng, g), g, g.alphabet.uncontrollable),
         inverse_project(g, wide),
+        widen_alphabet(g, wide),
+        trim_accessible(g),
+        universal_generator(g.alphabet),
+        empty_generator(g.alphabet),
     ]
     for result in results:
         canonical = rebuilt(result)
-        assert canonical.transitions == result.transitions
+        assert canonical.rows == result.rows
         assert canonical.reachable_count == result.reachable_count
+        assert isinstance(result.rows, tuple)
+        assert len(result.rows) == result.num_states
+        for row in result.rows:
+            assert type(row) is MappingProxyType
+            assert list(row) == sorted(row)
+            assert set(row) <= result.alphabet.events
 
 
 def test_sup_c_numbers_the_survivors_by_their_own_search():
@@ -68,7 +88,7 @@ def test_sup_c_numbers_the_survivors_by_their_own_search():
     k = make_generator(states, alphabet, k_edges, "0")
     l = make_generator(states, alphabet, k_edges + [("1", "u", "0")], "0")
     result = sup_c(k, l, {"u"})
-    assert result.transitions == {(0, "b"): 1, (1, "c"): 2, (1, "d"): 3}
+    assert result.rows == ({"b": 1}, {"c": 2, "d": 3}, {}, {})
     assert result.reachable_count == result.num_states == 4
 
 
