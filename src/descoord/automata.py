@@ -239,7 +239,8 @@ def make_generator(
 ) -> Generator:
     """Validate and build a generator from named states.  Raises
     ``DeterminismError`` for a duplicate (state, event) transition and
-    ``ValidationError`` for references to unknown states or events.
+    ``ValidationError`` for a transition that is not a triple of strings and
+    for references to unknown states or events.
     """
     names = list(states)
     for name in names:
@@ -250,16 +251,21 @@ def make_generator(
     if not names:
         raise ValidationError("a generator needs at least one state")
     index = {name: i for i, name in enumerate(names)}
-    if initial not in index:
+    if not isinstance(initial, str) or initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
 
     if isinstance(transitions, Mapping):
-        triples = [(src, event, dst) for (src, event), dst in transitions.items()]
-    else:
-        triples = [tuple(t) for t in transitions]
+        transitions = [(src, event, dst)
+                       for (src, event), dst in transitions.items()]
 
     rows: list[dict[str, int]] = [{} for _ in names]
-    for src, event, dst in triples:
+    for triple in transitions:
+        if not (isinstance(triple, (tuple, list)) and len(triple) == 3
+                and isinstance(triple[0], str) and isinstance(triple[1], str)
+                and isinstance(triple[2], str)):
+            raise ValidationError(
+                "'transitions' must be [source, event, target] triples")
+        src, event, dst = triple
         if src not in index or dst not in index:
             raise ValidationError(f"transition {src!r}-{event!r}->{dst!r} "
                                   f"references an unknown state")

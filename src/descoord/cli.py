@@ -67,29 +67,41 @@ SYNTH_MODES = ("supc", "supcc", "supervisors")
 # ---------------------------------------------------------------------------
 # generator file format
 
-def serialize_generator(g: Generator, name: str) -> dict:
-    """Canonical JSON object for a generator: states are renamed to dense
-    ``q<i>`` ids so isomorphic automata serialize to identical bytes."""
-    doc = {
-        "name": name,
-        "events": [
-            {"name": event, "controllable": event in g.alphabet.controllable}
-            for event in g.alphabet.sorted_events
-        ],
-        "states": [f"q{i}" for i in range(g.num_states)],
-        "initial": f"q{g.initial}",
-        "transitions": [
-            [f"q{src}", event, f"q{dst}"]
-            for src, row in enumerate(g.rows) for event, dst in row.items()
-        ],
-    }
-    if g.recognizes_empty_language:
-        doc["recognizes_empty_language"] = True
-    return doc
-
-
 def generator_to_text(g: Generator, name: str) -> str:
-    return json.dumps(serialize_generator(g, name), indent=2) + "\n"
+    """The generator file of ``g``: states are renamed to dense ``q<i>`` ids
+    so isomorphic automata serialize to identical bytes.  The text is that
+    of ``json.dumps(doc, indent=2) + "\\n"`` for the document with keys
+    ``name``, ``events``, ``states``, ``initial``, ``transitions`` and, for
+    the empty language only, ``recognizes_empty_language``; it is built
+    directly, because ``json`` encodes with ``indent`` in pure Python.
+    Names are quoted by ``json.dumps``, once each; ``q<i>`` needs no
+    escaping."""
+    quoted = {event: json.dumps(event) for event in g.alphabet.sorted_events}
+    states = [f'"q{i}"' for i in range(g.num_states)]
+    events = [
+        f'    {{\n      "name": {text},\n      "controllable": '
+        f'{"true" if event in g.alphabet.controllable else "false"}\n    }}'
+        for event, text in quoted.items()
+    ]
+    transitions = [
+        f"    [\n      {states[src]},\n      {quoted[event]},\n"
+        f"      {states[dst]}\n    ]"
+        for src, row in enumerate(g.rows) for event, dst in row.items()
+    ]
+
+    def block(items: list[str]) -> str:
+        return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+    fields = [
+        f'"name": {json.dumps(name)}',
+        f'"events": {block(events)}',
+        f'"states": {block(["    " + state for state in states])}',
+        f'"initial": {states[g.initial]}',
+        f'"transitions": {block(transitions)}',
+    ]
+    if g.recognizes_empty_language:
+        fields.append('"recognizes_empty_language": true')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _strings(value) -> bool:
@@ -126,8 +138,8 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
     if not empty:
         if not _strings(states) or not isinstance(initial, str):
             fail("'states' must be a list of names and 'initial' a name")
-        if not (isinstance(transitions, list)
-                and all(_strings(t) and len(t) == 3 for t in transitions)):
+        # make_generator checks the shape of each triple as it reads it.
+        if not isinstance(transitions, list):
             fail("'transitions' must be [source, event, target] triples")
     if "marked" in doc:
         print(f"warning: {origin}: 'marked' ignored "

@@ -36,3 +36,8 @@ class PreconditionError(DescoordError):
 
 class ProjectError(DescoordError):
     """A project or generator file could not be parsed or resolved."""
+
+
+class OracleBoundError(DescoordError):
+    """A brute-force oracle bound admits more words than the oracle will
+    enumerate."""

@@ -9,6 +9,19 @@ production path.
 from dataclasses import dataclass
 
 from .automata import EPSILON, Generator, Word
+from .errors import OracleBoundError
+
+# The most words one oracle call builds; a bound that admits more fails
+# with OracleBoundError instead of exhausting memory.  The largest word sets
+# the tests build hold 103 702 words (tests/, a word-set product at bound 8)
+# and 28 583 words (benchmarks/test_family.py, at bound 6).
+MAX_WORDS = 1_500_000
+
+
+def _too_many(n: int) -> OracleBoundError:
+    return OracleBoundError(
+        f"oracle bound {n} admits more than {MAX_WORDS} words; "
+        f"use a smaller bound")
 
 
 @dataclass(frozen=True)
@@ -20,11 +33,27 @@ class BoundedLanguage:
 
 
 def bounded_language(g: Generator, n: int) -> BoundedLanguage:
-    """Exactly {w in L(G) : |w| <= n}, by exhaustive graph walk."""
+    """Exactly {w in L(G) : |w| <= n}, by exhaustive graph walk.  Raises
+    ``OracleBoundError`` when there are more than ``MAX_WORDS``."""
     if n < 0:
         raise ValueError("bound must be nonnegative")
     if g.recognizes_empty_language:
         return BoundedLanguage(frozenset(), n)
+    # Count the words first, per length and end state, without listing
+    # them: O(n * |transitions|).
+    counts = {g.initial: 1}
+    total = 1
+    for _ in range(n):
+        after: dict[int, int] = {}
+        for state, count in counts.items():
+            for target in g.rows[state].values():
+                after[target] = after.get(target, 0) + count
+        counts = after
+        total += sum(counts.values())
+        if total > MAX_WORDS:
+            raise _too_many(n)
+        if not counts:
+            break
     words: set[Word] = set()
     frontier: list[tuple[int, Word]] = [(g.initial, EPSILON)]
     for _ in range(n + 1):
@@ -53,7 +82,8 @@ def brute_project(words, target_events) -> frozenset[Word]:
 def brute_product(ws1, e1, ws2, e2, n: int) -> frozenset[Word]:
     """Synchronous product on word sets: all words over E_1 ∪ E_2 of length
     at most n whose projections onto E_1 and E_2 lie in the operands.  Grown
-    breadth-first; prefix closure of the operands makes the pruning exact."""
+    breadth-first; prefix closure of the operands makes the pruning exact.
+    Raises ``OracleBoundError`` once it holds more than ``MAX_WORDS``."""
     e1 = frozenset(e1)
     e2 = frozenset(e2)
     ws1 = frozenset(map(tuple, ws1))
@@ -75,6 +105,8 @@ def brute_product(ws1, e1, ws2, e2, n: int) -> frozenset[Word]:
                 extended = word + (event,)
                 if member(extended):
                     nxt.append(extended)
+                    if len(out) + len(nxt) > MAX_WORDS:
+                        raise _too_many(n)
         frontier = nxt
     return frozenset(out)
 

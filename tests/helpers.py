@@ -280,6 +280,31 @@ def bounded_occ_verdict(g: Generator, spec: ProjectionSpec, eu, bound: int):
 
 
 # ---------------------------------------------------------------------------
+# reference generator document
+
+def serialize_generator(g: Generator, name: str) -> dict:
+    """The document a generator file holds, built as a dict:
+    ``json.dumps(serialize_generator(g, name), indent=2) + "\\n"`` is the
+    reference for the bytes ``descoord.cli.generator_to_text`` writes."""
+    doc = {
+        "name": name,
+        "events": [
+            {"name": event, "controllable": event in g.alphabet.controllable}
+            for event in g.alphabet.sorted_events
+        ],
+        "states": [f"q{i}" for i in range(g.num_states)],
+        "initial": f"q{g.initial}",
+        "transitions": [
+            [f"q{src}", event, f"q{dst}"]
+            for src, row in enumerate(g.rows) for event, dst in row.items()
+        ],
+    }
+    if g.recognizes_empty_language:
+        doc["recognizes_empty_language"] = True
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # hypothesis strategy
 
 @st.composite

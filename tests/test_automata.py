@@ -60,6 +60,17 @@ def test_make_generator_rejects_unknown_references():
         make_generator(["1", "1"], AB, [], "1")
 
 
+@pytest.mark.parametrize("transitions, initial", [
+    pytest.param([(["x"], "a", "x")], "x", id="source-as-list"),
+    pytest.param([("x", ["a"], "x")], "x", id="event-as-list"),
+    pytest.param([("x", "a", ["x"])], "x", id="target-as-list"),
+    pytest.param([], ["x"], id="initial-as-list"),
+])
+def test_make_generator_rejects_names_that_are_lists(transitions, initial):
+    with pytest.raises(ValidationError):
+        make_generator(["x"], AB, transitions, initial)
+
+
 def test_generators_are_immutable(cell):
     g = cell.g1
     with pytest.raises(TypeError):

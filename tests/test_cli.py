@@ -10,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descoord import (
+    Alphabet,
+    ProjectionSpec,
     coordination,
     empty_generator,
     from_words,
     language_equal,
+    make_generator,
+    oracle,
+    project as project_generator,
     sync_product,
     universal_generator,
 )
@@ -22,8 +27,9 @@ from descoord.cli import (
     load_project,
     main,
     parse_generator,
-    serialize_generator,
 )
+
+from helpers import serialize_generator
 
 
 def write_project(tmp_path, cell, ek=("a1", "a2", "c", "u"), gk="auto",
@@ -66,6 +72,56 @@ def test_round_trip_is_isomorphic_and_byte_stable(cell):
         assert language_equal(parsed, g).holds
         assert parsed.recognizes_empty_language == g.recognizes_empty_language
         assert generator_to_text(parsed, "x") == text
+
+
+def reference_text(g, name) -> str:
+    return json.dumps(serialize_generator(g, name), indent=2) + "\n"
+
+
+NAMES = st.text(st.sampled_from(['a', 'b', '"', '\\', '\n', 'é', '☃', ' ']),
+                min_size=1, max_size=4)
+
+
+@st.composite
+def written_generators(draw):
+    """Generators over names that need escaping, with unreachable states,
+    and the empty alphabet, transition table and language among them."""
+    events = draw(st.lists(NAMES, unique=True, max_size=4))
+    alphabet = Alphabet(frozenset(events),
+                        frozenset(draw(st.sets(st.sampled_from(events))))
+                        if events else frozenset())
+    if draw(st.booleans()):
+        return empty_generator(alphabet)
+    n = draw(st.integers(1, 4))
+    table = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(events)),
+        st.integers(0, n - 1), max_size=n * len(events),
+    )) if events else {}
+    return make_generator(
+        [f"s{i}" for i in range(n)], alphabet,
+        [(f"s{q}", event, f"s{t}") for (q, event), t in table.items()], "s0")
+
+
+@given(written_generators(), NAMES)
+@settings(max_examples=200, deadline=None)
+def test_written_text_is_the_indent_2_encoding(g, name):
+    assert generator_to_text(g, name) == reference_text(g, name)
+
+
+def test_compose_and_project_write_the_reference_bytes(tmp_path, cell):
+    project = write_project(tmp_path, cell)
+    named = load_project(str(project)).generators
+    out = tmp_path / "written.json"
+    assert main(["compose", "-p", str(project), "-o", str(out),
+                 "g1", "g2"]) == 0
+    plant = sync_product(named["g1"], named["g2"])
+    assert out.read_bytes() == reference_text(plant, "g1+g2").encode()
+    events = frozenset({"a1", "a2", "c", "u"})
+    assert main(["project", "-p", str(project), "-o", str(out),
+                 "spec", *sorted(events)]) == 0
+    pk = project_generator(named["spec"],
+                           ProjectionSpec(named["spec"].alphabet, events))
+    assert out.read_bytes() == reference_text(pk, "spec").encode()
 
 
 def test_marked_field_is_ignored_with_a_warning(cell, capsys):
@@ -290,6 +346,25 @@ def test_negative_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
         err = capsys.readouterr().err
         assert "--oracle-bound: must be >= 0, got -1" in err
         assert "Traceback" not in err
+
+
+def test_oracle_bound_beyond_the_word_limit_exits_2(tmp_path, capsys):
+    # L(spec) = {a, b}*: 2^41 - 1 words of length at most 40.
+    named = {"g1": universal_generator(Alphabet({"a"}, {"a"})),
+             "g2": universal_generator(Alphabet({"b"}, {"b"})),
+             "spec": universal_generator(Alphabet({"a", "b"}, {"a", "b"}))}
+    doc = {
+        "generators": [serialize_generator(g, name)
+                       for name, g in named.items()],
+        "coordination": {"g1": "g1", "g2": "g2", "spec": "spec", "ek": []},
+    }
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", "conddec", "-p", str(project),
+                 "--oracle-bound", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: oracle bound 40 admits more than "
+                   f"{oracle.MAX_WORDS} words; use a smaller bound\n")
 
 
 def test_auto_everything_project(tmp_path, cell):

@@ -2,7 +2,18 @@
 
 import random
 
-from descoord import Alphabet, ProjectionSpec, empty_generator, project, sync_product
+import pytest
+
+from descoord import (
+    Alphabet,
+    OracleBoundError,
+    ProjectionSpec,
+    empty_generator,
+    oracle,
+    project,
+    sync_product,
+    universal_generator,
+)
 from descoord.oracle import (
     BoundedLanguage,
     bounded_language,
@@ -105,3 +116,21 @@ def test_bounded_language_type():
     bl = bounded_language(lang(alpha, "a"), 2)
     assert isinstance(bl, BoundedLanguage)
     assert bl.bound == 2
+
+
+def test_bounded_language_counts_before_it_enumerates(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_WORDS", 10)
+    loop = universal_generator(Alphabet({"a"}, {"a"}))
+    assert len(bounded_language(loop, 9).words) == 10
+    with pytest.raises(OracleBoundError):
+        bounded_language(loop, 10)
+
+
+def test_brute_product_stops_at_the_word_limit(monkeypatch):
+    # Every interleaving of a^i and b^j is in the product: 2^(n+1) - 1 words.
+    a_words = {("a",) * i for i in range(13)}
+    b_words = {("b",) * i for i in range(13)}
+    assert len(brute_product(a_words, {"a"}, b_words, {"b"}, 12)) == 8191
+    monkeypatch.setattr(oracle, "MAX_WORDS", 8190)
+    with pytest.raises(OracleBoundError):
+        brute_product(a_words, {"a"}, b_words, {"b"}, 12)
