@@ -36,6 +36,20 @@ def format_word(word: Word) -> str:
     return ".".join(word) if word else "ε"
 
 
+def _event_names(names: Iterable[str]) -> frozenset[str]:
+    """``names`` as a set, each checked to be a non-empty string before it
+    is hashed, so that a list name raises ``ValidationError``.  A string is
+    one name, not a collection of one-letter names, and is rejected too."""
+    if isinstance(names, str):
+        raise ValidationError(f"expected a collection of event names, "
+                              f"got the string {names!r}")
+    names = tuple(names)
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"invalid event name: {name!r}")
+    return frozenset(names)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An event set split into controllable and uncontrollable events."""
@@ -44,11 +58,9 @@ class Alphabet:
     controllable: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "events", frozenset(self.events))
-        object.__setattr__(self, "controllable", frozenset(self.controllable))
-        for name in self.events:
-            if not isinstance(name, str) or not name:
-                raise ValidationError(f"invalid event name: {name!r}")
+        object.__setattr__(self, "events", _event_names(self.events))
+        object.__setattr__(self, "controllable",
+                           _event_names(self.controllable))
         extra = self.controllable - self.events
         if extra:
             raise ValidationError(
@@ -65,7 +77,7 @@ class Alphabet:
 
     def restrict(self, events: Iterable[str]) -> "Alphabet":
         """Sub-alphabet over ``events``, controllability inherited."""
-        kept = frozenset(events)
+        kept = _event_names(events)
         missing = kept - self.events
         if missing:
             raise ValidationError(f"unknown events: {sorted(missing)}")
@@ -239,8 +251,9 @@ def make_generator(
 ) -> Generator:
     """Validate and build a generator from named states.  Raises
     ``DeterminismError`` for a duplicate (state, event) transition and
-    ``ValidationError`` for a transition that is not a triple of strings and
-    for references to unknown states or events.
+    ``ValidationError`` for a transition that is not a triple of strings (or
+    a mapping key that is not a (state, event) pair) and for references to
+    unknown states or events.
     """
     names = list(states)
     for name in names:
@@ -255,6 +268,10 @@ def make_generator(
         raise ValidationError(f"unknown initial state: {initial!r}")
 
     if isinstance(transitions, Mapping):
+        if not all(isinstance(key, tuple) and len(key) == 2
+                   for key in transitions):
+            raise ValidationError("transition keys must be (state, event) "
+                                  "pairs")
         transitions = [(src, event, dst)
                        for (src, event), dst in transitions.items()]
 

@@ -52,7 +52,6 @@ from .coordination import (
 from .errors import DescoordError, PreconditionError, ProjectError
 from .language import (
     CoordinationScheme,
-    ProjectionSpec,
     project as project_generator,
     sync_product,
 )
@@ -369,7 +368,7 @@ def cmd_check(args) -> int:
                         conditionally_independent(g1, g2, gk)))
     elif args.which == "condctrl":
         try:
-            full = is_conditionally_controllable(k, g1, g2, gk, scheme)
+            full = is_conditionally_controllable(k, g1, g2, gk)
         except PreconditionError as exc:
             emit_report("precondition (spec within plant)", exc.report,
                         args.json)
@@ -378,12 +377,12 @@ def cmd_check(args) -> int:
         reports.append(("condition (ii.a)", full.condition_iia))
         reports.append(("condition (ii.b)", full.condition_iib))
     elif args.which == "observer":
-        reports.extend(observer_reports(g1, g2, scheme))
+        reports.extend(observer_reports(g1, g2, gk.alphabet))
     elif args.which == "occ":
-        reports.extend(occ_reports(g1, g2, scheme))
+        reports.extend(occ_reports(g1, g2, gk.alphabet))
     elif args.which == "optimality":
         reports.append(("optimality conditions",
-                        check_optimality_conditions(g1, g2, gk, scheme)))
+                        check_optimality_conditions(g1, g2, gk)))
 
     for name, report in reports:
         emit_report(name, report, args.json)
@@ -436,7 +435,7 @@ def cmd_synth(args) -> int:
                     consistent=consistent)
                 oracle_ok = consistent
         elif args.mode == "supcc":
-            result = sup_cc(k, g1, g2, gk, scheme, force=args.force)
+            result = sup_cc(k, g1, g2, gk, force=args.force)
             _write_generator(out, "sup_k", result.sup_k, args.json)
             _write_generator(out, "sup_1k", result.sup_1k, args.json)
             _write_generator(out, "sup_2k", result.sup_2k, args.json)
@@ -465,10 +464,10 @@ def cmd_synth(args) -> int:
                     consistent=consistent)
                 oracle_ok = consistent
         else:  # supervisors
-            s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk, scheme)
-            _write_generator(out, "s_k", s_k.realization, args.json)
-            _write_generator(out, "s_1", s_1.realization, args.json)
-            _write_generator(out, "s_2", s_2.realization, args.json)
+            s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk)
+            _write_generator(out, "s_k", s_k, args.json)
+            _write_generator(out, "s_1", s_1, args.json)
+            _write_generator(out, "s_2", s_2, args.json)
     except PreconditionError as exc:
         report = exc.report if exc.report is not None else PropertyReport(
             False, (), str(exc))
@@ -496,8 +495,7 @@ def cmd_compose(args) -> int:
 def cmd_project(args) -> int:
     project = load_project(args.project)
     g = _lookup(project, args.name)
-    spec = ProjectionSpec(g.alphabet, frozenset(args.events))
-    result = project_generator(g, spec)
+    result = project_generator(g, args.events)
     Path(args.out).write_text(
         generator_to_text(result, args.name), encoding="utf-8")
     emit_note(f"wrote {args.out} ({result.num_states} states, "

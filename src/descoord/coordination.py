@@ -19,7 +19,6 @@ from .automata import (
 from .errors import AlphabetMismatchError, PreconditionError
 from .language import (
     CoordinationScheme,
-    ProjectionSpec,
     inverse_project,
     language_subset,
     project,
@@ -27,7 +26,7 @@ from .language import (
     widen_alphabet,
 )
 from .structural import is_observer, is_occ
-from .synthesis import Supervisor, is_controllable, sup_c
+from .synthesis import is_controllable, sup_c
 
 
 @dataclass(frozen=True)
@@ -68,15 +67,6 @@ class SynthesisResult:
     certified: bool = True
 
 
-def _check_plants(g1: Generator, g2: Generator, gk: Generator,
-                  scheme: CoordinationScheme) -> None:
-    if (g1.alphabet != scheme.e1 or g2.alphabet != scheme.e2
-            or gk.alphabet != scheme.ek):
-        raise AlphabetMismatchError(
-            "plant alphabets must match the coordination scheme"
-        )
-
-
 def _check_spec_alphabet(k: Generator, scheme: CoordinationScheme) -> None:
     if k.alphabet != scheme.full:
         raise AlphabetMismatchError(
@@ -104,7 +94,7 @@ def conditionally_independent(g1: Generator, g2: Generator,
 def _projected_parts(k: Generator, scheme: CoordinationScheme):
     """P_k(K), P_{1+k}(K) and P_{2+k}(K): computed once per public entry
     point and shared by every check and synthesis step on its path."""
-    return tuple(project(k, ProjectionSpec(k.alphabet, target.events))
+    return tuple(project(k, target.events)
                  for target in (scheme.ek, scheme.e1k, scheme.e2k))
 
 
@@ -146,7 +136,6 @@ def is_conditionally_controllable(
     g1: Generator,
     g2: Generator,
     gk: Generator,
-    scheme: CoordinationScheme,
 ) -> ConditionalControllabilityReport:
     """Evaluate the three conditional-controllability conditions:
 
@@ -157,7 +146,7 @@ def is_conditionally_controllable(
 
     Requires K ⊆ L(G_1 ∥ G_2 ∥ G_k); a violation raises
     ``PreconditionError`` carrying the witness word."""
-    _check_plants(g1, g2, gk, scheme)
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
     return _conditionally_controllable(g1, g2, gk, scheme,
@@ -175,17 +164,14 @@ def _conditionally_controllable(
     cond_i = is_controllable(pk, gk, scheme.ek.uncontrollable)
 
     def side_condition(own: Generator, own_plant: Generator,
-                       other_plant: Generator, own_alpha: Alphabet,
-                       other_alpha: Alphabet) -> PropertyReport:
-        other = project(
-            sync_product(other_plant, pk),
-            ProjectionSpec(other_alpha, scheme.ek.events),
-        )
+                       other_plant: Generator,
+                       own_alpha: Alphabet) -> PropertyReport:
+        other = project(sync_product(other_plant, pk), scheme.ek.events)
         ambient = sync_product(sync_product(own_plant, pk), other)
         return is_controllable(own, ambient, own_alpha.uncontrollable)
 
-    cond_iia = side_condition(p1k, g1, g2, scheme.e1k, scheme.e2k)
-    cond_iib = side_condition(p2k, g2, g1, scheme.e2k, scheme.e1k)
+    cond_iia = side_condition(p1k, g1, g2, scheme.e1k)
+    cond_iib = side_condition(p2k, g2, g1, scheme.e2k)
     return ConditionalControllabilityReport(cond_i, cond_iia, cond_iib)
 
 
@@ -194,14 +180,15 @@ def synthesize_supervisors(
     g1: Generator,
     g2: Generator,
     gk: Generator,
-    scheme: CoordinationScheme,
-) -> tuple[Supervisor, Supervisor, Supervisor]:
-    """Supervisors (S_k, S_1, S_2) realized by the projections of K.
+) -> tuple[Generator, Generator, Generator]:
+    """Supervisors (S_k, S_1, S_2), each realized as a generator: the
+    projections P_k(K), P_{1+k}(K) and P_{2+k}(K).
 
     Requires conditional independence, conditional decomposability and
     conditional controllability; under those, the closed loops compose
     exactly to K (the coordinator loop is P_k(K), and each local loop over
     G_i ∥ (S_k/G_k) is P_{i+k}(K))."""
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     independent = conditionally_independent(g1, g2, gk)
     if not independent.holds:
         raise PreconditionError("subsystems are not conditionally "
@@ -213,59 +200,59 @@ def synthesize_supervisors(
     if not decomposable.holds:
         raise PreconditionError("specification is not conditionally "
                                 "decomposable", decomposable)
-    _check_plants(g1, g2, gk, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
     report = _conditionally_controllable(g1, g2, gk, scheme, parts)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "
                                 "controllable", report.first_failure())
-    return tuple(Supervisor(part) for part in parts)
+    return parts
 
 
-def _lifted_subsystems(g1: Generator, g2: Generator,
-                       scheme: CoordinationScheme):
-    """For i = 1, 2: the inverse image of L(G_i) in E_{i+k}*, and the
-    projection from E_{i+k} to E_k."""
-    subsystems = ((g1, scheme.e1k), (g2, scheme.e2k))
-    return [(i, inverse_project(g, eik), ProjectionSpec(eik, scheme.ek.events))
-            for i, (g, eik) in enumerate(subsystems, 1)]
+def _lifted_subsystems(g1: Generator, g2: Generator, ek: Alphabet):
+    """For i = 1, 2: i and the inverse image of L(G_i) in E_{i+k}*."""
+    return [(i, inverse_project(g, union_alphabets(g.alphabet, ek)))
+            for i, g in enumerate((g1, g2), 1)]
 
 
-def observer_reports(g1: Generator, g2: Generator,
-                     scheme: CoordinationScheme):
+def _observer(i: int, lifted: Generator, ek: Alphabet):
+    return f"observer(subsystem {i})", is_observer(lifted, ek.events)
+
+
+def _occ(i: int, lifted: Generator, ek: Alphabet):
+    return (f"occ(subsystem {i})",
+            is_occ(lifted, ek.events, lifted.alphabet.uncontrollable))
+
+
+def observer_reports(g1: Generator, g2: Generator, ek: Alphabet):
     """The observer halves of ``observer_occ_reports``."""
-    return [(f"observer(subsystem {i})", is_observer(lifted, pspec))
-            for i, lifted, pspec in _lifted_subsystems(g1, g2, scheme)]
+    return [_observer(i, lifted, ek)
+            for i, lifted in _lifted_subsystems(g1, g2, ek)]
 
 
-def occ_reports(g1: Generator, g2: Generator, scheme: CoordinationScheme):
+def occ_reports(g1: Generator, g2: Generator, ek: Alphabet):
     """The OCC halves of ``observer_occ_reports``."""
-    return [(f"occ(subsystem {i})",
-             is_occ(lifted, pspec, pspec.source.uncontrollable))
-            for i, lifted, pspec in _lifted_subsystems(g1, g2, scheme)]
+    return [_occ(i, lifted, ek)
+            for i, lifted in _lifted_subsystems(g1, g2, ek)]
 
 
-def observer_occ_reports(g1: Generator, g2: Generator,
-                         scheme: CoordinationScheme):
+def observer_occ_reports(g1: Generator, g2: Generator, ek: Alphabet):
     """The distributed-synthesis preconditions: for i = 1, 2 the projection
-    from E_{i+k} to E_k must be an observer for, and output control
-    consistent for, the inverse image of L(G_i) in E_{i+k}*.  Returns
-    ``(name, report)`` pairs in the order observer 1, OCC 1, observer 2,
-    OCC 2."""
-    return [pair for both in zip(observer_reports(g1, g2, scheme),
-                                 occ_reports(g1, g2, scheme))
-            for pair in both]
+    from E_{i+k} = E_i ∪ E_k to E_k must be an observer for, and output
+    control consistent for, the inverse image of L(G_i) in E_{i+k}*, which
+    is built once for both checks.  Returns ``(name, report)`` pairs in the
+    order observer 1, OCC 1, observer 2, OCC 2."""
+    return [pair for i, lifted in _lifted_subsystems(g1, g2, ek)
+            for pair in (_observer(i, lifted, ek), _occ(i, lifted, ek))]
 
 
 def _certify_preconditions(k: Generator, parts, g1: Generator,
-                           g2: Generator, scheme: CoordinationScheme,
-                           force: bool) -> bool:
+                           g2: Generator, ek: Alphabet, force: bool) -> bool:
     decomposable = _decomposable(k, parts)
     if not decomposable.holds:
         raise PreconditionError("specification is not conditionally "
                                 "decomposable", decomposable)
     certified = True
-    for name, report in observer_occ_reports(g1, g2, scheme):
+    for name, report in observer_occ_reports(g1, g2, ek):
         if not report.holds:
             if not force:
                 raise PreconditionError(f"{name} precondition failed", report)
@@ -278,7 +265,6 @@ def sup_cc(
     g1: Generator,
     g2: Generator,
     gk: Generator,
-    scheme: CoordinationScheme,
     force: bool = False,
 ) -> SynthesisResult:
     """Distributed computation of the supremal conditionally controllable
@@ -292,17 +278,17 @@ def sup_cc(
     ``force`` the latter are skipped and the result is marked uncertified
     (the composition is still controllable w.r.t. L, only supremality is at
     stake)."""
-    _check_plants(g1, g2, gk, scheme)
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     parts = _projected_parts(k, scheme)
-    certified = _certify_preconditions(k, parts, g1, g2, scheme, force)
+    certified = _certify_preconditions(k, parts, g1, g2, scheme.ek, force)
     pk, p1k, p2k = parts
 
     full = scheme.full
     # L_1 ∥ L_2 lives over the ambient alphabet E, so events private to the
     # coordinator interleave freely before the projection onto E_k.
     ambient_12 = inverse_project(sync_product(g1, g2), full)
-    pk_plant = project(ambient_12, ProjectionSpec(full, scheme.ek.events))
+    pk_plant = project(ambient_12, scheme.ek.events)
     sup_k = sup_c(sync_product(sync_product(pk, pk_plant), gk), gk,
                   scheme.ek.uncontrollable)
 
@@ -315,18 +301,17 @@ def sup_cc(
     return SynthesisResult(sup_k, sup_1k, sup_2k, composed, certified)
 
 
-def check_optimality_conditions(g1: Generator, g2: Generator, gk: Generator,
-                                scheme: CoordinationScheme) -> PropertyReport:
+def check_optimality_conditions(g1: Generator, g2: Generator,
+                                gk: Generator) -> PropertyReport:
     """Conditions under which the distributed result coincides with the
     global supremal controllable sublanguage: L_k ⊆ P_k(L_i) for i = 1, 2
     (with L_i taken over the ambient alphabet E_{i+k}, i.e. compared against
     P_k^{i+k}((P_i^{i+k})^{-1}(L_i))), and the projection onto E_{i+k} is
     output control consistent for P_{i+k}^{-1}(L_i ∥ L_k)."""
-    _check_plants(g1, g2, gk, scheme)
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     full = scheme.full
     for i, (g, eik) in enumerate(((g1, scheme.e1k), (g2, scheme.e2k)), 1):
-        covered = project(inverse_project(g, eik),
-                          ProjectionSpec(eik, scheme.ek.events))
+        covered = project(inverse_project(g, eik), scheme.ek.events)
         inclusion = language_subset(gk, covered)
         if not inclusion.holds:
             return PropertyReport(
@@ -334,8 +319,7 @@ def check_optimality_conditions(g1: Generator, g2: Generator, gk: Generator,
                 f"coordinator word cannot be produced by subsystem {i}",
             )
         lifted = inverse_project(sync_product(g, gk), full)
-        occ = is_occ(lifted, ProjectionSpec(full, eik.events),
-                     full.uncontrollable)
+        occ = is_occ(lifted, eik.events, full.uncontrollable)
         if not occ.holds:
             return PropertyReport(
                 False, occ.counterexample,
@@ -359,10 +343,8 @@ def default_coordinator(g1: Generator, g2: Generator,
             f"shared events {sorted(outside)} are outside the coordinator "
             f"event set"
         )
-    p1 = project(g1, ProjectionSpec(g1.alphabet,
-                                    g1.alphabet.events & ek.events))
-    p2 = project(g2, ProjectionSpec(g2.alphabet,
-                                    g2.alphabet.events & ek.events))
+    p1 = project(g1, g1.alphabet.events & ek.events)
+    p2 = project(g2, g2.alphabet.events & ek.events)
     return widen_alphabet(sync_product(p1, p2), ek)
 
 
@@ -386,12 +368,12 @@ def suggest_coordinator_events(k: Generator, g1: Generator,
     remaining = sorted(pool.events - current)
 
     def passes(events: set[str]) -> bool:
-        scheme = CoordinationScheme(g1.alphabet, g2.alphabet,
-                                    pool.restrict(events))
+        ek = pool.restrict(events)
+        scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
         if not conditionally_decomposable(k, scheme).holds:
             return False
         return all(report.holds
-                   for _, report in observer_occ_reports(g1, g2, scheme))
+                   for _, report in observer_occ_reports(g1, g2, ek))
 
     while True:
         if passes(current):

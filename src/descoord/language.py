@@ -23,32 +23,7 @@ from .automata import (
     search,
     union_alphabets,
 )
-from .errors import AlphabetMismatchError, ValidationError
-
-
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """A natural projection: erase every event outside ``target_events``."""
-
-    source: Alphabet
-    target_events: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "target_events", frozenset(self.target_events))
-        missing = self.target_events - self.source.events
-        if missing:
-            raise ValidationError(
-                f"projection target events not in the source alphabet: "
-                f"{sorted(missing)}"
-            )
-
-    @property
-    def target_alphabet(self) -> Alphabet:
-        return self.source.restrict(self.target_events)
-
-    @property
-    def hidden_events(self) -> frozenset[str]:
-        return self.source.events - self.target_events
+from .errors import AlphabetMismatchError
 
 
 @dataclass(frozen=True)
@@ -120,18 +95,16 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     return Generator(merged, tuple(nodes), rows, 0, len(nodes))
 
 
-def project(g: Generator, spec: ProjectionSpec) -> Generator:
-    """Natural projection of L(G) onto the target events: erase hidden
-    transitions, then determinize by subset construction.  Subset states are
-    canonically encoded (sorted member ids), so identical runs produce
-    identical automata.  The result is deterministic and trim."""
-    if spec.source != g.alphabet:
-        raise AlphabetMismatchError("projection source must equal the "
-                                    "generator's alphabet")
-    target = spec.target_alphabet
+def project(g: Generator, events: Iterable[str]) -> Generator:
+    """Natural projection of L(G) onto ``events``, a subset of G's events
+    (``ValidationError`` otherwise): erase the other transitions, then
+    determinize by subset construction.  Subset states are canonically
+    encoded (sorted member ids), so identical runs produce identical
+    automata.  The result is deterministic and trim."""
+    target = g.alphabet.restrict(events)
     if g.recognizes_empty_language:
         return empty_generator(target)
-    hidden = spec.hidden_events
+    hidden = g.alphabet.events - target.events
 
     def closure(states: Iterable[int]) -> tuple[int, ...]:
         seen = set(states)

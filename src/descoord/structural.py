@@ -3,14 +3,14 @@ consistency (OCC) of a natural projection.  These gate the distributed
 supremal-synthesis procedure in ``coordination``."""
 
 from collections import deque
+from collections.abc import Iterable
 
 from .automata import Generator, PropertyReport, search
-from .errors import AlphabetMismatchError, ValidationError
-from .language import ProjectionSpec, project
+from .language import project
 
 
-def is_observer(g: Generator, spec: ProjectionSpec) -> PropertyReport:
-    """Is the projection an L(G)-observer?
+def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
+    """Is the projection of L(G) onto ``events`` an L(G)-observer?
 
     For prefix-closed L it suffices to check one projected step at a time:
     whenever P(s)·e is in P(L) for some s in L, some hidden continuation
@@ -19,14 +19,11 @@ def is_observer(g: Generator, spec: ProjectionSpec) -> PropertyReport:
     reachable pair (q, x), each target event enabled at x must be matched
     from q by a path (E \\ E_k)* · e.  The counterexample encodes the pair
     (s, e) as the word s·e."""
-    if spec.source != g.alphabet:
-        raise AlphabetMismatchError("projection source must equal the "
-                                    "generator's alphabet")
+    target = g.alphabet.restrict(events).events
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
-    target = spec.target_events
-    hidden = spec.hidden_events
-    det = project(g, spec)
+    hidden = g.alphabet.events - target
+    det = project(g, target)
 
     # Per state of G: target events enabled somewhere in its hidden closure.
     matchable: list[frozenset[str]] = []
@@ -65,24 +62,19 @@ def is_observer(g: Generator, spec: ProjectionSpec) -> PropertyReport:
     return PropertyReport(True, detail="observer property holds")
 
 
-def is_occ(g: Generator, spec: ProjectionSpec, eu) -> PropertyReport:
-    """Is the projection output control consistent for L(G)?
+def is_occ(g: Generator, events: Iterable[str], eu) -> PropertyReport:
+    """Is the projection of L(G) onto ``events`` output control consistent
+    for L(G)?
 
     A word violates OCC when the hidden segment since the last target event
     (or since the start of the word) contains a controllable event and the
     next target event is uncontrollable.  Tracked with one dirty bit per
     state, so hidden cycles need no unrolling; the counterexample is the
     shortest full violating word."""
-    if spec.source != g.alphabet:
-        raise AlphabetMismatchError("projection source must equal the "
-                                    "generator's alphabet")
-    eu = frozenset(eu)
-    stray = eu - g.alphabet.events
-    if stray:
-        raise ValidationError(f"unknown events: {sorted(stray)}")
+    target = g.alphabet.restrict(events).events
+    eu = g.alphabet.restrict(eu).events
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
-    target = spec.target_events
 
     def successors(node):
         q, dirty = node

@@ -6,8 +6,6 @@ computation a plain delete-and-retrim fixpoint on the product automaton:
 no marking or nonblocking trimming is involved.
 """
 
-from dataclasses import dataclass
-
 from .automata import (
     Generator,
     PropertyReport,
@@ -17,15 +15,6 @@ from .automata import (
 )
 from .errors import AlphabetMismatchError, PreconditionError, ValidationError
 from .language import sync_product
-
-
-@dataclass(frozen=True)
-class Supervisor:
-    """A supervisor realized as a generator over the plant's alphabet (or a
-    superset).  Admissibility with respect to a concrete plant is a checked
-    property, not a structural invariant: see ``is_admissible``."""
-
-    realization: Generator
 
 
 def _check_controllability_args(k: Generator, l: Generator, eu) -> frozenset[str]:
@@ -121,11 +110,11 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
                      survivors, 0, len(nodes))
 
 
-def is_admissible(s: Supervisor, g: Generator, eu=None) -> PropertyReport:
-    """A supervisor is admissible for a plant when, after every word of
+def is_admissible(s: Generator, g: Generator, eu=None) -> PropertyReport:
+    """A supervisor, realized as a generator over the plant's alphabet or a
+    superset, is admissible for a plant when, after every word of
     L(S) ∥ L(G), it enables every uncontrollable event the plant enables."""
-    rep = s.realization
-    merged = union_alphabets(rep.alphabet, g.alphabet)
+    merged = union_alphabets(s.alphabet, g.alphabet)
     if eu is None:
         eu = g.alphabet.uncontrollable
     eu = frozenset(eu)
@@ -134,14 +123,14 @@ def is_admissible(s: Supervisor, g: Generator, eu=None) -> PropertyReport:
         raise ValidationError(
             f"events {sorted(stray)} are not uncontrollable plant events"
         )
-    if rep.recognizes_empty_language or g.recognizes_empty_language:
+    if s.recognizes_empty_language or g.recognizes_empty_language:
         return PropertyReport(True, detail="closed loop is empty")
-    in_s = rep.alphabet.events
+    in_s = s.alphabet.events
     in_g = g.alphabet.events
 
     def successors(pair):
         qs, qg = pair
-        row_s, row_g = rep.rows[qs], g.rows[qg]
+        row_s, row_g = s.rows[qs], g.rows[qg]
         for event in merged.sorted_events:
             ts = row_s.get(event) if event in in_s else qs
             tg = row_g.get(event) if event in in_g else qg
@@ -150,18 +139,18 @@ def is_admissible(s: Supervisor, g: Generator, eu=None) -> PropertyReport:
             elif ts is not None and tg is not None:
                 yield event, (ts, tg)
 
-    word = search((rep.initial, g.initial), successors)[2]
+    word = search((s.initial, g.initial), successors)[2]
     if word is not None:
         return PropertyReport(
             False, word, "supervisor disables an uncontrollable plant event")
     return PropertyReport(True, detail="supervisor is admissible")
 
 
-def closed_loop(s: Supervisor, g: Generator) -> Generator:
+def closed_loop(s: Generator, g: Generator) -> Generator:
     """L(S/G) = L(S) ∥ L(G) for an admissible supervisor; raises
     ``PreconditionError`` (with the admissibility report) otherwise."""
     report = is_admissible(s, g)
     if not report.holds:
         raise PreconditionError("supervisor is not admissible for this plant",
                                 report)
-    return sync_product(s.realization, g)
+    return sync_product(s, g)

@@ -9,7 +9,6 @@ from descoord import (
     Alphabet,
     CoordinationScheme,
     Generator,
-    ProjectionSpec,
     default_coordinator,
     from_words,
     make_generator,
@@ -127,7 +126,7 @@ def distributed_instance(rng: random.Random, require_preconditions=True,
         gk = random_generator(rng, scheme.ek)
     if require_preconditions:
         if not all(rep.holds
-                   for _, rep in observer_occ_reports(g1, g2, scheme)):
+                   for _, rep in observer_occ_reports(g1, g2, scheme.ek)):
             return None
     if contained:
         k = contained_decomposable_spec(rng, scheme, g1, g2, gk)
@@ -206,13 +205,13 @@ def word_in_projected_product(word, components, target_events) -> bool:
 # definition-literal bounded evaluators (independent of the production
 # checkers: they enumerate words and walk the transition function only)
 
-def bounded_observer_verdict(g: Generator, spec: ProjectionSpec, bound: int):
+def bounded_observer_verdict(g: Generator, target, bound: int):
     """Evaluate the observer definition on all s in L and t in P(L) of
     length <= bound: some continuation u with su in L and P(su) = t must
     exist.  Witness search follows the definition directly: a hidden path,
     then the next target symbol of t, recursively (memoized, exact for
     arbitrary u lengths)."""
-    target = spec.target_events
+    target = frozenset(target)
     words = sorted(bounded_language(g, bound).words, key=lambda v: (len(v), v))
     projected = {erase(word, target) for word in words}
 
@@ -260,11 +259,11 @@ def bounded_observer_verdict(g: Generator, spec: ProjectionSpec, bound: int):
     return True, None
 
 
-def bounded_occ_verdict(g: Generator, spec: ProjectionSpec, eu, bound: int):
+def bounded_occ_verdict(g: Generator, target, eu, bound: int):
     """Evaluate output control consistency word by word on L up to the
     bound: scanning each word, the hidden segment since the last target
     event must stay uncontrollable whenever the next target event is."""
-    target = spec.target_events
+    target = frozenset(target)
     eu = frozenset(eu)
     for word in sorted(bounded_language(g, bound).words,
                        key=lambda v: (len(v), v)):

@@ -14,7 +14,6 @@ import pytest
 from descoord import (
     Alphabet,
     CoordinationScheme,
-    ProjectionSpec,
     check_optimality_conditions,
     closed_loop,
     empty_generator,
@@ -112,9 +111,8 @@ def test_criterion_01_golden_end_to_end(tmp_path, cell, announce):
 
 def test_criterion_02_optimality(cell, announce):
     started = time.perf_counter()
-    assert check_optimality_conditions(cell.g1, cell.g2, cell.gk,
-                                       cell.scheme).holds
-    composed = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme).composed
+    assert check_optimality_conditions(cell.g1, cell.g2, cell.gk).holds
+    composed = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
     best = sup_c(cell.k, sync_product(cell.g1, cell.g2),
                  cell.full.uncontrollable)
     assert language_equal(composed, best).holds
@@ -148,7 +146,7 @@ def test_criterion_03_precondition_narrative(tmp_path, cell, announce):
         scheme = CoordinationScheme(cell.e1, cell.e2,
                                     cell.full.restrict(kept))
         occ_failures = [rep for name, rep in
-                        observer_occ_reports(cell.g1, cell.g2, scheme)
+                        observer_occ_reports(cell.g1, cell.g2, scheme.ek)
                         if name.startswith("occ") and not rep.holds]
         assert occ_failures
         for report in occ_failures:
@@ -167,7 +165,7 @@ def test_criterion_03_precondition_narrative(tmp_path, cell, announce):
 def test_criterion_04_composition_controllable(announce):
     instances = collect_instances(4001, 200, distributed_instance)
     for k, g1, g2, gk, scheme in instances:
-        result = sup_cc(k, g1, g2, gk, scheme)
+        result = sup_cc(k, g1, g2, gk)
         plant = sync_product(sync_product(g1, g2), gk)
         eu = scheme.full.uncontrollable
         assert is_controllable(result.composed, plant, eu).holds
@@ -186,17 +184,16 @@ def test_criterion_05_equivalence_both_directions(announce):
         lambda rng: distributed_instance(rng, coordinator="default"),
     )
     for k0, g1, g2, gk, scheme in instances:
-        target = sup_cc(k0, g1, g2, gk, scheme).composed
+        target = sup_cc(k0, g1, g2, gk).composed
 
         # (b) the synthesized language is conditionally controllable
-        assert is_conditionally_controllable(target, g1, g2, gk,
-                                             scheme).holds
+        assert is_conditionally_controllable(target, g1, g2, gk).holds
 
         # (a) supervisors achieve it exactly through the coordinated loops
-        s_k, s_1, s_2 = synthesize_supervisors(target, g1, g2, gk, scheme)
+        s_k, s_1, s_2 = synthesize_supervisors(target, g1, g2, gk)
         loop_k = closed_loop(s_k, gk)
-        loop_1 = sync_product(s_1.realization, sync_product(g1, loop_k))
-        loop_2 = sync_product(s_2.realization, sync_product(g2, loop_k))
+        loop_1 = sync_product(s_1, sync_product(g1, loop_k))
+        loop_2 = sync_product(s_2, sync_product(g2, loop_k))
         total = sync_product(sync_product(loop_1, loop_2), loop_k)
         assert language_equal(total, target).holds
     announce("[acceptance 5] PASS closed-loop equality and conditional "
@@ -248,10 +245,10 @@ def test_criterion_06a_projection_distributes(announce):
     rng = random.Random(6001)
     for _ in range(100):
         full, e1, e2, ek, g1, g2 = _two_subsystems(rng)
-        lhs = project(sync_product(g1, g2), ProjectionSpec(full, ek))
+        lhs = project(sync_product(g1, g2), ek)
         rhs = sync_product(
-            project(g1, ProjectionSpec(e1, e1.events & ek)),
-            project(g2, ProjectionSpec(e2, e2.events & ek)),
+            project(g1, e1.events & ek),
+            project(g2, e2.events & ek),
         )
         assert language_equal(lhs, rhs).holds
         # oracle words are genuine members; production words are confirmed
@@ -273,8 +270,8 @@ def test_criterion_06b_local_projection_identity(announce):
     for _ in range(100):
         full, e1, e2, ek, g1, g2 = _two_subsystems(rng, ek_equals_shared=True)
         product = sync_product(g1, g2)
-        lhs = project(product, ProjectionSpec(full, e1.events))
-        pj = project(g2, ProjectionSpec(e2, ek))
+        lhs = project(product, e1.events)
+        pj = project(g2, ek)
         rhs = sync_product(g1, inverse_project(pj, e1))
         assert language_equal(lhs, rhs).holds
         ws2 = bounded_language(g2, 8).words
@@ -296,7 +293,7 @@ def test_criterion_06c_own_projection_restriction(announce):
     for _ in range(100):
         g = random_generator(rng, alpha)
         keep = frozenset(e for e in alpha.events if rng.random() < 0.5)
-        restricted = sync_product(g, project(g, ProjectionSpec(alpha, keep)))
+        restricted = sync_product(g, project(g, keep))
         assert language_equal(restricted, g).holds
         lw = bounded_language(g, 8).words
         pk_w = brute_project(lw, keep)
@@ -365,10 +362,10 @@ def test_criterion_06f_inverse_image_composition(announce):
         e1k = union_alphabets(e1, full.restrict(ek))
         e2k = union_alphabets(e2, full.restrict(ek))
         lhs = sync_product(
-            project(inverse_project(g1, e1k), ProjectionSpec(e1k, ek)),
-            project(inverse_project(g2, e2k), ProjectionSpec(e2k, ek)),
+            project(inverse_project(g1, e1k), ek),
+            project(inverse_project(g2, e2k), ek),
         )
-        rhs = project(sync_product(g1, g2), ProjectionSpec(full, ek))
+        rhs = project(sync_product(g1, g2), ek)
         assert language_equal(lhs, rhs).holds
         ws1 = bounded_language(g1, 8).words
         ws2 = bounded_language(g2, 8).words
@@ -470,10 +467,9 @@ def test_criterion_08_observer_occ_literal(announce):
         alpha = Alphabet(frozenset(names), random_controllable(rng, names))
         g = random_generator(rng, alpha, max_states=5, edge_prob=0.45)
         target = frozenset(e for e in names if rng.random() < 0.5)
-        spec = ProjectionSpec(alpha, target)
 
-        verdict = is_observer(g, spec)
-        literal, _ = bounded_observer_verdict(g, spec, 8)
+        verdict = is_observer(g, target)
+        literal, _ = bounded_observer_verdict(g, target, 8)
         if verdict.holds:
             assert literal
         elif len(verdict.counterexample) <= 8:
@@ -481,8 +477,8 @@ def test_criterion_08_observer_occ_literal(announce):
         else:
             long_witness_skips += 1
 
-        occ = is_occ(g, spec, alpha.uncontrollable)
-        literal_occ, _ = bounded_occ_verdict(g, spec,
+        occ = is_occ(g, target, alpha.uncontrollable)
+        literal_occ, _ = bounded_occ_verdict(g, target,
                                              alpha.uncontrollable, 8)
         if occ.holds:
             assert literal_occ
@@ -506,19 +502,17 @@ def test_criterion_09_union_closure(announce):
     rng = random.Random(9002)
     checked = 0
     for k, g1, g2, gk, scheme in instances:
-        first = sup_cc(k, g1, g2, gk, scheme).composed
+        first = sup_cc(k, g1, g2, gk).composed
         second = sup_cc(
             sync_product(
                 sync_product(random_generator(rng, scheme.e1k, 3),
                              random_generator(rng, scheme.e2k, 3)),
                 random_generator(rng, scheme.ek, 3)),
-            g1, g2, gk, scheme).composed
-        assert is_conditionally_controllable(first, g1, g2, gk, scheme).holds
-        assert is_conditionally_controllable(second, g1, g2, gk,
-                                             scheme).holds
+            g1, g2, gk).composed
+        assert is_conditionally_controllable(first, g1, g2, gk).holds
+        assert is_conditionally_controllable(second, g1, g2, gk).holds
         union = language_union(first, second)
-        assert is_conditionally_controllable(union, g1, g2, gk,
-                                             scheme).holds
+        assert is_conditionally_controllable(union, g1, g2, gk).holds
         checked += 1
     assert checked == 50
     announce("[acceptance 9] PASS union of conditionally controllable "
@@ -531,7 +525,7 @@ def test_criterion_09_union_closure(announce):
 def test_criterion_10_round_trip_determinism(cell, announce):
     corpus = [cell.g1, cell.g2, cell.k, cell.gk,
               empty_generator(cell.full), universal_generator(cell.ek)]
-    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme)
+    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk)
     corpus += [result.sup_k, result.sup_1k, result.sup_2k, result.composed]
     rng = random.Random(1001)
     for _ in range(50):
@@ -547,7 +541,7 @@ def test_criterion_10_round_trip_determinism(cell, announce):
         assert generator_to_text(parsed, "round") == text
 
     # determinism across independent recomputations
-    again = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme)
+    again = sup_cc(cell.k, cell.g1, cell.g2, cell.gk)
     for before, after in ((result.sup_k, again.sup_k),
                           (result.sup_1k, again.sup_1k),
                           (result.sup_2k, again.sup_2k),

@@ -71,6 +71,23 @@ def test_make_generator_rejects_names_that_are_lists(transitions, initial):
         make_generator(["x"], AB, transitions, initial)
 
 
+@pytest.mark.parametrize("key", [("x",), ("x", "a", "x"), "xa"])
+def test_make_generator_rejects_mapping_keys_that_are_not_pairs(key):
+    with pytest.raises(ValidationError, match="must be"):
+        make_generator(["x"], AB, {key: "x"}, "x")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Alphabet(["a", ["b"]], []), id="event"),
+    pytest.param(lambda: Alphabet({"a"}, [["a"]]), id="controllable"),
+    pytest.param(lambda: AB.restrict([["a"]]), id="restrict"),
+    pytest.param(lambda: AB.restrict("ab"), id="restrict-to-a-string"),
+])
+def test_alphabet_rejects_malformed_event_collections(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_generators_are_immutable(cell):
     g = cell.g1
     with pytest.raises(TypeError):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
-    ProjectionSpec,
     coordination,
     empty_generator,
     from_words,
@@ -119,8 +118,7 @@ def test_compose_and_project_write_the_reference_bytes(tmp_path, cell):
     events = frozenset({"a1", "a2", "c", "u"})
     assert main(["project", "-p", str(project), "-o", str(out),
                  "spec", *sorted(events)]) == 0
-    pk = project_generator(named["spec"],
-                           ProjectionSpec(named["spec"].alphabet, events))
+    pk = project_generator(named["spec"], events)
     assert out.read_bytes() == reference_text(pk, "spec").encode()
 
 
@@ -273,6 +271,18 @@ def test_project_command_onto_coordinator_events(tmp_path, cell):
                  "spec", "a1", "a2", "c", "u"]) == 0
     assert language_equal(read_generator(out),
                           cell.over_ek("a2.a1", "c", "a1.a2.u")).holds
+
+
+def test_project_command_rejects_events_outside_the_generator(tmp_path, cell,
+                                                             capsys):
+    project = write_project(tmp_path, cell)
+    out = tmp_path / "p1.json"
+    assert main(["project", "-p", str(project), "-o", str(out),
+                 "g1", "a1", "a2", "u2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown events: ['a2', 'u2']\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_info_command(tmp_path, cell, capsys):

@@ -8,9 +8,9 @@ import pytest
 
 from descoord import (
     Alphabet,
+    ControllabilityConflictError,
     CoordinationScheme,
     PreconditionError,
-    ProjectionSpec,
     check_optimality_conditions,
     closed_loop,
     conditionally_decomposable,
@@ -41,15 +41,15 @@ from helpers import (
 )
 
 
-def compose_loops(k, g1, g2, gk, scheme):
+def compose_loops(k, g1, g2, gk):
     """The coordinated closed-loop composition: the coordinator loop via
     closed_loop (admissible by condition (i)), the local loops as plain
     synchronous products (their supervisors need not be admissible for the
     reduced plants)."""
-    s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk, scheme)
+    s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk)
     loop_k = closed_loop(s_k, gk)
-    loop_1 = sync_product(s_1.realization, sync_product(g1, loop_k))
-    loop_2 = sync_product(s_2.realization, sync_product(g2, loop_k))
+    loop_1 = sync_product(s_1, sync_product(g1, loop_k))
+    loop_2 = sync_product(s_2, sync_product(g2, loop_k))
     return sync_product(sync_product(loop_1, loop_2), loop_k)
 
 
@@ -102,8 +102,7 @@ def test_products_are_always_decomposable():
 # conditional controllability
 
 def test_raw_specification_fails_condition_i(cell):
-    report = is_conditionally_controllable(cell.k, cell.g1, cell.g2,
-                                           cell.gk, cell.scheme)
+    report = is_conditionally_controllable(cell.k, cell.g1, cell.g2, cell.gk)
     assert not report.holds
     assert not report.condition_i.holds
     assert report.condition_i.counterexample == w("a2.a1.u")
@@ -111,16 +110,15 @@ def test_raw_specification_fails_condition_i(cell):
 
 
 def test_synthesized_result_is_conditionally_controllable(cell):
-    composed = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme).composed
+    composed = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
     assert is_conditionally_controllable(composed, cell.g1, cell.g2,
-                                         cell.gk, cell.scheme).holds
+                                         cell.gk).holds
 
 
 def test_specification_must_be_within_the_plant(cell):
     outside = from_words(cell.full, ["a1.a1"])
     with pytest.raises(PreconditionError) as info:
-        is_conditionally_controllable(outside, cell.g1, cell.g2,
-                                      cell.gk, cell.scheme)
+        is_conditionally_controllable(outside, cell.g1, cell.g2, cell.gk)
     assert info.value.report.counterexample == w("a1.a1")
 
 
@@ -128,8 +126,8 @@ def test_specification_must_be_within_the_plant(cell):
 # supervisor synthesis
 
 def test_supervisor_synthesis_achieves_the_specification(cell):
-    target = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme).composed
-    total = compose_loops(target, cell.g1, cell.g2, cell.gk, cell.scheme)
+    target = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
+    total = compose_loops(target, cell.g1, cell.g2, cell.gk)
     expected = cell.over_full("a1.a2.u", "a2", "c.u1.u2", "c.u2.u1")
     assert language_equal(total, expected).holds
 
@@ -143,23 +141,21 @@ def test_synthesis_with_fully_controllable_plant(cell):
     g2 = from_words(e2, ["c.u2", "a2.u"])
     ek = Alphabet(cell.ek.events, cell.ek.events)
     gk = default_coordinator(g1, g2, ek)
-    scheme = CoordinationScheme(e1, e2, ek)
     plant = sync_product(sync_product(g1, g2), gk)
-    total = compose_loops(plant, g1, g2, gk, scheme)
+    total = compose_loops(plant, g1, g2, gk)
     assert language_equal(total, plant).holds
 
 
 def test_synthesis_rejects_uncontrollable_specification(cell):
     with pytest.raises(PreconditionError):
-        synthesize_supervisors(cell.k, cell.g1, cell.g2, cell.gk,
-                               cell.scheme)
+        synthesize_supervisors(cell.k, cell.g1, cell.g2, cell.gk)
 
 
 # ---------------------------------------------------------------------------
 # distributed supremal synthesis
 
 def test_distributed_synthesis_golden(cell):
-    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme)
+    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk)
     assert result.certified
     golden = {
         "sup_k": cell.over_ek("a2", "c", "a1.a2.u"),
@@ -174,8 +170,7 @@ def test_distributed_synthesis_golden(cell):
 
 
 def test_distributed_synthesis_of_empty_specification(cell):
-    result = sup_cc(empty_generator(cell.full), cell.g1, cell.g2, cell.gk,
-                    cell.scheme)
+    result = sup_cc(empty_generator(cell.full), cell.g1, cell.g2, cell.gk)
     assert result.sup_k.recognizes_empty_language
     assert result.sup_1k.recognizes_empty_language
     assert result.sup_2k.recognizes_empty_language
@@ -184,32 +179,45 @@ def test_distributed_synthesis_of_empty_specification(cell):
 
 def test_force_overrides_observer_occ_but_not_decomposability(cell):
     # E_k = {a1, c, u}: decomposable, but OCC fails for subsystem 2.
-    scheme = CoordinationScheme(cell.e1, cell.e2,
-                                cell.full.restrict({"a1", "c", "u"}))
-    gk = default_coordinator(cell.g1, cell.g2, scheme.ek)
+    gk = default_coordinator(cell.g1, cell.g2,
+                             cell.full.restrict({"a1", "c", "u"}))
     with pytest.raises(PreconditionError):
-        sup_cc(cell.k, cell.g1, cell.g2, gk, scheme)
-    result = sup_cc(cell.k, cell.g1, cell.g2, gk, scheme, force=True)
+        sup_cc(cell.k, cell.g1, cell.g2, gk)
+    result = sup_cc(cell.k, cell.g1, cell.g2, gk, force=True)
     assert not result.certified
     plant = sync_product(sync_product(cell.g1, cell.g2), gk)
     assert is_controllable(result.composed, plant,
                            cell.full.uncontrollable).holds
 
     # E_k = {c, u}: not decomposable; force does not help.
-    scheme_cu = CoordinationScheme(cell.e1, cell.e2,
-                                   cell.full.restrict({"c", "u"}))
-    gk_cu = default_coordinator(cell.g1, cell.g2, scheme_cu.ek)
+    gk_cu = default_coordinator(cell.g1, cell.g2,
+                                cell.full.restrict({"c", "u"}))
     with pytest.raises(PreconditionError):
-        sup_cc(cell.k, cell.g1, cell.g2, gk_cu, scheme_cu, force=True)
+        sup_cc(cell.k, cell.g1, cell.g2, gk_cu, force=True)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(sup_cc, id="sup_cc"),
+    pytest.param(is_conditionally_controllable, id="condctrl"),
+    pytest.param(synthesize_supervisors, id="supervisors"),
+    pytest.param(lambda k, g1, g2, gk: check_optimality_conditions(g1, g2, gk),
+                 id="optimality"),
+])
+def test_plant_controllability_conflict_is_an_error(cell, run):
+    # The scheme comes from the plant alphabets, so a coordinator that
+    # declares the shared event c uncontrollable conflicts with G_1.
+    ek = Alphabet(cell.ek.events, cell.ek.controllable - {"c"})
+    gk = universal_generator(ek)
+    with pytest.raises(ControllabilityConflictError, match=r"\['c'\]"):
+        run(cell.k, cell.g1, cell.g2, gk)
 
 
 # ---------------------------------------------------------------------------
 # optimality conditions
 
 def test_optimality_golden(cell):
-    assert check_optimality_conditions(cell.g1, cell.g2, cell.gk,
-                                       cell.scheme).holds
-    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, cell.scheme)
+    assert check_optimality_conditions(cell.g1, cell.g2, cell.gk).holds
+    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk)
     plant = sync_product(cell.g1, cell.g2)
     best = sup_c(cell.k, sync_product(plant, cell.gk),
                  cell.full.uncontrollable)
@@ -218,8 +226,7 @@ def test_optimality_golden(cell):
 
 def test_optimality_fails_for_unproducible_coordinator_word(cell):
     gk_bad = cell.over_ek("c", "a1.a2.u", "a2.a1.u", "u")
-    report = check_optimality_conditions(cell.g1, cell.g2, gk_bad,
-                                         cell.scheme)
+    report = check_optimality_conditions(cell.g1, cell.g2, gk_bad)
     assert not report.holds
     assert report.counterexample == ("u",)
 
@@ -252,8 +259,7 @@ def test_default_coordinator_never_restricts_the_plant():
         plant = sync_product(g1, g2)
         restricted = sync_product(plant, gk)
         assert language_equal(
-            project(restricted,
-                    ProjectionSpec(restricted.alphabet, plant.alphabet.events)),
+            project(restricted, plant.alphabet.events),
             plant,
         ).holds
 
@@ -291,7 +297,7 @@ def test_suggest_on_disjoint_subsystems_returns_empty():
 def test_composition_is_controllable_smoke():
     instances = collect_instances(341, 20, distributed_instance)
     for k, g1, g2, gk, scheme in instances:
-        result = sup_cc(k, g1, g2, gk, scheme)
+        result = sup_cc(k, g1, g2, gk)
         plant = sync_product(sync_product(g1, g2), gk)
         assert is_controllable(result.composed, plant,
                                scheme.full.uncontrollable).holds
@@ -312,8 +318,7 @@ def test_union_preserves_conditional_controllability_smoke():
                 sync_product(random_generator(rng, scheme.e1k),
                              random_generator(rng, scheme.e2k)),
                 random_generator(rng, scheme.ek)),
-            g1, g2, gk, scheme).composed
-        first = sup_cc(k, g1, g2, gk, scheme).composed
+            g1, g2, gk).composed
+        first = sup_cc(k, g1, g2, gk).composed
         union = language_union(first, other)
-        assert is_conditionally_controllable(union, g1, g2, gk,
-                                             scheme).holds
+        assert is_conditionally_controllable(union, g1, g2, gk).holds

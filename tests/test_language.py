@@ -11,7 +11,7 @@ from descoord import (
     Alphabet,
     AlphabetMismatchError,
     ControllabilityConflictError,
-    ProjectionSpec,
+    ValidationError,
     empty_generator,
     from_words,
     inverse_project,
@@ -69,24 +69,24 @@ def test_sync_with_empty_is_empty(cell):
 
 
 def test_project_golden_coordinator_part(cell):
-    pk = project(cell.k, ProjectionSpec(cell.full, cell.ek.events))
+    pk = project(cell.k, cell.ek.events)
     assert language_equal(pk, cell.over_ek("a2.a1", "c", "a1.a2.u")).holds
 
 
 def test_project_golden_second_subsystem_part(cell):
-    p2k = project(cell.k, ProjectionSpec(cell.full, cell.scheme.e2k.events))
+    p2k = project(cell.k, cell.scheme.e2k.events)
     expected = from_words(cell.scheme.e2k, ["a1.a2.u", "a2.a1", "c.u2"])
     assert language_equal(p2k, expected).holds
 
 
 def test_project_identity(cell):
-    same = project(cell.k, ProjectionSpec(cell.full, cell.full.events))
+    same = project(cell.k, cell.full.events)
     assert language_equal(same, cell.k).holds
 
 
-def test_project_requires_matching_source(cell):
-    with pytest.raises(AlphabetMismatchError):
-        project(cell.g1, ProjectionSpec(cell.full, cell.ek.events))
+def test_project_rejects_events_outside_the_generator(cell):
+    with pytest.raises(ValidationError, match=r"unknown events: \['a2'\]"):
+        project(cell.g1, cell.ek.events)
 
 
 def test_inverse_project_of_epsilon_is_bstar():
@@ -109,7 +109,7 @@ def test_project_after_inverse_project_is_identity(g):
     wide = Alphabet(g.alphabet.events | {"fresh"},
                     g.alphabet.controllable | {"fresh"})
     lifted = inverse_project(g, wide)
-    back = project(lifted, ProjectionSpec(wide, g.alphabet.events))
+    back = project(lifted, g.alphabet.events)
     assert language_equal(back, g).holds
 
 
@@ -171,7 +171,7 @@ def test_language_union_basics():
 @settings(max_examples=40, deadline=None)
 def test_projection_output_is_deterministic_and_trim(g):
     keep = set(list(sorted(g.alphabet.events))[:2])
-    result = project(g, ProjectionSpec(g.alphabet, keep))
+    result = project(g, keep)
     assert result.reachable_count == result.num_states
     assert is_prefix_closed(bounded_language(result, 5).words)
 
@@ -200,10 +200,10 @@ def test_projection_distributes_over_product_when_shared_is_kept():
     rng = random.Random(101)
     for _ in range(60):
         full, e1, e2, ek, g1, g2 = _two_subsystems(rng)
-        lhs = project(sync_product(g1, g2), ProjectionSpec(full, ek))
+        lhs = project(sync_product(g1, g2), ek)
         rhs = sync_product(
-            project(g1, ProjectionSpec(e1, e1.events & ek)),
-            project(g2, ProjectionSpec(e2, e2.events & ek)),
+            project(g1, e1.events & ek),
+            project(g2, e2.events & ek),
         )
         assert language_equal(lhs, rhs).holds
 
@@ -214,7 +214,7 @@ def test_product_restricted_by_own_projection_is_identity():
     for _ in range(60):
         g = random_generator(rng, alpha)
         keep = {e for e in alpha.events if rng.random() < 0.5}
-        restricted = sync_product(g, project(g, ProjectionSpec(alpha, keep)))
+        restricted = sync_product(g, project(g, keep))
         assert language_equal(restricted, g).holds
 
 

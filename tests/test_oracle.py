@@ -7,7 +7,6 @@ import pytest
 from descoord import (
     Alphabet,
     OracleBoundError,
-    ProjectionSpec,
     empty_generator,
     oracle,
     project,
@@ -74,7 +73,7 @@ def test_brute_project_matches_generator_project():
     for _ in range(30):
         g = random_generator(rng, alpha)
         keep = {e for e in alpha.events if rng.random() < 0.6}
-        produced = project(g, ProjectionSpec(alpha, keep))
+        produced = project(g, keep)
         brute = brute_project(bounded_language(g, 8).words, keep)
         got = set(bounded_language(produced, 6).words)
         expected = {word for word in brute if len(word) <= 6}
@@ -90,7 +89,7 @@ def test_brute_project_matches_generator_project():
 
 def test_brute_sup_c_golden(cell):
     from descoord import project as project_op
-    pk = project_op(cell.k, ProjectionSpec(cell.full, cell.ek.events))
+    pk = project_op(cell.k, cell.ek.events)
     result = brute_sup_c(bounded_language(pk, 4).words,
                          bounded_language(cell.gk, 4).words, {"u"}, 4)
     expected = bounded_language(cell.over_ek("a2", "c", "a1.a2.u"), 4).words

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
-    ProjectionSpec,
     empty_generator,
     from_words,
     inverse_project,
@@ -54,7 +53,7 @@ def test_constructions_are_canonical_by_construction(g, rng):
         g,
         from_words(g.alphabet, shortest_words(g, 6)),
         sync_product(g, random_generator(rng, other)),
-        project(g, ProjectionSpec(g.alphabet, shared)),
+        project(g, shared),
         language_union(g, same),
         sup_c(same, g, g.alphabet.uncontrollable),
         sup_c(sub_automaton(rng, g), g, g.alphabet.uncontrollable),

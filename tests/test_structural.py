@@ -1,17 +1,20 @@
 """Tests for the observer-property and output-control-consistency checks,
 including agreement with definition-literal bounded evaluation."""
 
+import collections
 import random
+
+import pytest
 
 from descoord import (
     Alphabet,
-    ProjectionSpec,
+    ValidationError,
+    coordination,
     is_observer,
     is_occ,
     observer_occ_reports,
     sync_product,
 )
-from descoord.language import CoordinationScheme
 
 from helpers import (
     bounded_observer_verdict,
@@ -28,19 +31,19 @@ def test_identity_projection_is_always_an_observer():
     alpha = Alphabet({"a", "b", "u"}, {"a"})
     for _ in range(20):
         g = random_generator(rng, alpha)
-        assert is_observer(g, ProjectionSpec(alpha, alpha.events)).holds
+        assert is_observer(g, alpha.events).holds
 
 
 def test_observer_failure_without_continuation():
     alpha = Alphabet({"a", "b", "c"}, {"a", "b", "c"})
     g = lang(alpha, "a.b", "c")
-    report = is_observer(g, ProjectionSpec(alpha, {"b"}))
+    report = is_observer(g, {"b"})
     assert not report.holds
     assert report.counterexample == w("c.b")
 
 
 def test_observer_holds_for_lifted_subsystems(cell):
-    for name, report in observer_occ_reports(cell.g1, cell.g2, cell.scheme):
+    for name, report in observer_occ_reports(cell.g1, cell.g2, cell.ek):
         assert report.holds, name
 
 
@@ -48,9 +51,8 @@ def test_occ_fails_when_private_start_is_hidden(cell):
     # Coordinator alphabet holding only the shared events: the controllable
     # a1 becomes hidden and precedes the uncontrollable shared u.
     small = cell.full.restrict({"c", "u"})
-    scheme = CoordinationScheme(cell.e1, cell.e2, small)
     occ_reports = [rep for name, rep in
-                   observer_occ_reports(cell.g1, cell.g2, scheme)
+                   observer_occ_reports(cell.g1, cell.g2, small)
                    if name.startswith("occ")]
     assert not occ_reports[0].holds
     assert occ_reports[0].counterexample == w("a1.u")
@@ -58,9 +60,24 @@ def test_occ_fails_when_private_start_is_hidden(cell):
     assert occ_reports[1].counterexample == w("a2.u")
 
 
+def test_observer_occ_reports_lift_each_subsystem_once(cell, monkeypatch):
+    lifted = collections.Counter()
+
+    def counted(g, superset, _lift=coordination.inverse_project):
+        lifted[g] += 1
+        return _lift(g, superset)
+
+    monkeypatch.setattr(coordination, "inverse_project", counted)
+    names = [name for name, _ in
+             observer_occ_reports(cell.g1, cell.g2, cell.ek)]
+    assert names == ["observer(subsystem 1)", "occ(subsystem 1)",
+                     "observer(subsystem 2)", "occ(subsystem 2)"]
+    assert lifted == {cell.g1: 1, cell.g2: 1}
+
+
 def test_occ_holds_for_the_chosen_coordinator_alphabet(cell):
     occ_reports = [rep for name, rep in
-                   observer_occ_reports(cell.g1, cell.g2, cell.scheme)
+                   observer_occ_reports(cell.g1, cell.g2, cell.ek)
                    if name.startswith("occ")]
     assert all(rep.holds for rep in occ_reports)
 
@@ -68,7 +85,18 @@ def test_occ_holds_for_the_chosen_coordinator_alphabet(cell):
 def test_occ_vacuous_without_uncontrollable_events():
     alpha = Alphabet({"a", "b"}, {"a", "b"})
     g = lang(alpha, "a.b", "b.a.b")
-    assert is_occ(g, ProjectionSpec(alpha, {"b"}), set()).holds
+    assert is_occ(g, {"b"}, set()).holds
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda g: is_observer(g, {"b", "x"}), id="observer-target"),
+    pytest.param(lambda g: is_occ(g, {"b", "x"}, set()), id="occ-target"),
+    pytest.param(lambda g: is_occ(g, {"b"}, {"x"}), id="occ-uncontrollable"),
+])
+def test_checks_reject_events_outside_the_generator(check):
+    g = lang(Alphabet({"a", "b"}, {"a", "b"}), "a.b")
+    with pytest.raises(ValidationError, match=r"unknown events: \['x'\]"):
+        check(g)
 
 
 def test_occ_handles_hidden_cycles():
@@ -81,7 +109,7 @@ def test_occ_handles_hidden_cycles():
     }
     from descoord import make_generator
     g = make_generator(["s0", "s1", "s2"], alpha, gens, "s0")
-    report = is_occ(g, ProjectionSpec(alpha, {"a", "u"}), {"u"})
+    report = is_occ(g, {"a", "u"}, {"u"})
     assert not report.holds
     assert report.counterexample == w("h.u")
 
@@ -93,17 +121,16 @@ def test_checkers_agree_with_bounded_definition():
         alpha = Alphabet(frozenset(names), random_controllable(rng, names))
         g = random_generator(rng, alpha, max_states=5)
         target = frozenset(e for e in names if rng.random() < 0.5)
-        spec = ProjectionSpec(alpha, target)
 
-        verdict = is_observer(g, spec)
-        literal, _ = bounded_observer_verdict(g, spec, 6)
+        verdict = is_observer(g, target)
+        literal, _ = bounded_observer_verdict(g, target, 6)
         if verdict.holds:
             assert literal
         elif len(verdict.counterexample) <= 6:
             assert not literal
 
-        occ = is_occ(g, spec, alpha.uncontrollable)
-        literal_occ, _ = bounded_occ_verdict(g, spec,
+        occ = is_occ(g, target, alpha.uncontrollable)
+        literal_occ, _ = bounded_occ_verdict(g, target,
                                              alpha.uncontrollable, 8)
         if occ.holds:
             assert literal_occ
@@ -130,13 +157,12 @@ def test_observer_composition_lemma():
                 ek.add(event)
         g1 = random_generator(rng, e1)
         g2 = random_generator(rng, e2)
-        if not is_observer(g1, ProjectionSpec(e1, e1.events & ek)).holds:
+        if not is_observer(g1, e1.events & ek).holds:
             continue
-        if not is_observer(g2, ProjectionSpec(e2, e2.events & ek)).holds:
+        if not is_observer(g2, e2.events & ek).holds:
             continue
         product = sync_product(g1, g2)
-        assert is_observer(product,
-                           ProjectionSpec(product.alphabet, ek)).holds
+        assert is_observer(product, ek).holds
         confirmed += 1
     assert confirmed >= 30
 
@@ -144,8 +170,7 @@ def test_observer_composition_lemma():
 def test_occ_composition_lemma(cell):
     # The distributed-synthesis hypotheses imply OCC of the coordinator
     # projection for the whole plant.
-    for name, report in observer_occ_reports(cell.g1, cell.g2, cell.scheme):
+    for name, report in observer_occ_reports(cell.g1, cell.g2, cell.ek):
         assert report.holds, name
     plant = sync_product(sync_product(cell.g1, cell.g2), cell.gk)
-    assert is_occ(plant, ProjectionSpec(cell.full, cell.ek.events),
-                  cell.full.uncontrollable).holds
+    assert is_occ(plant, cell.ek.events, cell.full.uncontrollable).holds

@@ -8,8 +8,6 @@ from descoord import (
     Alphabet,
     AlphabetMismatchError,
     PreconditionError,
-    ProjectionSpec,
-    Supervisor,
     closed_loop,
     empty_generator,
     from_words,
@@ -28,7 +26,7 @@ from helpers import lang, random_generator, sub_automaton, w
 
 
 def _coordinator_pair(cell):
-    pk = project(cell.k, ProjectionSpec(cell.full, cell.ek.events))
+    pk = project(cell.k, cell.ek.events)
     return pk, cell.gk
 
 
@@ -112,7 +110,7 @@ def test_basic_controllability_round_trip():
             continue
         if k.reachable_count == 0:
             continue
-        loop = closed_loop(Supervisor(k), plant)
+        loop = closed_loop(k, plant)
         assert language_equal(loop, k).holds
         checked += 1
     assert checked >= 10
@@ -120,14 +118,14 @@ def test_basic_controllability_round_trip():
 
 def test_closed_loop_golden(cell):
     pk, gk = _coordinator_pair(cell)
-    supervisor = Supervisor(sup_c(pk, gk, {"u"}))
+    supervisor = sup_c(pk, gk, {"u"})
     loop = closed_loop(supervisor, gk)
-    assert language_equal(loop, supervisor.realization).holds
+    assert language_equal(loop, supervisor).holds
 
 
 def test_closed_loop_with_universal_supervisor_is_plant(cell):
     plant = sync_product(cell.g1, cell.g2)
-    loop = closed_loop(Supervisor(universal_generator(plant.alphabet)), plant)
+    loop = closed_loop(universal_generator(plant.alphabet), plant)
     assert language_equal(loop, plant).holds
 
 
@@ -135,24 +133,23 @@ def test_closed_loop_rejects_inadmissible_supervisor(cell):
     plant = sync_product(cell.g1, cell.g2)
     blocked = from_words(plant.alphabet, ["a1.a2"])
     with pytest.raises(PreconditionError) as info:
-        closed_loop(Supervisor(blocked), plant)
+        closed_loop(blocked, plant)
     assert info.value.report.counterexample == w("a1.a2.u")
 
 
 def test_admissibility_examples(cell):
     plant = sync_product(cell.g1, cell.g2)
-    assert is_admissible(Supervisor(universal_generator(plant.alphabet)),
-                         plant).holds
+    assert is_admissible(universal_generator(plant.alphabet), plant).holds
     blocking = from_words(plant.alphabet, ["a1.a2"])
-    report = is_admissible(Supervisor(blocking), plant)
+    report = is_admissible(blocking, plant)
     assert not report.holds
     assert report.counterexample == w("a1.a2.u")
     pk, gk = _coordinator_pair(cell)
-    assert is_admissible(Supervisor(sup_c(pk, gk, {"u"})), gk).holds
+    assert is_admissible(sup_c(pk, gk, {"u"}), gk).holds
 
 
 def test_admissibility_of_empty_supervisor_is_vacuous(cell):
-    assert is_admissible(Supervisor(empty_generator(cell.ek)), cell.gk).holds
+    assert is_admissible(empty_generator(cell.ek), cell.gk).holds
 
 
 def test_extended_controllability_equivalence():
