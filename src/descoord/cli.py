@@ -212,6 +212,13 @@ def _lookup(project: ProjectFile, name: str) -> Generator:
 def resolve_coordination(project: ProjectFile):
     """Returns (K, G1, G2, Gk, scheme) from the project's coordination
     block, building the coordinator when it is declared "auto"."""
+    return _resolve(project)[:5]
+
+
+def _resolve(project: ProjectFile):
+    """``resolve_coordination`` plus the conditional-decomposability report
+    of K under the chosen E_k when the coordinator-event search decided it
+    (``"ek": "auto"``), else None."""
     block = project.coordination
     if block is None:
         raise ProjectError("project has no 'coordination' block")
@@ -230,11 +237,12 @@ def resolve_coordination(project: ProjectFile):
     g1 = _lookup(project, block["g1"])
     g2 = _lookup(project, block["g2"])
     k = _lookup(project, block["spec"])
+    decomposable = None
 
     try:
         if gk_field == "auto":
             if ek_field == "auto":
-                ek = suggest_coordinator_events(k, g1, g2)
+                ek, decomposable = suggest_coordinator_events(k, g1, g2)
             else:
                 pool = union_alphabets(g1.alphabet, g2.alphabet, k.alphabet)
                 unknown = set(ek_field) - pool.events
@@ -260,7 +268,7 @@ def resolve_coordination(project: ProjectFile):
         if isinstance(exc, (ProjectError, PreconditionError)):
             raise
         raise ProjectError(str(exc)) from exc
-    return k, g1, g2, gk, scheme
+    return k, g1, g2, gk, scheme, decomposable
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,7 @@ def _oracle_conddec(k, scheme, report, bound, json_mode) -> bool:
 
 def cmd_check(args) -> int:
     project = load_project(args.project)
-    k, g1, g2, gk, scheme = resolve_coordination(project)
+    k, g1, g2, gk, scheme, decomposable = _resolve(project)
     reports: list[tuple[str, PropertyReport]] = []
     oracle_jobs = []
 
@@ -358,7 +366,8 @@ def cmd_check(args) -> int:
             oracle_jobs.append(lambda: _oracle_controllability(
                 k, plant, eu, report, args.oracle_bound, args.json))
     elif args.which == "conddec":
-        report = conditionally_decomposable(k, scheme)
+        report = (conditionally_decomposable(k, scheme)
+                  if decomposable is None else decomposable)
         reports.append(("conditional decomposability", report))
         if args.oracle_bound:
             oracle_jobs.append(lambda: _oracle_conddec(

@@ -14,11 +14,13 @@ from .automata import (
     Generator,
     PropertyReport,
     reachable_events,
+    search,
     union_alphabets,
 )
 from .errors import AlphabetMismatchError, PreconditionError
 from .language import (
     CoordinationScheme,
+    SubsetConstruction,
     inverse_project,
     language_subset,
     project,
@@ -92,10 +94,16 @@ def conditionally_independent(g1: Generator, g2: Generator,
 
 
 def _projected_parts(k: Generator, scheme: CoordinationScheme):
-    """P_k(K), P_{1+k}(K) and P_{2+k}(K): computed once per public entry
-    point and shared by every check and synthesis step on its path."""
-    return tuple(project(k, target.events)
+    """The subset constructions of P_k(K), P_{1+k}(K) and P_{2+k}(K):
+    made once per public entry point and shared by every check and
+    synthesis step on its path, so a projection built after the
+    decomposability walk reuses the steps the walk took."""
+    return tuple(SubsetConstruction(k, target.events)
                  for target in (scheme.ek, scheme.e1k, scheme.e2k))
+
+
+def _generators(parts) -> tuple[Generator, ...]:
+    return tuple(part.generator() for part in parts)
 
 
 def conditionally_decomposable(k: Generator,
@@ -108,14 +116,38 @@ def conditionally_decomposable(k: Generator,
 
 
 def _decomposable(k: Generator, parts) -> PropertyReport:
+    """The inclusion P_{1+k}(K) ∥ P_{2+k}(K) ∥ P_k(K) ⊆ K, decided by one
+    breadth-first walk over nodes (x_{1+k}, x_{2+k}, x_k, q_K) that builds
+    no product: events are taken in sorted order, each subset construction
+    moves on its own events, and where all three move but K's row lacks
+    the event, the walk ends on that violation.  It is the shortest word of
+    the product outside K, ties broken lexicographically, as on the built
+    product: both walks are breadth-first in sorted event order over nodes
+    the word determines."""
     pk, p1k, p2k = parts
-    composed = sync_product(sync_product(p1k, p2k), pk)
-    inclusion = language_subset(composed, k)
-    if inclusion.holds:
+    moves = [(event, event in p1k.alphabet.events,
+              event in p2k.alphabet.events, event in pk.alphabet.events)
+             for event in k.alphabet.sorted_events]
+
+    def successors(node):
+        x1, x2, xk, q = node
+        row1, row2, rowk = p1k.row(x1), p2k.row(x2), pk.row(xk)
+        row = k.rows[q]
+        for event, in1, in2, ink in moves:
+            t1 = row1.get(event) if in1 else x1
+            t2 = row2.get(event) if in2 else x2
+            tk = rowk.get(event) if ink else xk
+            if t1 is not None and t2 is not None and tk is not None:
+                target = row.get(event)
+                yield event, None if target is None else (t1, t2, tk, target)
+
+    word = (None if k.recognizes_empty_language
+            else search((0, 0, 0, k.initial), successors)[2])
+    if word is None:
         return PropertyReport(True, detail="specification is conditionally "
                                            "decomposable")
     return PropertyReport(
-        False, inclusion.counterexample,
+        False, word,
         "word is in the product of the projections but not in the "
         "specification",
     )
@@ -149,8 +181,8 @@ def is_conditionally_controllable(
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
-    return _conditionally_controllable(g1, g2, gk, scheme,
-                                       _projected_parts(k, scheme))
+    return _conditionally_controllable(
+        g1, g2, gk, scheme, _generators(_projected_parts(k, scheme)))
 
 
 def _conditionally_controllable(
@@ -201,11 +233,12 @@ def synthesize_supervisors(
         raise PreconditionError("specification is not conditionally "
                                 "decomposable", decomposable)
     _require_spec_within_plant(k, g1, g2, gk)
-    report = _conditionally_controllable(g1, g2, gk, scheme, parts)
+    supervisors = _generators(parts)
+    report = _conditionally_controllable(g1, g2, gk, scheme, supervisors)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "
                                 "controllable", report.first_failure())
-    return parts
+    return supervisors
 
 
 def _lifted_subsystems(g1: Generator, g2: Generator, ek: Alphabet):
@@ -282,7 +315,7 @@ def sup_cc(
     _check_spec_alphabet(k, scheme)
     parts = _projected_parts(k, scheme)
     certified = _certify_preconditions(k, parts, g1, g2, scheme.ek, force)
-    pk, p1k, p2k = parts
+    pk, p1k, p2k = _generators(parts)
 
     full = scheme.full
     # L_1 ∥ L_2 lives over the ambient alphabet E, so events private to the
@@ -348,8 +381,9 @@ def default_coordinator(g1: Generator, g2: Generator,
     return widen_alphabet(sync_product(p1, p2), ek)
 
 
-def suggest_coordinator_events(k: Generator, g1: Generator,
-                               g2: Generator) -> Alphabet:
+def suggest_coordinator_events(
+    k: Generator, g1: Generator, g2: Generator,
+) -> tuple[Alphabet, PropertyReport]:
     """Grow a coordinator event set until the specification becomes
     conditionally decomposable and the observer/OCC preconditions of the
     distributed synthesis hold.
@@ -357,7 +391,9 @@ def suggest_coordinator_events(k: Generator, g1: Generator,
     Starts from the reachable shared events (plus any specification event
     outside both subsystems, which can only live in E_k), then adds the
     remaining events smallest-first, returning the first success; falls
-    back to the full alphabet when nothing smaller works."""
+    back to the full alphabet when nothing smaller works.  Returns the
+    event set and the conditional-decomposability report of K for it, so
+    that a caller need not decide it again."""
     pool = union_alphabets(g1.alphabet, g2.alphabet, k.alphabet)
     if not (g1.alphabet.events | g2.alphabet.events) <= k.alphabet.events:
         raise AlphabetMismatchError(
@@ -367,17 +403,12 @@ def suggest_coordinator_events(k: Generator, g1: Generator,
     current |= k.alphabet.events - g1.alphabet.events - g2.alphabet.events
     remaining = sorted(pool.events - current)
 
-    def passes(events: set[str]) -> bool:
-        ek = pool.restrict(events)
-        scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
-        if not conditionally_decomposable(k, scheme).holds:
-            return False
-        return all(report.holds
-                   for _, report in observer_occ_reports(g1, g2, ek))
-
     while True:
-        if passes(current):
-            return pool.restrict(current)
-        if not remaining:
-            return pool
+        ek = pool.restrict(current)
+        decomposable = conditionally_decomposable(
+            k, CoordinationScheme(g1.alphabet, g2.alphabet, ek))
+        if not remaining or (decomposable.holds and all(
+                report.holds
+                for _, report in observer_occ_reports(g1, g2, ek))):
+            return ek, decomposable
         current.add(remaining.pop(0))

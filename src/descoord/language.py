@@ -7,6 +7,9 @@ Every walk runs on ``automata.search``: a constructed generator takes the
 search's discovery order as its state order, and a counterexample is the
 search's violation word, shortest with ties broken by lexicographic event
 order.  A walk over one generator iterates its rows, not its alphabet.
+A projection's subset construction is built on demand
+(``SubsetConstruction``), so a check that only needs a verdict walks it
+without building the projected generator.
 """
 
 from collections import deque
@@ -95,36 +98,79 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     return Generator(merged, tuple(nodes), rows, 0, len(nodes))
 
 
-def project(g: Generator, events: Iterable[str]) -> Generator:
-    """Natural projection of L(G) onto ``events``, a subset of G's events
-    (``ValidationError`` otherwise): erase the other transitions, then
-    determinize by subset construction.  Subset states are canonically
-    encoded (sorted member ids), so identical runs produce identical
-    automata.  The result is deterministic and trim."""
-    target = g.alphabet.restrict(events)
-    if g.recognizes_empty_language:
-        return empty_generator(target)
-    hidden = g.alphabet.events - target.events
+class SubsetConstruction:
+    """The subset construction of the natural projection of L(G) onto
+    ``events``, a subset of G's events (``ValidationError`` otherwise),
+    built on demand.  A subset is the hidden-event closure of a set of G's
+    states, kept as its sorted member ids and interned as a dense id when
+    first reached (the start subset is id 0).  A subset's row, its steps
+    on every target event, is computed once, when a walk first expands
+    the subset, and kept, so that walks over one construction share their
+    work and one that stops early leaves the rest unbuilt."""
 
-    def closure(states: Iterable[int]) -> tuple[int, ...]:
+    def __init__(self, g: Generator, events: Iterable[str]):
+        self.g = g
+        self.alphabet = g.alphabet.restrict(events)
+        self._hidden = g.alphabet.events - self.alphabet.events
+        self.members: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._rows: list[dict[str, int] | None] = []
+        if not g.recognizes_empty_language:
+            self._intern([g.initial])
+
+    def _intern(self, states: list[int]) -> int:
+        """The id of the hidden-event closure of ``states``."""
+        rows, hidden = self.g.rows, self._hidden
         seen = set(states)
         queue = deque(seen)
         while queue:
-            for event, nxt in g.rows[queue.popleft()].items():
+            for event, nxt in rows[queue.popleft()].items():
                 if event in hidden and nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-        return tuple(sorted(seen))
+        subset = tuple(sorted(seen))
+        found = self._ids.get(subset)
+        if found is None:
+            found = self._ids[subset] = len(self.members)
+            self.members.append(subset)
+            self._rows.append(None)
+        return found
 
-    def successors(subset):
-        for event in target.sorted_events:
-            stepped = [t for s in subset
-                       if (t := g.rows[s].get(event)) is not None]
-            if stepped:
-                yield event, closure(stepped)
+    def row(self, subset: int) -> dict[str, int]:
+        """The steps of ``subset``: each target event some member moves on,
+        in sorted order, mapped to the subset it reaches."""
+        row = self._rows[subset]
+        if row is None:
+            rows, target = self.g.rows, self.alphabet.events
+            stepped: dict[str, list[int]] = {}
+            for state in self.members[subset]:
+                for event, nxt in rows[state].items():
+                    if event in target:
+                        stepped.setdefault(event, []).append(nxt)
+            row = self._rows[subset] = {event: self._intern(stepped[event])
+                                        for event in sorted(stepped)}
+        return row
 
-    nodes, rows, _ = search(closure([g.initial]), successors)
-    return Generator(target, tuple(nodes), rows, 0, len(nodes))
+    def generator(self) -> Generator:
+        """P(L(G)) as a generator: the search over the whole construction,
+        in canonical state order, each state labelled by its subset."""
+        if self.g.recognizes_empty_language:
+            return empty_generator(self.alphabet)
+        row = self.row
+        nodes, rows, _ = search(0, lambda subset: row(subset).items())
+        members = self.members
+        return Generator(self.alphabet, tuple(members[i] for i in nodes),
+                         rows, 0, len(nodes))
+
+
+def project(g: Generator, events: Iterable[str]) -> Generator:
+    """Natural projection of L(G) onto ``events``, a subset of G's events
+    (``ValidationError`` otherwise): erase the other transitions, then
+    determinize by the subset construction of ``SubsetConstruction``,
+    searched in full.  A state is labelled by its subset (sorted member
+    ids), so identical runs produce identical automata.  The result is
+    deterministic and trim."""
+    return SubsetConstruction(g, events).generator()
 
 
 def inverse_project(g: Generator, superset: Alphabet) -> Generator:

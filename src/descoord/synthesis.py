@@ -22,7 +22,7 @@ def _check_controllability_args(k: Generator, l: Generator, eu) -> frozenset[str
         raise AlphabetMismatchError(
             "controllability needs both languages over the same alphabet"
         )
-    eu = frozenset(eu)
+    eu = k.alphabet.restrict(eu).events
     stray = eu - k.alphabet.uncontrollable
     if stray:
         raise ValidationError(
@@ -115,10 +115,9 @@ def is_admissible(s: Generator, g: Generator, eu=None) -> PropertyReport:
     superset, is admissible for a plant when, after every word of
     L(S) ∥ L(G), it enables every uncontrollable event the plant enables."""
     merged = union_alphabets(s.alphabet, g.alphabet)
-    if eu is None:
-        eu = g.alphabet.uncontrollable
-    eu = frozenset(eu)
-    stray = eu - (g.alphabet.events & merged.uncontrollable)
+    eu = (g.alphabet.uncontrollable if eu is None
+          else g.alphabet.restrict(eu).events)
+    stray = eu - merged.uncontrollable
     if stray:
         raise ValidationError(
             f"events {sorted(stray)} are not uncontrollable plant events"

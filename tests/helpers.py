@@ -10,10 +10,13 @@ from descoord import (
     CoordinationScheme,
     Generator,
     default_coordinator,
+    empty_generator,
     from_words,
+    language_subset,
     make_generator,
     observer_occ_reports,
     parse_word,
+    project,
     sync_product,
     trim_accessible,
 )
@@ -133,6 +136,67 @@ def distributed_instance(rng: random.Random, require_preconditions=True,
     else:
         k = decomposable_spec(rng, scheme)
     return k, g1, g2, gk, scheme
+
+
+def mixed_instance(rng: random.Random):
+    """One random instance (k, g1, g2, gk, scheme) whose K is, in turn,
+    decomposable, decomposable and within the plant, a random generator
+    over E (rarely decomposable), a random subautomaton of a decomposable
+    K, or the empty language."""
+    scheme = random_scheme(rng, ek_beyond_union=True)
+    g1 = random_generator(rng, scheme.e1)
+    g2 = random_generator(rng, scheme.e2)
+    if rng.random() < 0.5:
+        gk = default_coordinator(g1, g2, scheme.ek)
+    else:
+        gk = random_generator(rng, scheme.ek)
+    kind = rng.randrange(10)
+    if kind < 2:
+        k = decomposable_spec(rng, scheme)
+    elif kind < 4:
+        k = contained_decomposable_spec(rng, scheme, g1, g2, gk)
+    elif kind < 8:
+        k = random_generator(rng, scheme.full, max_states=6, edge_prob=0.5)
+    elif kind < 9:
+        k = sub_automaton(rng, decomposable_spec(rng, scheme))
+    else:
+        k = empty_generator(scheme.full)
+    return k, g1, g2, gk, scheme
+
+
+def reference_decomposable(k: Generator, scheme: CoordinationScheme):
+    """Conditional decomposability by the route the lazy walk replaced:
+    build P_{1+k}(K) ∥ P_{2+k}(K) ∥ P_k(K) as generators, then test the
+    inclusion of the product in K.  Returns (holds, counterexample)."""
+    p1k, p2k, pk = (project(k, target.events)
+                    for target in (scheme.e1k, scheme.e2k, scheme.ek))
+    report = language_subset(sync_product(sync_product(p1k, p2k), pk), k)
+    return report.holds, report.counterexample
+
+
+def buffered_line(p1: int, p2: int, n: int):
+    """(K∩L, G1, G2) of the buffered line: machine G_i runs
+    idle -a_i-> w0 -t_i-> ... -t_i-> w_{p_i} -b_i-> idle, and K, a buffer of
+    capacity n that ``b1`` fills and ``a2`` empties, is composed with both
+    machines.  Only a1 and a2 are controllable."""
+    full = Alphabet({"a1", "a2", "b1", "b2", "t1", "t2"}, {"a1", "a2"})
+
+    def machine(i, depth):
+        work = [f"w{j}" for j in range(depth + 1)]
+        triples = [("idle", f"a{i}", "w0"), (work[-1], f"b{i}", "idle")]
+        triples += [(work[j], f"t{i}", work[j + 1]) for j in range(depth)]
+        return make_generator(["idle", *work],
+                              full.restrict({f"a{i}", f"b{i}", f"t{i}"}),
+                              triples, "idle")
+
+    cells = [f"k{j}" for j in range(n + 1)]
+    triples = [(cell, event, cell) for cell in cells
+               for event in ("a1", "b2", "t1", "t2")]
+    triples += [(cells[j], "b1", cells[j + 1]) for j in range(n)]
+    triples += [(cells[j + 1], "a2", cells[j]) for j in range(n)]
+    buffer = make_generator(cells, full, triples, "k0")
+    g1, g2 = machine(1, p1), machine(2, p2)
+    return sync_product(sync_product(buffer, g1), g2), g1, g2
 
 
 def collect_instances(seed: int, count: int, make, max_attempts: int = 40):

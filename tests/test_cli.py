@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
+    cli,
     coordination,
     empty_generator,
     from_words,
@@ -28,7 +29,7 @@ from descoord.cli import (
     parse_generator,
 )
 
-from helpers import serialize_generator
+from helpers import buffered_line, serialize_generator
 
 
 def write_project(tmp_path, cell, ek=("a1", "a2", "c", "u"), gk="auto",
@@ -533,3 +534,40 @@ def test_each_check_runs_only_its_own_check(tmp_path, cell, monkeypatch,
     assert main(["check", "observer", "-p", str(project)]) == 0
     assert calls == {"is_observer": 2}
     capsys.readouterr()
+
+
+def test_auto_event_search_decides_the_chosen_set_once(tmp_path, monkeypatch,
+                                                       capsys):
+    # The search tries {}, {a1} and {a1, a2}; the verdict printed for
+    # {a1, a2} is the one the search reached, not a fourth decision.
+    k, g1, g2 = buffered_line(4, 2, 2)
+    for name, g in (("g1", g1), ("g2", g2), ("spec", k)):
+        (tmp_path / f"{name}.json").write_text(generator_to_text(g, name),
+                                               encoding="utf-8")
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps({
+        "generators": ["g1.json", "g2.json", "spec.json"],
+        "coordination": {"g1": "g1", "g2": "g2", "gk": "auto",
+                         "spec": "spec", "ek": "auto"},
+    }), encoding="utf-8")
+    decided = []
+    decide = coordination._decomposable
+    search = coordination.suggest_coordinator_events
+
+    def counted(*args):
+        decided.append(decide(*args))
+        return decided[-1]
+
+    def searched(*args):
+        ek, report = search(*args)
+        tried.append(len(decided))
+        return ek, report
+
+    tried = []
+    monkeypatch.setattr(coordination, "_decomposable", counted)
+    monkeypatch.setattr(cli, "suggest_coordinator_events", searched)
+    assert main(["check", "conddec", "-p", str(project), "--json"]) == 0
+    assert tried == [3] and len(decided) == 3
+    assert [r.counterexample for r in decided] == [("a2",), ("a1", "a2"),
+                                                   None]
+    assert json.loads(capsys.readouterr().out)["holds"] is True

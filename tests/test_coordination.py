@@ -2,6 +2,7 @@
 conditional-controllability checks, supervisor synthesis and the
 distributed supremal computation."""
 
+import collections
 import random
 
 import pytest
@@ -32,11 +33,16 @@ from descoord import (
     universal_generator,
 )
 
+from descoord.language import SubsetConstruction
+
 from helpers import (
+    buffered_line,
     collect_instances,
     distributed_instance,
     lang,
+    mixed_instance,
     random_generator,
+    reference_decomposable,
     w,
 )
 
@@ -96,6 +102,48 @@ def test_products_are_always_decomposable():
         k, _, _, _, scheme = distributed_instance(
             rng, require_preconditions=False)
         assert conditionally_decomposable(k, scheme).holds
+
+
+def test_decomposability_walk_matches_the_built_product():
+    # The walk against the route it replaced, on K that fail, hold and are
+    # empty, under the instance's E_k and under a random one.
+    verdicts = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(f"walk/{seed}")
+        k, _, _, _, scheme = mixed_instance(rng)
+        kept = {e for e in sorted(scheme.full.events) if rng.random() < 0.5}
+        kept |= scheme.full.events - scheme.e1.events - scheme.e2.events
+        for ek in (scheme.ek, scheme.full.restrict(kept)):
+            other = CoordinationScheme(scheme.e1, scheme.e2, ek)
+            report = conditionally_decomposable(k, other)
+            expected = reference_decomposable(k, other)
+            assert (report.holds, report.counterexample) == expected, seed
+            verdicts[report.holds, k.recognizes_empty_language] += 1
+    assert verdicts[False, False] > 80 and verdicts[True, True] > 20
+
+
+def test_decomposability_walk_stops_at_the_first_counterexample(monkeypatch):
+    # With E_k = ∅ the buffered line fails on a2 (the buffer starts empty):
+    # the walk expands the start node only, whatever the line's depth, so
+    # it interns the three start subsets and the steps on a1 and a2.
+    interned = []
+    intern = SubsetConstruction._intern
+
+    def counted(self, states):
+        interned.append(states)
+        return intern(self, states)
+
+    monkeypatch.setattr(SubsetConstruction, "_intern", counted)
+    steps = []
+    for p1 in (20, 160):
+        k, g1, g2 = buffered_line(p1, 3, 3)
+        scheme = CoordinationScheme(g1.alphabet, g2.alphabet,
+                                    k.alphabet.restrict(()))
+        interned.clear()
+        report = conditionally_decomposable(k, scheme)
+        assert report.counterexample == ("a2",)
+        steps.append(len(interned))
+    assert steps == [5, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +313,7 @@ def test_default_coordinator_never_restricts_the_plant():
 
 
 def test_suggest_coordinator_events_golden(cell):
-    suggested = suggest_coordinator_events(cell.k, cell.g1, cell.g2)
+    suggested, _ = suggest_coordinator_events(cell.k, cell.g1, cell.g2)
     assert suggested.events == {"a1", "a2", "c", "u"}
 
 
@@ -276,7 +324,7 @@ def test_suggest_keeps_shared_events_when_they_suffice():
     g1 = from_words(e1, ["s.p"])
     g2 = from_words(e2, ["s.q"])
     k = sync_product(g1, g2)
-    suggested = suggest_coordinator_events(k, g1, g2)
+    suggested, _ = suggest_coordinator_events(k, g1, g2)
     assert suggested.events == {"s"}
 
 
@@ -286,8 +334,16 @@ def test_suggest_on_disjoint_subsystems_returns_empty():
     g1 = lang(e1, "p")
     g2 = lang(e2, "q")
     k = sync_product(g1, g2)
-    suggested = suggest_coordinator_events(k, g1, g2)
+    suggested, _ = suggest_coordinator_events(k, g1, g2)
     assert suggested.events == frozenset()
+
+
+def test_suggest_returns_the_report_for_the_set_it_chose():
+    for seed in range(100):
+        k, g1, g2, _, _ = mixed_instance(random.Random(f"suggest/{seed}"))
+        ek, report = suggest_coordinator_events(k, g1, g2)
+        scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
+        assert report == conditionally_decomposable(k, scheme), seed
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from descoord import (
     Alphabet,
     AlphabetMismatchError,
     PreconditionError,
+    ValidationError,
     closed_loop,
     empty_generator,
     from_words,
@@ -51,6 +52,14 @@ def test_controllability_validates_arguments(cell):
         is_controllable(pk, cell.g1, {"u"})
     with pytest.raises(Exception):
         is_controllable(pk, gk, {"c"})  # c is controllable
+
+
+@pytest.mark.parametrize("check", [is_controllable, sup_c, is_admissible])
+@pytest.mark.parametrize("eu", [[["u"]], ["x"]], ids=["list-name", "unknown"])
+def test_uncontrollable_events_are_validated(check, eu):
+    g = lang(Alphabet({"a", "u"}, {"a"}), "a.u")
+    with pytest.raises(ValidationError):
+        check(g, g, eu)
 
 
 def test_sup_c_golden_coordinator_language(cell):
