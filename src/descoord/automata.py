@@ -133,22 +133,21 @@ class PropertyReport:
 class Generator:
     """A deterministic finite-state generator.
 
-    States are canonical dense integers: 0 is the initial state, reachable
-    states come first in breadth-first order (events sorted), unreachable
-    states follow sorted by label.  A label names a state for display only:
-    a parsed or word-built generator keeps its state names, and a constructed
-    one labels each state with the node it was discovered as (a pair of
-    operand states, or a tuple of subset members).  ``rows[q]`` maps each
-    event defined at state ``q``, in sorted order, to its target; rows are
-    made read-only here.  Do not instantiate directly; use
-    ``make_generator`` or the other public constructors.
+    States are canonical dense integers: every state is reachable, 0 is
+    the initial state and the others follow in breadth-first order, events
+    sorted.  A label names a state for display only: a parsed or word-built
+    generator keeps its state names, and a constructed one labels each
+    state with the node it was discovered as (a pair of operand states, or
+    a tuple of subset members).  ``rows[q]`` maps each event defined at
+    state ``q``, in sorted order, to its target; rows are made read-only
+    here.  Do not instantiate directly; use ``make_generator`` or the other
+    public constructors.
     """
 
     alphabet: Alphabet
     labels: tuple
     rows: tuple[Mapping[str, int], ...]
     initial: int
-    reachable_count: int
     recognizes_empty_language: bool = False
 
     def __post_init__(self):
@@ -223,24 +222,11 @@ def _canonicalize(
     rows: list[dict[str, int]],
     initial: int,
 ) -> Generator:
-    """Rename arbitrarily numbered states to canonical ids: breadth-first
-    order from the initial state, then unreachable states by label.  The
-    rows given may list their events in any order."""
-    order, new_rows, _ = search(initial, lambda q: sorted(rows[q].items()))
-    reachable_count = len(order)
-    order.extend(sorted(set(range(len(labels))) - set(order),
-                        key=lambda i: labels[i]))
-    remap = {old: new for new, old in enumerate(order)}
-    new_rows.extend(
-        {event: remap[target] for event, target in sorted(rows[old].items())}
-        for old in order[reachable_count:])
-    return Generator(
-        alphabet=alphabet,
-        labels=tuple(labels[old] for old in order),
-        rows=new_rows,
-        initial=0,
-        reachable_count=reachable_count,
-    )
+    """The generator of the states reachable from ``initial`` in ``rows``
+    (state ``q`` labelled ``labels[q]``), renumbered canonically by one
+    search.  The rows given may list their events in any order."""
+    nodes, canonical, _ = search(initial, lambda q: sorted(rows[q].items()))
+    return Generator(alphabet, tuple(labels[q] for q in nodes), canonical, 0)
 
 
 def make_generator(
@@ -253,17 +239,19 @@ def make_generator(
     ``DeterminismError`` for a duplicate (state, event) transition and
     ``ValidationError`` for a transition that is not a triple of strings (or
     a mapping key that is not a (state, event) pair) and for references to
-    unknown states or events.
+    unknown states or events.  Every transition is validated, but only the
+    states reachable from ``initial`` are kept: the language cannot see
+    the others.
     """
     names = list(states)
     for name in names:
         if not isinstance(name, str) or not name:
             raise ValidationError(f"invalid state name: {name!r}")
-    if len(names) != len(set(names)):
+    index = {name: i for i, name in enumerate(names)}
+    if len(names) != len(index):
         raise ValidationError("duplicate state names")
     if not names:
         raise ValidationError("a generator needs at least one state")
-    index = {name: i for i, name in enumerate(names)}
     if not isinstance(initial, str) or initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
 
@@ -275,6 +263,7 @@ def make_generator(
         transitions = [(src, event, dst)
                        for (src, event), dst in transitions.items()]
 
+    events = alphabet.events
     rows: list[dict[str, int]] = [{} for _ in names]
     for triple in transitions:
         if not (isinstance(triple, (tuple, list)) and len(triple) == 3
@@ -283,30 +272,29 @@ def make_generator(
             raise ValidationError(
                 "'transitions' must be [source, event, target] triples")
         src, event, dst = triple
-        if src not in index or dst not in index:
+        source, target = index.get(src), index.get(dst)
+        if source is None or target is None:
             raise ValidationError(f"transition {src!r}-{event!r}->{dst!r} "
                                   f"references an unknown state")
-        if event not in alphabet.events:
+        if event not in events:
             raise ValidationError(f"transition label {event!r} not in the alphabet")
-        row = rows[index[src]]
-        if event in row and row[event] != index[dst]:
+        if rows[source].setdefault(event, target) != target:
             raise DeterminismError(
                 f"duplicate transition on ({src!r}, {event!r})"
             )
-        row[event] = index[dst]
     return _canonicalize(alphabet, names, rows, index[initial])
 
 
 def empty_generator(alphabet: Alphabet) -> Generator:
     """The generator of the empty language over ``alphabet``."""
-    return Generator(alphabet, ("dead",), ({},), 0, 1,
+    return Generator(alphabet, ("dead",), ({},), 0,
                      recognizes_empty_language=True)
 
 
 def universal_generator(alphabet: Alphabet) -> Generator:
     """One state, self-loops on every event: recognizes all of E*."""
     return Generator(alphabet, ("all",),
-                     (dict.fromkeys(alphabet.sorted_events, 0),), 0, 1)
+                     (dict.fromkeys(alphabet.sorted_events, 0),), 0)
 
 
 def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
@@ -319,7 +307,7 @@ def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
     labels = ["ε"]
     rows: list[dict[str, int]] = [{}]
     nodes: dict[Word, int] = {EPSILON: 0}
-    for word in sorted(parsed):
+    for word in parsed:
         for cut in range(1, len(word) + 1):
             prefix = word[:cut]
             if prefix not in nodes:
@@ -340,21 +328,11 @@ def membership(g: Generator, word: Iterable[str]) -> bool:
     return g.run(word) is not None
 
 
-def trim_accessible(g: Generator) -> Generator:
-    """Drop states unreachable from the initial state; language unchanged.
-    Reachable states come first, so the numbering is kept."""
-    if g.reachable_count == g.num_states:
-        return g
-    keep = g.reachable_count
-    return Generator(g.alphabet, g.labels[:keep], g.rows[:keep], g.initial,
-                     keep, g.recognizes_empty_language)
-
-
 def reachable_events(g: Generator) -> frozenset[str]:
-    """Events occurring on transitions of the accessible part of G."""
+    """Events occurring on transitions of G (every state is reachable)."""
     if g.recognizes_empty_language:
         return frozenset()
-    return frozenset().union(*g.rows[:g.reachable_count])
+    return frozenset().union(*g.rows)
 
 
 def shortest_words(g: Generator, count: int) -> list[Word]:

@@ -71,8 +71,7 @@ def widen_alphabet(g: Generator, superset: Alphabet) -> Generator:
     union_alphabets(g.alphabet, superset)
     if g.recognizes_empty_language:
         return empty_generator(superset)
-    return Generator(superset, g.labels, g.rows, g.initial,
-                     g.reachable_count)
+    return Generator(superset, g.labels, g.rows, g.initial)
 
 
 def sync_product(g1: Generator, g2: Generator) -> Generator:
@@ -95,7 +94,7 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
                 yield event, (t1, t2)
 
     nodes, rows, _ = search((g1.initial, g2.initial), successors)
-    return Generator(merged, tuple(nodes), rows, 0, len(nodes))
+    return Generator(merged, tuple(nodes), rows, 0)
 
 
 class SubsetConstruction:
@@ -160,7 +159,7 @@ class SubsetConstruction:
         nodes, rows, _ = search(0, lambda subset: row(subset).items())
         members = self.members
         return Generator(self.alphabet, tuple(members[i] for i in nodes),
-                         rows, 0, len(nodes))
+                         rows, 0)
 
 
 def project(g: Generator, events: Iterable[str]) -> Generator:
@@ -185,7 +184,7 @@ def inverse_project(g: Generator, superset: Alphabet) -> Generator:
     fresh = superset.events - g.alphabet.events
     rows = [dict(sorted([*row.items(), *((event, state) for event in fresh)]))
             for state, row in enumerate(g.rows)]
-    return Generator(superset, g.labels, rows, g.initial, g.reachable_count)
+    return Generator(superset, g.labels, rows, g.initial)
 
 
 def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
@@ -251,4 +250,4 @@ def language_union(g1: Generator, g2: Generator) -> Generator:
                 yield event, (t1, t2)
 
     nodes, rows, _ = search((g1.initial, g2.initial), successors)
-    return Generator(alphabet, tuple(nodes), rows, 0, len(nodes))
+    return Generator(alphabet, tuple(nodes), rows, 0)

@@ -2,7 +2,6 @@
 consistency (OCC) of a natural projection.  These gate the distributed
 supremal-synthesis procedure in ``coordination``."""
 
-from collections import deque
 from collections.abc import Iterable
 
 from .automata import Generator, PropertyReport, search
@@ -18,7 +17,12 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
     synchronized pair of G and the determinized projection of G: from every
     reachable pair (q, x), each target event enabled at x must be matched
     from q by a path (E \\ E_k)* · e.  The counterexample encodes the pair
-    (s, e) as the word s·e."""
+    (s, e) as the word s·e.
+
+    The target events reachable through hidden events from each state of G
+    are found first, backwards, in time linear in the size of G per target
+    event; the walk then visits each reachable pair once.  On a chain of n
+    states joined by hidden events both are linear in n."""
     target = g.alphabet.restrict(events).events
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
@@ -26,19 +30,23 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
     det = project(g, target)
 
     # Per state of G: target events enabled somewhere in its hidden closure.
-    matchable: list[frozenset[str]] = []
-    for state in g.states:
-        seen = {state}
-        queue = deque([state])
-        enabled = set()
-        while queue:
-            for event, nxt in g.rows[queue.popleft()].items():
-                if event in target:
-                    enabled.add(event)
-                elif nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        matchable.append(frozenset(enabled))
+    # Each event spreads backwards along hidden edges from the states that
+    # enable it, so every state and edge is visited once per target event.
+    matchable: list[set[str]] = [set() for _ in g.states]
+    hidden_sources: list[list[int]] = [[] for _ in g.states]
+    for state, row in enumerate(g.rows):
+        for event, nxt in row.items():
+            if event in hidden:
+                hidden_sources[nxt].append(state)
+            else:
+                matchable[state].add(event)
+    for event in target:
+        worklist = [q for q in g.states if event in matchable[q]]
+        while worklist:
+            for source in hidden_sources[worklist.pop()]:
+                if event not in matchable[source]:
+                    matchable[source].add(event)
+                    worklist.append(source)
 
     def successors(pair):
         q, x = pair

@@ -107,7 +107,7 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
 
     nodes, survivors, _ = search(0, surviving)
     return Generator(alphabet, tuple(pairs[node] for node in nodes),
-                     survivors, 0, len(nodes))
+                     survivors, 0)
 
 
 def is_admissible(s: Generator, g: Generator, eu=None) -> PropertyReport:

@@ -2,6 +2,7 @@
 definition-literal bounded evaluators used as independent oracles."""
 
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from descoord import (
     Alphabet,
     CoordinationScheme,
     Generator,
+    PropertyReport,
     default_coordinator,
     empty_generator,
     from_words,
@@ -18,8 +20,8 @@ from descoord import (
     parse_word,
     project,
     sync_product,
-    trim_accessible,
 )
+from descoord.automata import search
 from descoord.oracle import bounded_language, erase
 
 w = parse_word
@@ -51,8 +53,8 @@ def random_generator(rng: random.Random, alphabet: Alphabet,
         for event in sorted(alphabet.events):
             if rng.random() < edge_prob:
                 triples.append((f"s{q}", event, f"s{rng.randrange(n)}"))
-    g = make_generator([f"s{i}" for i in range(n)], alphabet, triples, "s0")
-    return trim_accessible(g)
+    return make_generator([f"s{i}" for i in range(n)], alphabet, triples,
+                          "s0")
 
 
 def sub_automaton(rng: random.Random, g: Generator,
@@ -63,9 +65,8 @@ def sub_automaton(rng: random.Random, g: Generator,
         for src, row in enumerate(g.rows) for event, dst in row.items()
         if rng.random() < keep
     ]
-    sub = make_generator([f"s{i}" for i in range(g.num_states)],
-                         g.alphabet, triples, "s0")
-    return trim_accessible(sub)
+    return make_generator([f"s{i}" for i in range(g.num_states)],
+                          g.alphabet, triples, "s0")
 
 
 def random_scheme(rng: random.Random,
@@ -263,6 +264,90 @@ def word_in_projected_product(word, components, target_events) -> bool:
                 seen.add(grown)
                 stack.append(grown)
     return False
+
+
+# ---------------------------------------------------------------------------
+# replaced routes, kept as references for differential tests
+
+def reference_parse(states, triples, initial):
+    """``(labels, rows)`` of ``make_generator(states, alphabet, triples,
+    initial)`` by the route parsing used to take: integer rows indexed by
+    position in ``states``, renumbered by a breadth-first search from
+    ``initial`` with events in sorted order, unreachable states dropped.
+    The input is assumed valid."""
+    index = {name: i for i, name in enumerate(states)}
+    rows = [{} for _ in states]
+    for src, event, dst in triples:
+        rows[index[src]][event] = index[dst]
+    order = [index[initial]]
+    renamed = {order[0]: 0}
+    canonical = []
+    for old in order:
+        row = {}
+        for event, target in sorted(rows[old].items()):
+            if target not in renamed:
+                renamed[target] = len(order)
+                order.append(target)
+            row[event] = renamed[target]
+        canonical.append(row)
+    return tuple(states[old] for old in order), tuple(canonical)
+
+
+def reference_is_observer(g: Generator, events):
+    """``is_observer`` by the route it used to take: the target events
+    enabled in each state's hidden closure come from one breadth-first
+    search per state, which is quadratic on a long hidden chain."""
+    target = g.alphabet.restrict(events).events
+    if g.recognizes_empty_language:
+        return PropertyReport(True, detail="empty language")
+    hidden = g.alphabet.events - target
+    det = project(g, target)
+
+    matchable: list[frozenset[str]] = []
+    for state in g.states:
+        seen = {state}
+        queue = deque([state])
+        enabled = set()
+        while queue:
+            for event, nxt in g.rows[queue.popleft()].items():
+                if event in target:
+                    enabled.add(event)
+                elif nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        matchable.append(frozenset(enabled))
+
+    def successors(pair):
+        q, x = pair
+        row, det_row = g.rows[q], det.rows[x]
+        for event in g.alphabet.sorted_events:
+            if event in hidden:
+                nxt = row.get(event)
+                if nxt is not None:
+                    yield event, (nxt, x)
+            elif (dx := det_row.get(event)) is not None:
+                if event not in matchable[q]:
+                    yield event, None
+                elif (nq := row.get(event)) is not None:
+                    yield event, (nq, dx)
+
+    word = search((g.initial, det.initial), successors)[2]
+    if word is not None:
+        return PropertyReport(
+            False, word,
+            "projected continuation is not realizable after this word")
+    return PropertyReport(True, detail="observer property holds")
+
+
+def hidden_chain(n: int) -> Generator:
+    """States c0 .. c{n-1} chained by the hidden event ``h``, then ``e``
+    from the last back to c0: the target event of c0 is n - 1 hidden steps
+    away, so a per-state closure search reads about n²/2 rows."""
+    alphabet = Alphabet({"e", "h"}, {"e", "h"})
+    states = [f"c{i}" for i in range(n)]
+    triples = [(states[i], "h", states[i + 1]) for i in range(n - 1)]
+    triples.append((states[-1], "e", states[0]))
+    return make_generator(states, alphabet, triples, states[0])
 
 
 # ---------------------------------------------------------------------------

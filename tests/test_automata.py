@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
@@ -19,12 +20,18 @@ from descoord import (
     reachable_events,
     shortest_words,
     sync_product,
-    trim_accessible,
     universal_generator,
 )
 from descoord.oracle import bounded_language
 
-from helpers import generators, is_prefix_closed, lang, random_generator, w
+from helpers import (
+    generators,
+    is_prefix_closed,
+    lang,
+    random_generator,
+    reference_parse,
+    w,
+)
 
 
 AB = Alphabet({"a", "b"}, {"a", "b"})
@@ -37,8 +44,7 @@ def test_make_generator_canonical_ids_and_marking():
     )
     assert g.initial == 0
     assert g.labels[0] == "x"
-    assert g.num_states == 3  # z kept, just unreachable
-    assert g.reachable_count == 2
+    assert g.labels == ("x", "y")  # z is unreachable and dropped
 
 
 def test_make_generator_rejects_nondeterminism():
@@ -144,20 +150,33 @@ def test_universal_generator():
     assert membership(g, ("a", "b", "b", "a"))
 
 
-def test_trim_accessible_drops_unreachable():
+def test_parsing_drops_unreachable_states():
     g = make_generator(
         ["x", "y", "dead"], AB,
         [("x", "a", "y"), ("dead", "b", "x")], "x",
     )
-    trimmed = trim_accessible(g)
-    assert trimmed.num_states == 2
-    assert bounded_language(trimmed, 4).words == bounded_language(g, 4).words
-    assert trim_accessible(trimmed) is trimmed
+    assert g.num_states == 2
+    assert g.labels == ("x", "y")
+    assert g.rows == ({"a": 1}, {})
+    assert bounded_language(g, 4).words == {(), ("a",)}
 
 
-def test_trim_accessible_random_language_preserved():
+def table_words(table, initial, bound):
+    """The words of length <= bound along which ``table``, a
+    ``{(state, event): state}`` dict, stays defined from ``initial``."""
+    words, frontier = {()}, [((), initial)]
+    for _ in range(bound):
+        frontier = [(word + (event,), table[state, event])
+                    for word, state in frontier for event in "abc"
+                    if (state, event) in table]
+        words.update(word for word, _ in frontier)
+    return words
+
+
+def test_parsing_keeps_the_language_of_the_table():
     rng = random.Random(7)
     alpha = Alphabet({"a", "b", "c"}, {"a"})
+    dropped = 0
     for _ in range(25):
         table = {
             (f"s{rng.randrange(4)}", e): f"s{rng.randrange(4)}"
@@ -165,8 +184,59 @@ def test_trim_accessible_random_language_preserved():
             if rng.random() < 0.7
         }
         g = make_generator([f"s{i}" for i in range(4)], alpha, table, "s0")
-        assert (bounded_language(trim_accessible(g), 8).words
-                == bounded_language(g, 8).words)
+        dropped += g.num_states < 4
+        assert bounded_language(g, 8).words == table_words(table, "s0", 8)
+    assert dropped >= 5
+
+
+@st.composite
+def named_tables(draw):
+    """``(states, alphabet, triples, initial)`` of a valid named
+    generator, its states and triples in shuffled order, often with
+    unreachable states."""
+    events = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    names = draw(st.lists(st.text("xyz", min_size=1, max_size=3),
+                          min_size=1, max_size=6, unique=True))
+    table = draw(st.dictionaries(
+        st.tuples(st.sampled_from(names), st.sampled_from(events)),
+        st.sampled_from(names), max_size=len(names) * len(events)))
+    triples = [(src, event, dst) for (src, event), dst in table.items()]
+    if draw(st.booleans()):
+        # a state nothing leads to, with a way into the others
+        triples.append(("dead", events[0], names[0]))
+        names = [*names, "dead"]
+    return (draw(st.permutations(names)), Alphabet(events, events),
+            draw(st.permutations(triples)), draw(st.sampled_from(names)))
+
+
+@given(named_tables(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parsing_matches_the_route_it_replaced(named, as_mapping):
+    states, alphabet, triples, initial = named
+    transitions = ({(src, event): dst for src, event, dst in triples}
+                   if as_mapping else triples)
+    g = make_generator(states, alphabet, transitions, initial)
+    labels, rows = reference_parse(states, triples, initial)
+    assert g.labels == labels
+    assert [list(row.items()) for row in g.rows] == \
+        [list(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize("triples, error, message", [
+    ([("dead", "c", "x")], ValidationError,
+     "transition label 'c' not in the alphabet"),
+    ([("dead", "a", "ghost")], ValidationError,
+     "transition 'dead'-'a'->'ghost' references an unknown state"),
+    ([("dead", "a", "x"), ("dead", "a", "dead")], DeterminismError,
+     "duplicate transition on ('dead', 'a')"),
+    ([("dead", "a")], ValidationError,
+     "'transitions' must be [source, event, target] triples"),
+])
+def test_transitions_of_unreachable_states_are_validated(triples, error,
+                                                         message):
+    with pytest.raises(error) as info:
+        make_generator(["x", "dead"], AB, triples, "x")
+    assert str(info.value) == message
 
 
 def test_reachable_events_examples(cell):

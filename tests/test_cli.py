@@ -84,8 +84,8 @@ NAMES = st.text(st.sampled_from(['a', 'b', '"', '\\', '\n', 'é', '☃', ' ']),
 
 @st.composite
 def written_generators(draw):
-    """Generators over names that need escaping, with unreachable states,
-    and the empty alphabet, transition table and language among them."""
+    """Generators over names that need escaping, and the empty alphabet,
+    transition table and language among them."""
     events = draw(st.lists(NAMES, unique=True, max_size=4))
     alphabet = Alphabet(frozenset(events),
                         frozenset(draw(st.sets(st.sampled_from(events))))
@@ -295,6 +295,61 @@ def test_info_command(tmp_path, cell, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["reachable_events"] == ["a1", "c", "u", "u1"]
     assert record["sample_words"][0] == "ε"
+
+
+def test_only_the_accessible_part_of_a_file_is_kept(tmp_path, capsys):
+    doc = {
+        "name": "g",
+        "events": [{"name": "a", "controllable": True},
+                   {"name": "b", "controllable": False}],
+        "states": ["dead", "x", "y"],
+        "initial": "x",
+        "transitions": [["dead", "b", "x"], ["x", "a", "y"],
+                        ["dead", "a", "dead"]],
+    }
+    (tmp_path / "g.json").write_text(json.dumps(doc), encoding="utf-8")
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps({"generators": ["g.json"]}),
+                       encoding="utf-8")
+    assert main(["info", "-p", str(project), "g"]) == 0
+    assert capsys.readouterr().out == (
+        "generator g: 2 states, 1 transitions\n"
+        "  events: a, b (u)\n"
+        "  reachable events: a\n"
+        "  sample words: ε, a\n")
+    assert main(["info", "-p", str(project), "g", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["states"], record["transitions"],
+            record["reachable_events"]) == (2, 1, ["a"])
+    out = tmp_path / "g-out.json"
+    assert main(["compose", "-p", str(project), "-o", str(out), "g"]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (2 states, 1 transitions)\n"
+    assert out.read_text(encoding="utf-8") == """{
+  "name": "g",
+  "events": [
+    {
+      "name": "a",
+      "controllable": true
+    },
+    {
+      "name": "b",
+      "controllable": false
+    }
+  ],
+  "states": [
+    "q0",
+    "q1"
+  ],
+  "initial": "q0",
+  "transitions": [
+    [
+      "q0",
+      "a",
+      "q1"
+    ]
+  ]
+}
+"""
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

@@ -6,7 +6,10 @@ hashes (the first 16 hex digits of SHA-256), part by part, the
 conditional-decomposability report, the written text of the three
 projections of K, the suggested coordinator events, and the outcome of
 ``sup_cc`` (with and without ``force``) and of ``synthesize_supervisors``:
-the written generators, or the precondition error with its report.
+the written generators, or the precondition error with its report.  Further
+parts hash the observer/OCC reports, the conditional-controllability
+report, the optimality report and the outcome of ``sup_c`` of K against
+the whole plant.
 Re-record, only when a change of output is intended, with
 
     PYTHONPATH=src python3 tests/test_golden.py --write
@@ -20,11 +23,16 @@ from pathlib import Path
 
 from descoord import (
     DescoordError,
+    check_optimality_conditions,
     conditionally_decomposable,
     format_word,
+    is_conditionally_controllable,
+    observer_occ_reports,
     project,
+    sup_c,
     suggest_coordinator_events,
     sup_cc,
+    sync_product,
     synthesize_supervisors,
 )
 from descoord.cli import generator_to_text
@@ -75,6 +83,17 @@ def parts(seed: int) -> dict[str, str]:
         ek, _ = suggest_coordinator_events(k, g1, g2)
         return f"{sorted(ek.events)}|{sorted(ek.controllable)}"
 
+    def condctrl():
+        report = is_conditionally_controllable(k, g1, g2, gk)
+        return "\n".join(map(report_text, (report.condition_i,
+                                           report.condition_iia,
+                                           report.condition_iib)))
+
+    def supc():
+        plant = sync_product(sync_product(g1, g2), gk)
+        return written(("sup_c", sup_c(k, plant,
+                                       scheme.full.uncontrollable)))
+
     return {
         "conddec": report_text(conditionally_decomposable(k, scheme)),
         "project": written(*((name, project(k, target.events))
@@ -86,6 +105,13 @@ def parts(seed: int) -> dict[str, str]:
         "sup_cc_forced": outcome(lambda: supcc(True)),
         "supervisors": outcome(lambda: written(*zip(
             ("s_k", "s_1", "s_2"), synthesize_supervisors(k, g1, g2, gk)))),
+        "observer_occ": "\n".join(
+            f"{name}: {report_text(report)}"
+            for name, report in observer_occ_reports(g1, g2, scheme.ek)),
+        "condctrl": outcome(condctrl),
+        "optimality": outcome(lambda: report_text(
+            check_optimality_conditions(g1, g2, gk))),
+        "sup_c": outcome(supc),
     }
 
 

@@ -8,20 +8,26 @@ import pytest
 
 from descoord import (
     Alphabet,
+    Generator,
     ValidationError,
     coordination,
     is_observer,
     is_occ,
+    make_generator,
     observer_occ_reports,
     sync_product,
 )
 
+from descoord.oracle import bounded_language, erase
+
 from helpers import (
     bounded_observer_verdict,
     bounded_occ_verdict,
+    hidden_chain,
     lang,
     random_controllable,
     random_generator,
+    reference_is_observer,
     w,
 )
 
@@ -136,6 +142,102 @@ def test_checkers_agree_with_bounded_definition():
             assert literal_occ
         elif len(occ.counterexample) <= 8:
             assert not literal_occ
+
+
+def looping_generator(rng: random.Random):
+    """A random generator and one to three target events, with a hidden
+    self-loop and a hidden two-cycle planted among random edges."""
+    names = ["a", "b", "h", "u"][: rng.randint(2, 4)]
+    alpha = Alphabet(frozenset(names), random_controllable(rng, names))
+    target = frozenset(rng.sample(names, rng.randint(1, len(names) - 1)))
+    hidden = sorted(alpha.events - target)
+    n = rng.randint(2, 6)
+    table = {(f"s{q}", event): f"s{rng.randrange(n)}"
+             for q in range(n) for event in names if rng.random() < 0.5}
+    x, y = (f"s{q}" for q in rng.sample(range(n), 2))
+    table[x, hidden[0]] = x
+    table[x, hidden[-1]] = y
+    table[y, rng.choice(hidden)] = x
+    return make_generator([f"s{q}" for q in range(n)], alpha, table,
+                          "s0"), target
+
+
+def hidden_loops(g, target) -> set[str]:
+    """Which of a hidden self-loop and a hidden two-cycle G has."""
+    step = {(q, nxt) for q, row in enumerate(g.rows)
+            for event, nxt in row.items() if event not in target}
+    return ({"self-loop"} if any(q == nxt for q, nxt in step) else set()) \
+        | ({"two-cycle"} if any(q != nxt and (nxt, q) in step
+                                for q, nxt in step) else set())
+
+
+def test_observer_closure_matches_the_per_state_searches():
+    rng = random.Random(24)
+    seen = collections.Counter()
+    for _ in range(400):
+        g, target = looping_generator(rng)
+        seen.update(hidden_loops(g, target))
+        report = is_observer(g, target)
+        assert report == reference_is_observer(g, target)
+        literal, _ = bounded_observer_verdict(g, target, 5)
+        if report.holds:
+            assert literal
+            seen["holds"] += 1
+            continue
+        # The bounded definition sees the violation (s, e) when some word
+        # of length <= 5 projects to P(s)·e.
+        *s, e = report.counterexample
+        projected = erase(tuple(s), target) + (e,)
+        if any(erase(word, target) == projected
+               for word in bounded_language(g, 5).words):
+            assert not literal
+            seen["fails within the bound"] += 1
+    assert min(seen[key] for key in ("self-loop", "two-cycle", "holds",
+                                     "fails within the bound")) >= 60, seen
+
+
+def observer_row_reads(n: int) -> int:
+    """Row reads of ``is_observer`` on the hidden chain of n states, each
+    row being a mapping that counts the calls made on it."""
+    reads = 0
+
+    class Row(dict):
+        def items(self):
+            nonlocal reads
+            reads += 1
+            return super().items()
+
+        def get(self, *args):
+            nonlocal reads
+            reads += 1
+            return super().get(*args)
+
+        def __getitem__(self, key):
+            nonlocal reads
+            reads += 1
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            nonlocal reads
+            reads += 1
+            return super().__contains__(key)
+
+        def __iter__(self):
+            nonlocal reads
+            reads += 1
+            return super().__iter__()
+
+    g = hidden_chain(n)
+    counted = Generator(g.alphabet, g.labels, tuple(map(Row, g.rows)),
+                        g.initial)
+    assert is_observer(counted, {"e"}).holds
+    return reads
+
+
+def test_observer_reads_each_row_a_bounded_number_of_times():
+    reads = [observer_row_reads(n) for n in (500, 1000, 2000)]
+    for smaller, larger in zip(reads, reads[1:]):
+        assert 1.9 <= larger / smaller <= 2.1, reads
 
 
 def test_observer_composition_lemma():

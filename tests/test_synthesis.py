@@ -117,8 +117,6 @@ def test_basic_controllability_round_trip():
         k = sub_automaton(rng, plant)
         if not is_controllable(k, plant, {"u"}).holds:
             continue
-        if k.reachable_count == 0:
-            continue
         loop = closed_loop(k, plant)
         assert language_equal(loop, k).holds
         checked += 1
