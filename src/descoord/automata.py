@@ -185,15 +185,21 @@ class Generator:
 def search(start, successors):
     """Breadth-first search from ``start``.
 
-    ``successors(node)`` yields ``(event, target)`` pairs in sorted event
-    order; a ``None`` target is a violation and ends the search.  Returns
+    ``successors(node)`` returns the ``(event, target)`` pairs of ``node``
+    in sorted event order, as an iterable (the walks build a list); a
+    ``None`` target is a violation and ends the search.  Returns
     ``(nodes, rows, violation)``: the nodes in discovery order, one row
     ``{event: index}`` per expanded node, its events in sorted order, and
     the word leading to the violation (None when there is none).  Nodes are
     expanded in discovery order and a parent pointer records each node's
     first discovery, so the violation word is the shortest one, ties broken
     lexicographically, and the node order is the canonical state order of a
-    generator built from the rows."""
+    generator built from the rows.
+
+    Callers may rely on two more things: ``successors`` is called exactly
+    once per node, in discovery order (so its i-th call is on node i, and
+    it can record facts about node i as it goes), and nothing after a
+    ``None`` target is read (so a walk may stop building its list there)."""
     nodes = [start]
     ids = {start: 0}
     parents: list[tuple[int, str]] = [(0, "")]

@@ -128,18 +128,37 @@ def _decomposable(k: Generator, parts) -> PropertyReport:
     moves = [(event, event in p1k.alphabet.events,
               event in p2k.alphabet.events, event in pk.alphabet.events)
              for event in k.alphabet.sorted_events]
+    rows = k.rows
 
     def successors(node):
         x1, x2, xk, q = node
         row1, row2, rowk = p1k.row(x1), p2k.row(x2), pk.row(xk)
-        row = k.rows[q]
+        row = rows[q]
+        out = []
         for event, in1, in2, ink in moves:
-            t1 = row1.get(event) if in1 else x1
-            t2 = row2.get(event) if in2 else x2
-            tk = rowk.get(event) if ink else xk
-            if t1 is not None and t2 is not None and tk is not None:
-                target = row.get(event)
-                yield event, None if target is None else (t1, t2, tk, target)
+            if in1:
+                if event not in row1:
+                    continue
+                t1 = row1[event]
+            else:
+                t1 = x1
+            if in2:
+                if event not in row2:
+                    continue
+                t2 = row2[event]
+            else:
+                t2 = x2
+            if ink:
+                if event not in rowk:
+                    continue
+                tk = rowk[event]
+            else:
+                tk = xk
+            if event not in row:
+                out.append((event, None))
+                break
+            out.append((event, (t1, t2, tk, row[event])))
+        return out
 
     word = (None if k.recognizes_empty_language
             else search((0, 0, 0, k.initial), successors)[2])
@@ -306,7 +325,9 @@ def sup_cc(
         supC_k     = supC(P_k(K) ∥ P_k(L_1 ∥ L_2) ∥ L_k,  L_k,          E_{k,u})
         supC_{i+k} = supC(P_{i+k}(K) ∥ L_i,               L_i ∥ supC_k, E_{i+k,u})
 
-    and composed = supC_k ∥ supC_{1+k} ∥ supC_{2+k}.  Requires K
+    and composed = supC_k ∥ supC_{1+k} ∥ supC_{2+k}, built as
+    supC_{1+k} ∥ supC_{2+k} (each supC_{i+k} already tracks supC_k, so
+    the first factor adds no state and restricts no word).  Requires K
     conditionally decomposable and the observer/OCC preconditions; with
     ``force`` the latter are skipped and the result is marked uncertified
     (the composition is still controllable w.r.t. L, only supremality is at
@@ -330,7 +351,14 @@ def sup_cc(
               eik.uncontrollable)
         for pik, g, eik in ((p1k, g1, scheme.e1k), (p2k, g2, scheme.e2k))
     )
-    composed = sync_product(sync_product(sup_k, sup_1k), sup_2k)
+    # supC_k ∥ supC_{1+k} ∥ supC_{2+k} without its first factor: each
+    # supC_{i+k} is computed against L_i ∥ supC_k, so its state (a pair
+    # whose second part is a state of L_i ∥ supC_k) fixes the state of
+    # supC_k, and every E_k event it takes supC_k can take too.  So
+    # supC_k ∥ supC_{1+k} is supC_{1+k} itself, state for state and in the
+    # same discovery order, and the composition below has the same rows
+    # and the same labels as the three-way one.
+    composed = sync_product(sup_1k, sup_2k)
     return SynthesisResult(sup_k, sup_1k, sup_2k, composed, certified)
 
 

@@ -81,17 +81,29 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     merged = union_alphabets(g1.alphabet, g2.alphabet)
     if g1.recognizes_empty_language or g2.recognizes_empty_language:
         return empty_generator(merged)
-    in1 = g1.alphabet.events
-    in2 = g2.alphabet.events
+    rows1, rows2 = g1.rows, g2.rows
+    moves = [(event, event in g1.alphabet.events, event in g2.alphabet.events)
+             for event in merged.sorted_events]
 
     def successors(pair):
         q1, q2 = pair
-        row1, row2 = g1.rows[q1], g2.rows[q2]
-        for event in merged.sorted_events:
-            t1 = row1.get(event) if event in in1 else q1
-            t2 = row2.get(event) if event in in2 else q2
-            if t1 is not None and t2 is not None:
-                yield event, (t1, t2)
+        row1, row2 = rows1[q1], rows2[q2]
+        out = []
+        for event, in1, in2 in moves:
+            if in1:
+                if event not in row1:
+                    continue
+                t1 = row1[event]
+            else:
+                t1 = q1
+            if in2:
+                if event not in row2:
+                    continue
+                t2 = row2[event]
+            else:
+                t2 = q2
+            out.append((event, (t1, t2)))
+        return out
 
     nodes, rows, _ = search((g1.initial, g2.initial), successors)
     return Generator(merged, tuple(nodes), rows, 0)
@@ -114,8 +126,15 @@ class SubsetConstruction:
         self.members: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._rows: list[dict[str, int] | None] = []
-        if not g.recognizes_empty_language:
+        if g.recognizes_empty_language:
+            return
+        if self.alphabet.events:
             self._intern([g.initial])
+        else:
+            # Every event is hidden and every state of G reachable: the one
+            # subset is all of G's states, and no target event leaves it.
+            self.members.append(tuple(g.states))
+            self._rows.append({})
 
     def _intern(self, states: list[int]) -> int:
         """The id of the hidden-event closure of ``states``."""
@@ -198,12 +217,18 @@ def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
         return PropertyReport(False, EPSILON,
                               "right-hand language is empty")
 
+    rows1, rows2 = g1.rows, g2.rows
+
     def successors(pair):
         q1, q2 = pair
-        row2 = g2.rows[q2]
-        for event, t1 in g1.rows[q1].items():
-            t2 = row2.get(event)
-            yield event, None if t2 is None else (t1, t2)
+        row2 = rows2[q2]
+        out = []
+        for event, t1 in rows1[q1].items():
+            if event not in row2:
+                out.append((event, None))
+                break
+            out.append((event, (t1, row2[event])))
+        return out
 
     word = search((g1.initial, g2.initial), successors)[2]
     if word is not None:
@@ -238,16 +263,21 @@ def language_union(g1: Generator, g2: Generator) -> Generator:
         return g1
     alphabet = g1.alphabet
     DEAD = -1
+    rows1, rows2 = g1.rows, g2.rows
+    events = alphabet.sorted_events
 
     def successors(pair):
         q1, q2 = pair
-        row1 = g1.rows[q1] if q1 != DEAD else {}
-        row2 = g2.rows[q2] if q2 != DEAD else {}
-        for event in alphabet.sorted_events:
-            t1 = row1.get(event, DEAD)
-            t2 = row2.get(event, DEAD)
-            if t1 != DEAD or t2 != DEAD:
-                yield event, (t1, t2)
+        row1 = rows1[q1] if q1 != DEAD else {}
+        row2 = rows2[q2] if q2 != DEAD else {}
+        out = []
+        for event in events:
+            if event in row1:
+                out.append((event, (row1[event],
+                                    row2[event] if event in row2 else DEAD)))
+            elif event in row2:
+                out.append((event, (DEAD, row2[event])))
+        return out
 
     nodes, rows, _ = search((g1.initial, g2.initial), successors)
     return Generator(alphabet, tuple(nodes), rows, 0)

@@ -48,19 +48,24 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
                     matchable[source].add(event)
                     worklist.append(source)
 
+    rows, det_rows = g.rows, det.rows
+    moves = [(event, event in hidden) for event in g.alphabet.sorted_events]
+
     def successors(pair):
         q, x = pair
-        row, det_row = g.rows[q], det.rows[x]
-        for event in g.alphabet.sorted_events:
-            if event in hidden:
-                nxt = row.get(event)
-                if nxt is not None:
-                    yield event, (nxt, x)
-            elif (dx := det_row.get(event)) is not None:
+        row, det_row = rows[q], det_rows[x]
+        out = []
+        for event, is_hidden in moves:
+            if is_hidden:
+                if event in row:
+                    out.append((event, (row[event], x)))
+            elif event in det_row:
                 if event not in matchable[q]:
-                    yield event, None
-                elif (nq := row.get(event)) is not None:
-                    yield event, (nq, dx)
+                    out.append((event, None))
+                    break
+                if event in row:
+                    out.append((event, (row[event], det_row[event])))
+        return out
 
     word = search((g.initial, det.initial), successors)[2]
     if word is not None:
@@ -84,15 +89,24 @@ def is_occ(g: Generator, events: Iterable[str], eu) -> PropertyReport:
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
 
+    rows = g.rows
+    # Per event: (is a target event, is uncontrollable).
+    kinds = {event: (event in target, event in eu)
+             for event in g.alphabet.events}
+
     def successors(node):
         q, dirty = node
-        for event, nxt in g.rows[q].items():
-            if event not in target:
-                yield event, (nxt, dirty or event not in eu)
-            elif dirty and event in eu:
-                yield event, None
+        out = []
+        for event, nxt in rows[q].items():
+            projected, uncontrollable = kinds[event]
+            if not projected:
+                out.append((event, (nxt, dirty or not uncontrollable)))
+            elif dirty and uncontrollable:
+                out.append((event, None))
+                break
             else:
-                yield event, (nxt, False)
+                out.append((event, (nxt, False)))
+        return out
 
     word = search((g.initial, False), successors)[2]
     if word is not None:

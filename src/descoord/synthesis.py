@@ -6,6 +6,8 @@ computation a plain delete-and-retrim fixpoint on the product automaton:
 no marking or nonblocking trimming is involved.
 """
 
+from itertools import count
+
 from .automata import (
     Generator,
     PropertyReport,
@@ -41,15 +43,19 @@ def is_controllable(k: Generator, l: Generator, eu) -> PropertyReport:
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return PropertyReport(True, detail="vacuously controllable")
 
+    rows_k, rows_l = k.rows, l.rows
+
     def successors(pair):
         qk, ql = pair
-        row_k = k.rows[qk]
-        for event, tl in l.rows[ql].items():
-            tk = row_k.get(event)
-            if tk is not None:
-                yield event, (tk, tl)
+        row_k = rows_k[qk]
+        out = []
+        for event, tl in rows_l[ql].items():
+            if event in row_k:
+                out.append((event, (row_k[event], tl)))
             elif event in eu:
-                yield event, None
+                out.append((event, None))
+                break
+        return out
 
     word = search((k.initial, l.initial), successors)[2]
     if word is not None:
@@ -62,36 +68,50 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
     """Supremal controllable sublanguage of K (∩ L) with respect to L and
     E_u, as the greatest fixpoint on the product of K and L: a product state
     is deleted where L enables an uncontrollable event that K does not, or
-    where an uncontrollable event leads to a deleted state.  Deletion runs
-    once, backwards along uncontrollable edges from the first violations,
-    and the result is the part still reachable through surviving states.
-    K ⊆ L is not required; the product construction intersects
-    implicitly."""
+    where an uncontrollable event leads to a deleted state.
+
+    One search builds the product and, expanding each node, notes whether
+    it violates.  When none does, the product is the result.  Otherwise
+    deletion runs once, backwards along uncontrollable edges from the
+    violating nodes, and a second search keeps the part still reachable
+    through surviving states, numbered in its own discovery order.  K ⊆ L
+    is not required; the product construction intersects implicitly."""
     eu = _check_controllability_args(k, l, eu)
     alphabet = k.alphabet
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return empty_generator(alphabet)
+    rows_k, rows_l = k.rows, l.rows
+    # ``search`` expands each node once, in discovery order, so the i-th
+    # call of ``product`` is on node i.
+    expanded = count()
+    violating: list[int] = []
 
     def product(pair):
         qk, ql = pair
-        row_l = l.rows[ql]
-        for event, tk in k.rows[qk].items():
-            tl = row_l.get(event)
-            if tl is not None:
-                yield event, (tk, tl)
+        row_k = rows_k[qk]
+        out = []
+        violates = False
+        for event, tl in rows_l[ql].items():
+            if event in row_k:
+                out.append((event, (row_k[event], tl)))
+            elif event in eu:
+                violates = True
+        index = next(expanded)
+        if violates:
+            violating.append(index)
+        return out
 
     pairs, rows, _ = search((k.initial, l.initial), product)
+    if not violating:
+        return Generator(alphabet, tuple(pairs), rows, 0)
 
     predecessors: dict[int, list[int]] = {}
     for node, row in enumerate(rows):
         for event, target in row.items():
             if event in eu:
                 predecessors.setdefault(target, []).append(node)
-    deleted = {
-        node for node, (_, ql) in enumerate(pairs)
-        if any(event in eu and event not in rows[node] for event in l.rows[ql])
-    }
-    worklist = list(deleted)
+    deleted = set(violating)
+    worklist = violating
     while worklist:
         for node in predecessors.get(worklist.pop(), ()):
             if node not in deleted:
@@ -101,9 +121,8 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
         return empty_generator(alphabet)
 
     def surviving(node):
-        for event, target in rows[node].items():
-            if target not in deleted:
-                yield event, target
+        return [(event, target) for event, target in rows[node].items()
+                if target not in deleted]
 
     nodes, survivors, _ = search(0, surviving)
     return Generator(alphabet, tuple(pairs[node] for node in nodes),
@@ -124,19 +143,33 @@ def is_admissible(s: Generator, g: Generator, eu=None) -> PropertyReport:
         )
     if s.recognizes_empty_language or g.recognizes_empty_language:
         return PropertyReport(True, detail="closed loop is empty")
-    in_s = s.alphabet.events
-    in_g = g.alphabet.events
+    rows_s, rows_g = s.rows, g.rows
+    # eu lies within G's events: S violates only on an event G takes.
+    moves = [(event, event in s.alphabet.events, event in g.alphabet.events,
+              event in eu) for event in merged.sorted_events]
 
     def successors(pair):
         qs, qg = pair
-        row_s, row_g = s.rows[qs], g.rows[qg]
-        for event in merged.sorted_events:
-            ts = row_s.get(event) if event in in_s else qs
-            tg = row_g.get(event) if event in in_g else qg
-            if event in eu and tg is not None and event in in_s and ts is None:
-                yield event, None
-            elif ts is not None and tg is not None:
-                yield event, (ts, tg)
+        row_s, row_g = rows_s[qs], rows_g[qg]
+        out = []
+        for event, in_s, in_g, uncontrollable in moves:
+            if in_g:
+                if event not in row_g:
+                    continue
+                tg = row_g[event]
+            else:
+                tg = qg
+            if in_s:
+                if event not in row_s:
+                    if uncontrollable:
+                        out.append((event, None))
+                        break
+                    continue
+                ts = row_s[event]
+            else:
+                ts = qs
+            out.append((event, (ts, tg)))
+        return out
 
     word = search((s.initial, g.initial), successors)[2]
     if word is not None:

@@ -339,6 +339,97 @@ def reference_is_observer(g: Generator, events):
     return PropertyReport(True, detail="observer property holds")
 
 
+def reference_sup_c_deletions(k: Generator, l: Generator, eu):
+    """``(pairs, rows, deleted)`` of ``sup_c`` by the route it used to
+    take: the product of K and L searched on its own, then one pass over
+    every product node for the violations (L enables an uncontrollable
+    event that K does not), then deletion backwards along uncontrollable
+    edges.  K and L are assumed non-empty, over one alphabet."""
+    def product(pair):
+        qk, ql = pair
+        row_l = l.rows[ql]
+        for event, tk in k.rows[qk].items():
+            tl = row_l.get(event)
+            if tl is not None:
+                yield event, (tk, tl)
+
+    pairs, rows, _ = search((k.initial, l.initial), product)
+    predecessors: dict[int, list[int]] = {}
+    for node, row in enumerate(rows):
+        for event, target in row.items():
+            if event in eu:
+                predecessors.setdefault(target, []).append(node)
+    deleted = {
+        node for node, (_, ql) in enumerate(pairs)
+        if any(event in eu and event not in rows[node] for event in l.rows[ql])
+    }
+    worklist = list(deleted)
+    while worklist:
+        for node in predecessors.get(worklist.pop(), ()):
+            if node not in deleted:
+                deleted.add(node)
+                worklist.append(node)
+    return pairs, rows, deleted
+
+
+def reference_sup_c(k: Generator, l: Generator, eu) -> Generator:
+    """``sup_c(k, l, eu)`` by the route it used to take: the deletions of
+    ``reference_sup_c_deletions``, then a second search over the surviving
+    states, which numbers them in their own discovery order, whether or not
+    anything was deleted.  ``eu`` is assumed valid."""
+    if k.recognizes_empty_language or l.recognizes_empty_language:
+        return empty_generator(k.alphabet)
+    pairs, rows, deleted = reference_sup_c_deletions(k, l, eu)
+    if 0 in deleted:
+        return empty_generator(k.alphabet)
+
+    def surviving(node):
+        for event, target in rows[node].items():
+            if target not in deleted:
+                yield event, target
+
+    nodes, survivors, _ = search(0, surviving)
+    return Generator(k.alphabet, tuple(pairs[node] for node in nodes),
+                     survivors, 0)
+
+
+def counted_rows(g: Generator):
+    """``(counted, reads)``: ``g`` with rows that count every call made on
+    them (``items``, ``get``, ``[]``, ``in``, iteration), and a function
+    returning the count so far."""
+    reads = 0
+
+    class Row(dict):
+        def items(self):
+            nonlocal reads
+            reads += 1
+            return super().items()
+
+        def get(self, *args):
+            nonlocal reads
+            reads += 1
+            return super().get(*args)
+
+        def __getitem__(self, key):
+            nonlocal reads
+            reads += 1
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            nonlocal reads
+            reads += 1
+            return super().__contains__(key)
+
+        def __iter__(self):
+            nonlocal reads
+            reads += 1
+            return super().__iter__()
+
+    counted = Generator(g.alphabet, g.labels, tuple(map(Row, g.rows)),
+                        g.initial)
+    return counted, lambda: reads
+
+
 def hidden_chain(n: int) -> Generator:
     """States c0 .. c{n-1} chained by the hidden event ``h``, then ``e``
     from the last back to c0: the target event of c0 is n - 1 hidden steps

@@ -38,6 +38,7 @@ from descoord.language import SubsetConstruction
 from helpers import (
     buffered_line,
     collect_instances,
+    counted_rows,
     distributed_instance,
     lang,
     mixed_instance,
@@ -125,7 +126,9 @@ def test_decomposability_walk_matches_the_built_product():
 def test_decomposability_walk_stops_at_the_first_counterexample(monkeypatch):
     # With E_k = ∅ the buffered line fails on a2 (the buffer starts empty):
     # the walk expands the start node only, whatever the line's depth, so
-    # it interns the three start subsets and the steps on a1 and a2.
+    # it interns the start subsets of P_{1+k}(K) and P_{2+k}(K) and the
+    # steps on a1 and a2.  P_k(K) has one subset, all of K, known without
+    # a closure.
     interned = []
     intern = SubsetConstruction._intern
 
@@ -143,7 +146,23 @@ def test_decomposability_walk_stops_at_the_first_counterexample(monkeypatch):
         report = conditionally_decomposable(k, scheme)
         assert report.counterexample == ("a2",)
         steps.append(len(interned))
-    assert steps == [5, 5]
+    assert steps == [4, 4]
+
+
+def test_a_projection_onto_no_events_reads_no_row():
+    # The first E_k the coordinator-event search can try is ∅: the one
+    # subset of P_k(K) is all of K, and its row is empty without a look at
+    # K's rows, however large K is.
+    k, _, _ = buffered_line(160, 3, 3)
+    counted, reads = counted_rows(k)
+    construction = SubsetConstruction(counted, ())
+    assert construction.row(0) == {}
+    assert construction.members == [tuple(k.states)]
+    assert reads() == 0
+    projected = project(counted, ())
+    assert reads() == 0
+    assert projected.labels == (tuple(k.states),)
+    assert projected.rows == ({},)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ walk runs on: constructions come out in canonical state order with
 read-only, sorted rows, and the counterexamples of the checks are the
 shortest-then-lexicographic violating words of their definitions."""
 
+import random
+from collections import Counter
 from types import MappingProxyType
 
 from hypothesis import given, settings
@@ -24,9 +26,18 @@ from descoord import (
     universal_generator,
     widen_alphabet,
 )
+from descoord import synthesis
+from descoord.automata import search
 from descoord.oracle import bounded_language
 
-from helpers import generators, random_generator, sub_automaton
+from helpers import (
+    buffered_line,
+    generators,
+    random_generator,
+    reference_sup_c,
+    reference_sup_c_deletions,
+    sub_automaton,
+)
 
 
 def rebuilt(g):
@@ -87,6 +98,129 @@ def test_sup_c_numbers_the_survivors_by_their_own_search():
     result = sup_c(k, l, {"u"})
     assert result.rows == ({"b": 1}, {"c": 2, "d": 3}, {}, {})
     assert result.num_states == 4
+
+
+SUP_C_ALPHABET = Alphabet({"a", "b", "c", "u", "v"}, {"a", "b", "c"})
+
+
+def sup_c_instance(rng: random.Random):
+    """A random (K, L) over ``SUP_C_ALPHABET``, in turn: K a random
+    subautomaton of L; K and L drawn independently; or K a random
+    generator over the controllable events entered through a diamond, L
+    that K plus an uncontrollable move at d1 and at some random states.
+    In the diamond, d0 moves to d1 and then d2, each of which enters the
+    random part on one event; d2 first moves to d3 on a smaller one.  So
+    d1 is deleted, the random part survives through d2, and it comes
+    before d3 in the product but after it among the survivors."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        l = random_generator(rng, SUP_C_ALPHABET, 5, 0.5)
+        return sub_automaton(rng, l, rng.choice((0.7, 0.9, 1.0))), l
+    if kind == 1:
+        return (random_generator(rng, SUP_C_ALPHABET, 4, 0.6),
+                random_generator(rng, SUP_C_ALPHABET, 4, 0.6))
+    core = random_generator(rng, SUP_C_ALPHABET.restrict({"a", "b", "c"}),
+                            5, 0.5)
+    states = ["d0", "d1", "d2", "d3"] + [f"s{q}" for q in core.states]
+    left, right = sorted(rng.sample("abc", 2))
+    enter = rng.choice("bc")
+    triples = [("d0", left, "d1"), ("d0", right, "d2"),
+               ("d1", enter, "s0"), ("d2", enter, "s0"),
+               ("d2", rng.choice("ab" if enter == "c" else "a"), "d3")]
+    triples += [(f"s{q}", event, f"s{target}")
+                for q, row in enumerate(core.rows)
+                for event, target in row.items()]
+    k = make_generator(states, SUP_C_ALPHABET, triples, "d0")
+    triples.append(("d1", rng.choice("uv"), "d0"))
+    for q in core.states:
+        if rng.random() < 0.25:
+            triples.append((f"s{q}", rng.choice("uv"),
+                            rng.choice(states)))
+    return k, make_generator(states, SUP_C_ALPHABET, triples, "d0")
+
+
+def sup_c_case(k, l, eu) -> str:
+    """What ``sup_c`` has to do on (K, L): delete nothing, delete states,
+    or delete states such that the survivors' own search numbers them in
+    another order than the product's."""
+    _, rows, deleted = reference_sup_c_deletions(k, l, eu)
+    if not deleted:
+        return "no deletions"
+    if 0 not in deleted:
+        survivors = search(0, lambda node: [
+            (event, target) for event, target in rows[node].items()
+            if target not in deleted])[0]
+        if survivors != sorted(survivors):
+            return "survivors out of product order"
+    return "deletions"
+
+
+def test_sup_c_agrees_with_the_route_it_replaced():
+    rng = random.Random(8)
+    cases = Counter()
+    for _ in range(600):
+        k, l = sup_c_instance(rng)
+        eu = SUP_C_ALPHABET.uncontrollable
+        got, expected = sup_c(k, l, eu), reference_sup_c(k, l, eu)
+        assert got.labels == expected.labels
+        assert got.rows == expected.rows
+        assert (got.recognizes_empty_language
+                == expected.recognizes_empty_language)
+        cases[sup_c_case(k, l, eu)] += 1
+    assert min(cases[case] for case in (
+        "no deletions", "deletions",
+        "survivors out of product order")) >= 100, cases
+
+
+def test_sup_c_searches_the_product_once_unless_a_survivor_is_renumbered(
+        monkeypatch):
+    searches = []
+
+    def counted(start, successors):
+        searches.append(start)
+        return search(start, successors)
+
+    monkeypatch.setattr(synthesis, "search", counted)
+
+    def count(k, l, eu):
+        searches.clear()
+        result = sup_c(k, l, eu)
+        return len(searches), result
+
+    # Nothing violates: the product is the result.
+    spec, g1, g2 = buffered_line(6, 3, 3)
+    eu = spec.alphabet.uncontrollable
+    assert count(spec, spec, eu)[0] == 1
+    # The full buffer blocks the uncontrollable b1 deep in the product:
+    # one more search, for the survivors.
+    n, result = count(spec, sync_product(g1, g2), eu)
+    assert (n, result.num_states < spec.num_states) == (2, True)
+    # The initial state violates: nothing survives, no second search.
+    alphabet = Alphabet({"a", "u"}, {"a"})
+    n, result = count(from_words(alphabet, ["a"]),
+                      from_words(alphabet, ["a", "u"]), {"u"})
+    assert (n, result.recognizes_empty_language) == (1, True)
+
+
+def test_a_violation_inside_a_row_ends_the_search_with_its_own_word():
+    # At state 1 the violating event (b for inclusion, u for
+    # controllability) is neither the first nor the last of the row.
+    alphabet = Alphabet({"a", "b", "u", "z"}, {"a", "b", "z"})
+    moves = [("0", "a", "1"), ("0", "z", "0"), ("1", "a", "2"),
+             ("1", "z", "2"), ("2", "a", "2")]
+    states = ["0", "1", "2"]
+    narrow = make_generator(states, alphabet, moves, "0")
+    wide = make_generator(states, alphabet,
+                          moves + [("1", "b", "0"), ("1", "u", "0")], "0")
+    bound = cover(wide, narrow)
+    lw = bounded_language(wide, bound).words
+    nw = bounded_language(narrow, bound).words
+    inclusion = language_subset(wide, narrow)
+    assert inclusion.counterexample == shortest(lw - nw) == ("a", "b")
+    controllability = is_controllable(narrow, wide, {"u"})
+    assert controllability.counterexample == shortest(
+        word for word in lw - nw
+        if word[-1] == "u" and word[:-1] in nw) == ("a", "u")
 
 
 def shortest(words):

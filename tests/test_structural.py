@@ -8,7 +8,6 @@ import pytest
 
 from descoord import (
     Alphabet,
-    Generator,
     ValidationError,
     coordination,
     is_observer,
@@ -23,6 +22,7 @@ from descoord.oracle import bounded_language, erase
 from helpers import (
     bounded_observer_verdict,
     bounded_occ_verdict,
+    counted_rows,
     hidden_chain,
     lang,
     random_controllable,
@@ -199,39 +199,9 @@ def test_observer_closure_matches_the_per_state_searches():
 def observer_row_reads(n: int) -> int:
     """Row reads of ``is_observer`` on the hidden chain of n states, each
     row being a mapping that counts the calls made on it."""
-    reads = 0
-
-    class Row(dict):
-        def items(self):
-            nonlocal reads
-            reads += 1
-            return super().items()
-
-        def get(self, *args):
-            nonlocal reads
-            reads += 1
-            return super().get(*args)
-
-        def __getitem__(self, key):
-            nonlocal reads
-            reads += 1
-            return super().__getitem__(key)
-
-        def __contains__(self, key):
-            nonlocal reads
-            reads += 1
-            return super().__contains__(key)
-
-        def __iter__(self):
-            nonlocal reads
-            reads += 1
-            return super().__iter__()
-
-    g = hidden_chain(n)
-    counted = Generator(g.alphabet, g.labels, tuple(map(Row, g.rows)),
-                        g.initial)
+    counted, reads = counted_rows(hidden_chain(n))
     assert is_observer(counted, {"e"}).holds
-    return reads
+    return reads()
 
 
 def test_observer_reads_each_row_a_bounded_number_of_times():
