@@ -222,6 +222,26 @@ def search(start, successors):
     return nodes, rows, None
 
 
+def intersect(a_start, a_rows, b_start, b_rows, refused=frozenset()):
+    """``search`` from the pair (``a_start``, ``b_start``) of two row
+    tables over one alphabet: a pair (a, b) moves on each event of b's row,
+    in row order, that a's row also has, and the search ends where b takes
+    an event of ``refused`` that a does not."""
+    def successors(pair):
+        qa, qb = pair
+        row_a = a_rows[qa]
+        out = []
+        for event, tb in b_rows[qb].items():
+            if event in row_a:
+                out.append((event, (row_a[event], tb)))
+            elif event in refused:
+                out.append((event, None))
+                break
+        return out
+
+    return search((a_start, b_start), successors)
+
+
 def _canonicalize(
     alphabet: Alphabet,
     labels: list[str],

@@ -161,7 +161,6 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
 class ProjectFile:
     generators: dict[str, Generator]
     coordination: dict | None
-    origin: Path
 
 
 def _read_json(path: Path):
@@ -200,7 +199,7 @@ def load_project(path: str) -> ProjectFile:
     coordination = doc.get("coordination")
     if coordination is not None and not isinstance(coordination, dict):
         raise ProjectError(f"{path}: 'coordination' must be an object")
-    return ProjectFile(generators, coordination, origin)
+    return ProjectFile(generators, coordination)
 
 
 def _lookup(project: ProjectFile, name: str) -> Generator:

@@ -213,16 +213,14 @@ def _conditionally_controllable(
 ) -> ConditionalControllabilityReport:
     pk, p1k, p2k = parts
     cond_i = is_controllable(pk, gk, scheme.ek.uncontrollable)
-
-    def side_condition(own: Generator, own_plant: Generator,
-                       other_plant: Generator,
-                       own_alpha: Alphabet) -> PropertyReport:
-        other = project(sync_product(other_plant, pk), scheme.ek.events)
-        ambient = sync_product(sync_product(own_plant, pk), other)
-        return is_controllable(own, ambient, own_alpha.uncontrollable)
-
-    cond_iia = side_condition(p1k, g1, g2, scheme.e1k)
-    cond_iib = side_condition(p2k, g2, g1, scheme.e2k)
+    # L(G_i) ∥ P_k(K) is side i's own plant and, projected onto E_k, part
+    # of the other side's ambient: built once for both.
+    plants = [sync_product(g, pk) for g in (g1, g2)]
+    projected = [project(plant, scheme.ek.events) for plant in plants]
+    cond_iia = is_controllable(p1k, sync_product(plants[0], projected[1]),
+                               scheme.e1k.uncontrollable)
+    cond_iib = is_controllable(p2k, sync_product(plants[1], projected[0]),
+                               scheme.e2k.uncontrollable)
     return ConditionalControllabilityReport(cond_i, cond_iia, cond_iib)
 
 

@@ -7,6 +7,8 @@ Every walk runs on ``automata.search``: a constructed generator takes the
 search's discovery order as its state order, and a counterexample is the
 search's violation word, shortest with ties broken by lexicographic event
 order.  A walk over one generator iterates its rows, not its alphabet.
+The product and the inclusion check walk ``automata.intersect``, over
+rows that ``_lifted_rows`` gives the inverse projection's self-loops.
 A projection's subset construction is built on demand
 (``SubsetConstruction``), so a check that only needs a verdict walks it
 without building the projected generator.
@@ -23,6 +25,7 @@ from .automata import (
     Generator,
     PropertyReport,
     empty_generator,
+    intersect,
     search,
     union_alphabets,
 )
@@ -74,38 +77,28 @@ def widen_alphabet(g: Generator, superset: Alphabet) -> Generator:
     return Generator(superset, g.labels, g.rows, g.initial)
 
 
+def _lifted_rows(g: Generator, superset: Alphabet):
+    """G's rows over ``superset``, which contains G's alphabet: every event
+    outside G's alphabet self-loops at every state, and each row keeps the
+    superset's sorted event order.  G's own rows when nothing is added."""
+    if g.alphabet.events == superset.events:
+        return g.rows
+    own = g.alphabet.events
+    table = [(event, event in own) for event in superset.sorted_events]
+    return [{e: row[e] if mine else q for e, mine in table
+             if not mine or e in row}
+            for q, row in enumerate(g.rows)]
+
+
 def sync_product(g1: Generator, g2: Generator) -> Generator:
     """Synchronous product: shared events move together, private events
-    interleave.  Recognizes P_1^{-1}(L(G_1)) ∩ P_2^{-1}(L(G_2)) over the
-    union alphabet.  The result is trim."""
+    interleave.  Built as P_1^{-1}(L(G_1)) ∩ P_2^{-1}(L(G_2)) over the
+    union alphabet, each state labelled by its pair.  The result is trim."""
     merged = union_alphabets(g1.alphabet, g2.alphabet)
     if g1.recognizes_empty_language or g2.recognizes_empty_language:
         return empty_generator(merged)
-    rows1, rows2 = g1.rows, g2.rows
-    moves = [(event, event in g1.alphabet.events, event in g2.alphabet.events)
-             for event in merged.sorted_events]
-
-    def successors(pair):
-        q1, q2 = pair
-        row1, row2 = rows1[q1], rows2[q2]
-        out = []
-        for event, in1, in2 in moves:
-            if in1:
-                if event not in row1:
-                    continue
-                t1 = row1[event]
-            else:
-                t1 = q1
-            if in2:
-                if event not in row2:
-                    continue
-                t2 = row2[event]
-            else:
-                t2 = q2
-            out.append((event, (t1, t2)))
-        return out
-
-    nodes, rows, _ = search((g1.initial, g2.initial), successors)
+    nodes, rows, _ = intersect(g1.initial, _lifted_rows(g1, merged),
+                               g2.initial, _lifted_rows(g2, merged))
     return Generator(merged, tuple(nodes), rows, 0)
 
 
@@ -200,16 +193,14 @@ def inverse_project(g: Generator, superset: Alphabet) -> Generator:
     union_alphabets(g.alphabet, superset)
     if g.recognizes_empty_language:
         return empty_generator(superset)
-    fresh = superset.events - g.alphabet.events
-    rows = [dict(sorted([*row.items(), *((event, state) for event in fresh)]))
-            for state, row in enumerate(g.rows)]
-    return Generator(superset, g.labels, rows, g.initial)
+    return Generator(superset, g.labels, _lifted_rows(g, superset),
+                     g.initial)
 
 
 def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
     """Does L(G1) ⊆ L(G2) hold?  The counterexample is the shortest word of
-    L(G1) \\ L(G2), found on the product of G1 with the (implicitly
-    completed) G2."""
+    L(G1) \\ L(G2): the intersection walk's first word s·e with s in both
+    languages and e taken by G1 only."""
     _require_same_alphabet(g1, g2, "language_subset")
     if g1.recognizes_empty_language:
         return PropertyReport(True, detail="∅ is a subset of every language")
@@ -217,20 +208,9 @@ def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
         return PropertyReport(False, EPSILON,
                               "right-hand language is empty")
 
-    rows1, rows2 = g1.rows, g2.rows
-
-    def successors(pair):
-        q1, q2 = pair
-        row2 = rows2[q2]
-        out = []
-        for event, t1 in rows1[q1].items():
-            if event not in row2:
-                out.append((event, None))
-                break
-            out.append((event, (t1, row2[event])))
-        return out
-
-    word = search((g1.initial, g2.initial), successors)[2]
+    # Every event of G1 that G2 does not take is a violation.
+    word = intersect(g2.initial, g2.rows, g1.initial, g1.rows,
+                     g1.alphabet.events)[2]
     if word is not None:
         return PropertyReport(False, word, "word is in the left language only")
     return PropertyReport(True, detail="inclusion holds")

@@ -12,11 +12,12 @@ from .automata import (
     Generator,
     PropertyReport,
     empty_generator,
+    intersect,
     search,
     union_alphabets,
 )
 from .errors import AlphabetMismatchError, PreconditionError, ValidationError
-from .language import sync_product
+from .language import inverse_project, sync_product
 
 
 def _check_controllability_args(k: Generator, l: Generator, eu) -> frozenset[str]:
@@ -43,21 +44,7 @@ def is_controllable(k: Generator, l: Generator, eu) -> PropertyReport:
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return PropertyReport(True, detail="vacuously controllable")
 
-    rows_k, rows_l = k.rows, l.rows
-
-    def successors(pair):
-        qk, ql = pair
-        row_k = rows_k[qk]
-        out = []
-        for event, tl in rows_l[ql].items():
-            if event in row_k:
-                out.append((event, (row_k[event], tl)))
-            elif event in eu:
-                out.append((event, None))
-                break
-        return out
-
-    word = search((k.initial, l.initial), successors)[2]
+    word = intersect(k.initial, k.rows, l.initial, l.rows, eu)[2]
     if word is not None:
         return PropertyReport(
             False, word, "uncontrollable continuation leaves the specification")
@@ -129,49 +116,18 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
                      survivors, 0)
 
 
-def is_admissible(s: Generator, g: Generator, eu=None) -> PropertyReport:
+def is_admissible(s: Generator, g: Generator) -> PropertyReport:
     """A supervisor, realized as a generator over the plant's alphabet or a
     superset, is admissible for a plant when, after every word of
-    L(S) ∥ L(G), it enables every uncontrollable event the plant enables."""
+    L(S) ∥ L(G), it enables every uncontrollable event the plant enables.
+    Decided on the intersection of both inverse images."""
     merged = union_alphabets(s.alphabet, g.alphabet)
-    eu = (g.alphabet.uncontrollable if eu is None
-          else g.alphabet.restrict(eu).events)
-    stray = eu - merged.uncontrollable
-    if stray:
-        raise ValidationError(
-            f"events {sorted(stray)} are not uncontrollable plant events"
-        )
     if s.recognizes_empty_language or g.recognizes_empty_language:
         return PropertyReport(True, detail="closed loop is empty")
-    rows_s, rows_g = s.rows, g.rows
-    # eu lies within G's events: S violates only on an event G takes.
-    moves = [(event, event in s.alphabet.events, event in g.alphabet.events,
-              event in eu) for event in merged.sorted_events]
-
-    def successors(pair):
-        qs, qg = pair
-        row_s, row_g = rows_s[qs], rows_g[qg]
-        out = []
-        for event, in_s, in_g, uncontrollable in moves:
-            if in_g:
-                if event not in row_g:
-                    continue
-                tg = row_g[event]
-            else:
-                tg = qg
-            if in_s:
-                if event not in row_s:
-                    if uncontrollable:
-                        out.append((event, None))
-                        break
-                    continue
-                ts = row_s[event]
-            else:
-                ts = qs
-            out.append((event, (ts, tg)))
-        return out
-
-    word = search((s.initial, g.initial), successors)[2]
+    lifted_s = inverse_project(s, merged)
+    lifted_g = inverse_project(g, merged)
+    word = intersect(lifted_s.initial, lifted_s.rows, lifted_g.initial,
+                     lifted_g.rows, g.alphabet.uncontrollable)[2]
     if word is not None:
         return PropertyReport(
             False, word, "supervisor disables an uncontrollable plant event")

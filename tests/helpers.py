@@ -20,6 +20,7 @@ from descoord import (
     parse_word,
     project,
     sync_product,
+    union_alphabets,
 )
 from descoord.automata import search
 from descoord.oracle import bounded_language, erase
@@ -391,6 +392,94 @@ def reference_sup_c(k: Generator, l: Generator, eu) -> Generator:
     nodes, survivors, _ = search(0, surviving)
     return Generator(k.alphabet, tuple(pairs[node] for node in nodes),
                      survivors, 0)
+
+
+def reference_sync_product(g1: Generator, g2: Generator) -> Generator:
+    """``sync_product`` by the route it used to take: one search over the
+    state pairs, stepping through the union alphabet's sorted events with
+    a move table that says which operand takes each event (an operand
+    without the event stays put)."""
+    merged = union_alphabets(g1.alphabet, g2.alphabet)
+    if g1.recognizes_empty_language or g2.recognizes_empty_language:
+        return empty_generator(merged)
+    moves = [(event, event in g1.alphabet.events, event in g2.alphabet.events)
+             for event in merged.sorted_events]
+
+    def successors(pair):
+        q1, q2 = pair
+        row1, row2 = g1.rows[q1], g2.rows[q2]
+        for event, in1, in2 in moves:
+            if in1 and event not in row1 or in2 and event not in row2:
+                continue
+            yield event, (row1[event] if in1 else q1,
+                          row2[event] if in2 else q2)
+
+    nodes, rows, _ = search((g1.initial, g2.initial), successors)
+    return Generator(merged, tuple(nodes), rows, 0)
+
+
+def reference_is_admissible(s: Generator, g: Generator) -> PropertyReport:
+    """``is_admissible`` by the route it used to take: the pair search of
+    ``reference_sync_product``, ended where G takes one of its
+    uncontrollable events and S, which has the event, does not."""
+    merged = union_alphabets(s.alphabet, g.alphabet)
+    if s.recognizes_empty_language or g.recognizes_empty_language:
+        return PropertyReport(True, detail="closed loop is empty")
+    eu = g.alphabet.uncontrollable
+    moves = [(event, event in s.alphabet.events, event in g.alphabet.events)
+             for event in merged.sorted_events]
+
+    def successors(pair):
+        qs, qg = pair
+        row_s, row_g = s.rows[qs], g.rows[qg]
+        for event, in_s, in_g in moves:
+            if in_g and event not in row_g:
+                continue
+            if in_s and event not in row_s:
+                if event in eu:
+                    yield event, None
+                continue
+            yield event, (row_s[event] if in_s else qs,
+                          row_g[event] if in_g else qg)
+
+    word = search((s.initial, g.initial), successors)[2]
+    if word is not None:
+        return PropertyReport(
+            False, word, "supervisor disables an uncontrollable plant event")
+    return PropertyReport(True, detail="supervisor is admissible")
+
+
+def reference_language_subset(g1: Generator, g2: Generator):
+    """``language_subset(g1, g2)`` by the route it used to take, as
+    (holds, counterexample): a search over pairs (q1, q2) along G1's rows
+    that ends on the first event G2 does not take.  The generators are
+    assumed non-empty, over one alphabet."""
+    def successors(pair):
+        q1, q2 = pair
+        row2 = g2.rows[q2]
+        for event, t1 in g1.rows[q1].items():
+            yield event, (t1, row2[event]) if event in row2 else None
+
+    word = search((g1.initial, g2.initial), successors)[2]
+    return word is None, word
+
+
+def reference_is_controllable(k: Generator, l: Generator, eu):
+    """``is_controllable(k, l, eu)`` by the route it used to take, as
+    (holds, counterexample): a search over pairs (q_K, q_L) along L's rows
+    that ends on the first event of ``eu`` that L takes and K does not.
+    The generators are assumed non-empty, over one alphabet."""
+    def successors(pair):
+        qk, ql = pair
+        row_k = k.rows[qk]
+        for event, tl in l.rows[ql].items():
+            if event in row_k:
+                yield event, (row_k[event], tl)
+            elif event in eu:
+                yield event, None
+
+    word = search((k.initial, l.initial), successors)[2]
+    return word is None, word
 
 
 def counted_rows(g: Generator):

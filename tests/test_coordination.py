@@ -33,6 +33,7 @@ from descoord import (
     universal_generator,
 )
 
+from descoord import coordination
 from descoord.language import SubsetConstruction
 
 from helpers import (
@@ -180,6 +181,25 @@ def test_synthesized_result_is_conditionally_controllable(cell):
     composed = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
     assert is_conditionally_controllable(composed, cell.g1, cell.g2,
                                          cell.gk).holds
+
+
+def test_each_product_of_the_condctrl_check_is_built_once(cell, monkeypatch):
+    # Two for the plant G_1 ∥ G_2 ∥ G_k, one G_i ∥ P_k(K) per subsystem
+    # (its own plant, and projected onto E_k the other side's), and one
+    # ambient per side condition.
+    operands = []
+    compose = coordination.sync_product
+
+    def counted(g1, g2):
+        operands.append((g1, g2))
+        return compose(g1, g2)
+
+    monkeypatch.setattr(coordination, "sync_product", counted)
+    report = is_conditionally_controllable(cell.k, cell.g1, cell.g2, cell.gk)
+    assert len(operands) == 6
+    # The list keeps every operand alive, so no two share an id.
+    assert len({(id(a), id(b)) for a, b in operands}) == 6
+    assert not report.holds and report.condition_iia.holds
 
 
 def test_specification_must_be_within_the_plant(cell):

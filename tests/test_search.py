@@ -15,6 +15,7 @@ from descoord import (
     empty_generator,
     from_words,
     inverse_project,
+    is_admissible,
     is_controllable,
     language_subset,
     language_union,
@@ -23,19 +24,24 @@ from descoord import (
     shortest_words,
     sup_c,
     sync_product,
+    union_alphabets,
     universal_generator,
     widen_alphabet,
 )
 from descoord import synthesis
 from descoord.automata import search
-from descoord.oracle import bounded_language
+from descoord.oracle import bounded_language, brute_product, erase
 
 from helpers import (
     buffered_line,
     generators,
     random_generator,
+    reference_is_admissible,
+    reference_is_controllable,
+    reference_language_subset,
     reference_sup_c,
     reference_sup_c_deletions,
+    reference_sync_product,
     sub_automaton,
 )
 
@@ -202,6 +208,70 @@ def test_sup_c_searches_the_product_once_unless_a_survivor_is_renumbered(
     assert (n, result.recognizes_empty_language) == (1, True)
 
 
+PAIR_POOL = Alphabet({"a", "b", "c", "d", "u", "v"}, {"a", "b", "c", "d"})
+RELATIONS = ("equal", "nested", "overlapping", "disjoint")
+
+
+def pair_alphabets(rng: random.Random, relation: str):
+    """Two sub-alphabets of ``PAIR_POOL`` in the given relation; a nested
+    pair comes in either order."""
+    events = rng.sample(PAIR_POOL.sorted_events, 6)
+    if relation == "equal":
+        first = second = events[:rng.randint(1, 4)]
+    elif relation == "nested":
+        second = events[:rng.randint(2, 5)]
+        first = second[:rng.randint(1, len(second) - 1)]
+        if rng.random() < 0.5:
+            first, second = second, first
+    elif relation == "overlapping":
+        shared, own1, own2 = rng.randint(1, 2), rng.randint(1, 2), \
+            rng.randint(1, 2)
+        first = events[:shared + own1]
+        second = events[:shared] + events[shared + own1:][:own2]
+    else:
+        cut = rng.randint(1, 4)
+        first, second = events[:cut], events[cut:][:rng.randint(1, 3)]
+    return PAIR_POOL.restrict(first), PAIR_POOL.restrict(second)
+
+
+def test_pair_walks_agree_with_the_routes_they_replaced():
+    rng = random.Random(9)
+    verdicts = Counter()
+    for index in range(600):
+        relation = RELATIONS[index % 4]
+        g1, g2 = (random_generator(rng, alphabet, 4, 0.5)
+                  for alphabet in pair_alphabets(rng, relation))
+        product, expected = sync_product(g1, g2), reference_sync_product(g1, g2)
+        assert product.alphabet == expected.alphabet
+        assert product.labels == expected.labels
+        assert product.rows == expected.rows
+        for s, g in ((g1, g2), (g2, g1)):
+            report = is_admissible(s, g)
+            assert report == reference_is_admissible(s, g)
+            verdicts["is_admissible", relation, report.holds] += 1
+        merged = union_alphabets(g1.alphabet, g2.alphabet)
+        lifted = [inverse_project(g, merged) for g in (g1, g2)]
+        eu = merged.uncontrollable
+        for left, right in ((lifted[0], lifted[1]), (lifted[1], lifted[0]),
+                            (product, lifted[1]), (lifted[0], product)):
+            report = language_subset(left, right)
+            assert ((report.holds, report.counterexample)
+                    == reference_language_subset(left, right))
+            verdicts["language_subset", report.holds] += 1
+            report = is_controllable(left, right, eu)
+            assert ((report.holds, report.counterexample)
+                    == reference_is_controllable(left, right, eu))
+            verdicts["is_controllable", report.holds] += 1
+    # A supervisor that shares no event with the plant disables none.
+    assert verdicts["is_admissible", "disjoint", False] == 0
+    for relation in RELATIONS[:3]:
+        for holds in (True, False):
+            assert verdicts["is_admissible", relation, holds] >= 50, verdicts
+    for check in ("language_subset", "is_controllable"):
+        for holds in (True, False):
+            assert verdicts[check, holds] >= 300, verdicts
+
+
 def test_a_violation_inside_a_row_ends_the_search_with_its_own_word():
     # At state 1 the violating event (b for inclusion, u for
     # controllability) is neither the first nor the last of the row.
@@ -250,3 +320,18 @@ def test_counterexamples_are_the_shortest_violating_words(g, rng):
                           if word[-1] in eu and word[:-1] in lw]
             assert (is_controllable(left, right, eu).counterexample
                     == shortest(violations))
+    # A supervisor over E ∪ {x}: s·u with s in L(S) ∥ L(G), u in E_u and
+    # P_G(s)·u in L(G), but P_S(s)·u = s·u not in L(S).
+    wide = Alphabet(g.alphabet.events | {"x"},
+                    g.alphabet.controllable | rng.choice(({"x"}, set())))
+    for s in (random_generator(rng, wide, 3),
+              sub_automaton(rng, inverse_project(g, wide))):
+        bound = cover(s, g)
+        sw = bounded_language(s, bound).words
+        gw = bounded_language(g, bound).words
+        loop = brute_product(sw, wide.events, gw, g.alphabet.events,
+                             bound - 1)
+        violations = [word + (u,) for word in loop for u in eu
+                      if erase(word, g.alphabet.events) + (u,) in gw
+                      and word + (u,) not in sw]
+        assert is_admissible(s, g).counterexample == shortest(violations)

@@ -54,7 +54,7 @@ def test_controllability_validates_arguments(cell):
         is_controllable(pk, gk, {"c"})  # c is controllable
 
 
-@pytest.mark.parametrize("check", [is_controllable, sup_c, is_admissible])
+@pytest.mark.parametrize("check", [is_controllable, sup_c])
 @pytest.mark.parametrize("eu", [[["u"]], ["x"]], ids=["list-name", "unknown"])
 def test_uncontrollable_events_are_validated(check, eu):
     g = lang(Alphabet({"a", "u"}, {"a"}), "a.u")
