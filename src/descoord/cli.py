@@ -135,9 +135,9 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
     initial = doc.get("initial")
     transitions = doc.get("transitions", [])
     if not empty:
-        if not _strings(states) or not isinstance(initial, str):
+        if not isinstance(states, list) or not isinstance(initial, str):
             fail("'states' must be a list of names and 'initial' a name")
-        # make_generator checks the shape of each triple as it reads it.
+        # make_generator checks each state name and each triple.
         if not isinstance(transitions, list):
             fail("'transitions' must be [source, event, target] triples")
     if "marked" in doc:

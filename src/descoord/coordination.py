@@ -195,8 +195,10 @@ def is_conditionally_controllable(
            L(G_1) ∥ P_k(K) ∥ P_k^{2+k}(L(G_2) ∥ P_k(K)) and E_{1+k,u};
     (ii.b) symmetrically for subsystem 2.
 
-    Requires K ⊆ L(G_1 ∥ G_2 ∥ G_k); a violation raises
-    ``PreconditionError`` carrying the witness word."""
+    Requires K ⊆ L(G_1 ∥ G_2 ∥ G_k), checked first (``PreconditionError``
+    with the witness word), for under it the third factor of (ii.a) is
+    P_k(K): each P_k(s), s in K, has the preimage P_{2+k}(s) in
+    L(G_2) ∥ P_k(K).  So side i is checked against L(G_i) ∥ P_k(K)."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
@@ -213,13 +215,10 @@ def _conditionally_controllable(
 ) -> ConditionalControllabilityReport:
     pk, p1k, p2k = parts
     cond_i = is_controllable(pk, gk, scheme.ek.uncontrollable)
-    # L(G_i) ∥ P_k(K) is side i's own plant and, projected onto E_k, part
-    # of the other side's ambient: built once for both.
-    plants = [sync_product(g, pk) for g in (g1, g2)]
-    projected = [project(plant, scheme.ek.events) for plant in plants]
-    cond_iia = is_controllable(p1k, sync_product(plants[0], projected[1]),
+    # Each side's own plant, its whole ambient under K ⊆ L.
+    cond_iia = is_controllable(p1k, sync_product(g1, pk),
                                scheme.e1k.uncontrollable)
-    cond_iib = is_controllable(p2k, sync_product(plants[1], projected[0]),
+    cond_iib = is_controllable(p2k, sync_product(g2, pk),
                                scheme.e2k.uncontrollable)
     return ConditionalControllabilityReport(cond_i, cond_iia, cond_iib)
 
@@ -323,7 +322,9 @@ def sup_cc(
         supC_k     = supC(P_k(K) ∥ P_k(L_1 ∥ L_2) ∥ L_k,  L_k,          E_{k,u})
         supC_{i+k} = supC(P_{i+k}(K) ∥ L_i,               L_i ∥ supC_k, E_{i+k,u})
 
-    and composed = supC_k ∥ supC_{1+k} ∥ supC_{2+k}, built as
+    each computed without its last factor, a factor of the language supC is
+    taken against whose state fixes it, so supC(M ∥ F, L) = supC(M, L) row
+    for row.  And composed = supC_k ∥ supC_{1+k} ∥ supC_{2+k} is built as
     supC_{1+k} ∥ supC_{2+k} (each supC_{i+k} already tracks supC_k, so
     the first factor adds no state and restricts no word).  Requires K
     conditionally decomposable and the observer/OCC preconditions; with
@@ -341,12 +342,10 @@ def sup_cc(
     # coordinator interleave freely before the projection onto E_k.
     ambient_12 = inverse_project(sync_product(g1, g2), full)
     pk_plant = project(ambient_12, scheme.ek.events)
-    sup_k = sup_c(sync_product(sync_product(pk, pk_plant), gk), gk,
-                  scheme.ek.uncontrollable)
+    sup_k = sup_c(sync_product(pk, pk_plant), gk, scheme.ek.uncontrollable)
 
     sup_1k, sup_2k = (
-        sup_c(sync_product(pik, g), sync_product(g, sup_k),
-              eik.uncontrollable)
+        sup_c(pik, sync_product(g, sup_k), eik.uncontrollable)
         for pik, g, eik in ((p1k, g1, scheme.e1k), (p2k, g2, scheme.e2k))
     )
     # supC_k ∥ supC_{1+k} ∥ supC_{2+k} without its first factor: each

@@ -5,7 +5,7 @@ supremal-synthesis procedure in ``coordination``."""
 from collections.abc import Iterable
 
 from .automata import Generator, PropertyReport, search
-from .language import project
+from .language import SubsetConstruction
 
 
 def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
@@ -14,10 +14,10 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
     For prefix-closed L it suffices to check one projected step at a time:
     whenever P(s)·e is in P(L) for some s in L, some hidden continuation
     u·e with u over hidden events must exist after s.  Decided on the
-    synchronized pair of G and the determinized projection of G: from every
-    reachable pair (q, x), each target event enabled at x must be matched
-    from q by a path (E \\ E_k)* · e.  The counterexample encodes the pair
-    (s, e) as the word s·e.
+    reachable pairs (q, x) of a state of G and a subset of the projection's
+    on-demand ``SubsetConstruction`` (left unfinished by a failing check):
+    each target event enabled at x must be matched from q by a path
+    (E \\ E_k)* · e.  The counterexample encodes (s, e) as the word s·e.
 
     The target events reachable through hidden events from each state of G
     are found first, backwards, in time linear in the size of G per target
@@ -27,7 +27,7 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
     hidden = g.alphabet.events - target
-    det = project(g, target)
+    det = SubsetConstruction(g, target)
 
     # Per state of G: target events enabled somewhere in its hidden closure.
     # Each event spreads backwards along hidden edges from the states that
@@ -48,12 +48,12 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
                     matchable[source].add(event)
                     worklist.append(source)
 
-    rows, det_rows = g.rows, det.rows
+    rows = g.rows
     moves = [(event, event in hidden) for event in g.alphabet.sorted_events]
 
     def successors(pair):
         q, x = pair
-        row, det_row = rows[q], det_rows[x]
+        row, det_row = rows[q], det.row(x)
         out = []
         for event, is_hidden in moves:
             if is_hidden:
@@ -67,7 +67,7 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
                     out.append((event, (row[event], det_row[event])))
         return out
 
-    word = search((g.initial, det.initial), successors)[2]
+    word = search((g.initial, 0), successors)[2]
     if word is not None:
         return PropertyReport(
             False, word,

@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
+    ConditionalControllabilityReport,
     CoordinationScheme,
     Generator,
+    PreconditionError,
     PropertyReport,
     default_coordinator,
     empty_generator,
     from_words,
+    inverse_project,
+    is_controllable,
     language_subset,
     make_generator,
     observer_occ_reports,
     parse_word,
     project,
+    sup_c,
     sync_product,
     union_alphabets,
 )
@@ -480,6 +485,56 @@ def reference_is_controllable(k: Generator, l: Generator, eu):
 
     word = search((k.initial, l.initial), successors)[2]
     return word is None, word
+
+
+def spec_within_plant(k: Generator, g1: Generator, g2: Generator,
+                      gk: Generator) -> PropertyReport:
+    """The report of K ⊆ L(G_1 ∥ G_2 ∥ G_k)."""
+    return language_subset(k, sync_product(sync_product(g1, g2), gk))
+
+
+def reference_conditionally_controllable(k: Generator, g1: Generator,
+                                         g2: Generator, gk: Generator):
+    """``is_conditionally_controllable`` by the route it used to take:
+    after the same K ⊆ L precondition, each side condition is checked
+    against the paper's three-factor ambient
+    L(G_i) ∥ P_k(K) ∥ P_k(L(G_j) ∥ P_k(K)), built literally."""
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
+    inclusion = spec_within_plant(k, g1, g2, gk)
+    if not inclusion.holds:
+        raise PreconditionError(
+            "specification is not contained in the plant language", inclusion)
+    pk, p1k, p2k = (project(k, target.events)
+                    for target in (scheme.ek, scheme.e1k, scheme.e2k))
+    plants = [sync_product(g, pk) for g in (g1, g2)]
+    projected = [project(plant, scheme.ek.events) for plant in plants]
+    return ConditionalControllabilityReport(
+        is_controllable(pk, gk, scheme.ek.uncontrollable),
+        is_controllable(p1k, sync_product(plants[0], projected[1]),
+                        scheme.e1k.uncontrollable),
+        is_controllable(p2k, sync_product(plants[1], projected[0]),
+                        scheme.e2k.uncontrollable))
+
+
+def reference_sup_cc(k: Generator, g1: Generator, g2: Generator,
+                     gk: Generator):
+    """``(sup_k, sup_1k, sup_2k, composed)`` of ``sup_cc`` by the route it
+    used to take, preconditions not checked: each specification is first
+    intersected with the plant factor that supC is then taken against,
+    supC(P_k(K) ∥ P_k(L_1 ∥ L_2) ∥ L_k, L_k) and
+    supC(P_{i+k}(K) ∥ L_i, L_i ∥ supC_k)."""
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
+    pk, p1k, p2k = (project(k, target.events)
+                    for target in (scheme.ek, scheme.e1k, scheme.e2k))
+    pk_plant = project(inverse_project(sync_product(g1, g2), scheme.full),
+                       scheme.ek.events)
+    sup_k = sup_c(sync_product(sync_product(pk, pk_plant), gk), gk,
+                  scheme.ek.uncontrollable)
+    sup_1k, sup_2k = (
+        sup_c(sync_product(pik, g), sync_product(g, sup_k),
+              eik.uncontrollable)
+        for pik, g, eik in ((p1k, g1, scheme.e1k), (p2k, g2, scheme.e2k)))
+    return sup_k, sup_1k, sup_2k, sync_product(sup_1k, sup_2k)
 
 
 def counted_rows(g: Generator):

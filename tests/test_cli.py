@@ -489,7 +489,7 @@ EK = "coordination 'ek' must be \"auto\" or a list of event names"
 @pytest.mark.parametrize("path, value, message", [
     pytest.param(
         (*GEN, "states", 0), ["q0"],
-        "{p} (inline): 'states' must be a list of names and 'initial' a name",
+        "{p} (inline): invalid state name: ['q0']",
         id="state-as-list"),
     pytest.param(
         (*GEN, "events", 0, "name"), ["a1"],

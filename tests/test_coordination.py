@@ -33,8 +33,9 @@ from descoord import (
     universal_generator,
 )
 
-from descoord import coordination
+from descoord import ConditionalControllabilityReport, coordination
 from descoord.language import SubsetConstruction
+from descoord.oracle import bounded_language, brute_product, brute_project
 
 from helpers import (
     buffered_line,
@@ -44,7 +45,10 @@ from helpers import (
     lang,
     mixed_instance,
     random_generator,
+    reference_conditionally_controllable,
     reference_decomposable,
+    reference_sup_cc,
+    spec_within_plant,
     w,
 )
 
@@ -183,23 +187,108 @@ def test_synthesized_result_is_conditionally_controllable(cell):
                                          cell.gk).holds
 
 
+def counted_calls(monkeypatch, name):
+    """Patch ``coordination.<name>`` to record the operands of each call;
+    returns the list it appends to."""
+    calls = []
+    original = getattr(coordination, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(coordination, name, counted)
+    return calls
+
+
 def test_each_product_of_the_condctrl_check_is_built_once(cell, monkeypatch):
-    # Two for the plant G_1 ∥ G_2 ∥ G_k, one G_i ∥ P_k(K) per subsystem
-    # (its own plant, and projected onto E_k the other side's), and one
-    # ambient per side condition.
-    operands = []
-    compose = coordination.sync_product
-
-    def counted(g1, g2):
-        operands.append((g1, g2))
-        return compose(g1, g2)
-
-    monkeypatch.setattr(coordination, "sync_product", counted)
+    # Two for the plant G_1 ∥ G_2 ∥ G_k and one G_i ∥ P_k(K) per side
+    # condition, which under K ⊆ L is that side's whole ambient: nothing
+    # is projected.
+    products = counted_calls(monkeypatch, "sync_product")
+    projections = counted_calls(monkeypatch, "project")
     report = is_conditionally_controllable(cell.k, cell.g1, cell.g2, cell.gk)
-    assert len(operands) == 6
+    assert len(products) == 4
     # The list keeps every operand alive, so no two share an id.
-    assert len({(id(a), id(b)) for a, b in operands}) == 6
+    assert len({(id(a), id(b)) for a, b in products}) == 4
+    assert projections == []
     assert not report.holds and report.condition_iia.holds
+
+
+def test_sup_cc_intersects_no_specification_with_a_plant_factor(
+        cell, monkeypatch):
+    # G_1 ∥ G_2 for P_k(L_1 ∥ L_2), P_k(K) ∥ P_k(L_1 ∥ L_2), G_i ∥ supC_k
+    # per subsystem, and the composition.
+    products = counted_calls(monkeypatch, "sync_product")
+    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk)
+    assert len(products) == 5
+    assert not result.composed.recognizes_empty_language
+
+
+def condctrl_outcome(check, k, g1, g2, gk):
+    """The report of a condctrl route, or the precondition's report when
+    K ⊄ L."""
+    try:
+        return check(k, g1, g2, gk)
+    except PreconditionError as exc:
+        return exc.report
+
+
+def test_condctrl_and_sup_cc_agree_with_the_routes_they_replaced():
+    # Each side condition against its own plant and each supC without its
+    # plant factor, against the literal routes, with equal reports and
+    # equal rows.
+    cases = collections.Counter()
+    for seed in range(600):
+        k, g1, g2, gk, _ = mixed_instance(random.Random(seed))
+        report = condctrl_outcome(is_conditionally_controllable,
+                                  k, g1, g2, gk)
+        assert report == condctrl_outcome(
+            reference_conditionally_controllable, k, g1, g2, gk), seed
+        if isinstance(report, ConditionalControllabilityReport):
+            cases["within the plant"] += 1
+            cases["side fails"] += ((not report.condition_iia.holds)
+                                    + (not report.condition_iib.holds))
+        try:
+            result = sup_cc(k, g1, g2, gk, force=True)
+        except PreconditionError:
+            continue
+        got = (result.sup_k, result.sup_1k, result.sup_2k, result.composed)
+        for mine, theirs in zip(got, reference_sup_cc(k, g1, g2, gk)):
+            assert mine.rows == theirs.rows, seed
+            assert (mine.recognizes_empty_language
+                    == theirs.recognizes_empty_language), seed
+        cases["sup_1k non-empty"] += (
+            not result.sup_1k.recognizes_empty_language)
+    assert cases["within the plant"] >= 260, cases
+    assert cases["side fails"] >= 48, cases
+    assert cases["sup_1k non-empty"] >= 236, cases
+
+
+def test_the_third_ambient_factor_is_the_projected_specification():
+    # P_k(L(G_j) ∥ P_k(K)) = P_k(K) when K ⊆ L, and not in general.  On the
+    # first 60 instances also on words of length at most 5, by the
+    # definition-literal product and projection: under K ⊆ L the preimage
+    # of P_k(s) is P_{j+k}(s), which is no longer than s.
+    n = 5
+    sides, bounded = collections.Counter(), collections.Counter()
+    for seed in range(600):
+        k, g1, g2, gk, scheme = mixed_instance(random.Random(seed))
+        within = spec_within_plant(k, g1, g2, gk).holds
+        ek = scheme.ek.events
+        pk = project(k, ek)
+        pk_words = brute_project(bounded_language(k, n).words, ek)
+        for g in (g1, g2):
+            factor = project(sync_product(g, pk), ek)
+            sides[within, language_equal(factor, pk).holds] += 1
+            if seed < 60:
+                product = brute_product(bounded_language(g, n).words,
+                                        g.alphabet.events, pk_words, ek, n)
+                bounded[within, brute_project(product, ek) == pk_words] += 1
+    assert sides[True, False] == 0 and sides[True, True] >= 520, sides
+    assert sides[False, False] >= 364, sides
+    assert bounded[True, False] == 0 and bounded[True, True] >= 48, bounded
+    assert bounded[False, False] >= 47, bounded
 
 
 def test_specification_must_be_within_the_plant(cell):

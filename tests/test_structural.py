@@ -14,8 +14,11 @@ from descoord import (
     is_occ,
     make_generator,
     observer_occ_reports,
+    project,
+    structural,
     sync_product,
 )
+from descoord.language import SubsetConstruction
 
 from descoord.oracle import bounded_language, erase
 
@@ -208,6 +211,33 @@ def test_observer_reads_each_row_a_bounded_number_of_times():
     reads = [observer_row_reads(n) for n in (500, 1000, 2000)]
     for smaller, larger in zip(reads, reads[1:]):
         assert 1.9 <= larger / smaller <= 2.1, reads
+
+
+def test_a_failing_observer_check_leaves_the_projection_unbuilt(monkeypatch):
+    # After ``a`` the projection is in the subset {s1, s3}, which offers
+    # ``b``; s1 cannot reach it, so the walk ends on a.b with the chain of
+    # b steps after s3 never expanded.
+    n = 50
+    alphabet = Alphabet({"a", "b", "h"}, {"a", "b", "h"})
+    chain = [f"c{i}" for i in range(n + 1)]
+    triples = [("s0", "a", "s1"), ("s0", "h", "s2"), ("s2", "a", "s3"),
+               ("s3", "b", chain[0])]
+    triples += [(chain[i], "b", chain[i + 1]) for i in range(n)]
+    g = make_generator(["s0", "s1", "s2", "s3", *chain], alphabet, triples,
+                       "s0")
+    constructions = []
+
+    class Recorded(SubsetConstruction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            constructions.append(self)
+
+    monkeypatch.setattr(structural, "SubsetConstruction", Recorded)
+    report = is_observer(g, {"a", "b"})
+    assert report.counterexample == w("a.b")
+    (walked,) = constructions
+    assert len(walked.members) == 3
+    assert project(g, {"a", "b"}).num_states == n + 3
 
 
 def test_observer_composition_lemma():

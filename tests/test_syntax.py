@@ -1,5 +1,7 @@
-"""pyproject.toml admits Python 3.10: every source, test and benchmark file
-must parse with the 3.10 grammar, whichever interpreter runs the suite."""
+"""Static checks on the source tree.  pyproject.toml admits Python 3.10:
+every source, test and benchmark file must parse with the 3.10 grammar,
+whichever interpreter runs the suite.  No package module may import a name
+it never uses."""
 
 import ast
 from pathlib import Path
@@ -20,3 +22,37 @@ def test_every_file_parses_as_python_3_10():
             failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: "
                             f"{exc.msg}")
     assert not failures, failures
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import statement of ``tree`` that no expression
+    of it reads (an attribute chain counts as a read of its root)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_no_package_module_imports_a_name_it_never_uses():
+    # ``__init__.py`` imports names to re-export them.
+    paths = sorted(path for path in (ROOT / "src").rglob("*.py")
+                   if path.name != "__init__.py")
+    assert len(paths) > 5
+    failures = [f"{path.relative_to(ROOT)}:{unused}" for path in paths
+                for unused in unused_imports(ast.parse(path.read_text(
+                    encoding="utf-8")))]
+    assert not failures, failures
+
+
+def test_the_import_guard_sees_an_unused_name():
+    tree = ast.parse("import os.path\nfrom a import b, c as d\n"
+                     "from __future__ import annotations\n"
+                     "print(os.sep, d)\n")
+    assert unused_imports(tree) == ["2: b"]
