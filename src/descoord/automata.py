@@ -83,34 +83,20 @@ class Alphabet:
             raise ValidationError(f"unknown events: {sorted(missing)}")
         return Alphabet(kept, self.controllable & kept)
 
-    def agrees_with(self, other: "Alphabet") -> bool:
-        """True when shared events have the same controllability status."""
-        shared = self.events & other.events
-        return (self.controllable & shared) == (other.controllable & shared)
-
 
 def union_alphabets(*alphabets: Alphabet) -> Alphabet:
     """Union of alphabets.  A shared event whose controllability status
     differs between two operands is an error, never a silent override."""
-    events: set[str] = set()
-    controllable: set[str] = set()
-    for alpha in alphabets:
-        for prev in alphabets:
-            if prev is alpha:
-                break
-            if not prev.agrees_with(alpha):
-                bad = sorted(
-                    e
-                    for e in prev.events & alpha.events
-                    if (e in prev.controllable) != (e in alpha.controllable)
-                )
-                raise ControllabilityConflictError(
-                    f"events {bad} are controllable in one alphabet and "
-                    f"uncontrollable in another"
-                )
-        events |= alpha.events
-        controllable |= alpha.controllable
-    return Alphabet(frozenset(events), frozenset(controllable))
+    controllable = frozenset().union(*(a.controllable for a in alphabets))
+    uncontrollable = frozenset().union(*(a.uncontrollable
+                                         for a in alphabets))
+    conflicts = sorted(controllable & uncontrollable)
+    if conflicts:
+        raise ControllabilityConflictError(
+            f"events {conflicts} are controllable in one alphabet and "
+            f"uncontrollable in another"
+        )
+    return Alphabet(controllable | uncontrollable, controllable)
 
 
 @dataclass(frozen=True)

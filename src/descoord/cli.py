@@ -43,8 +43,7 @@ from .coordination import (
     conditionally_independent,
     default_coordinator,
     is_conditionally_controllable,
-    observer_reports,
-    occ_reports,
+    observer_occ_reports,
     suggest_coordinator_events,
     sup_cc,
     synthesize_supervisors,
@@ -263,9 +262,9 @@ def _resolve(project: ProjectFile):
             raise ProjectError(
                 "the specification alphabet must equal E_1 ∪ E_2 ∪ E_k"
             )
+    except ProjectError:
+        raise
     except DescoordError as exc:
-        if isinstance(exc, (ProjectError, PreconditionError)):
-            raise
         raise ProjectError(str(exc)) from exc
     return k, g1, g2, gk, scheme, decomposable
 
@@ -300,29 +299,32 @@ def emit_note(text: str, json_mode: bool, **fields) -> None:
 # ---------------------------------------------------------------------------
 # oracle cross-checks (--oracle-bound)
 
+def _oracle_note(what: str, oracle: str, bound: int, consistent: bool,
+                 json_mode: bool) -> bool:
+    """Print the oracle's verdict on ``what`` and return ``consistent``."""
+    emit_note(f"[ORACLE] {what}: "
+              f"{'consistent' if consistent else 'MISMATCH'}",
+              json_mode, oracle=oracle, bound=bound, consistent=consistent)
+    return consistent
+
+
+def _agrees(report: PropertyReport, bound: int, violated: bool) -> bool:
+    """Does a check's report agree with the oracle, which ``violated`` the
+    property within ``bound``?  A counterexample longer than the bound is
+    out of the oracle's sight."""
+    if report.holds:
+        return not violated
+    return len(report.counterexample) > bound or violated
+
+
 def _oracle_controllability(k, plant, eu, report, bound, json_mode) -> bool:
     kw = bounded_language(k, bound).words
     lw = bounded_language(plant, bound).words
-    violation = None
-    for word in sorted(kw, key=lambda w: (len(w), w)):
-        for event in sorted(eu):
-            if word + (event,) in lw and word + (event,) not in kw:
-                violation = word + (event,)
-                break
-        if violation:
-            break
-    if report.holds:
-        consistent = violation is None
-    else:
-        consistent = (len(report.counterexample) > bound
-                      or violation is not None)
-    emit_note(
-        f"[ORACLE] controllability at bound {bound}: "
-        f"{'consistent' if consistent else 'MISMATCH'}",
-        json_mode, oracle="controllability", bound=bound,
-        consistent=consistent,
-    )
-    return consistent
+    violated = any(word + (event,) in lw and word + (event,) not in kw
+                   for word in kw for event in eu)
+    consistent = _agrees(report, bound, violated)
+    return _oracle_note(f"controllability at bound {bound}",
+                        "controllability", bound, consistent, json_mode)
 
 
 def _oracle_conddec(k, scheme, report, bound, json_mode) -> bool:
@@ -334,17 +336,9 @@ def _oracle_conddec(k, scheme, report, bound, json_mode) -> bool:
         brute_product(p1k, scheme.e1k.events, p2k, scheme.e2k.events, bound),
         scheme.e1k.events | scheme.e2k.events, pk, scheme.ek.events, bound,
     )
-    if report.holds:
-        consistent = composed == kw
-    else:
-        consistent = (len(report.counterexample) > bound
-                      or composed != kw)
-    emit_note(
-        f"[ORACLE] conditional decomposability at bound {bound}: "
-        f"{'consistent' if consistent else 'MISMATCH'}",
-        json_mode, oracle="conddec", bound=bound, consistent=consistent,
-    )
-    return consistent
+    consistent = _agrees(report, bound, composed != kw)
+    return _oracle_note(f"conditional decomposability at bound {bound}",
+                        "conddec", bound, consistent, json_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +378,9 @@ def cmd_check(args) -> int:
         reports.append(("condition (i)", full.condition_i))
         reports.append(("condition (ii.a)", full.condition_iia))
         reports.append(("condition (ii.b)", full.condition_iib))
-    elif args.which == "observer":
-        reports.extend(observer_reports(g1, g2, gk.alphabet))
-    elif args.which == "occ":
-        reports.extend(occ_reports(g1, g2, gk.alphabet))
+    elif args.which in ("observer", "occ"):
+        reports.extend(observer_occ_reports(g1, g2, gk.alphabet,
+                                            (args.which,)))
     elif args.which == "optimality":
         reports.append(("optimality conditions",
                         check_optimality_conditions(g1, g2, gk)))
@@ -421,76 +414,55 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     oracle_ok = True
 
-    try:
-        if args.mode == "supc":
-            plant = sync_product(sync_product(g1, g2), gk)
-            result = sup_c(k, plant, scheme.full.uncontrollable)
-            _write_generator(out, "supc", result, args.json)
-            if args.oracle_bound:
-                bound = args.oracle_bound
-                expected = brute_sup_c(
-                    bounded_language(k, bound).words,
-                    bounded_language(plant, bound).words,
-                    scheme.full.uncontrollable, bound)
-                got = bounded_language(result, max(bound - 2, 0)).words
-                expected = {w for w in expected if len(w) <= bound - 2}
-                consistent = got == expected
-                emit_note(
-                    f"[ORACLE] supC at bound {bound} (compared at "
-                    f"{bound - 2}): "
-                    f"{'consistent' if consistent else 'MISMATCH'}",
-                    args.json, oracle="supc", bound=bound,
-                    consistent=consistent)
-                oracle_ok = consistent
-        elif args.mode == "supcc":
-            result = sup_cc(k, g1, g2, gk, force=args.force)
-            _write_generator(out, "sup_k", result.sup_k, args.json)
-            _write_generator(out, "sup_1k", result.sup_1k, args.json)
-            _write_generator(out, "sup_2k", result.sup_2k, args.json)
-            _write_generator(out, "composed", result.composed, args.json)
-            emit_note(
-                f"certified supremal: {'yes' if result.certified else 'no'}",
-                args.json, certified=result.certified)
-            if args.oracle_bound:
-                bound = args.oracle_bound
-                left = brute_product(
-                    bounded_language(result.sup_k, bound).words,
-                    scheme.ek.events,
-                    bounded_language(result.sup_1k, bound).words,
-                    scheme.e1k.events, bound)
-                composed_w = brute_product(
-                    left, scheme.ek.events | scheme.e1k.events,
-                    bounded_language(result.sup_2k, bound).words,
-                    scheme.e2k.events, bound)
-                consistent = (composed_w
-                              == bounded_language(result.composed,
-                                                  bound).words)
-                emit_note(
-                    f"[ORACLE] composition at bound {bound}: "
-                    f"{'consistent' if consistent else 'MISMATCH'}",
-                    args.json, oracle="composition", bound=bound,
-                    consistent=consistent)
-                oracle_ok = consistent
-        else:  # supervisors
-            s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk)
-            _write_generator(out, "s_k", s_k, args.json)
-            _write_generator(out, "s_1", s_1, args.json)
-            _write_generator(out, "s_2", s_2, args.json)
-    except PreconditionError as exc:
-        report = exc.report if exc.report is not None else PropertyReport(
-            False, (), str(exc))
-        emit_report(f"precondition: {exc}", report, args.json)
-        return 1
+    if args.mode == "supc":
+        plant = sync_product(sync_product(g1, g2), gk)
+        result = sup_c(k, plant, scheme.full.uncontrollable)
+        _write_generator(out, "supc", result, args.json)
+        if args.oracle_bound:
+            bound = args.oracle_bound
+            expected = brute_sup_c(
+                bounded_language(k, bound).words,
+                bounded_language(plant, bound).words,
+                scheme.full.uncontrollable, bound)
+            got = bounded_language(result, max(bound - 2, 0)).words
+            expected = {w for w in expected if len(w) <= bound - 2}
+            oracle_ok = _oracle_note(
+                f"supC at bound {bound} (compared at {bound - 2})", "supc",
+                bound, got == expected, args.json)
+    elif args.mode == "supcc":
+        result = sup_cc(k, g1, g2, gk, force=args.force)
+        _write_generator(out, "sup_k", result.sup_k, args.json)
+        _write_generator(out, "sup_1k", result.sup_1k, args.json)
+        _write_generator(out, "sup_2k", result.sup_2k, args.json)
+        _write_generator(out, "composed", result.composed, args.json)
+        emit_note(
+            f"certified supremal: {'yes' if result.certified else 'no'}",
+            args.json, certified=result.certified)
+        if args.oracle_bound:
+            bound = args.oracle_bound
+            left = brute_product(
+                bounded_language(result.sup_k, bound).words,
+                scheme.ek.events,
+                bounded_language(result.sup_1k, bound).words,
+                scheme.e1k.events, bound)
+            composed_w = brute_product(
+                left, scheme.ek.events | scheme.e1k.events,
+                bounded_language(result.sup_2k, bound).words,
+                scheme.e2k.events, bound)
+            oracle_ok = _oracle_note(
+                f"composition at bound {bound}", "composition", bound,
+                composed_w == bounded_language(result.composed, bound).words,
+                args.json)
+    else:  # supervisors
+        s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk)
+        _write_generator(out, "s_k", s_k, args.json)
+        _write_generator(out, "s_1", s_1, args.json)
+        _write_generator(out, "s_2", s_2, args.json)
     return 0 if oracle_ok else 1
 
 
-def cmd_compose(args) -> int:
-    project = load_project(args.project)
-    parts = [_lookup(project, name) for name in args.names]
-    result = parts[0]
-    for g in parts[1:]:
-        result = sync_product(result, g)
-    name = "+".join(args.names)
+def _write_result(args, result: Generator, name: str) -> int:
+    """Write ``result`` to ``args.out`` as generator ``name`` and say so."""
     Path(args.out).write_text(generator_to_text(result, name),
                               encoding="utf-8")
     emit_note(f"wrote {args.out} ({result.num_states} states, "
@@ -500,17 +472,19 @@ def cmd_compose(args) -> int:
     return 0
 
 
+def cmd_compose(args) -> int:
+    project = load_project(args.project)
+    parts = [_lookup(project, name) for name in args.names]
+    result = parts[0]
+    for g in parts[1:]:
+        result = sync_product(result, g)
+    return _write_result(args, result, "+".join(args.names))
+
+
 def cmd_project(args) -> int:
     project = load_project(args.project)
     g = _lookup(project, args.name)
-    result = project_generator(g, args.events)
-    Path(args.out).write_text(
-        generator_to_text(result, args.name), encoding="utf-8")
-    emit_note(f"wrote {args.out} ({result.num_states} states, "
-              f"{result.num_transitions} transitions)",
-              args.json, path=args.out, states=result.num_states,
-              transitions=result.num_transitions)
-    return 0
+    return _write_result(args, project_generator(g, args.events), args.name)
 
 
 def cmd_info(args) -> int:
@@ -623,11 +597,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except PreconditionError as exc:
-        if exc.report is not None:
-            emit_report(f"precondition: {exc}", exc.report,
-                        getattr(args, "json", False))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        emit_report(f"precondition: {exc}", exc.report, args.json)
         return 1
     except (DescoordError, OSError) as exc:
         # OSError: an output path that cannot be written.

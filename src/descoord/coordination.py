@@ -17,7 +17,7 @@ from .automata import (
     search,
     union_alphabets,
 )
-from .errors import AlphabetMismatchError, PreconditionError
+from .errors import AlphabetMismatchError, PreconditionError, ValidationError
 from .language import (
     CoordinationScheme,
     SubsetConstruction,
@@ -67,6 +67,11 @@ class SynthesisResult:
     sup_2k: Generator
     composed: Generator
     certified: bool = True
+
+
+def _require(report: PropertyReport, what: str) -> None:
+    if not report.holds:
+        raise PreconditionError(what, report)
 
 
 def _check_spec_alphabet(k: Generator, scheme: CoordinationScheme) -> None:
@@ -175,11 +180,8 @@ def _decomposable(k: Generator, parts) -> PropertyReport:
 def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
                                gk: Generator) -> None:
     plant = sync_product(sync_product(g1, g2), gk)
-    inclusion = language_subset(k, plant)
-    if not inclusion.holds:
-        raise PreconditionError(
-            "specification is not contained in the plant language", inclusion
-        )
+    _require(language_subset(k, plant),
+             "specification is not contained in the plant language")
 
 
 def is_conditionally_controllable(
@@ -237,17 +239,13 @@ def synthesize_supervisors(
     exactly to K (the coordinator loop is P_k(K), and each local loop over
     G_i ∥ (S_k/G_k) is P_{i+k}(K))."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
-    independent = conditionally_independent(g1, g2, gk)
-    if not independent.holds:
-        raise PreconditionError("subsystems are not conditionally "
-                                "independent given the coordinator",
-                                independent)
+    _require(conditionally_independent(g1, g2, gk),
+             "subsystems are not conditionally independent given the "
+             "coordinator")
     _check_spec_alphabet(k, scheme)
     parts = _projected_parts(k, scheme)
-    decomposable = _decomposable(k, parts)
-    if not decomposable.holds:
-        raise PreconditionError("specification is not conditionally "
-                                "decomposable", decomposable)
+    _require(_decomposable(k, parts),
+             "specification is not conditionally decomposable")
     _require_spec_within_plant(k, g1, g2, gk)
     supervisors = _generators(parts)
     report = _conditionally_controllable(g1, g2, gk, scheme, supervisors)
@@ -257,56 +255,29 @@ def synthesize_supervisors(
     return supervisors
 
 
-def _lifted_subsystems(g1: Generator, g2: Generator, ek: Alphabet):
-    """For i = 1, 2: i and the inverse image of L(G_i) in E_{i+k}*."""
-    return [(i, inverse_project(g, union_alphabets(g.alphabet, ek)))
-            for i, g in enumerate((g1, g2), 1)]
-
-
-def _observer(i: int, lifted: Generator, ek: Alphabet):
-    return f"observer(subsystem {i})", is_observer(lifted, ek.events)
-
-
-def _occ(i: int, lifted: Generator, ek: Alphabet):
-    return (f"occ(subsystem {i})",
-            is_occ(lifted, ek.events, lifted.alphabet.uncontrollable))
-
-
-def observer_reports(g1: Generator, g2: Generator, ek: Alphabet):
-    """The observer halves of ``observer_occ_reports``."""
-    return [_observer(i, lifted, ek)
-            for i, lifted in _lifted_subsystems(g1, g2, ek)]
-
-
-def occ_reports(g1: Generator, g2: Generator, ek: Alphabet):
-    """The OCC halves of ``observer_occ_reports``."""
-    return [_occ(i, lifted, ek)
-            for i, lifted in _lifted_subsystems(g1, g2, ek)]
-
-
-def observer_occ_reports(g1: Generator, g2: Generator, ek: Alphabet):
+def observer_occ_reports(g1: Generator, g2: Generator, ek: Alphabet,
+                         checks=("observer", "occ")):
     """The distributed-synthesis preconditions: for i = 1, 2 the projection
     from E_{i+k} = E_i ∪ E_k to E_k must be an observer for, and output
     control consistent for, the inverse image of L(G_i) in E_{i+k}*, which
-    is built once for both checks.  Returns ``(name, report)`` pairs in the
-    order observer 1, OCC 1, observer 2, OCC 2."""
-    return [pair for i, lifted in _lifted_subsystems(g1, g2, ek)
-            for pair in (_observer(i, lifted, ek), _occ(i, lifted, ek))]
-
-
-def _certify_preconditions(k: Generator, parts, g1: Generator,
-                           g2: Generator, ek: Alphabet, force: bool) -> bool:
-    decomposable = _decomposable(k, parts)
-    if not decomposable.holds:
-        raise PreconditionError("specification is not conditionally "
-                                "decomposable", decomposable)
-    certified = True
-    for name, report in observer_occ_reports(g1, g2, ek):
-        if not report.holds:
-            if not force:
-                raise PreconditionError(f"{name} precondition failed", report)
-            certified = False
-    return certified
+    is built once for both checks.  ``checks`` names the checks to run,
+    ``"observer"`` and/or ``"occ"``; another name is a ``ValidationError``.
+    Returns ``(name, report)`` pairs in the order observer 1, OCC 1,
+    observer 2, OCC 2, less the checks not run."""
+    unknown = set(checks) - {"observer", "occ"}
+    if unknown:
+        raise ValidationError(f"unknown checks: {sorted(unknown)}")
+    reports = []
+    for i, g in enumerate((g1, g2), 1):
+        lifted = inverse_project(g, union_alphabets(g.alphabet, ek))
+        if "observer" in checks:
+            reports.append((f"observer(subsystem {i})",
+                            is_observer(lifted, ek.events)))
+        if "occ" in checks:
+            reports.append((f"occ(subsystem {i})",
+                            is_occ(lifted, ek.events,
+                                   lifted.alphabet.uncontrollable)))
+    return reports
 
 
 def sup_cc(
@@ -334,7 +305,13 @@ def sup_cc(
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     parts = _projected_parts(k, scheme)
-    certified = _certify_preconditions(k, parts, g1, g2, scheme.ek, force)
+    _require(_decomposable(k, parts),
+             "specification is not conditionally decomposable")
+    reports = observer_occ_reports(g1, g2, scheme.ek)
+    if not force:
+        for name, report in reports:
+            _require(report, f"{name} precondition failed")
+    certified = all(report.holds for _, report in reports)
     pk, p1k, p2k = _generators(parts)
 
     full = scheme.full

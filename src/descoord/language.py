@@ -231,33 +231,3 @@ def language_equal(g1: Generator, g2: Generator) -> PropertyReport:
     word, side = min(witnesses, key=lambda w: (len(w[0]), w[0]))
     return PropertyReport(False, word, f"word is in the {side}")
 
-
-def language_union(g1: Generator, g2: Generator) -> Generator:
-    """Generator of L(G1) ∪ L(G2) (same alphabet required).  Built on the
-    product of the completed automata; a product state survives while either
-    component is alive."""
-    _require_same_alphabet(g1, g2, "language_union")
-    if g1.recognizes_empty_language:
-        return g2
-    if g2.recognizes_empty_language:
-        return g1
-    alphabet = g1.alphabet
-    DEAD = -1
-    rows1, rows2 = g1.rows, g2.rows
-    events = alphabet.sorted_events
-
-    def successors(pair):
-        q1, q2 = pair
-        row1 = rows1[q1] if q1 != DEAD else {}
-        row2 = rows2[q2] if q2 != DEAD else {}
-        out = []
-        for event in events:
-            if event in row1:
-                out.append((event, (row1[event],
-                                    row2[event] if event in row2 else DEAD)))
-            elif event in row2:
-                out.append((event, (DEAD, row2[event])))
-        return out
-
-    nodes, rows, _ = search((g1.initial, g2.initial), successors)
-    return Generator(alphabet, tuple(nodes), rows, 0)

@@ -25,7 +25,6 @@ from descoord import (
     is_occ,
     language_equal,
     language_subset,
-    language_union,
     observer_occ_reports,
     project,
     sup_c,
@@ -51,6 +50,7 @@ from helpers import (
     collect_instances,
     distributed_instance,
     is_prefix_closed,
+    language_union,
     random_controllable,
     random_generator,
     sub_automaton,

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
+    ConditionalControllabilityReport,
+    ControllabilityConflictError,
     DeterminismError,
-    Generator,
+    PropertyReport,
+    SynthesisResult,
     ValidationError,
     empty_generator,
     format_word,
@@ -20,6 +23,7 @@ from descoord import (
     reachable_events,
     shortest_words,
     sync_product,
+    union_alphabets,
     universal_generator,
 )
 from descoord.oracle import bounded_language
@@ -98,9 +102,39 @@ def test_generators_are_immutable(cell):
     g = cell.g1
     with pytest.raises(TypeError):
         g.rows[0]["x"] = 0
-    for field in dataclasses.fields(Generator):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(g, field.name, getattr(g, field.name))
+    report = PropertyReport(True)
+    for value in (g, cell.e1, report,
+                  ConditionalControllabilityReport(report, report, report),
+                  SynthesisResult(g, g, g, g), cell.scheme):
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+
+
+ALPHABETS = st.lists(
+    st.dictionaries(st.sampled_from("abcde"), st.booleans()).map(
+        lambda flags: Alphabet(flags, {e for e, c in flags.items() if c})),
+    min_size=1, max_size=4)
+
+
+@given(ALPHABETS, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_union_alphabets_raises_exactly_on_a_conflict(alphabets, rng):
+    conflicts = sorted({event for a in alphabets for b in alphabets
+                        for event in a.controllable & b.uncontrollable})
+    if conflicts:
+        with pytest.raises(ControllabilityConflictError) as info:
+            union_alphabets(*alphabets)
+        assert str(info.value) == (f"events {conflicts} are controllable in "
+                                   f"one alphabet and uncontrollable in "
+                                   f"another")
+        return
+    union = union_alphabets(*alphabets)
+    assert union.events == set().union(*(a.events for a in alphabets))
+    assert union.controllable == set().union(*(a.controllable
+                                               for a in alphabets))
+    rng.shuffle(alphabets)
+    assert union_alphabets(*alphabets) == union
 
 
 def test_read_api_agrees_with_the_rows(cell):

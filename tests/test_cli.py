@@ -512,6 +512,12 @@ EK = "coordination 'ek' must be \"auto\" or a list of event names"
         id="g1-as-list"),
     pytest.param(("coordination", "ek"), 5, EK, id="ek-as-number"),
     pytest.param(("coordination", "ek"), "ab", EK, id="ek-as-string"),
+    pytest.param(("coordination", "ek"), ["zz"],
+                 "ek lists unknown events: ['zz']",
+                 id="ek-lists-unknown-events"),
+    pytest.param(("coordination", "ek"), ["a1", "a2", "u"],
+                 "shared events ['c'] are outside the coordinator event set",
+                 id="ek-leaves-a-shared-event-out"),
     pytest.param(("generators",), "g.json",
                  "{p}: project needs a 'generators' list",
                  id="generators-as-string"),

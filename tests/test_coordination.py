@@ -23,7 +23,6 @@ from descoord import (
     is_controllable,
     language_equal,
     language_subset,
-    language_union,
     project,
     suggest_coordinator_events,
     sup_c,
@@ -43,6 +42,7 @@ from helpers import (
     counted_rows,
     distributed_instance,
     lang,
+    language_union,
     mixed_instance,
     random_generator,
     reference_conditionally_controllable,

@@ -17,7 +17,6 @@ from descoord import (
     inverse_project,
     language_equal,
     language_subset,
-    language_union,
     membership,
     project,
     sync_product,
@@ -31,6 +30,7 @@ from helpers import (
     generators,
     is_prefix_closed,
     lang,
+    language_union,
     random_controllable,
     random_generator,
     sub_automaton,

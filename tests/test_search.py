@@ -18,7 +18,6 @@ from descoord import (
     is_admissible,
     is_controllable,
     language_subset,
-    language_union,
     make_generator,
     project,
     shortest_words,
@@ -35,6 +34,7 @@ from descoord.oracle import bounded_language, brute_product, erase
 from helpers import (
     buffered_line,
     generators,
+    language_union,
     random_generator,
     reference_is_admissible,
     reference_is_controllable,

@@ -84,6 +84,14 @@ def test_observer_occ_reports_lift_each_subsystem_once(cell, monkeypatch):
     assert lifted == {cell.g1: 1, cell.g2: 1}
 
 
+def test_observer_occ_reports_run_only_the_named_checks(cell):
+    names = [name for name, _ in
+             observer_occ_reports(cell.g1, cell.g2, cell.ek, ("occ",))]
+    assert names == ["occ(subsystem 1)", "occ(subsystem 2)"]
+    with pytest.raises(ValidationError, match="unknown checks"):
+        observer_occ_reports(cell.g1, cell.g2, cell.ek, "occ")
+
+
 def test_occ_holds_for_the_chosen_coordinator_alphabet(cell):
     occ_reports = [rep for name, rep in
                    observer_occ_reports(cell.g1, cell.g2, cell.ek)

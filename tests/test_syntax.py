@@ -1,7 +1,7 @@
 """Static checks on the source tree.  pyproject.toml admits Python 3.10:
 every source, test and benchmark file must parse with the 3.10 grammar,
 whichever interpreter runs the suite.  No package module may import a name
-it never uses."""
+it never uses, and the package exports exactly the names it imports."""
 
 import ast
 from pathlib import Path
@@ -49,6 +49,20 @@ def test_no_package_module_imports_a_name_it_never_uses():
                 for unused in unused_imports(ast.parse(path.read_text(
                     encoding="utf-8")))]
     assert not failures, failures
+
+
+def test_the_package_exports_exactly_the_names_it_imports():
+    # The guard above exempts ``__init__.py``; its imports are checked here
+    # against ``__all__``, so that a removed name leaves no stale export.
+    import descoord
+
+    tree = ast.parse((ROOT / "src" / "descoord" / "__init__.py").read_text(
+        encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(descoord.__all__) == sorted(imported)
+    assert [name for name in descoord.__all__
+            if not hasattr(descoord, name)] == []
 
 
 def test_the_import_guard_sees_an_unused_name():
