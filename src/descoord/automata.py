@@ -1,5 +1,6 @@
 """Deterministic generators with partial transition functions, and the
-breadth-first search kernel that the engine's state-space walks run on.
+three kernels that the engine's state-space walks run on: a breadth-first
+search, a pair walk over two row tables, and a backward reachability pass.
 
 A generator recognizes the prefix-closed language of all words along which
 its transition function stays defined; there is no marking.  The empty
@@ -157,11 +158,14 @@ class Generator:
         return self.rows[state].get(event)
 
     def run(self, word: Iterable[str]) -> int | None:
-        """Extended transition function: the state after ``word``, or None."""
-        state: int | None = self.initial
+        """Extended transition function: the state after ``word``, or None.
+        Every event of the word is validated, also after the run dies."""
+        word = tuple(word)
         for event in word:
             if event not in self.alphabet.events:
                 raise ValidationError(f"event {event!r} not in the alphabet")
+        state: int | None = self.initial
+        for event in word:
             state = self.rows[state].get(event)
             if state is None:
                 return None
@@ -182,10 +186,8 @@ def search(start, successors):
     lexicographically, and the node order is the canonical state order of a
     generator built from the rows.
 
-    Callers may rely on two more things: ``successors`` is called exactly
-    once per node, in discovery order (so its i-th call is on node i, and
-    it can record facts about node i as it goes), and nothing after a
-    ``None`` target is read (so a walk may stop building its list there)."""
+    Callers may rely on one more thing: nothing after a ``None`` target is
+    read, so a walk may stop building its list there."""
     nodes = [start]
     ids = {start: 0}
     parents: list[tuple[int, str]] = [(0, "")]
@@ -226,6 +228,25 @@ def intersect(a_start, a_rows, b_start, b_rows, refused=frozenset()):
         return out
 
     return search((a_start, b_start), successors)
+
+
+def backward(rows, events, sources) -> set[int]:
+    """The nodes of the row table ``rows`` from which a path over
+    ``events`` reaches a node of ``sources``, the sources included: one
+    pass over the predecessor lists, so each node and edge is visited once."""
+    predecessors: list[list[int]] = [[] for _ in rows]
+    for node, row in enumerate(rows):
+        for event, target in row.items():
+            if event in events:
+                predecessors[target].append(node)
+    reached = set(sources)
+    worklist = list(reached)
+    while worklist:
+        for node in predecessors[worklist.pop()]:
+            if node not in reached:
+                reached.add(node)
+                worklist.append(node)
+    return reached
 
 
 def _canonicalize(
@@ -332,18 +353,11 @@ def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
 
 def membership(g: Generator, word: Iterable[str]) -> bool:
     """True iff the word is in L(G), i.e. the run stays defined."""
-    if g.recognizes_empty_language:
-        for event in word:
-            if event not in g.alphabet.events:
-                raise ValidationError(f"event {event!r} not in the alphabet")
-        return False
-    return g.run(word) is not None
+    return g.run(word) is not None and not g.recognizes_empty_language
 
 
 def reachable_events(g: Generator) -> frozenset[str]:
     """Events occurring on transitions of G (every state is reachable)."""
-    if g.recognizes_empty_language:
-        return frozenset()
     return frozenset().union(*g.rows)
 
 

@@ -355,14 +355,14 @@ def cmd_check(args) -> int:
         eu = scheme.full.uncontrollable
         report = is_controllable(k, plant, eu)
         reports.append(("controllability", report))
-        if args.oracle_bound:
+        if args.oracle_bound is not None:
             oracle_jobs.append(lambda: _oracle_controllability(
                 k, plant, eu, report, args.oracle_bound, args.json))
     elif args.which == "conddec":
         report = (conditionally_decomposable(k, scheme)
                   if decomposable is None else decomposable)
         reports.append(("conditional decomposability", report))
-        if args.oracle_bound:
+        if args.oracle_bound is not None:
             oracle_jobs.append(lambda: _oracle_conddec(
                 k, scheme, report, args.oracle_bound, args.json))
     elif args.which == "condindep":
@@ -418,16 +418,17 @@ def cmd_synth(args) -> int:
         plant = sync_product(sync_product(g1, g2), gk)
         result = sup_c(k, plant, scheme.full.uncontrollable)
         _write_generator(out, "supc", result, args.json)
-        if args.oracle_bound:
+        if args.oracle_bound is not None:
             bound = args.oracle_bound
             expected = brute_sup_c(
                 bounded_language(k, bound).words,
                 bounded_language(plant, bound).words,
                 scheme.full.uncontrollable, bound)
-            got = bounded_language(result, max(bound - 2, 0)).words
-            expected = {w for w in expected if len(w) <= bound - 2}
+            depth = max(bound - 2, 0)
+            got = bounded_language(result, depth).words
+            expected = {w for w in expected if len(w) <= depth}
             oracle_ok = _oracle_note(
-                f"supC at bound {bound} (compared at {bound - 2})", "supc",
+                f"supC at bound {bound} (compared at {depth})", "supc",
                 bound, got == expected, args.json)
     elif args.mode == "supcc":
         result = sup_cc(k, g1, g2, gk, force=args.force)
@@ -438,7 +439,7 @@ def cmd_synth(args) -> int:
         emit_note(
             f"certified supremal: {'yes' if result.certified else 'no'}",
             args.json, certified=result.certified)
-        if args.oracle_bound:
+        if args.oracle_bound is not None:
             bound = args.oracle_bound
             left = brute_product(
                 bounded_language(result.sup_k, bound).words,
@@ -549,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a property check")
     p_check.add_argument("which", choices=CHECKS)
     common(p_check)
-    p_check.add_argument("--oracle-bound", type=_bound, default=0,
+    p_check.add_argument("--oracle-bound", type=_bound, default=None,
                          help="also verify against the brute-force oracle "
                               "at this word-length bound")
 
@@ -561,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--force", action="store_true",
                          help="compute even when observer/OCC preconditions "
                               "fail (result marked uncertified)")
-    p_synth.add_argument("--oracle-bound", type=_bound, default=0)
+    p_synth.add_argument("--oracle-bound", type=_bound, default=None)
 
     p_compose = sub.add_parser("compose",
                                help="synchronous product of named generators")

@@ -4,7 +4,7 @@ supremal-synthesis procedure in ``coordination``."""
 
 from collections.abc import Iterable
 
-from .automata import Generator, PropertyReport, search
+from .automata import Generator, PropertyReport, backward, search
 from .language import SubsetConstruction
 
 
@@ -20,33 +20,24 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
     (E \\ E_k)* · e.  The counterexample encodes (s, e) as the word s·e.
 
     The target events reachable through hidden events from each state of G
-    are found first, backwards, in time linear in the size of G per target
-    event; the walk then visits each reachable pair once.  On a chain of n
-    states joined by hidden events both are linear in n."""
+    are found first, by one ``backward`` pass over the hidden edges per
+    target event, in time linear in the size of G; the walk then visits
+    each reachable pair once.  On a chain of n states joined by hidden
+    events both are linear in n."""
     target = g.alphabet.restrict(events).events
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
     hidden = g.alphabet.events - target
     det = SubsetConstruction(g, target)
 
-    # Per state of G: target events enabled somewhere in its hidden closure.
-    # Each event spreads backwards along hidden edges from the states that
-    # enable it, so every state and edge is visited once per target event.
+    # Per state of G: target events enabled somewhere in its hidden closure,
+    # one backward pass along hidden edges per target event.
     matchable: list[set[str]] = [set() for _ in g.states]
-    hidden_sources: list[list[int]] = [[] for _ in g.states]
-    for state, row in enumerate(g.rows):
-        for event, nxt in row.items():
-            if event in hidden:
-                hidden_sources[nxt].append(state)
-            else:
-                matchable[state].add(event)
     for event in target:
-        worklist = [q for q in g.states if event in matchable[q]]
-        while worklist:
-            for source in hidden_sources[worklist.pop()]:
-                if event not in matchable[source]:
-                    matchable[source].add(event)
-                    worklist.append(source)
+        for state in backward(g.rows, hidden,
+                              [q for q, row in enumerate(g.rows)
+                               if event in row]):
+            matchable[state].add(event)
 
     rows = g.rows
     moves = [(event, event in hidden) for event in g.alphabet.sorted_events]

@@ -6,11 +6,10 @@ computation a plain delete-and-retrim fixpoint on the product automaton:
 no marking or nonblocking trimming is involved.
 """
 
-from itertools import count
-
 from .automata import (
     Generator,
     PropertyReport,
+    backward,
     empty_generator,
     intersect,
     search,
@@ -57,53 +56,26 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
     is deleted where L enables an uncontrollable event that K does not, or
     where an uncontrollable event leads to a deleted state.
 
-    One search builds the product and, expanding each node, notes whether
-    it violates.  When none does, the product is the result.  Otherwise
-    deletion runs once, backwards along uncontrollable edges from the
-    violating nodes, and a second search keeps the part still reachable
-    through surviving states, numbered in its own discovery order.  K ⊆ L
-    is not required; the product construction intersects implicitly."""
+    The product is one ``intersect`` walk of K against L.  A node (q_K, q_L)
+    violates when an event of E_u missing from q_K's row is in q_L's row.
+    When none does, the product is the result.  Otherwise the deleted
+    states are those that reach a violating node along uncontrollable
+    edges, one ``backward`` pass, and a second search keeps the part still
+    reachable through surviving states, numbered in its own discovery
+    order.  K ⊆ L is not required; the product intersects implicitly."""
     eu = _check_controllability_args(k, l, eu)
     alphabet = k.alphabet
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return empty_generator(alphabet)
-    rows_k, rows_l = k.rows, l.rows
-    # ``search`` expands each node once, in discovery order, so the i-th
-    # call of ``product`` is on node i.
-    expanded = count()
-    violating: list[int] = []
-
-    def product(pair):
-        qk, ql = pair
-        row_k = rows_k[qk]
-        out = []
-        violates = False
-        for event, tl in rows_l[ql].items():
-            if event in row_k:
-                out.append((event, (row_k[event], tl)))
-            elif event in eu:
-                violates = True
-        index = next(expanded)
-        if violates:
-            violating.append(index)
-        return out
-
-    pairs, rows, _ = search((k.initial, l.initial), product)
+    lacks = [eu.difference(row) for row in k.rows]
+    enabled = [eu.intersection(row) for row in l.rows]
+    pairs, rows, _ = intersect(k.initial, k.rows, l.initial, l.rows)
+    violating = [node for node, (qk, ql) in enumerate(pairs)
+                 if not lacks[qk].isdisjoint(enabled[ql])]
     if not violating:
         return Generator(alphabet, tuple(pairs), rows, 0)
 
-    predecessors: dict[int, list[int]] = {}
-    for node, row in enumerate(rows):
-        for event, target in row.items():
-            if event in eu:
-                predecessors.setdefault(target, []).append(node)
-    deleted = set(violating)
-    worklist = violating
-    while worklist:
-        for node in predecessors.get(worklist.pop(), ()):
-            if node not in deleted:
-                deleted.add(node)
-                worklist.append(node)
+    deleted = backward(rows, eu, violating)
     if 0 in deleted:
         return empty_generator(alphabet)
 

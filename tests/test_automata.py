@@ -170,6 +170,19 @@ def test_membership_examples(cell):
         membership(cell.g1, ("not-an-event",))
 
 
+@pytest.mark.parametrize("word", [("zz",), ("a", "zz"), ("b", "zz"),
+                                  ("a", "a", "zz"), ("zz", "a")])
+def test_an_unknown_event_anywhere_in_a_word_raises(word):
+    # The run of ("b", "zz") dies on b in the first two generators, and
+    # every run dies at once in the empty one; the word is invalid anyway.
+    for g in (lang(AB, "a"), make_generator(["q"], AB, [], "q"),
+              empty_generator(AB), universal_generator(AB)):
+        with pytest.raises(ValidationError, match="'zz' not in the alphabet"):
+            membership(g, word)
+        with pytest.raises(ValidationError, match="'zz' not in the alphabet"):
+            g.run(iter(word))
+
+
 def test_empty_generator():
     g = empty_generator(AB)
     assert g.recognizes_empty_language

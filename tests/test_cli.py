@@ -402,6 +402,22 @@ def test_oracle_bound_flags(tmp_path, cell, capsys):
     assert "consistent" in output
 
 
+@pytest.mark.parametrize("bound", ["0", "1"])
+@pytest.mark.parametrize("argv", [["check", "controllability"],
+                                  ["check", "conddec"],
+                                  ["synth", "supc"], ["synth", "supcc"]],
+                         ids="-".join)
+def test_oracle_bounds_0_and_1_run_a_consistent_oracle(tmp_path, cell, capsys,
+                                                       argv, bound):
+    project = write_project(tmp_path, cell)
+    out = ["-o", str(tmp_path / "out")] if argv[0] == "synth" else []
+    main([*argv, "-p", str(project), *out, "--oracle-bound", bound])
+    oracle_lines = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("[ORACLE]")]
+    assert len(oracle_lines) == 1, oracle_lines
+    assert oracle_lines[0].endswith(": consistent"), oracle_lines
+
+
 def test_negative_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
     project = write_project(tmp_path, cell)
     for argv in (["check", "conddec"],

@@ -1,7 +1,8 @@
-"""Invariants of the breadth-first search kernel that every state-space
-walk runs on: constructions come out in canonical state order with
-read-only, sorted rows, and the counterexamples of the checks are the
-shortest-then-lexicographic violating words of their definitions."""
+"""Invariants of the kernels that every state-space walk runs on:
+constructions come out in canonical state order with read-only, sorted
+rows, the counterexamples of the checks are the shortest-then-lexicographic
+violating words of their definitions, and the backward pass finds exactly
+the nodes that reach its sources."""
 
 import random
 from collections import Counter
@@ -28,7 +29,7 @@ from descoord import (
     widen_alphabet,
 )
 from descoord import synthesis
-from descoord.automata import search
+from descoord.automata import backward, intersect, search
 from descoord.oracle import bounded_language, brute_product, erase
 
 from helpers import (
@@ -180,32 +181,73 @@ def test_sup_c_agrees_with_the_route_it_replaced():
 
 def test_sup_c_searches_the_product_once_unless_a_survivor_is_renumbered(
         monkeypatch):
-    searches = []
+    walks, searches = [], []
 
-    def counted(start, successors):
-        searches.append(start)
-        return search(start, successors)
+    def counted(calls, kernel):
+        def wrapper(*args):
+            calls.append(args[0])
+            return kernel(*args)
+        return wrapper
 
-    monkeypatch.setattr(synthesis, "search", counted)
+    monkeypatch.setattr(synthesis, "intersect", counted(walks, intersect))
+    monkeypatch.setattr(synthesis, "search", counted(searches, search))
 
     def count(k, l, eu):
+        walks.clear()
         searches.clear()
         result = sup_c(k, l, eu)
+        assert len(walks) == 1
         return len(searches), result
 
     # Nothing violates: the product is the result.
     spec, g1, g2 = buffered_line(6, 3, 3)
     eu = spec.alphabet.uncontrollable
-    assert count(spec, spec, eu)[0] == 1
+    assert count(spec, spec, eu)[0] == 0
     # The full buffer blocks the uncontrollable b1 deep in the product:
-    # one more search, for the survivors.
+    # one search, for the survivors.
     n, result = count(spec, sync_product(g1, g2), eu)
-    assert (n, result.num_states < spec.num_states) == (2, True)
-    # The initial state violates: nothing survives, no second search.
+    assert (n, result.num_states < spec.num_states) == (1, True)
+    # The initial state violates: nothing survives, no search.
     alphabet = Alphabet({"a", "u"}, {"a"})
     n, result = count(from_words(alphabet, ["a"]),
                       from_words(alphabet, ["a", "u"]), {"u"})
-    assert (n, result.recognizes_empty_language) == (1, True)
+    assert (n, result.recognizes_empty_language) == (0, True)
+
+
+def naive_backward(rows, events, sources) -> set[int]:
+    """Nodes reaching ``sources`` over ``events``, by growing the set until
+    no row adds a node."""
+    reached = set(sources)
+    grown = True
+    while grown:
+        grown = False
+        for node, row in enumerate(rows):
+            if node not in reached and any(
+                    row[event] in reached for event in events if event in row):
+                reached.add(node)
+                grown = True
+    return reached
+
+
+def test_backward_agrees_with_a_naive_fixpoint():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        rows = [{event: rng.randrange(n) for event in "abc"
+                 if rng.random() < 0.5} for _ in range(n)]
+        events = set(rng.sample("abc", rng.randint(0, 3)))
+        sources = rng.sample(range(n), rng.randint(0, min(n, 3)))
+        got = backward(rows, events, sources)
+        assert got == naive_backward(rows, events, sources)
+        seen["empty sources"] += not sources
+        seen["empty events"] += not events
+        seen["cycle"] += any(target in naive_backward(rows, events, [node])
+                             for node, row in enumerate(rows)
+                             for event, target in row.items()
+                             if event in events)
+        seen["grows"] += len(got) > len(sources)
+    assert min(seen.values()) >= 100 and len(seen) == 4, seen
 
 
 PAIR_POOL = Alphabet({"a", "b", "c", "d", "u", "v"}, {"a", "b", "c", "d"})

@@ -1,7 +1,8 @@
 """Static checks on the source tree.  pyproject.toml admits Python 3.10:
 every source, test and benchmark file must parse with the 3.10 grammar,
 whichever interpreter runs the suite.  No package module may import a name
-it never uses, and the package exports exactly the names it imports."""
+it never uses, the package exports exactly the names it imports, and every
+function, class and method of the package is read somewhere or exported."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,57 @@ def test_the_import_guard_sees_an_unused_name():
                      "from __future__ import annotations\n"
                      "print(os.sep, d)\n")
     assert unused_imports(tree) == ["2: b"]
+
+
+def dead_definitions(trees: dict[str, ast.Module],
+                     exported: set[str]) -> list[str]:
+    """Module-level functions and classes of ``trees``, and their classes'
+    non-dunder methods, that no tree reads by name (as a name, an
+    attribute or an imported name) and that are not ``exported``."""
+    defined = []
+    read = set(exported)
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (path, item.lineno, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{path}:{line}: {name}" for path, line, name in defined
+            if name.rpartition(".")[2] not in read]
+
+
+def test_every_package_definition_is_read_or_exported():
+    import descoord
+
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text(
+        encoding="utf-8")) for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert len(trees) > 5
+    assert dead_definitions(trees, set(descoord.__all__)) == []
+
+
+def test_the_definition_guard_sees_a_dead_function_and_method():
+    trees = {
+        "a.py": ast.parse("def used(): pass\n"
+                          "def dead(): pass\n"
+                          "def exported(): pass\n"
+                          "class Box:\n"
+                          "    def __init__(self): pass\n"
+                          "    def opened(self): pass\n"
+                          "    def unread(self): pass\n"),
+        "b.py": ast.parse("from a import Box, used\n"
+                          "used()\n"
+                          "Box().opened()\n"),
+    }
+    assert dead_definitions(trees, {"exported"}) == [
+        "a.py:2: dead", "a.py:7: Box.unread"]
