@@ -60,6 +60,7 @@ from .synthesis import is_controllable, sup_c
 CHECKS = ("controllability", "conddec", "condindep", "condctrl", "observer",
           "occ", "optimality")
 SYNTH_MODES = ("supc", "supcc", "supervisors")
+ORACLES = ("controllability", "conddec", "supc", "supcc")
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,8 @@ def _oracle_conddec(k, scheme, report, bound, json_mode) -> bool:
 # commands
 
 def cmd_check(args) -> int:
+    if args.oracle_bound is not None and args.which not in ORACLES:
+        raise DescoordError(f"check {args.which} has no oracle to bound")
     project = load_project(args.project)
     k, g1, g2, gk, scheme, decomposable = _resolve(project)
     reports: list[tuple[str, PropertyReport]] = []
@@ -408,6 +411,8 @@ def _write_generator(directory: Path, stem: str, g: Generator,
 
 
 def cmd_synth(args) -> int:
+    if args.oracle_bound is not None and args.mode not in ORACLES:
+        raise DescoordError(f"synth {args.mode} has no oracle to bound")
     project = load_project(args.project)
     k, g1, g2, gk, scheme = resolve_coordination(project)
     out = Path(args.out)

@@ -100,9 +100,9 @@ def conditionally_independent(g1: Generator, g2: Generator,
 
 def _projected_parts(k: Generator, scheme: CoordinationScheme):
     """The subset constructions of P_k(K), P_{1+k}(K) and P_{2+k}(K):
-    made once per public entry point and shared by every check and
-    synthesis step on its path, so a projection built after the
-    decomposability walk reuses the steps the walk took."""
+    made once per synthesis and shared by every step on its path, so a
+    projection built after the decomposability walk, which walks the last
+    two, reuses the steps the walk took."""
     return tuple(SubsetConstruction(k, target.events)
                  for target in (scheme.ek, scheme.e1k, scheme.e2k))
 
@@ -113,34 +113,35 @@ def _generators(parts) -> tuple[Generator, ...]:
 
 def conditionally_decomposable(k: Generator,
                                scheme: CoordinationScheme) -> PropertyReport:
-    """Does K equal the synchronous product of its projections onto
-    E_{1+k}, E_{2+k} and E_k?  K is always contained in that product, so a
-    counterexample is a word of the product outside K."""
+    """Does K equal P_{1+k}(K) ∥ P_{2+k}(K) ∥ P_k(K)?  K is always
+    contained in that product, so a counterexample is a word of the
+    product outside K.  The factor P_k(K) is implied and not built: as
+    E_k ⊆ E_{1+k}, P_{1+k}(w) = P_{1+k}(s) gives P_k(w) = P_k(s)."""
     _check_spec_alphabet(k, scheme)
-    return _decomposable(k, _projected_parts(k, scheme))
+    return _decomposable(k, SubsetConstruction(k, scheme.e1k.events),
+                         SubsetConstruction(k, scheme.e2k.events))
 
 
-def _decomposable(k: Generator, parts) -> PropertyReport:
-    """The inclusion P_{1+k}(K) ∥ P_{2+k}(K) ∥ P_k(K) ⊆ K, decided by one
-    breadth-first walk over nodes (x_{1+k}, x_{2+k}, x_k, q_K) that builds
-    no product: events are taken in sorted order, each subset construction
-    moves on its own events, and where all three move but K's row lacks
-    the event, the walk ends on that violation.  It is the shortest word of
+def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
+    """The inclusion P_{1+k}(K) ∥ P_{2+k}(K) ⊆ K, decided by one
+    breadth-first walk over nodes (x_{1+k}, x_{2+k}, q_K) that builds no
+    product: events are taken in sorted order, each subset construction
+    moves on its own events, and where both move but K's row lacks the
+    event, the walk ends on that violation.  It is the shortest word of
     the product outside K, ties broken lexicographically, as on the built
     product: both walks are breadth-first in sorted event order over nodes
     the word determines."""
-    pk, p1k, p2k = parts
     moves = [(event, event in p1k.alphabet.events,
-              event in p2k.alphabet.events, event in pk.alphabet.events)
+              event in p2k.alphabet.events)
              for event in k.alphabet.sorted_events]
     rows = k.rows
 
     def successors(node):
-        x1, x2, xk, q = node
-        row1, row2, rowk = p1k.row(x1), p2k.row(x2), pk.row(xk)
+        x1, x2, q = node
+        row1, row2 = p1k.row(x1), p2k.row(x2)
         row = rows[q]
         out = []
-        for event, in1, in2, ink in moves:
+        for event, in1, in2 in moves:
             if in1:
                 if event not in row1:
                     continue
@@ -153,20 +154,14 @@ def _decomposable(k: Generator, parts) -> PropertyReport:
                 t2 = row2[event]
             else:
                 t2 = x2
-            if ink:
-                if event not in rowk:
-                    continue
-                tk = rowk[event]
-            else:
-                tk = xk
             if event not in row:
                 out.append((event, None))
                 break
-            out.append((event, (t1, t2, tk, row[event])))
+            out.append((event, (t1, t2, row[event])))
         return out
 
     word = (None if k.recognizes_empty_language
-            else search((0, 0, 0, k.initial), successors)[2])
+            else search((0, 0, k.initial), successors)[2])
     if word is None:
         return PropertyReport(True, detail="specification is conditionally "
                                            "decomposable")
@@ -244,7 +239,7 @@ def synthesize_supervisors(
              "coordinator")
     _check_spec_alphabet(k, scheme)
     parts = _projected_parts(k, scheme)
-    _require(_decomposable(k, parts),
+    _require(_decomposable(k, *parts[1:]),
              "specification is not conditionally decomposable")
     _require_spec_within_plant(k, g1, g2, gk)
     supervisors = _generators(parts)
@@ -305,7 +300,7 @@ def sup_cc(
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     parts = _projected_parts(k, scheme)
-    _require(_decomposable(k, parts),
+    _require(_decomposable(k, *parts[1:]),
              "specification is not conditionally decomposable")
     reports = observer_occ_reports(g1, g2, scheme.ek)
     if not force:

@@ -110,7 +110,8 @@ class SubsetConstruction:
     first reached (the start subset is id 0).  A subset's row, its steps
     on every target event, is computed once, when a walk first expands
     the subset, and kept, so that walks over one construction share their
-    work and one that stops early leaves the rest unbuilt."""
+    work and one that stops early leaves the rest unbuilt.  Onto no events,
+    the one subset is all of G's states (each is reachable), with no step."""
 
     def __init__(self, g: Generator, events: Iterable[str]):
         self.g = g
@@ -121,13 +122,7 @@ class SubsetConstruction:
         self._rows: list[dict[str, int] | None] = []
         if g.recognizes_empty_language:
             return
-        if self.alphabet.events:
-            self._intern([g.initial])
-        else:
-            # Every event is hidden and every state of G reachable: the one
-            # subset is all of G's states, and no target event leaves it.
-            self.members.append(tuple(g.states))
-            self._rows.append({})
+        self._intern([g.initial])
 
     def _intern(self, states: list[int]) -> int:
         """The id of the hidden-event closure of ``states``."""

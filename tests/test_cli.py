@@ -449,6 +449,52 @@ def test_oracle_bound_beyond_the_word_limit_exits_2(tmp_path, capsys):
                    f"{oracle.MAX_WORDS} words; use a smaller bound\n")
 
 
+def write_line_project(tmp_path, ek):
+    """Write ``buffered_line(3, 2, 2)`` as a project with inline
+    generators, an automatic coordinator and ``ek``; returns its path."""
+    k, g1, g2 = buffered_line(3, 2, 2)
+    doc = {
+        "generators": [serialize_generator(g, name) for name, g in
+                       (("g1", g1), ("g2", g2), ("spec", k))],
+        "coordination": {"g1": "g1", "g2": "g2", "spec": "spec", "ek": ek},
+    }
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    return project
+
+
+@pytest.mark.parametrize("argv", [["check", "condindep"],
+                                  ["check", "condctrl"],
+                                  ["check", "observer"], ["check", "occ"],
+                                  ["check", "optimality"],
+                                  ["synth", "supervisors"]], ids="-".join)
+def test_oracle_bound_without_an_oracle_exits_2(tmp_path, capsys, argv):
+    project = write_line_project(tmp_path, ["a1", "a2", "b1", "b2"])
+    out = tmp_path / "out"
+    synth = ["-o", str(out)] if argv[0] == "synth" else []
+    assert main([*argv, "-p", str(project), *synth,
+                 "--oracle-bound", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {' '.join(argv)} has no oracle to bound\n"
+    assert not out.exists()
+
+
+def test_conddec_oracle_confirms_a_failing_verdict(tmp_path, capsys):
+    # With E_k = ∅ the line is not decomposable: a2 empties a buffer that
+    # starts empty.  The oracle builds all three factors of the product
+    # from the projections of K's words up to the bound, so it sees a2 in
+    # P_{2+k}(K) from bound 6 on: a1.t1.t1.t1.b1.a2 is its shortest witness.
+    project = write_line_project(tmp_path, [])
+    assert main(["check", "conddec", "-p", str(project),
+                 "--oracle-bound", "6"]) == 1
+    fail, note = capsys.readouterr().out.splitlines()
+    assert fail.startswith("[FAIL] conditional decomposability: "
+                           "counterexample=a2 ")
+    assert note == ("[ORACLE] conditional decomposability at bound 6: "
+                    "consistent")
+
+
 def test_auto_everything_project(tmp_path, cell):
     named = {"g1": cell.g1, "g2": cell.g2, "spec": cell.k}
     for name, g in named.items():

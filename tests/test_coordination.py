@@ -39,7 +39,6 @@ from descoord.oracle import bounded_language, brute_product, brute_project
 from helpers import (
     buffered_line,
     collect_instances,
-    counted_rows,
     distributed_instance,
     lang,
     language_union,
@@ -132,8 +131,7 @@ def test_decomposability_walk_stops_at_the_first_counterexample(monkeypatch):
     # With E_k = ∅ the buffered line fails on a2 (the buffer starts empty):
     # the walk expands the start node only, whatever the line's depth, so
     # it interns the start subsets of P_{1+k}(K) and P_{2+k}(K) and the
-    # steps on a1 and a2.  P_k(K) has one subset, all of K, known without
-    # a closure.
+    # steps on a1 and a2.  P_k(K), implied by the other two, is not built.
     interned = []
     intern = SubsetConstruction._intern
 
@@ -154,20 +152,73 @@ def test_decomposability_walk_stops_at_the_first_counterexample(monkeypatch):
     assert steps == [4, 4]
 
 
-def test_a_projection_onto_no_events_reads_no_row():
-    # The first E_k the coordinator-event search can try is ∅: the one
-    # subset of P_k(K) is all of K, and its row is empty without a look at
-    # K's rows, however large K is.
+def test_a_projection_onto_no_events_is_one_subset_with_no_step():
+    # Every event is hidden and every state of K reachable: the one subset
+    # is all of K's states, and no target event leaves it.
     k, _, _ = buffered_line(160, 3, 3)
-    counted, reads = counted_rows(k)
-    construction = SubsetConstruction(counted, ())
+    construction = SubsetConstruction(k, ())
     assert construction.row(0) == {}
     assert construction.members == [tuple(k.states)]
-    assert reads() == 0
-    projected = project(counted, ())
-    assert reads() == 0
+    projected = project(k, ())
     assert projected.labels == (tuple(k.states),)
     assert projected.rows == ({},)
+
+
+def test_decomposability_builds_no_projection_onto_e_k(monkeypatch):
+    # P_k(K) is implied by P_{1+k}(K) ∥ P_{2+k}(K), so each decision builds
+    # the subset constructions onto E_{1+k} and E_{2+k} only, on its own
+    # and in every step of the coordinator-event search.
+    built, decided = [], []
+
+    class Recorded(SubsetConstruction):
+        def __init__(self, g, events):
+            super().__init__(g, events)
+            built.append(self.alphabet.events)
+
+    decide = coordination.conditionally_decomposable
+
+    def recorded(k, scheme):
+        decided.append(scheme)
+        return decide(k, scheme)
+
+    monkeypatch.setattr(coordination, "SubsetConstruction", Recorded)
+    monkeypatch.setattr(coordination, "conditionally_decomposable", recorded)
+    k, g1, g2 = buffered_line(6, 2, 2)
+    for ek in ((), ("a1",), ("a1", "a2")):
+        recorded(k, CoordinationScheme(g1.alphabet, g2.alphabet,
+                                       k.alphabet.restrict(ek)))
+    ek, _ = suggest_coordinator_events(k, g1, g2)
+    assert len(decided) > 4 and decided[-1].ek == ek
+    assert built == [events for scheme in decided
+                     for events in (scheme.e1k.events, scheme.e2k.events)]
+
+
+def test_the_projection_onto_e_k_adds_nothing_to_the_product():
+    # E_k ⊆ E_{1+k}: if P_{1+k}(w) = P_{1+k}(s) with s in K, then
+    # P_k(w) = P_k(P_{1+k}(w)) = P_k(s) is in P_k(K).  Checked on built
+    # products, and on some seeds on bounded word sets too.
+    checked = 0
+    for seed in range(150):
+        rng = random.Random(f"identity/{seed}")
+        k, _, _, _, scheme = mixed_instance(rng)
+        kept = {e for e in sorted(scheme.full.events) if rng.random() < 0.5}
+        kept |= scheme.full.events - scheme.e1.events - scheme.e2.events
+        for ek in (scheme.ek, scheme.full.restrict(kept)):
+            other = CoordinationScheme(scheme.e1, scheme.e2, ek)
+            targets = (other.e1k.events, other.e2k.events, other.ek.events)
+            p1k, p2k, pk = (project(k, events) for events in targets)
+            two = sync_product(p1k, p2k)
+            assert language_equal(two, sync_product(two, pk)).holds, seed
+            if seed % 5:
+                continue
+            kw = bounded_language(k, 5).words
+            w1k, w2k, wk = (brute_project(kw, events) for events in targets)
+            two = brute_product(w1k, targets[0], w2k, targets[1], 5)
+            three = brute_product(two, targets[0] | targets[1], wk,
+                                  targets[2], 5)
+            assert two == three, seed
+            checked += 1
+    assert checked == 60
 
 
 # ---------------------------------------------------------------------------
