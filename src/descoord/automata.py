@@ -230,23 +230,27 @@ def intersect(a_start, a_rows, b_start, b_rows, refused=frozenset()):
     return search((a_start, b_start), successors)
 
 
-def backward(rows, events, sources) -> set[int]:
-    """The nodes of the row table ``rows`` from which a path over
-    ``events`` reaches a node of ``sources``, the sources included: one
-    pass over the predecessor lists, so each node and edge is visited once."""
+def backward(rows, events, *sources) -> list[set[int]]:
+    """For each collection of ``sources``, in order, the nodes of the row
+    table ``rows`` from which a path over ``events`` reaches one of its
+    nodes, the sources included.  The predecessor lists over ``events`` are
+    built once per call, reading each row once, and shared by all the
+    collections; each pass over them visits each node and edge once."""
     predecessors: list[list[int]] = [[] for _ in rows]
     for node, row in enumerate(rows):
         for event, target in row.items():
             if event in events:
                 predecessors[target].append(node)
-    reached = set(sources)
-    worklist = list(reached)
-    while worklist:
-        for node in predecessors[worklist.pop()]:
-            if node not in reached:
-                reached.add(node)
-                worklist.append(node)
-    return reached
+    out = []
+    for group in sources:
+        out.append(reached := set(group))
+        worklist = list(reached)
+        while worklist:
+            for node in predecessors[worklist.pop()]:
+                if node not in reached:
+                    reached.add(node)
+                    worklist.append(node)
+    return out
 
 
 def _canonicalize(

@@ -74,11 +74,6 @@ def erase(word: Word, target_events) -> Word:
     return tuple(event for event in word if event in target_events)
 
 
-def brute_project(words, target_events) -> frozenset[Word]:
-    """Image of a word set under the natural projection."""
-    return frozenset(erase(word, frozenset(target_events)) for word in words)
-
-
 def brute_product(ws1, e1, ws2, e2, n: int) -> frozenset[Word]:
     """Synchronous product on word sets: all words over E_1 ∪ E_2 of length
     at most n whose projections onto E_1 and E_2 lie in the operands.  Grown
@@ -111,15 +106,48 @@ def brute_product(ws1, e1, ws2, e2, n: int) -> frozenset[Word]:
     return frozenset(out)
 
 
+def bounded_projection(g: Generator, events, n: int) -> frozenset[Word]:
+    """Exactly {P(w) : w in L(G), |P(w)| <= n}, for the natural projection
+    P onto ``events``, whatever the length of w: a search over the pairs
+    (state of G, projected word), where a hidden event keeps the word and a
+    target event extends it up to length n.  Raises ``OracleBoundError``
+    when it reaches more than ``MAX_WORDS`` pairs."""
+    if n < 0:
+        raise ValueError("bound must be nonnegative")
+    if g.recognizes_empty_language:
+        return frozenset()
+    events = frozenset(events)
+    seen = {(g.initial, EPSILON)}
+    stack = list(seen)
+    while stack:
+        state, word = stack.pop()
+        for event, target in g.rows[state].items():
+            if event not in events:
+                pair = (target, word)
+            elif len(word) < n:
+                pair = (target, word + (event,))
+            else:
+                continue
+            if pair not in seen:
+                seen.add(pair)
+                if len(seen) > MAX_WORDS:
+                    raise _too_many(n)
+                stack.append(pair)
+    return frozenset(word for _, word in seen)
+
+
 def brute_sup_c(kw, lw, eu, n: int) -> frozenset[Word]:
     """Greatest fixpoint of controllability on bounded word sets: starting
     from K ∩ L, repeatedly delete any word with an uncontrollable
     continuation in L that has left the set, together with all its
     extensions.
 
-    Boundary caveat: agreement with the exact synthesis is only guaranteed
-    on words short enough that every relevant uncontrollable continuation is
-    visible within the bound; compare at bound n - 2."""
+    It brackets the exact supC on the words up to length n.  Given K's and
+    L's words up to n, it misses only the violations beyond the bound, so
+    supC ∩ E^{<=n} is a subset of its result.  Given L's words up to n + 1
+    instead, it also deletes every word of length n at which L enables an
+    uncontrollable event, and its result, a controllable sublanguage of K
+    ∩ L, is a subset of supC."""
     kw = frozenset(map(tuple, kw))
     lw = frozenset(map(tuple, lw))
     eu = sorted(frozenset(eu))

@@ -1,10 +1,12 @@
 """Decidable checks for the observer property and output control
 consistency (OCC) of a natural projection.  These gate the distributed
-supremal-synthesis procedure in ``coordination``."""
+supremal-synthesis procedure in ``coordination``.  Both run on the kernels
+of ``automata``: the observer check on one ``backward`` call and one
+``search``, the OCC check on one ``intersect`` walk."""
 
 from collections.abc import Iterable
 
-from .automata import Generator, PropertyReport, backward, search
+from .automata import Generator, PropertyReport, backward, intersect, search
 from .language import SubsetConstruction
 
 
@@ -16,30 +18,28 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
     u·e with u over hidden events must exist after s.  Decided on the
     reachable pairs (q, x) of a state of G and a subset of the projection's
     on-demand ``SubsetConstruction`` (left unfinished by a failing check):
-    each target event enabled at x must be matched from q by a path
+    each target event e enabled at x must be matched from q by a path
     (E \\ E_k)* · e.  The counterexample encodes (s, e) as the word s·e.
 
-    The target events reachable through hidden events from each state of G
-    are found first, by one ``backward`` pass over the hidden edges per
-    target event, in time linear in the size of G; the walk then visits
-    each reachable pair once.  On a chain of n states joined by hidden
-    events both are linear in n."""
+    The states that match e are found first, for every target event at
+    once: one pass over G's rows collects the states that enable each
+    target event, and one ``backward`` call over the hidden edges grows
+    each collection, building the predecessor lists once whatever the
+    number of target events.  The walk then visits each reachable pair
+    once.  On a chain of n states joined by hidden events both are linear
+    in n."""
     target = g.alphabet.restrict(events).events
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
     hidden = g.alphabet.events - target
     det = SubsetConstruction(g, target)
 
-    # Per state of G: target events enabled somewhere in its hidden closure,
-    # one backward pass along hidden edges per target event.
-    matchable: list[set[str]] = [set() for _ in g.states]
-    for event in target:
-        for state in backward(g.rows, hidden,
-                              [q for q, row in enumerate(g.rows)
-                               if event in row]):
-            matchable[state].add(event)
-
     rows = g.rows
+    sources: dict[str, list[int]] = {event: [] for event in target}
+    for q, row in enumerate(rows):
+        for event in target.intersection(row):
+            sources[event].append(q)
+    reach = dict(zip(sources, backward(rows, hidden, *sources.values())))
     moves = [(event, event in hidden) for event in g.alphabet.sorted_events]
 
     def successors(pair):
@@ -51,7 +51,7 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
                 if event in row:
                     out.append((event, (row[event], x)))
             elif event in det_row:
-                if event not in matchable[q]:
+                if q not in reach[event]:
                     out.append((event, None))
                     break
                 if event in row:
@@ -72,34 +72,25 @@ def is_occ(g: Generator, events: Iterable[str], eu) -> PropertyReport:
 
     A word violates OCC when the hidden segment since the last target event
     (or since the start of the word) contains a controllable event and the
-    next target event is uncontrollable.  Tracked with one dirty bit per
-    state, so hidden cycles need no unrolling; the counterexample is the
-    shortest full violating word."""
+    next target event is uncontrollable.  Decided by one ``intersect`` walk
+    of a two-state monitor over G's alphabet against G: state 0 is clean
+    and state 1 dirty; a controllable hidden event makes it dirty, an
+    uncontrollable hidden event keeps its state, a target event makes it
+    clean, and the dirty state refuses the uncontrollable target events.
+    Hidden cycles need no unrolling, and the walk expands G's rows in
+    order, so the counterexample is the shortest full violating word."""
     target = g.alphabet.restrict(events).events
     eu = g.alphabet.restrict(eu).events
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
 
-    rows = g.rows
-    # Per event: (is a target event, is uncontrollable).
-    kinds = {event: (event in target, event in eu)
-             for event in g.alphabet.events}
-
-    def successors(node):
-        q, dirty = node
-        out = []
-        for event, nxt in rows[q].items():
-            projected, uncontrollable = kinds[event]
-            if not projected:
-                out.append((event, (nxt, dirty or not uncontrollable)))
-            elif dirty and uncontrollable:
-                out.append((event, None))
-                break
-            else:
-                out.append((event, (nxt, False)))
-        return out
-
-    word = search((g.initial, False), successors)[2]
+    refused = target & eu
+    monitor = [{event: int(event not in target
+                           and (dirty or event not in eu))
+                for event in g.alphabet.events
+                if not (dirty and event in refused)}
+               for dirty in (0, 1)]
+    word = intersect(0, monitor, g.initial, g.rows, refused)[2]
     if word is not None:
         return PropertyReport(
             False, word,

@@ -75,7 +75,7 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
     if not violating:
         return Generator(alphabet, tuple(pairs), rows, 0)
 
-    deleted = backward(rows, eu, violating)
+    (deleted,) = backward(rows, eu, violating)
     if 0 in deleted:
         return empty_generator(alphabet)
 

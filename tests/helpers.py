@@ -34,6 +34,11 @@ from descoord.oracle import bounded_language, erase
 w = parse_word
 
 
+def brute_project(words, target_events) -> frozenset:
+    """Image of a word set under the natural projection, word by word."""
+    return frozenset(erase(word, frozenset(target_events)) for word in words)
+
+
 def lang(alphabet, *words):
     """Generator of the prefix closure of dotted word literals."""
     return from_words(alphabet, words)
@@ -344,6 +349,40 @@ def reference_is_observer(g: Generator, events):
             False, word,
             "projected continuation is not realizable after this word")
     return PropertyReport(True, detail="observer property holds")
+
+
+def reference_is_occ(g: Generator, events, eu):
+    """``is_occ`` by the route it used to take: a search over (state, dirty
+    bit) with its own successor function, in place of the walk against a
+    two-state monitor."""
+    target = g.alphabet.restrict(events).events
+    eu = g.alphabet.restrict(eu).events
+    if g.recognizes_empty_language:
+        return PropertyReport(True, detail="empty language")
+    kinds = {event: (event in target, event in eu)
+             for event in g.alphabet.events}
+
+    def successors(node):
+        q, dirty = node
+        out = []
+        for event, nxt in g.rows[q].items():
+            projected, uncontrollable = kinds[event]
+            if not projected:
+                out.append((event, (nxt, dirty or not uncontrollable)))
+            elif dirty and uncontrollable:
+                out.append((event, None))
+                break
+            else:
+                out.append((event, (nxt, False)))
+        return out
+
+    word = search((g.initial, False), successors)[2]
+    if word is not None:
+        return PropertyReport(
+            False, word,
+            "controllable hidden event precedes an uncontrollable projected "
+            "event")
+    return PropertyReport(True, detail="output control consistency holds")
 
 
 def reference_sup_c_deletions(k: Generator, l: Generator, eu):

@@ -39,7 +39,6 @@ from descoord.cli import generator_to_text, main, parse_generator
 from descoord.oracle import (
     bounded_language,
     brute_product,
-    brute_project,
     brute_sup_c,
     erase,
 )
@@ -47,6 +46,7 @@ from descoord.oracle import (
 from helpers import (
     bounded_observer_verdict,
     bounded_occ_verdict,
+    brute_project,
     collect_instances,
     distributed_instance,
     is_prefix_closed,
@@ -442,6 +442,7 @@ def _enumerate_words(events, length):
 
 def test_criterion_07_sup_c_oracle(announce):
     rng = random.Random(7001)
+    exact = 0
     for _ in range(200):
         names = ["a", "b", "u", "v"][: rng.randint(2, 4)]
         alpha = Alphabet(frozenset(names), random_controllable(rng, names))
@@ -452,8 +453,18 @@ def test_criterion_07_sup_c_oracle(announce):
         expected = brute_sup_c(bounded_language(k, 8).words,
                                bounded_language(plant, 8).words, eu, 8)
         assert bounded_language(result, 6).words == truncate(expected, 6)
+        # The two-sided check at bound 6, with no truncation: the fixpoint
+        # on L's words up to 7 is controllable, so it lies inside supC.
+        kw = bounded_language(k, 6).words
+        lw = bounded_language(plant, 7).words
+        low = brute_sup_c(kw, lw, eu, 6)
+        high = brute_sup_c(kw, truncate(lw, 6), eu, 6)
+        assert low <= bounded_language(result, 6).words <= high
+        exact += low == high
+    assert exact >= 100, exact
     announce("[acceptance 7] PASS supC equals the bounded oracle on 200 "
-             "instances (bound 8, compared at 6)")
+             "instances (bound 8, compared at 6) and lies between its "
+             f"two-sided bounds at 6 (equal on {exact})")
 
 
 # ---------------------------------------------------------------------------

@@ -482,17 +482,46 @@ def test_oracle_bound_without_an_oracle_exits_2(tmp_path, capsys, argv):
 
 def test_conddec_oracle_confirms_a_failing_verdict(tmp_path, capsys):
     # With E_k = ∅ the line is not decomposable: a2 empties a buffer that
-    # starts empty.  The oracle builds all three factors of the product
-    # from the projections of K's words up to the bound, so it sees a2 in
-    # P_{2+k}(K) from bound 6 on: a1.t1.t1.t1.b1.a2 is its shortest witness.
+    # starts empty.  The oracle projects K exactly up to the bound, so it
+    # sees a2 in P_{2+k}(K) at every bound from 1 on, although its shortest
+    # witness in K, a1.t1.t1.t1.b1.a2, is six events long: projecting only
+    # K's words up to the bound would miss it at bounds 1 to 5.
     project = write_line_project(tmp_path, [])
-    assert main(["check", "conddec", "-p", str(project),
-                 "--oracle-bound", "6"]) == 1
-    fail, note = capsys.readouterr().out.splitlines()
-    assert fail.startswith("[FAIL] conditional decomposability: "
-                           "counterexample=a2 ")
-    assert note == ("[ORACLE] conditional decomposability at bound 6: "
-                    "consistent")
+    for bound in range(8):
+        assert main(["check", "conddec", "-p", str(project),
+                     "--oracle-bound", str(bound)]) == 1
+        fail, note = capsys.readouterr().out.splitlines()
+        assert fail.startswith("[FAIL] conditional decomposability: "
+                               "counterexample=a2 ")
+        assert note == (f"[ORACLE] conditional decomposability at bound "
+                        f"{bound}: consistent")
+
+
+def test_supc_oracle_sees_a_deletion_chain_longer_than_the_bound(tmp_path,
+                                                                 capsys):
+    # The plant a.u.u.u against K = a.u.u: the uncontrollable chain after
+    # the controllable a ends outside K, so supC = {ε}.  At bound 3 the
+    # chain's last u is out of sight, so the fixpoint on the words up to 3
+    # keeps a·u·u, and a comparison truncated to bound 1 would read
+    # MISMATCH.  The two-sided check holds at every bound.
+    full = Alphabet({"a", "c", "u"}, {"a", "c"})
+    named = {"g1": from_words(full.restrict({"a", "u"}), ["a.u.u.u"]),
+             "g2": from_words(full.restrict({"c"}), []),
+             "spec": from_words(full, ["a.u.u"])}
+    doc = {
+        "generators": [serialize_generator(g, name)
+                       for name, g in named.items()],
+        "coordination": {"g1": "g1", "g2": "g2", "spec": "spec", "ek": []},
+    }
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    for bound in range(8):
+        assert main(["synth", "supc", "-p", str(project), "-o",
+                     str(tmp_path / "out"), "--oracle-bound",
+                     str(bound)]) == 0
+        wrote, note = capsys.readouterr().out.splitlines()
+        assert wrote.endswith("supc.json (1 states, 0 transitions)")
+        assert note == f"[ORACLE] supC at bound {bound}: consistent"
 
 
 def test_auto_everything_project(tmp_path, cell):

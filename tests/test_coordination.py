@@ -34,11 +34,13 @@ from descoord import (
 
 from descoord import ConditionalControllabilityReport, coordination
 from descoord.language import SubsetConstruction
-from descoord.oracle import bounded_language, brute_product, brute_project
+from descoord.oracle import bounded_language, brute_product
 
 from helpers import (
+    brute_project,
     buffered_line,
     collect_instances,
+    decomposable_spec,
     distributed_instance,
     lang,
     language_union,
@@ -456,6 +458,51 @@ def test_optimality_fails_for_unproducible_coordinator_word(cell):
     report = check_optimality_conditions(cell.g1, cell.g2, gk_bad)
     assert not report.holds
     assert report.counterexample == ("u",)
+
+
+def random_coordinator_instances():
+    """``(rng, instance)`` for seeds 0 to 399: an instance of
+    ``distributed_instance`` with a random coordinator and the observer and
+    OCC preconditions certified, and the generator it was drawn from."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        instance = distributed_instance(rng, coordinator="random")
+        if instance is not None:
+            yield rng, instance
+
+
+def test_distributed_result_is_supc_where_the_optimality_conditions_hold():
+    # The optimality theorem: with the preconditions certified and the
+    # optimality conditions holding, the composed sup_cc equals
+    # supC(K, L_1 ∥ L_2 ∥ L_k).  Without the conditions it may be smaller.
+    seen = collections.Counter()
+    for _, (k, g1, g2, gk, scheme) in random_coordinator_instances():
+        composed = sup_cc(k, g1, g2, gk).composed
+        best = sup_c(k, sync_product(sync_product(g1, g2), gk),
+                     scheme.full.uncontrollable)
+        assert language_subset(composed, best).holds
+        equal = language_equal(composed, best).holds
+        if check_optimality_conditions(g1, g2, gk).holds:
+            assert equal
+            seen["equal under the conditions"] += 1
+        else:
+            seen["equal" if equal else "strictly smaller"] += 1
+    assert seen["equal under the conditions"] >= 80, seen
+    assert seen["strictly smaller"] >= 45, seen
+
+
+def test_sup_cc_is_monotone_in_the_specification():
+    # Supremality seen as monotonicity: K ∥ D ⊆ K implies
+    # sup_cc(K ∥ D) ⊆ sup_cc(K).  K ∥ D stays conditionally decomposable,
+    # since D is and an intersection of such languages is.
+    seen = collections.Counter()
+    for rng, (k, g1, g2, gk, scheme) in random_coordinator_instances():
+        smaller = sync_product(k, decomposable_spec(rng, scheme))
+        inner = sup_cc(smaller, g1, g2, gk).composed
+        outer = sup_cc(k, g1, g2, gk).composed
+        assert language_subset(inner, outer).holds
+        seen[language_equal(inner, outer).holds] += 1
+    assert seen[True] >= 200 and seen[False] >= 15, seen
 
 
 # ---------------------------------------------------------------------------

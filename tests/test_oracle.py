@@ -16,12 +16,18 @@ from descoord import (
 from descoord.oracle import (
     BoundedLanguage,
     bounded_language,
+    bounded_projection,
     brute_product,
-    brute_project,
     brute_sup_c,
 )
 
-from helpers import is_prefix_closed, lang, random_generator, w
+from helpers import (
+    brute_project,
+    is_prefix_closed,
+    lang,
+    random_generator,
+    w,
+)
 
 
 def test_bounded_language_golden_plant(cell):
@@ -85,6 +91,34 @@ def test_brute_project_matches_generator_project():
         if missing:
             wider = brute_project(bounded_language(g, 12).words, keep)
             assert missing <= wider
+
+
+def test_bounded_projection_matches_generator_project():
+    # Exact at every bound, also where every preimage of a projected word
+    # is longer than the bound: the brute image above misses those.
+    rng = random.Random(44)
+    alpha = Alphabet({"a", "b", "u"}, {"a", "b"})
+    longer = 0
+    for _ in range(60):
+        g = random_generator(rng, alpha)
+        keep = {e for e in alpha.events if rng.random() < 0.6}
+        produced = project(g, keep)
+        for bound in range(6):
+            got = bounded_projection(g, keep, bound)
+            assert got == bounded_language(produced, bound).words
+            longer += got != brute_project(bounded_language(g, bound).words,
+                                           keep)
+    assert bounded_projection(empty_generator(alpha), {"a"}, 3) == frozenset()
+    assert longer >= 20, longer
+
+
+def test_bounded_projection_stops_at_the_word_limit(monkeypatch):
+    # Onto {a} of (a|h)*: the pairs (state, a^i) for i <= n, n + 1 of them.
+    loop = universal_generator(Alphabet({"a", "h"}, {"a", "h"}))
+    monkeypatch.setattr(oracle, "MAX_WORDS", 10)
+    assert len(bounded_projection(loop, {"a"}, 9)) == 10
+    with pytest.raises(OracleBoundError):
+        bounded_projection(loop, {"a"}, 10)
 
 
 def test_brute_sup_c_golden(cell):

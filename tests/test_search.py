@@ -231,6 +231,8 @@ def naive_backward(rows, events, sources) -> set[int]:
 
 def test_backward_agrees_with_a_naive_fixpoint():
     rng = random.Random(31)
+    # A second stream, so that the single-group instances stay as drawn.
+    extra = random.Random(32)
     seen = Counter()
     for _ in range(500):
         n = rng.randint(1, 8)
@@ -238,8 +240,14 @@ def test_backward_agrees_with_a_naive_fixpoint():
                  if rng.random() < 0.5} for _ in range(n)]
         events = set(rng.sample("abc", rng.randint(0, 3)))
         sources = rng.sample(range(n), rng.randint(0, min(n, 3)))
-        got = backward(rows, events, sources)
+        (got,) = backward(rows, events, sources)
         assert got == naive_backward(rows, events, sources)
+        # Several source groups in one call: each gets its own result.
+        groups = [extra.sample(range(n), extra.randint(0, min(n, 3)))
+                  for _ in range(extra.randint(0, 4))]
+        assert backward(rows, events, *groups) == [
+            naive_backward(rows, events, group) for group in groups]
+        seen["several groups"] += len(groups) > 1
         seen["empty sources"] += not sources
         seen["empty events"] += not events
         seen["cycle"] += any(target in naive_backward(rows, events, [node])
@@ -247,7 +255,7 @@ def test_backward_agrees_with_a_naive_fixpoint():
                              for event, target in row.items()
                              if event in events)
         seen["grows"] += len(got) > len(sources)
-    assert min(seen.values()) >= 100 and len(seen) == 4, seen
+    assert min(seen.values()) >= 100 and len(seen) == 5, seen
 
 
 PAIR_POOL = Alphabet({"a", "b", "c", "d", "u", "v"}, {"a", "b", "c", "d"})

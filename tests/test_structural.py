@@ -18,6 +18,7 @@ from descoord import (
     structural,
     sync_product,
 )
+from descoord.automata import backward, search
 from descoord.language import SubsetConstruction
 
 from descoord.oracle import bounded_language, erase
@@ -31,6 +32,7 @@ from helpers import (
     random_controllable,
     random_generator,
     reference_is_observer,
+    reference_is_occ,
     w,
 )
 
@@ -155,6 +157,33 @@ def test_checkers_agree_with_bounded_definition():
             assert not literal_occ
 
 
+def test_occ_agrees_with_the_route_it_replaced():
+    # The walk against the two-state monitor expands G's rows in the order
+    # the dirty-bit search did, so verdicts and words must be identical.
+    rng = random.Random(25)
+    seen = collections.Counter()
+    for _ in range(800):
+        names = ["a", "b", "h", "u", "v"][: rng.randint(3, 5)]
+        alpha = Alphabet(frozenset(names), random_controllable(rng, names))
+        g = random_generator(rng, alpha, max_states=6, edge_prob=0.5)
+        target = frozenset(rng.sample(names, rng.randint(1, len(names) - 1)))
+        report = is_occ(g, target, alpha.uncontrollable)
+        assert report == reference_is_occ(g, target, alpha.uncontrollable)
+        seen[report.holds] += 1
+        if not report.holds:
+            *prefix, _ = report.counterexample
+            # The monitor went clean again on a target event, or stayed in
+            # its state on an uncontrollable hidden one, before the end.
+            seen["target before the end"] += any(
+                event in target for event in prefix)
+            seen["uncontrollable hidden event"] += any(
+                event not in target and event in alpha.uncontrollable
+                for event in prefix)
+    assert seen[True] >= 400 and seen[False] >= 120, seen
+    assert seen["target before the end"] >= 25, seen
+    assert seen["uncontrollable hidden event"] >= 8, seen
+
+
 def looping_generator(rng: random.Random):
     """A random generator and one to three target events, with a hidden
     self-loop and a hidden two-cycle planted among random edges."""
@@ -219,6 +248,60 @@ def test_observer_reads_each_row_a_bounded_number_of_times():
     reads = [observer_row_reads(n) for n in (500, 1000, 2000)]
     for smaller, larger in zip(reads, reads[1:]):
         assert 1.9 <= larger / smaller <= 2.1, reads
+
+
+def chain_into_loops(n: int, m: int):
+    """A chain of n states joined by the hidden event ``h``, whose last
+    state self-loops on the m target events e0 .. e{m-1}; returns the
+    generator and its target events."""
+    target = [f"e{i}" for i in range(m)]
+    alphabet = Alphabet({"h", *target}, {"h", *target})
+    states = [f"c{i}" for i in range(n)]
+    triples = [(states[i], "h", states[i + 1]) for i in range(n - 1)]
+    triples += [(states[-1], event, states[-1]) for event in target]
+    return make_generator(states, alphabet, triples, states[0]), target
+
+
+def closure_step(monkeypatch, n: int, m: int):
+    """``(backward calls, row reads)`` of ``is_observer``'s hidden-closure
+    step on ``chain_into_loops(n, m)``: the reads made after the subset
+    construction is set up and before the walk starts."""
+    g, target = chain_into_loops(n, m)
+    counted, reads = counted_rows(g)
+    calls, marks = [], []
+
+    class Marked(SubsetConstruction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            marks.append(reads())
+
+    def counted_backward(*args):
+        calls.append(args)
+        return backward(*args)
+
+    def walk(*args):
+        marks.append(reads())
+        return search(*args)
+
+    monkeypatch.setattr(structural, "SubsetConstruction", Marked)
+    monkeypatch.setattr(structural, "backward", counted_backward)
+    monkeypatch.setattr(structural, "search", walk)
+    assert is_observer(counted, target).holds
+    built, walked = marks
+    return len(calls), walked - built
+
+
+def test_observer_closes_over_hidden_events_in_one_backward_call(
+        monkeypatch):
+    # Doubling the target events at a fixed G leaves the closure's row
+    # reads unchanged: 4000 reads (one pass collecting the sources, one
+    # building the predecessor lists) for 4 and for 8 target events.  The
+    # route with one backward call per target event read 4000 rows per
+    # target event here: 16 000 and 32 000.
+    steps = [closure_step(monkeypatch, 2000, m) for m in (1, 4, 8)]
+    assert [calls for calls, _ in steps] == [1, 1, 1]
+    reads = [count for _, count in steps]
+    assert reads[1] == reads[2] <= 2 * 2000 + 8, reads
 
 
 def test_a_failing_observer_check_leaves_the_projection_unbuilt(monkeypatch):

@@ -106,6 +106,13 @@ def test_sup_c_matches_bounded_oracle():
                                {"u", "v"}, 8)
         got = bounded_language(result, 6).words
         assert got == {word for word in expected if len(word) <= 6}
+        # Two-sided at bound 6: the fixpoint on L's words up to 7 lies
+        # inside supC, the one on L's words up to 6 around it.
+        kw = bounded_language(k, 6).words
+        lw = bounded_language(plant, 7).words
+        assert (brute_sup_c(kw, lw, {"u", "v"}, 6) <= got
+                <= brute_sup_c(kw, {w for w in lw if len(w) <= 6},
+                               {"u", "v"}, 6))
 
 
 def test_basic_controllability_round_trip():
