@@ -120,21 +120,20 @@ class PropertyReport:
 class Generator:
     """A deterministic finite-state generator.
 
-    States are canonical dense integers: every state is reachable, 0 is
-    the initial state and the others follow in breadth-first order, events
-    sorted.  A label names a state for display only: a parsed or word-built
-    generator keeps its state names, and a constructed one labels each
-    state with the node it was discovered as (a pair of operand states, or
-    a tuple of subset members).  ``rows[q]`` maps each event defined at
-    state ``q``, in sorted order, to its target; rows are made read-only
-    here.  Do not instantiate directly; use ``make_generator`` or the other
-    public constructors.
+    States are canonical dense integers: every state is reachable, state 0
+    is the initial state, where every walk starts, and the others follow in
+    breadth-first order, events sorted.  A label names a state for display
+    only: a parsed or word-built generator keeps its state names, and a
+    constructed one labels each state with the node it was discovered as (a
+    pair of operand states, or a tuple of subset members).  ``rows[q]`` maps
+    each event defined at state ``q``, in sorted order, to its target; rows
+    are made read-only here.  Do not instantiate directly; use
+    ``make_generator`` or the other public constructors.
     """
 
     alphabet: Alphabet
     labels: tuple
     rows: tuple[Mapping[str, int], ...]
-    initial: int
     recognizes_empty_language: bool = False
 
     def __post_init__(self):
@@ -164,7 +163,7 @@ class Generator:
         for event in word:
             if event not in self.alphabet.events:
                 raise ValidationError(f"event {event!r} not in the alphabet")
-        state: int | None = self.initial
+        state: int | None = 0
         for event in word:
             state = self.rows[state].get(event)
             if state is None:
@@ -210,11 +209,11 @@ def search(start, successors):
     return nodes, rows, None
 
 
-def intersect(a_start, a_rows, b_start, b_rows, refused=frozenset()):
-    """``search`` from the pair (``a_start``, ``b_start``) of two row
-    tables over one alphabet: a pair (a, b) moves on each event of b's row,
-    in row order, that a's row also has, and the search ends where b takes
-    an event of ``refused`` that a does not."""
+def intersect(a_rows, b_rows, refused=frozenset()):
+    """``search`` from the pair (0, 0) of two row tables over one
+    alphabet, each started at its state 0: a pair (a, b) moves on each
+    event of b's row, in row order, that a's row also has, and the search
+    ends where b takes an event of ``refused`` that a does not."""
     def successors(pair):
         qa, qb = pair
         row_a = a_rows[qa]
@@ -227,7 +226,7 @@ def intersect(a_start, a_rows, b_start, b_rows, refused=frozenset()):
                 break
         return out
 
-    return search((a_start, b_start), successors)
+    return search((0, 0), successors)
 
 
 def backward(rows, events, *sources) -> list[set[int]]:
@@ -263,7 +262,7 @@ def _canonicalize(
     (state ``q`` labelled ``labels[q]``), renumbered canonically by one
     search.  The rows given may list their events in any order."""
     nodes, canonical, _ = search(initial, lambda q: sorted(rows[q].items()))
-    return Generator(alphabet, tuple(labels[q] for q in nodes), canonical, 0)
+    return Generator(alphabet, tuple(labels[q] for q in nodes), canonical)
 
 
 def make_generator(
@@ -324,14 +323,14 @@ def make_generator(
 
 def empty_generator(alphabet: Alphabet) -> Generator:
     """The generator of the empty language over ``alphabet``."""
-    return Generator(alphabet, ("dead",), ({},), 0,
+    return Generator(alphabet, ("dead",), ({},),
                      recognizes_empty_language=True)
 
 
 def universal_generator(alphabet: Alphabet) -> Generator:
     """One state, self-loops on every event: recognizes all of E*."""
     return Generator(alphabet, ("all",),
-                     (dict.fromkeys(alphabet.sorted_events, 0),), 0)
+                     (dict.fromkeys(alphabet.sorted_events, 0),))
 
 
 def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
@@ -371,7 +370,7 @@ def shortest_words(g: Generator, count: int) -> list[Word]:
     if g.recognizes_empty_language or count <= 0:
         return []
     out: list[Word] = []
-    queue: deque[tuple[int, Word]] = deque([(g.initial, EPSILON)])
+    queue: deque[tuple[int, Word]] = deque([(0, EPSILON)])
     while queue and len(out) < count:
         state, word = queue.popleft()
         out.append(word)

@@ -100,7 +100,7 @@ def generator_to_text(g: Generator, name: str) -> str:
         f'"name": {json.dumps(name)}',
         f'"events": {block(events)}',
         f'"states": {block(["    " + state for state in states])}',
-        f'"initial": {states[g.initial]}',
+        f'"initial": {states[0]}',
         f'"transitions": {block(transitions)}',
     ]
     if g.recognizes_empty_language:

@@ -160,8 +160,7 @@ def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
             out.append((event, (t1, t2, row[event])))
         return out
 
-    word = (None if k.recognizes_empty_language
-            else search((0, 0, k.initial), successors)[2])
+    word = search((0, 0, 0), successors)[2]
     if word is None:
         return PropertyReport(True, detail="specification is conditionally "
                                            "decomposable")

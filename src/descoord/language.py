@@ -67,14 +67,12 @@ def _require_same_alphabet(g1: Generator, g2: Generator, what: str) -> None:
 def widen_alphabet(g: Generator, superset: Alphabet) -> Generator:
     """Reinterpret L(G) over a larger alphabet.  The word set is unchanged:
     the new events never occur (contrast with ``inverse_project``, which
-    lets them interleave freely)."""
+    lets them interleave freely), and G's rows and flag are kept."""
     if not g.alphabet.events <= superset.events:
         raise AlphabetMismatchError("superset alphabet does not contain the "
                                     "generator's events")
     union_alphabets(g.alphabet, superset)
-    if g.recognizes_empty_language:
-        return empty_generator(superset)
-    return Generator(superset, g.labels, g.rows, g.initial)
+    return Generator(superset, g.labels, g.rows, g.recognizes_empty_language)
 
 
 def _lifted_rows(g: Generator, superset: Alphabet):
@@ -97,9 +95,9 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     merged = union_alphabets(g1.alphabet, g2.alphabet)
     if g1.recognizes_empty_language or g2.recognizes_empty_language:
         return empty_generator(merged)
-    nodes, rows, _ = intersect(g1.initial, _lifted_rows(g1, merged),
-                               g2.initial, _lifted_rows(g2, merged))
-    return Generator(merged, tuple(nodes), rows, 0)
+    nodes, rows, _ = intersect(_lifted_rows(g1, merged),
+                               _lifted_rows(g2, merged))
+    return Generator(merged, tuple(nodes), rows)
 
 
 class SubsetConstruction:
@@ -111,7 +109,9 @@ class SubsetConstruction:
     on every target event, is computed once, when a walk first expands
     the subset, and kept, so that walks over one construction share their
     work and one that stops early leaves the rest unbuilt.  Onto no events,
-    the one subset is all of G's states (each is reachable), with no step."""
+    the one subset is all of G's states (each is reachable), with no step.
+    An empty G's dead state is one subset with no step as well, and
+    ``generator`` carries G's empty-language flag."""
 
     def __init__(self, g: Generator, events: Iterable[str]):
         self.g = g
@@ -120,9 +120,7 @@ class SubsetConstruction:
         self.members: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._rows: list[dict[str, int] | None] = []
-        if g.recognizes_empty_language:
-            return
-        self._intern([g.initial])
+        self._intern([0])
 
     def _intern(self, states: list[int]) -> int:
         """The id of the hidden-event closure of ``states``."""
@@ -160,13 +158,11 @@ class SubsetConstruction:
     def generator(self) -> Generator:
         """P(L(G)) as a generator: the search over the whole construction,
         in canonical state order, each state labelled by its subset."""
-        if self.g.recognizes_empty_language:
-            return empty_generator(self.alphabet)
         row = self.row
         nodes, rows, _ = search(0, lambda subset: row(subset).items())
         members = self.members
         return Generator(self.alphabet, tuple(members[i] for i in nodes),
-                         rows, 0)
+                         rows, self.g.recognizes_empty_language)
 
 
 def project(g: Generator, events: Iterable[str]) -> Generator:
@@ -188,8 +184,7 @@ def inverse_project(g: Generator, superset: Alphabet) -> Generator:
     union_alphabets(g.alphabet, superset)
     if g.recognizes_empty_language:
         return empty_generator(superset)
-    return Generator(superset, g.labels, _lifted_rows(g, superset),
-                     g.initial)
+    return Generator(superset, g.labels, _lifted_rows(g, superset))
 
 
 def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
@@ -204,8 +199,7 @@ def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
                               "right-hand language is empty")
 
     # Every event of G1 that G2 does not take is a violation.
-    word = intersect(g2.initial, g2.rows, g1.initial, g1.rows,
-                     g1.alphabet.events)[2]
+    word = intersect(g2.rows, g1.rows, g1.alphabet.events)[2]
     if word is not None:
         return PropertyReport(False, word, "word is in the left language only")
     return PropertyReport(True, detail="inclusion holds")

@@ -41,7 +41,7 @@ def bounded_language(g: Generator, n: int) -> BoundedLanguage:
         return BoundedLanguage(frozenset(), n)
     # Count the words first, per length and end state, without listing
     # them: O(n * |transitions|).
-    counts = {g.initial: 1}
+    counts = {0: 1}
     total = 1
     for _ in range(n):
         after: dict[int, int] = {}
@@ -55,7 +55,7 @@ def bounded_language(g: Generator, n: int) -> BoundedLanguage:
         if not counts:
             break
     words: set[Word] = set()
-    frontier: list[tuple[int, Word]] = [(g.initial, EPSILON)]
+    frontier: list[tuple[int, Word]] = [(0, EPSILON)]
     for _ in range(n + 1):
         nxt: list[tuple[int, Word]] = []
         for state, word in frontier:
@@ -117,7 +117,7 @@ def bounded_projection(g: Generator, events, n: int) -> frozenset[Word]:
     if g.recognizes_empty_language:
         return frozenset()
     events = frozenset(events)
-    seen = {(g.initial, EPSILON)}
+    seen = {(0, EPSILON)}
     stack = list(seen)
     while stack:
         state, word = stack.pop()

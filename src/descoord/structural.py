@@ -58,7 +58,7 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
                     out.append((event, (row[event], det_row[event])))
         return out
 
-    word = search((g.initial, 0), successors)[2]
+    word = search((0, 0), successors)[2]
     if word is not None:
         return PropertyReport(
             False, word,
@@ -90,7 +90,7 @@ def is_occ(g: Generator, events: Iterable[str], eu) -> PropertyReport:
                 for event in g.alphabet.events
                 if not (dirty and event in refused)}
                for dirty in (0, 1)]
-    word = intersect(0, monitor, g.initial, g.rows, refused)[2]
+    word = intersect(monitor, g.rows, refused)[2]
     if word is not None:
         return PropertyReport(
             False, word,

@@ -43,7 +43,7 @@ def is_controllable(k: Generator, l: Generator, eu) -> PropertyReport:
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return PropertyReport(True, detail="vacuously controllable")
 
-    word = intersect(k.initial, k.rows, l.initial, l.rows, eu)[2]
+    word = intersect(k.rows, l.rows, eu)[2]
     if word is not None:
         return PropertyReport(
             False, word, "uncontrollable continuation leaves the specification")
@@ -69,11 +69,11 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
         return empty_generator(alphabet)
     lacks = [eu.difference(row) for row in k.rows]
     enabled = [eu.intersection(row) for row in l.rows]
-    pairs, rows, _ = intersect(k.initial, k.rows, l.initial, l.rows)
+    pairs, rows, _ = intersect(k.rows, l.rows)
     violating = [node for node, (qk, ql) in enumerate(pairs)
                  if not lacks[qk].isdisjoint(enabled[ql])]
     if not violating:
-        return Generator(alphabet, tuple(pairs), rows, 0)
+        return Generator(alphabet, tuple(pairs), rows)
 
     (deleted,) = backward(rows, eu, violating)
     if 0 in deleted:
@@ -85,7 +85,7 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
 
     nodes, survivors, _ = search(0, surviving)
     return Generator(alphabet, tuple(pairs[node] for node in nodes),
-                     survivors, 0)
+                     survivors)
 
 
 def is_admissible(s: Generator, g: Generator) -> PropertyReport:
@@ -98,8 +98,8 @@ def is_admissible(s: Generator, g: Generator) -> PropertyReport:
         return PropertyReport(True, detail="closed loop is empty")
     lifted_s = inverse_project(s, merged)
     lifted_g = inverse_project(g, merged)
-    word = intersect(lifted_s.initial, lifted_s.rows, lifted_g.initial,
-                     lifted_g.rows, g.alphabet.uncontrollable)[2]
+    word = intersect(lifted_s.rows, lifted_g.rows,
+                     g.alphabet.uncontrollable)[2]
     if word is not None:
         return PropertyReport(
             False, word, "supervisor disables an uncontrollable plant event")

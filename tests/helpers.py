@@ -243,7 +243,7 @@ def word_in_projected_product(word, components, target_events) -> bool:
     events = sorted(set().union(*(c.alphabet.events for c in components)))
     if any(c.recognizes_empty_language for c in components):
         return False
-    start = tuple(c.initial for c in components) + (0,)
+    start = (0,) * len(components) + (0,)
     seen = {start}
     stack = [start]
     while stack:
@@ -343,7 +343,7 @@ def reference_is_observer(g: Generator, events):
                 elif (nq := row.get(event)) is not None:
                     yield event, (nq, dx)
 
-    word = search((g.initial, det.initial), successors)[2]
+    word = search((0, 0), successors)[2]
     if word is not None:
         return PropertyReport(
             False, word,
@@ -376,7 +376,7 @@ def reference_is_occ(g: Generator, events, eu):
                 out.append((event, (nxt, False)))
         return out
 
-    word = search((g.initial, False), successors)[2]
+    word = search((0, False), successors)[2]
     if word is not None:
         return PropertyReport(
             False, word,
@@ -399,7 +399,7 @@ def reference_sup_c_deletions(k: Generator, l: Generator, eu):
             if tl is not None:
                 yield event, (tk, tl)
 
-    pairs, rows, _ = search((k.initial, l.initial), product)
+    pairs, rows, _ = search((0, 0), product)
     predecessors: dict[int, list[int]] = {}
     for node, row in enumerate(rows):
         for event, target in row.items():
@@ -436,7 +436,7 @@ def reference_sup_c(k: Generator, l: Generator, eu) -> Generator:
 
     nodes, survivors, _ = search(0, surviving)
     return Generator(k.alphabet, tuple(pairs[node] for node in nodes),
-                     survivors, 0)
+                     survivors)
 
 
 def reference_sync_product(g1: Generator, g2: Generator) -> Generator:
@@ -459,8 +459,8 @@ def reference_sync_product(g1: Generator, g2: Generator) -> Generator:
             yield event, (row1[event] if in1 else q1,
                           row2[event] if in2 else q2)
 
-    nodes, rows, _ = search((g1.initial, g2.initial), successors)
-    return Generator(merged, tuple(nodes), rows, 0)
+    nodes, rows, _ = search((0, 0), successors)
+    return Generator(merged, tuple(nodes), rows)
 
 
 def language_union(g1: Generator, g2: Generator) -> Generator:
@@ -492,8 +492,8 @@ def language_union(g1: Generator, g2: Generator) -> Generator:
                 out.append((event, (DEAD, row2[event])))
         return out
 
-    nodes, rows, _ = search((g1.initial, g2.initial), successors)
-    return Generator(alphabet, tuple(nodes), rows, 0)
+    nodes, rows, _ = search((0, 0), successors)
+    return Generator(alphabet, tuple(nodes), rows)
 
 
 def reference_is_admissible(s: Generator, g: Generator) -> PropertyReport:
@@ -520,7 +520,7 @@ def reference_is_admissible(s: Generator, g: Generator) -> PropertyReport:
             yield event, (row_s[event] if in_s else qs,
                           row_g[event] if in_g else qg)
 
-    word = search((s.initial, g.initial), successors)[2]
+    word = search((0, 0), successors)[2]
     if word is not None:
         return PropertyReport(
             False, word, "supervisor disables an uncontrollable plant event")
@@ -538,7 +538,7 @@ def reference_language_subset(g1: Generator, g2: Generator):
         for event, t1 in g1.rows[q1].items():
             yield event, (t1, row2[event]) if event in row2 else None
 
-    word = search((g1.initial, g2.initial), successors)[2]
+    word = search((0, 0), successors)[2]
     return word is None, word
 
 
@@ -556,7 +556,7 @@ def reference_is_controllable(k: Generator, l: Generator, eu):
             elif event in eu:
                 yield event, None
 
-    word = search((k.initial, l.initial), successors)[2]
+    word = search((0, 0), successors)[2]
     return word is None, word
 
 
@@ -642,8 +642,7 @@ def counted_rows(g: Generator):
             reads += 1
             return super().__iter__()
 
-    counted = Generator(g.alphabet, g.labels, tuple(map(Row, g.rows)),
-                        g.initial)
+    counted = Generator(g.alphabet, g.labels, tuple(map(Row, g.rows)))
     return counted, lambda: reads
 
 
@@ -749,7 +748,7 @@ def serialize_generator(g: Generator, name: str) -> dict:
             for event in g.alphabet.sorted_events
         ],
         "states": [f"q{i}" for i in range(g.num_states)],
-        "initial": f"q{g.initial}",
+        "initial": "q0",
         "transitions": [
             [f"q{src}", event, f"q{dst}"]
             for src, row in enumerate(g.rows) for event, dst in row.items()

@@ -46,7 +46,7 @@ def test_make_generator_canonical_ids_and_marking():
         ["x", "y", "z"], AB,
         [("x", "a", "y"), ("y", "b", "x")], "x",
     )
-    assert g.initial == 0
+    assert g.run(()) == 0
     assert g.labels[0] == "x"
     assert g.labels == ("x", "y")  # z is unreachable and dropped
 

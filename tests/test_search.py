@@ -55,7 +55,7 @@ def rebuilt(g):
         [str(i) for i in g.states], g.alphabet,
         [(str(src), event, str(dst))
          for src, row in enumerate(g.rows) for event, dst in row.items()],
-        str(g.initial),
+        "0",
     )
 
 
