@@ -54,12 +54,15 @@ def bounded_language(g: Generator, n: int) -> BoundedLanguage:
             raise _too_many(n)
         if not counts:
             break
+    # Then list them, one length at a time, up to n or the longest word.
     words: set[Word] = set()
     frontier: list[tuple[int, Word]] = [(0, EPSILON)]
-    for _ in range(n + 1):
+    while frontier:
         nxt: list[tuple[int, Word]] = []
         for state, word in frontier:
             words.add(word)
+            if len(word) == n:
+                continue
             for event in g.alphabet.sorted_events:
                 target = g.step(state, event)
                 if target is not None:
@@ -90,7 +93,7 @@ def brute_product(ws1, e1, ws2, e2, n: int) -> frozenset[Word]:
 
     out: set[Word] = set()
     frontier = [EPSILON] if member(EPSILON) else []
-    for _ in range(n + 1):
+    while frontier:
         nxt = []
         for word in frontier:
             out.add(word)

@@ -497,13 +497,10 @@ def test_conddec_oracle_confirms_a_failing_verdict(tmp_path, capsys):
                         f"{bound}: consistent")
 
 
-def test_supc_oracle_sees_a_deletion_chain_longer_than_the_bound(tmp_path,
-                                                                 capsys):
-    # The plant a.u.u.u against K = a.u.u: the uncontrollable chain after
-    # the controllable a ends outside K, so supC = {ε}.  At bound 3 the
-    # chain's last u is out of sight, so the fixpoint on the words up to 3
-    # keeps a·u·u, and a comparison truncated to bound 1 would read
-    # MISMATCH.  The two-sided check holds at every bound.
+def write_deletion_chain(tmp_path):
+    """The plant a.u.u.u against K = a.u.u, with ``"ek": []``: the
+    uncontrollable chain after the controllable a ends outside K, so
+    supC = {ε}.  Every language of the project is finite."""
     full = Alphabet({"a", "c", "u"}, {"a", "c"})
     named = {"g1": from_words(full.restrict({"a", "u"}), ["a.u.u.u"]),
              "g2": from_words(full.restrict({"c"}), []),
@@ -515,6 +512,15 @@ def test_supc_oracle_sees_a_deletion_chain_longer_than_the_bound(tmp_path,
     }
     project = tmp_path / "project.json"
     project.write_text(json.dumps(doc), encoding="utf-8")
+    return project
+
+
+def test_supc_oracle_sees_a_deletion_chain_longer_than_the_bound(tmp_path,
+                                                                 capsys):
+    # At bound 3 the chain's last u is out of sight, so the fixpoint on the
+    # words up to 3 keeps a·u·u, and a comparison truncated to bound 1
+    # would read MISMATCH.  The two-sided check holds at every bound.
+    project = write_deletion_chain(tmp_path)
     for bound in range(8):
         assert main(["synth", "supc", "-p", str(project), "-o",
                      str(tmp_path / "out"), "--oracle-bound",
@@ -522,6 +528,24 @@ def test_supc_oracle_sees_a_deletion_chain_longer_than_the_bound(tmp_path,
         wrote, note = capsys.readouterr().out.splitlines()
         assert wrote.endswith("supc.json (1 states, 0 transitions)")
         assert note == f"[ORACLE] supC at bound {bound}: consistent"
+
+
+def test_oracle_bound_past_a_finite_language_costs_nothing(tmp_path, capsys):
+    # Each oracle loop stops once no word grows, so a bound of 10^12 on
+    # finite languages is answered at once, and as at bound 8.
+    project = write_deletion_chain(tmp_path)
+    out = ["-o", str(tmp_path / "out")]
+    for argv in (["synth", "supc", *out], ["synth", "supcc", *out],
+                 ["check", "controllability"], ["check", "conddec"]):
+        verdicts = []
+        for bound in ("8", str(10 ** 12)):
+            code = main([*argv, "-p", str(project), "--oracle-bound", bound])
+            notes = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("[ORACLE]")]
+            assert len(notes) == 1, notes
+            assert notes[0].endswith(f" at bound {bound}: consistent")
+            verdicts.append(code)
+        assert verdicts[0] == verdicts[1], (argv, verdicts)
 
 
 def test_auto_everything_project(tmp_path, cell):

@@ -8,6 +8,7 @@ from descoord import (
     Alphabet,
     OracleBoundError,
     empty_generator,
+    from_words,
     oracle,
     project,
     sync_product,
@@ -157,6 +158,29 @@ def test_bounded_language_counts_before_it_enumerates(monkeypatch):
     assert len(bounded_language(loop, 9).words) == 10
     with pytest.raises(OracleBoundError):
         bounded_language(loop, 10)
+
+
+def test_finite_languages_stop_at_their_longest_word():
+    # Both loops stop once no word grows: at bound 10^12 they return, at
+    # once, what they return at the length of the longest word.
+    rng = random.Random(46)
+    e1 = Alphabet({"s", "m"}, {"m"})
+    e2 = Alphabet({"s", "n"}, {"n"})
+    huge = 10 ** 12
+    for _ in range(30):
+        g1, g2 = (from_words(alphabet, [
+            tuple(rng.choice(alphabet.sorted_events)
+                  for _ in range(rng.randrange(6))) for _ in range(3)])
+            for alphabet in (e1, e2))
+        ws1, ws2 = (bounded_language(g, huge).words for g in (g1, g2))
+        for g, words in ((g1, ws1), (g2, ws2)):
+            assert words == bounded_language(g, max(map(len, words))).words
+        product = brute_product(ws1, e1.events, ws2, e2.events, huge)
+        longest = max(map(len, product))
+        assert product == brute_product(ws1, e1.events, ws2, e2.events,
+                                        longest)
+        assert product == bounded_language(sync_product(g1, g2),
+                                           longest).words
 
 
 def test_brute_product_stops_at_the_word_limit(monkeypatch):
