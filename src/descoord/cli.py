@@ -23,8 +23,10 @@ All output is deterministic: state names are canonical (``q0``, ``q1``,
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from .automata import (
     Alphabet,
@@ -162,9 +164,9 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
 # ---------------------------------------------------------------------------
 # project file
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectFile:
-    generators: dict[str, Generator]
+    generators: Mapping[str, Generator]  # read-only, by name
     coordination: dict | None
 
 
@@ -204,7 +206,7 @@ def load_project(path: str) -> ProjectFile:
     coordination = doc.get("coordination")
     if coordination is not None and not isinstance(coordination, dict):
         raise ProjectError(f"{path}: 'coordination' must be an object")
-    return ProjectFile(generators, coordination)
+    return ProjectFile(MappingProxyType(generators), coordination)
 
 
 def _lookup(project: ProjectFile, name: str) -> Generator:

@@ -1,12 +1,17 @@
 """Tests for generators, alphabets and the basic language queries."""
 
 import dataclasses
+import importlib
+import inspect
+import json
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import descoord
 from descoord import (
     Alphabet,
     ConditionalControllabilityReport,
@@ -26,6 +31,7 @@ from descoord import (
     union_alphabets,
     universal_generator,
 )
+from descoord.cli import load_project
 from descoord.oracle import bounded_language
 
 from helpers import (
@@ -34,6 +40,7 @@ from helpers import (
     lang,
     random_generator,
     reference_parse,
+    serialize_generator,
     w,
 )
 
@@ -98,14 +105,36 @@ def test_alphabet_rejects_malformed_event_collections(build):
         build()
 
 
-def test_generators_are_immutable(cell):
+def package_dataclasses() -> set[type]:
+    """Every dataclass defined in a module of the ``descoord`` package."""
+    found = set()
+    for info in pkgutil.iter_modules(descoord.__path__):
+        module = importlib.import_module(f"descoord.{info.name}")
+        found.update(value for value in vars(module).values()
+                     if inspect.isclass(value)
+                     and dataclasses.is_dataclass(value)
+                     and value.__module__ == module.__name__)
+    return found
+
+
+def test_generators_are_immutable(cell, tmp_path):
     g = cell.g1
     with pytest.raises(TypeError):
         g.rows[0]["x"] = 0
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(
+        {"generators": [serialize_generator(g, "g1")]}), encoding="utf-8")
+    project = load_project(str(path))
+    with pytest.raises(TypeError):
+        project.generators["g2"] = g
     report = PropertyReport(True)
-    for value in (g, cell.e1, report,
-                  ConditionalControllabilityReport(report, report, report),
-                  SynthesisResult(g, g, g, g), cell.scheme):
+    values = (g, cell.e1, report,
+              ConditionalControllabilityReport(report, report, report),
+              SynthesisResult(g, g, g, g), cell.scheme,
+              bounded_language(g, 2), project)
+    # One value of every dataclass of the package, so a new one joins.
+    assert {type(value) for value in values} == package_dataclasses()
+    for value in values:
         for field in dataclasses.fields(value):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, field.name, getattr(value, field.name))
