@@ -460,11 +460,11 @@ def test_optimality_fails_for_unproducible_coordinator_word(cell):
     assert report.counterexample == ("u",)
 
 
-def random_coordinator_instances():
-    """``(rng, instance)`` for seeds 0 to 399: an instance of
+def random_coordinator_instances(seeds=400):
+    """``(rng, instance)`` for seeds 0 to ``seeds`` - 1: an instance of
     ``distributed_instance`` with a random coordinator and the observer and
     OCC preconditions certified, and the generator it was drawn from."""
-    for seed in range(400):
+    for seed in range(seeds):
         rng = random.Random(seed)
         instance = distributed_instance(rng, coordinator="random")
         if instance is not None:
@@ -503,6 +503,31 @@ def test_sup_cc_is_monotone_in_the_specification():
         assert language_subset(inner, outer).holds
         seen[language_equal(inner, outer).holds] += 1
     assert seen[True] >= 200 and seen[False] >= 15, seen
+
+
+def test_supervisors_achieve_sup_cc_with_random_coordinators():
+    # Criterion 5 with random coordinators: the composed sup_cc is
+    # conditionally controllable, and where the subsystems are conditionally
+    # independent given G_k, the closed loops of its three supervisors
+    # compose to it exactly; where they are not, the synthesis refuses.
+    # Seeds 0-1999 give 1375 instances; of the 153 whose target is beyond
+    # ∅ and {ε}, 125 compose exactly and 28 are refused for independence.
+    seen = collections.Counter()
+    for _, (k, g1, g2, gk, _) in random_coordinator_instances(2000):
+        target = sup_cc(k, g1, g2, gk).composed
+        assert is_conditionally_controllable(target, g1, g2, gk).holds
+        beyond = "" if target.num_transitions == 0 else "beyond ε: "
+        if conditionally_independent(g1, g2, gk).holds:
+            assert language_equal(compose_loops(target, g1, g2, gk),
+                                  target).holds
+            seen[beyond + "equal"] += 1
+        else:
+            with pytest.raises(PreconditionError,
+                               match="not conditionally independent"):
+                synthesize_supervisors(target, g1, g2, gk)
+            seen[beyond + "refused"] += 1
+    assert seen["beyond ε: equal"] >= 105, seen
+    assert seen["beyond ε: refused"] >= 22, seen
 
 
 # ---------------------------------------------------------------------------
