@@ -1,23 +1,31 @@
 """Invariants of the kernels that every state-space walk runs on:
 constructions come out in canonical state order with read-only, sorted
 rows, the counterexamples of the checks are the shortest-then-lexicographic
-violating words of their definitions, and the backward pass finds exactly
-the nodes that reach its sources."""
+violating words of their definitions, the backward pass finds exactly
+the nodes that reach its sources, and the row reads of each layer grow
+linearly with the generator they walk."""
 
+import functools
 import random
 from collections import Counter
 from types import MappingProxyType
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
+    CoordinationScheme,
+    conditionally_decomposable,
+    default_coordinator,
     empty_generator,
     from_words,
     inverse_project,
     is_admissible,
     is_controllable,
+    is_observer,
+    is_occ,
     language_subset,
     make_generator,
     project,
@@ -34,6 +42,7 @@ from descoord.oracle import bounded_language, brute_product, erase
 
 from helpers import (
     buffered_line,
+    counted_rows,
     generators,
     language_union,
     random_generator,
@@ -385,3 +394,49 @@ def test_counterexamples_are_the_shortest_violating_words(g, rng):
                       if erase(word, g.alphabet.events) + (u,) in gw
                       and word + (u,) not in sw]
         assert is_admissible(s, g).counterexample == shortest(violations)
+
+
+# ---------------------------------------------------------------------------
+# growth of the work
+
+@functools.cache
+def line_instance(p1: int):
+    """K of ``buffered_line(p1, 3, 3)`` (40 + 20·p1 states), E_k =
+    {a1, a2, b1, b2}, the scheme and the plant G1 ∥ G2 ∥ Gk."""
+    k, g1, g2 = buffered_line(p1, 3, 3)
+    ek = k.alphabet.restrict({"a1", "a2", "b1", "b2"})
+    plant = sync_product(sync_product(g1, g2),
+                         default_coordinator(g1, g2, ek))
+    return k, CoordinationScheme(g1.alphabet, g2.alphabet, ek), plant
+
+
+@pytest.mark.parametrize("measured, run", [
+    pytest.param((10_018, 19_668, 38_968, 77_568),
+                 lambda k, scheme, plant: conditionally_decomposable(
+                     k, scheme), id="conditionally_decomposable"),
+    pytest.param((5143, 10_093, 19_993, 39_793),
+                 lambda k, scheme, plant: sup_c(
+                     k, plant, scheme.full.uncontrollable), id="sup_c"),
+    pytest.param((2908, 5708, 11_308, 22_508),
+                 lambda k, scheme, plant: project(k, scheme.ek.events),
+                 id="project"),
+    pytest.param((1040, 2040, 4040, 8040),
+                 lambda k, scheme, plant: is_occ(
+                     k, scheme.ek.events, scheme.full.uncontrollable),
+                 id="is_occ"),
+    pytest.param((10_864, 21_314, 42_214, 84_014),
+                 lambda k, scheme, plant: is_observer(k, scheme.ek.events),
+                 id="is_observer"),
+])
+def test_row_reads_grow_linearly_with_the_line(measured, run):
+    # Reads of K's rows at p1 = 50, 100, 200 and 400; ``measured`` holds
+    # the counts when this gate was set, ×1.96-1.99 per doubling.  A layer
+    # that turns superlinear in the states of K fails the ×2.2 bound.
+    reads = []
+    for p1 in (50, 100, 200, 400):
+        k, scheme, plant = line_instance(p1)
+        counted, count = counted_rows(k)
+        run(counted, scheme, plant)
+        reads.append(count())
+    ratios = [after / before for before, after in zip(reads, reads[1:])]
+    assert max(ratios) <= 2.2, (reads, measured)
