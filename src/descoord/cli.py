@@ -23,7 +23,6 @@ All output is deterministic: state names are canonical (``q0``, ``q1``,
 import argparse
 import json
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -166,7 +165,7 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
 
 @dataclass(frozen=True)
 class ProjectFile:
-    generators: Mapping[str, Generator]  # read-only, by name
+    generators: MappingProxyType[str, Generator]
     coordination: dict | None
 
 

@@ -54,7 +54,6 @@ def bounded_language(g: Generator, n: int) -> BoundedLanguage:
             raise _too_many(n)
         if not counts:
             break
-    # Then list them, one length at a time, up to n or the longest word.
     words: set[Word] = set()
     frontier: list[tuple[int, Word]] = [(0, EPSILON)]
     while frontier:
