@@ -130,7 +130,8 @@ def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
     event, the walk ends on that violation.  It is the shortest word of
     the product outside K, ties broken lexicographically, as on the built
     product: both walks are breadth-first in sorted event order over nodes
-    the word determines."""
+    the word determines.  An empty K holds: its one dead state has no
+    step, so neither subset construction moves."""
     moves = [(event, event in p1k.alphabet.events,
               event in p2k.alphabet.events)
              for event in k.alphabet.sorted_events]
