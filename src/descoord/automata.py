@@ -51,6 +51,14 @@ def _event_names(names: Iterable[str]) -> frozenset[str]:
     return frozenset(names)
 
 
+def _require_events(alphabet: "Alphabet", word: Word) -> None:
+    """Raise ``ValidationError`` on the first event of ``word`` outside
+    ``alphabet``, checking that it is a string before it is hashed."""
+    for event in word:
+        if not isinstance(event, str) or event not in alphabet.events:
+            raise ValidationError(f"event {event!r} not in the alphabet")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An event set split into controllable and uncontrollable events."""
@@ -160,9 +168,7 @@ class Generator:
         """Extended transition function: the state after ``word``, or None.
         Every event of the word is validated, also after the run dies."""
         word = tuple(word)
-        for event in word:
-            if event not in self.alphabet.events:
-                raise ValidationError(f"event {event!r} not in the alphabet")
+        _require_events(self.alphabet, word)
         state: int | None = 0
         for event in word:
             state = self.rows[state].get(event)
@@ -337,9 +343,7 @@ def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
     """Prefix-tree generator of the prefix closure of a finite word set."""
     parsed = [parse_word(w) if isinstance(w, str) else tuple(w) for w in words]
     for word in parsed:
-        for event in word:
-            if event not in alphabet.events:
-                raise ValidationError(f"event {event!r} not in the alphabet")
+        _require_events(alphabet, word)
     labels = ["ε"]
     rows: list[dict[str, int]] = [{}]
     nodes: dict[Word, int] = {EPSILON: 0}

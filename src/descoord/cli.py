@@ -110,7 +110,7 @@ def generator_to_text(g: Generator, name: str) -> str:
 
 
 def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
 
 
 def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator]:
@@ -166,7 +166,7 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
 @dataclass(frozen=True)
 class ProjectFile:
     generators: MappingProxyType[str, Generator]
-    coordination: dict | None
+    coordination: MappingProxyType[str, object] | None
 
 
 def _read_json(path: Path):
@@ -203,8 +203,12 @@ def load_project(path: str) -> ProjectFile:
             raise ProjectError(f"{path}: duplicate generator name {name!r}")
         generators[name] = g
     coordination = doc.get("coordination")
-    if coordination is not None and not isinstance(coordination, dict):
-        raise ProjectError(f"{path}: 'coordination' must be an object")
+    if coordination is not None:
+        if not isinstance(coordination, dict):
+            raise ProjectError(f"{path}: 'coordination' must be an object")
+        if isinstance(coordination.get("ek"), list):
+            coordination["ek"] = tuple(coordination["ek"])
+        coordination = MappingProxyType(coordination)
     return ProjectFile(MappingProxyType(generators), coordination)
 
 
@@ -324,9 +328,10 @@ def _agrees(report: PropertyReport, bound: int, violated: bool) -> bool:
     return len(report.counterexample) > bound or violated
 
 
-def _oracle_controllability(k, plant, eu, report, bound, json_mode) -> bool:
+def _oracle_controllability(k, plant, report, bound, json_mode) -> bool:
     kw = bounded_language(k, bound).words
     lw = bounded_language(plant, bound).words
+    eu = k.alphabet.uncontrollable
     violated = any(word + (event,) in lw and word + (event,) not in kw
                    for word in kw for event in eu)
     consistent = _agrees(report, bound, violated)
@@ -360,12 +365,11 @@ def cmd_check(args) -> int:
 
     if args.which == "controllability":
         plant = sync_product(sync_product(g1, g2), gk)
-        eu = scheme.full.uncontrollable
-        report = is_controllable(k, plant, eu)
+        report = is_controllable(k, plant)
         reports.append(("controllability", report))
         if args.oracle_bound is not None:
             oracle_jobs.append(lambda: _oracle_controllability(
-                k, plant, eu, report, args.oracle_bound, args.json))
+                k, plant, report, args.oracle_bound, args.json))
     elif args.which == "conddec":
         report = (conditionally_decomposable(k, scheme)
                   if decomposable is None else decomposable)
@@ -426,7 +430,7 @@ def cmd_synth(args) -> int:
 
     if args.mode == "supc":
         plant = sync_product(sync_product(g1, g2), gk)
-        result = sup_c(k, plant, scheme.full.uncontrollable)
+        result = sup_c(k, plant)
         _write_generator(out, "supc", result, args.json)
         if args.oracle_bound is not None:
             bound = args.oracle_bound

@@ -200,23 +200,24 @@ def is_conditionally_controllable(
     _check_spec_alphabet(k, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
     return _conditionally_controllable(
-        g1, g2, gk, scheme, _generators(_projected_parts(k, scheme)))
+        g1, g2, gk, _generators(_projected_parts(k, scheme)))
 
 
 def _conditionally_controllable(
     g1: Generator,
     g2: Generator,
     gk: Generator,
-    scheme: CoordinationScheme,
     parts,
 ) -> ConditionalControllabilityReport:
+    """The three conditions on ``parts``, the generators of P_k(K),
+    P_{1+k}(K) and P_{2+k}(K).  Each part is checked against a plant over
+    its own alphabet, E_k or E_{i+k}, whose uncontrollable part is E_{k,u}
+    or E_{i+k,u}."""
     pk, p1k, p2k = parts
-    cond_i = is_controllable(pk, gk, scheme.ek.uncontrollable)
+    cond_i = is_controllable(pk, gk)
     # Each side's own plant, its whole ambient under K ⊆ L.
-    cond_iia = is_controllable(p1k, sync_product(g1, pk),
-                               scheme.e1k.uncontrollable)
-    cond_iib = is_controllable(p2k, sync_product(g2, pk),
-                               scheme.e2k.uncontrollable)
+    cond_iia = is_controllable(p1k, sync_product(g1, pk))
+    cond_iib = is_controllable(p2k, sync_product(g2, pk))
     return ConditionalControllabilityReport(cond_i, cond_iia, cond_iib)
 
 
@@ -243,7 +244,7 @@ def synthesize_supervisors(
              "specification is not conditionally decomposable")
     _require_spec_within_plant(k, g1, g2, gk)
     supervisors = _generators(parts)
-    report = _conditionally_controllable(g1, g2, gk, scheme, supervisors)
+    report = _conditionally_controllable(g1, g2, gk, supervisors)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "
                                 "controllable", report.first_failure())
@@ -270,8 +271,7 @@ def observer_occ_reports(g1: Generator, g2: Generator, ek: Alphabet,
                             is_observer(lifted, ek.events)))
         if "occ" in checks:
             reports.append((f"occ(subsystem {i})",
-                            is_occ(lifted, ek.events,
-                                   lifted.alphabet.uncontrollable)))
+                            is_occ(lifted, ek.events)))
     return reports
 
 
@@ -314,12 +314,9 @@ def sup_cc(
     # coordinator interleave freely before the projection onto E_k.
     ambient_12 = inverse_project(sync_product(g1, g2), full)
     pk_plant = project(ambient_12, scheme.ek.events)
-    sup_k = sup_c(sync_product(pk, pk_plant), gk, scheme.ek.uncontrollable)
-
-    sup_1k, sup_2k = (
-        sup_c(pik, sync_product(g, sup_k), eik.uncontrollable)
-        for pik, g, eik in ((p1k, g1, scheme.e1k), (p2k, g2, scheme.e2k))
-    )
+    sup_k = sup_c(sync_product(pk, pk_plant), gk)
+    sup_1k, sup_2k = (sup_c(pik, sync_product(g, sup_k))
+                      for pik, g in ((p1k, g1), (p2k, g2)))
     # supC_k ∥ supC_{1+k} ∥ supC_{2+k} without its first factor: each
     # supC_{i+k} is computed against L_i ∥ supC_k, so its state (a pair
     # whose second part is a state of L_i ∥ supC_k) fixes the state of
@@ -349,7 +346,7 @@ def check_optimality_conditions(g1: Generator, g2: Generator,
                 f"coordinator word cannot be produced by subsystem {i}",
             )
         lifted = inverse_project(sync_product(g, gk), full)
-        occ = is_occ(lifted, eik.events, full.uncontrollable)
+        occ = is_occ(lifted, eik.events)
         if not occ.holds:
             return PropertyReport(
                 False, occ.counterexample,

@@ -66,9 +66,9 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
     return PropertyReport(True, detail="observer property holds")
 
 
-def is_occ(g: Generator, events: Iterable[str], eu) -> PropertyReport:
+def is_occ(g: Generator, events: Iterable[str]) -> PropertyReport:
     """Is the projection of L(G) onto ``events`` output control consistent
-    for L(G)?
+    for L(G)?  The uncontrollable events are those of G's alphabet.
 
     A word violates OCC when the hidden segment since the last target event
     (or since the start of the word) contains a controllable event and the
@@ -80,7 +80,7 @@ def is_occ(g: Generator, events: Iterable[str], eu) -> PropertyReport:
     Hidden cycles need no unrolling, and the walk expands G's rows in
     order, so the counterexample is the shortest full violating word."""
     target = g.alphabet.restrict(events).events
-    eu = g.alphabet.restrict(eu).events
+    eu = g.alphabet.uncontrollable
     if g.recognizes_empty_language:
         return PropertyReport(True, detail="empty language")
 

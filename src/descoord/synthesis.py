@@ -15,46 +15,34 @@ from .automata import (
     search,
     union_alphabets,
 )
-from .errors import AlphabetMismatchError, PreconditionError, ValidationError
-from .language import inverse_project, sync_product
+from .errors import PreconditionError
+from .language import _require_same_alphabet, inverse_project, sync_product
 
 
-def _check_controllability_args(k: Generator, l: Generator, eu) -> frozenset[str]:
-    if k.alphabet != l.alphabet:
-        raise AlphabetMismatchError(
-            "controllability needs both languages over the same alphabet"
-        )
-    eu = k.alphabet.restrict(eu).events
-    stray = eu - k.alphabet.uncontrollable
-    if stray:
-        raise ValidationError(
-            f"events {sorted(stray)} are not uncontrollable in this alphabet"
-        )
-    return eu
-
-
-def is_controllable(k: Generator, l: Generator, eu) -> PropertyReport:
-    """Check K̄ E_u ∩ L ⊆ K̄ on the synchronized pair of K and L.
+def is_controllable(k: Generator, l: Generator) -> PropertyReport:
+    """Check K̄ E_u ∩ L ⊆ K̄ on the synchronized pair of K and L, which must
+    share one alphabet; E_u is the uncontrollable part of that alphabet.
 
     Both languages are prefix-closed, so it suffices to walk their common
     words and look for an uncontrollable event that L enables and K does
     not.  The counterexample is the shortest violating word s·a."""
-    eu = _check_controllability_args(k, l, eu)
+    _require_same_alphabet(k, l, "controllability")
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return PropertyReport(True, detail="vacuously controllable")
 
-    word = intersect(k.rows, l.rows, eu)[2]
+    word = intersect(k.rows, l.rows, k.alphabet.uncontrollable)[2]
     if word is not None:
         return PropertyReport(
             False, word, "uncontrollable continuation leaves the specification")
     return PropertyReport(True, detail="controllability holds")
 
 
-def sup_c(k: Generator, l: Generator, eu) -> Generator:
+def sup_c(k: Generator, l: Generator) -> Generator:
     """Supremal controllable sublanguage of K (∩ L) with respect to L and
     E_u, as the greatest fixpoint on the product of K and L: a product state
     is deleted where L enables an uncontrollable event that K does not, or
-    where an uncontrollable event leads to a deleted state.
+    where an uncontrollable event leads to a deleted state.  K and L must
+    share one alphabet; E_u is the uncontrollable part of that alphabet.
 
     The product is one ``intersect`` walk of K against L.  A node (q_K, q_L)
     violates when an event of E_u missing from q_K's row is in q_L's row.
@@ -63,8 +51,9 @@ def sup_c(k: Generator, l: Generator, eu) -> Generator:
     edges, one ``backward`` pass, and a second search keeps the part still
     reachable through surviving states, numbered in its own discovery
     order.  K ⊆ L is not required; the product intersects implicitly."""
-    eu = _check_controllability_args(k, l, eu)
+    _require_same_alphabet(k, l, "sup_c")
     alphabet = k.alphabet
+    eu = alphabet.uncontrollable
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return empty_generator(alphabet)
     lacks = [eu.difference(row) for row in k.rows]

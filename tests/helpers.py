@@ -419,10 +419,10 @@ def reference_sup_c_deletions(k: Generator, l: Generator, eu):
 
 
 def reference_sup_c(k: Generator, l: Generator, eu) -> Generator:
-    """``sup_c(k, l, eu)`` by the route it used to take: the deletions of
-    ``reference_sup_c_deletions``, then a second search over the surviving
-    states, which numbers them in their own discovery order, whether or not
-    anything was deleted.  ``eu`` is assumed valid."""
+    """``sup_c(k, l)``, with E_u given as ``eu``, by the route it used to
+    take: the deletions of ``reference_sup_c_deletions``, then a second
+    search over the surviving states, which numbers them in their own
+    discovery order, whether or not anything was deleted.  ``eu`` is assumed valid."""
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return empty_generator(k.alphabet)
     pairs, rows, deleted = reference_sup_c_deletions(k, l, eu)
@@ -543,9 +543,10 @@ def reference_language_subset(g1: Generator, g2: Generator):
 
 
 def reference_is_controllable(k: Generator, l: Generator, eu):
-    """``is_controllable(k, l, eu)`` by the route it used to take, as
-    (holds, counterexample): a search over pairs (q_K, q_L) along L's rows
-    that ends on the first event of ``eu`` that L takes and K does not.
+    """``is_controllable(k, l)``, with E_u given as ``eu``, by the route it
+    used to take, as (holds, counterexample): a search over pairs
+    (q_K, q_L) along L's rows that ends on the first event of ``eu`` that
+    L takes and K does not.
     The generators are assumed non-empty, over one alphabet."""
     def successors(pair):
         qk, ql = pair
@@ -582,11 +583,9 @@ def reference_conditionally_controllable(k: Generator, g1: Generator,
     plants = [sync_product(g, pk) for g in (g1, g2)]
     projected = [project(plant, scheme.ek.events) for plant in plants]
     return ConditionalControllabilityReport(
-        is_controllable(pk, gk, scheme.ek.uncontrollable),
-        is_controllable(p1k, sync_product(plants[0], projected[1]),
-                        scheme.e1k.uncontrollable),
-        is_controllable(p2k, sync_product(plants[1], projected[0]),
-                        scheme.e2k.uncontrollable))
+        is_controllable(pk, gk),
+        is_controllable(p1k, sync_product(plants[0], projected[1])),
+        is_controllable(p2k, sync_product(plants[1], projected[0])))
 
 
 def reference_sup_cc(k: Generator, g1: Generator, g2: Generator,
@@ -601,12 +600,10 @@ def reference_sup_cc(k: Generator, g1: Generator, g2: Generator,
                     for target in (scheme.ek, scheme.e1k, scheme.e2k))
     pk_plant = project(inverse_project(sync_product(g1, g2), scheme.full),
                        scheme.ek.events)
-    sup_k = sup_c(sync_product(sync_product(pk, pk_plant), gk), gk,
-                  scheme.ek.uncontrollable)
+    sup_k = sup_c(sync_product(sync_product(pk, pk_plant), gk), gk)
     sup_1k, sup_2k = (
-        sup_c(sync_product(pik, g), sync_product(g, sup_k),
-              eik.uncontrollable)
-        for pik, g, eik in ((p1k, g1, scheme.e1k), (p2k, g2, scheme.e2k)))
+        sup_c(sync_product(pik, g), sync_product(g, sup_k))
+        for pik, g in ((p1k, g1), (p2k, g2)))
     return sup_k, sup_1k, sup_2k, sync_product(sup_1k, sup_2k)
 
 

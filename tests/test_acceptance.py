@@ -113,8 +113,7 @@ def test_criterion_02_optimality(cell, announce):
     started = time.perf_counter()
     assert check_optimality_conditions(cell.g1, cell.g2, cell.gk).holds
     composed = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
-    best = sup_c(cell.k, sync_product(cell.g1, cell.g2),
-                 cell.full.uncontrollable)
+    best = sup_c(cell.k, sync_product(cell.g1, cell.g2))
     assert language_equal(composed, best).holds
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -164,12 +163,11 @@ def test_criterion_03_precondition_narrative(tmp_path, cell, announce):
 
 def test_criterion_04_composition_controllable(announce):
     instances = collect_instances(4001, 200, distributed_instance)
-    for k, g1, g2, gk, scheme in instances:
+    for k, g1, g2, gk, _ in instances:
         result = sup_cc(k, g1, g2, gk)
         plant = sync_product(sync_product(g1, g2), gk)
-        eu = scheme.full.uncontrollable
-        assert is_controllable(result.composed, plant, eu).holds
-        best = sup_c(k, plant, eu)
+        assert is_controllable(result.composed, plant).holds
+        best = sup_c(k, plant)
         assert language_subset(result.composed, best).holds
     announce("[acceptance 4] PASS composed result controllable and within "
              "global supC on 200 instances")
@@ -328,7 +326,7 @@ def test_criterion_06d_extended_controllability(announce):
                     if len(ext) <= 8 and ext in lw:
                         assert ext in kw
         assert single == starred
-        verdict = is_controllable(k, plant, eu)
+        verdict = is_controllable(k, plant)
         if verdict.holds:
             assert single
         elif len(verdict.counterexample) <= 8:
@@ -342,11 +340,11 @@ def test_criterion_06e_transitivity(announce):
     alpha = Alphabet({"a", "b", "u"}, {"a", "b"})
     for _ in range(100):
         m = random_generator(rng, alpha)
-        mid = sup_c(sub_automaton(rng, m), m, {"u"})
+        mid = sup_c(sub_automaton(rng, m), m)
         inner = mid if mid.recognizes_empty_language else sub_automaton(rng,
                                                                         mid)
-        low = sup_c(inner, mid, {"u"})
-        assert is_controllable(low, m, {"u"}).holds
+        low = sup_c(inner, mid)
+        assert is_controllable(low, m).holds
         kw = bounded_language(low, 8).words
         mw = bounded_language(m, 8).words
         assert all(word + ("u",) in kw
@@ -449,7 +447,7 @@ def test_criterion_07_sup_c_oracle(announce):
         k = random_generator(rng, alpha, max_states=5)
         plant = random_generator(rng, alpha, max_states=5)
         eu = alpha.uncontrollable
-        result = sup_c(k, plant, eu)
+        result = sup_c(k, plant)
         expected = brute_sup_c(bounded_language(k, 8).words,
                                bounded_language(plant, 8).words, eu, 8)
         assert bounded_language(result, 6).words == truncate(expected, 6)
@@ -488,7 +486,7 @@ def test_criterion_08_observer_occ_literal(announce):
         else:
             long_witness_skips += 1
 
-        occ = is_occ(g, target, alpha.uncontrollable)
+        occ = is_occ(g, target)
         literal_occ, _ = bounded_occ_verdict(g, target,
                                              alpha.uncontrollable, 8)
         if occ.holds:

@@ -6,6 +6,7 @@ import inspect
 import json
 import pkgutil
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from descoord import (
     ValidationError,
     empty_generator,
     format_word,
+    from_words,
     make_generator,
     membership,
     parse_word,
@@ -123,10 +125,15 @@ def test_generators_are_immutable(cell, tmp_path):
         g.rows[0]["x"] = 0
     path = tmp_path / "project.json"
     path.write_text(json.dumps(
-        {"generators": [serialize_generator(g, "g1")]}), encoding="utf-8")
+        {"generators": [serialize_generator(g, "g1")],
+         "coordination": {"g1": "g1", "g2": "g1", "spec": "g1",
+                          "ek": ["c"]}}), encoding="utf-8")
     project = load_project(str(path))
     with pytest.raises(TypeError):
         project.generators["g2"] = g
+    with pytest.raises(TypeError):
+        project.coordination["gk"] = "g1"
+    assert project.coordination["ek"] == ("c",)
     report = PropertyReport(True)
     values = (g, cell.e1, report,
               ConditionalControllabilityReport(report, report, report),
@@ -200,16 +207,23 @@ def test_membership_examples(cell):
 
 
 @pytest.mark.parametrize("word", [("zz",), ("a", "zz"), ("b", "zz"),
-                                  ("a", "a", "zz"), ("zz", "a")])
+                                  ("a", "a", "zz"), ("zz", "a"),
+                                  (["a"],), ("a", ["a"]), ({"a"},),
+                                  ("b", {"a"}, "a")])
 def test_an_unknown_event_anywhere_in_a_word_raises(word):
     # The run of ("b", "zz") dies on b in the first two generators, and
     # every run dies at once in the empty one; the word is invalid anyway.
+    # An event that is not a string, even an unhashable one, is no event.
+    bad = next(event for event in word if event not in ("a", "b"))
+    message = re.escape(f"{bad!r} not in the alphabet")
     for g in (lang(AB, "a"), make_generator(["q"], AB, [], "q"),
               empty_generator(AB), universal_generator(AB)):
-        with pytest.raises(ValidationError, match="'zz' not in the alphabet"):
+        with pytest.raises(ValidationError, match=message):
             membership(g, word)
-        with pytest.raises(ValidationError, match="'zz' not in the alphabet"):
+        with pytest.raises(ValidationError, match=message):
             g.run(iter(word))
+    with pytest.raises(ValidationError, match=message):
+        from_words(AB, [("a",), word])
 
 
 def test_empty_generator():

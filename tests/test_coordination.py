@@ -415,8 +415,7 @@ def test_force_overrides_observer_occ_but_not_decomposability(cell):
     result = sup_cc(cell.k, cell.g1, cell.g2, gk, force=True)
     assert not result.certified
     plant = sync_product(sync_product(cell.g1, cell.g2), gk)
-    assert is_controllable(result.composed, plant,
-                           cell.full.uncontrollable).holds
+    assert is_controllable(result.composed, plant).holds
 
     # E_k = {c, u}: not decomposable; force does not help.
     gk_cu = default_coordinator(cell.g1, cell.g2,
@@ -448,8 +447,7 @@ def test_optimality_golden(cell):
     assert check_optimality_conditions(cell.g1, cell.g2, cell.gk).holds
     result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk)
     plant = sync_product(cell.g1, cell.g2)
-    best = sup_c(cell.k, sync_product(plant, cell.gk),
-                 cell.full.uncontrollable)
+    best = sup_c(cell.k, sync_product(plant, cell.gk))
     assert language_equal(result.composed, best).holds
 
 
@@ -476,10 +474,9 @@ def test_distributed_result_is_supc_where_the_optimality_conditions_hold():
     # optimality conditions holding, the composed sup_cc equals
     # supC(K, L_1 ∥ L_2 ∥ L_k).  Without the conditions it may be smaller.
     seen = collections.Counter()
-    for _, (k, g1, g2, gk, scheme) in random_coordinator_instances():
+    for _, (k, g1, g2, gk, _) in random_coordinator_instances():
         composed = sup_cc(k, g1, g2, gk).composed
-        best = sup_c(k, sync_product(sync_product(g1, g2), gk),
-                     scheme.full.uncontrollable)
+        best = sup_c(k, sync_product(sync_product(g1, g2), gk))
         assert language_subset(composed, best).holds
         equal = language_equal(composed, best).holds
         if check_optimality_conditions(g1, g2, gk).holds:
@@ -606,9 +603,8 @@ def test_composition_is_controllable_smoke():
     for k, g1, g2, gk, scheme in instances:
         result = sup_cc(k, g1, g2, gk)
         plant = sync_product(sync_product(g1, g2), gk)
-        assert is_controllable(result.composed, plant,
-                               scheme.full.uncontrollable).holds
-        best = sup_c(k, plant, scheme.full.uncontrollable)
+        assert is_controllable(result.composed, plant).holds
+        best = sup_c(k, plant)
         assert language_subset(result.composed, best).holds
         assert conditionally_decomposable(result.composed, scheme).holds
 

@@ -91,8 +91,7 @@ def parts(seed: int) -> dict[str, str]:
 
     def supc():
         plant = sync_product(sync_product(g1, g2), gk)
-        return written(("sup_c", sup_c(k, plant,
-                                       scheme.full.uncontrollable)))
+        return written(("sup_c", sup_c(k, plant)))
 
     return {
         "conddec": report_text(conditionally_decomposable(k, scheme)),

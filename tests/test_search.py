@@ -31,6 +31,7 @@ from descoord import (
     project,
     shortest_words,
     sup_c,
+    sup_cc,
     sync_product,
     union_alphabets,
     universal_generator,
@@ -82,8 +83,8 @@ def test_constructions_are_canonical_by_construction(g, rng):
         sync_product(g, random_generator(rng, other)),
         project(g, shared),
         language_union(g, same),
-        sup_c(same, g, g.alphabet.uncontrollable),
-        sup_c(sub_automaton(rng, g), g, g.alphabet.uncontrollable),
+        sup_c(same, g),
+        sup_c(sub_automaton(rng, g), g),
         inverse_project(g, wide),
         widen_alphabet(g, wide),
         universal_generator(g.alphabet),
@@ -111,7 +112,7 @@ def test_sup_c_numbers_the_survivors_by_their_own_search():
     states = [str(i) for i in range(6)]
     k = make_generator(states, alphabet, k_edges, "0")
     l = make_generator(states, alphabet, k_edges + [("1", "u", "0")], "0")
-    result = sup_c(k, l, {"u"})
+    result = sup_c(k, l)
     assert result.rows == ({"b": 1}, {"c": 2, "d": 3}, {}, {})
     assert result.num_states == 4
 
@@ -177,7 +178,7 @@ def test_sup_c_agrees_with_the_route_it_replaced():
     for _ in range(600):
         k, l = sup_c_instance(rng)
         eu = SUP_C_ALPHABET.uncontrollable
-        got, expected = sup_c(k, l, eu), reference_sup_c(k, l, eu)
+        got, expected = sup_c(k, l), reference_sup_c(k, l, eu)
         assert got.labels == expected.labels
         assert got.rows == expected.rows
         assert (got.recognizes_empty_language
@@ -201,25 +202,24 @@ def test_sup_c_searches_the_product_once_unless_a_survivor_is_renumbered(
     monkeypatch.setattr(synthesis, "intersect", counted(walks, intersect))
     monkeypatch.setattr(synthesis, "search", counted(searches, search))
 
-    def count(k, l, eu):
+    def count(k, l):
         walks.clear()
         searches.clear()
-        result = sup_c(k, l, eu)
+        result = sup_c(k, l)
         assert len(walks) == 1
         return len(searches), result
 
     # Nothing violates: the product is the result.
     spec, g1, g2 = buffered_line(6, 3, 3)
-    eu = spec.alphabet.uncontrollable
-    assert count(spec, spec, eu)[0] == 0
+    assert count(spec, spec)[0] == 0
     # The full buffer blocks the uncontrollable b1 deep in the product:
     # one search, for the survivors.
-    n, result = count(spec, sync_product(g1, g2), eu)
+    n, result = count(spec, sync_product(g1, g2))
     assert (n, result.num_states < spec.num_states) == (1, True)
     # The initial state violates: nothing survives, no search.
     alphabet = Alphabet({"a", "u"}, {"a"})
     n, result = count(from_words(alphabet, ["a"]),
-                      from_words(alphabet, ["a", "u"]), {"u"})
+                      from_words(alphabet, ["a", "u"]))
     assert (n, result.recognizes_empty_language) == (0, True)
 
 
@@ -317,7 +317,7 @@ def test_pair_walks_agree_with_the_routes_they_replaced():
             assert ((report.holds, report.counterexample)
                     == reference_language_subset(left, right))
             verdicts["language_subset", report.holds] += 1
-            report = is_controllable(left, right, eu)
+            report = is_controllable(left, right)
             assert ((report.holds, report.counterexample)
                     == reference_is_controllable(left, right, eu))
             verdicts["is_controllable", report.holds] += 1
@@ -346,7 +346,7 @@ def test_a_violation_inside_a_row_ends_the_search_with_its_own_word():
     nw = bounded_language(narrow, bound).words
     inclusion = language_subset(wide, narrow)
     assert inclusion.counterexample == shortest(lw - nw) == ("a", "b")
-    controllability = is_controllable(narrow, wide, {"u"})
+    controllability = is_controllable(narrow, wide)
     assert controllability.counterexample == shortest(
         word for word in lw - nw
         if word[-1] == "u" and word[:-1] in nw) == ("a", "u")
@@ -377,7 +377,7 @@ def test_counterexamples_are_the_shortest_violating_words(g, rng):
             # K = left, L = right: s·a in L \ K with s in K and a in E_u.
             violations = [word for word in rw - lw
                           if word[-1] in eu and word[:-1] in lw]
-            assert (is_controllable(left, right, eu).counterexample
+            assert (is_controllable(left, right).counterexample
                     == shortest(violations))
     # A supervisor over E ∪ {x}: s·u with s in L(S) ∥ L(G), u in E_u and
     # P_G(s)·u in L(G), but P_S(s)·u = s·u not in L(S).
@@ -400,14 +400,21 @@ def test_counterexamples_are_the_shortest_violating_words(g, rng):
 # growth of the work
 
 @functools.cache
-def line_instance(p1: int):
-    """K of ``buffered_line(p1, 3, 3)`` (40 + 20·p1 states), E_k =
-    {a1, a2, b1, b2}, the scheme and the plant G1 ∥ G2 ∥ Gk."""
-    k, g1, g2 = buffered_line(p1, 3, 3)
+def coordinated_line(p1: int, p2: int, n: int):
+    """K of ``buffered_line(p1, p2, n)``, G1, G2, the default coordinator
+    Gk over E_k = {a1, a2, b1, b2}, and the scheme."""
+    k, g1, g2 = buffered_line(p1, p2, n)
     ek = k.alphabet.restrict({"a1", "a2", "b1", "b2"})
-    plant = sync_product(sync_product(g1, g2),
-                         default_coordinator(g1, g2, ek))
-    return k, CoordinationScheme(g1.alphabet, g2.alphabet, ek), plant
+    return (k, g1, g2, default_coordinator(g1, g2, ek),
+            CoordinationScheme(g1.alphabet, g2.alphabet, ek))
+
+
+@functools.cache
+def line_instance(p1: int):
+    """K of ``buffered_line(p1, 3, 3)`` (40 + 20·p1 states), the scheme and
+    the plant G1 ∥ G2 ∥ Gk of ``coordinated_line``."""
+    k, g1, g2, gk, scheme = coordinated_line(p1, 3, 3)
+    return k, scheme, sync_product(sync_product(g1, g2), gk)
 
 
 @pytest.mark.parametrize("measured, run", [
@@ -415,14 +422,12 @@ def line_instance(p1: int):
                  lambda k, scheme, plant: conditionally_decomposable(
                      k, scheme), id="conditionally_decomposable"),
     pytest.param((5143, 10_093, 19_993, 39_793),
-                 lambda k, scheme, plant: sup_c(
-                     k, plant, scheme.full.uncontrollable), id="sup_c"),
+                 lambda k, scheme, plant: sup_c(k, plant), id="sup_c"),
     pytest.param((2908, 5708, 11_308, 22_508),
                  lambda k, scheme, plant: project(k, scheme.ek.events),
                  id="project"),
     pytest.param((1040, 2040, 4040, 8040),
-                 lambda k, scheme, plant: is_occ(
-                     k, scheme.ek.events, scheme.full.uncontrollable),
+                 lambda k, scheme, plant: is_occ(k, scheme.ek.events),
                  id="is_occ"),
     pytest.param((10_864, 21_314, 42_214, 84_014),
                  lambda k, scheme, plant: is_observer(k, scheme.ek.events),
@@ -437,6 +442,40 @@ def test_row_reads_grow_linearly_with_the_line(measured, run):
         k, scheme, plant = line_instance(p1)
         counted, count = counted_rows(k)
         run(counted, scheme, plant)
+        reads.append(count())
+    ratios = [after / before for before, after in zip(reads, reads[1:])]
+    assert max(ratios) <= 2.2, (reads, measured)
+
+
+def test_sup_cc_reads_each_transition_of_k_a_bounded_number_of_times():
+    # On (p, p, p) = 3, 6, 12 and 24, K has 190, 880, 5068 and 33 748
+    # transitions, ×6.6 per doubling; sup_cc read its rows 1223, 5651,
+    # 32 651 and 218 195 times when this gate was set, 6.42-6.47 reads per
+    # transition.  Work superlinear in the size of K fails the bound of 7.
+    for p in (3, 6, 12, 24):
+        k, g1, g2, gk, _ = coordinated_line(p, p, p)
+        counted, count = counted_rows(k)
+        sup_cc(counted, g1, g2, gk)
+        assert count() <= 7 * k.num_transitions, (p, count())
+
+
+@pytest.mark.parametrize("measured, run", [
+    pytest.param((8373, 16_498, 32_748, 65_248),
+                 lambda k, g1, g2, gk, scheme: sup_cc(k, g1, g2, gk),
+                 id="sup_cc"),
+    pytest.param((6447, 12_697, 25_197, 50_197),
+                 lambda k, g1, g2, gk, scheme: conditionally_decomposable(
+                     k, scheme), id="conditionally_decomposable"),
+])
+def test_row_reads_grow_linearly_with_the_buffer(measured, run):
+    # Reads of K's rows on ``buffered_line(3, 3, n)`` at n = 25, 50, 100
+    # and 200; ``measured`` holds the counts when this gate was set,
+    # ×1.97-1.99 per doubling, as K's transitions grow.
+    reads = []
+    for n in (25, 50, 100, 200):
+        k, *rest = coordinated_line(3, 3, n)
+        counted, count = counted_rows(k)
+        run(counted, *rest)
         reads.append(count())
     ratios = [after / before for before, after in zip(reads, reads[1:])]
     assert max(ratios) <= 2.2, (reads, measured)

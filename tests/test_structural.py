@@ -104,13 +104,12 @@ def test_occ_holds_for_the_chosen_coordinator_alphabet(cell):
 def test_occ_vacuous_without_uncontrollable_events():
     alpha = Alphabet({"a", "b"}, {"a", "b"})
     g = lang(alpha, "a.b", "b.a.b")
-    assert is_occ(g, {"b"}, set()).holds
+    assert is_occ(g, {"b"}).holds
 
 
 @pytest.mark.parametrize("check", [
     pytest.param(lambda g: is_observer(g, {"b", "x"}), id="observer-target"),
-    pytest.param(lambda g: is_occ(g, {"b", "x"}, set()), id="occ-target"),
-    pytest.param(lambda g: is_occ(g, {"b"}, {"x"}), id="occ-uncontrollable"),
+    pytest.param(lambda g: is_occ(g, {"b", "x"}), id="occ-target"),
 ])
 def test_checks_reject_events_outside_the_generator(check):
     g = lang(Alphabet({"a", "b"}, {"a", "b"}), "a.b")
@@ -128,7 +127,7 @@ def test_occ_handles_hidden_cycles():
     }
     from descoord import make_generator
     g = make_generator(["s0", "s1", "s2"], alpha, gens, "s0")
-    report = is_occ(g, {"a", "u"}, {"u"})
+    report = is_occ(g, {"a", "u"})
     assert not report.holds
     assert report.counterexample == w("h.u")
 
@@ -148,7 +147,7 @@ def test_checkers_agree_with_bounded_definition():
         elif len(verdict.counterexample) <= 6:
             assert not literal
 
-        occ = is_occ(g, target, alpha.uncontrollable)
+        occ = is_occ(g, target)
         literal_occ, _ = bounded_occ_verdict(g, target,
                                              alpha.uncontrollable, 8)
         if occ.holds:
@@ -167,7 +166,7 @@ def test_occ_agrees_with_the_route_it_replaced():
         alpha = Alphabet(frozenset(names), random_controllable(rng, names))
         g = random_generator(rng, alpha, max_states=6, edge_prob=0.5)
         target = frozenset(rng.sample(names, rng.randint(1, len(names) - 1)))
-        report = is_occ(g, target, alpha.uncontrollable)
+        report = is_occ(g, target)
         assert report == reference_is_occ(g, target, alpha.uncontrollable)
         seen[report.holds] += 1
         if not report.holds:
@@ -366,4 +365,4 @@ def test_occ_composition_lemma(cell):
     for name, report in observer_occ_reports(cell.g1, cell.g2, cell.ek):
         assert report.holds, name
     plant = sync_product(sync_product(cell.g1, cell.g2), cell.gk)
-    assert is_occ(plant, cell.ek.events, cell.full.uncontrollable).holds
+    assert is_occ(plant, cell.ek.events).holds

@@ -8,12 +8,12 @@ from descoord import (
     Alphabet,
     AlphabetMismatchError,
     PreconditionError,
-    ValidationError,
     closed_loop,
     empty_generator,
     from_words,
     is_admissible,
     is_controllable,
+    is_occ,
     language_equal,
     language_subset,
     project,
@@ -33,44 +33,45 @@ def _coordinator_pair(cell):
 
 def test_controllability_counterexample_is_shortest(cell):
     pk, gk = _coordinator_pair(cell)
-    report = is_controllable(pk, gk, {"u"})
+    report = is_controllable(pk, gk)
     assert not report.holds
     assert report.counterexample == w("a2.a1.u")
 
 
 def test_language_is_controllable_wrt_itself(cell):
-    assert is_controllable(cell.g1, cell.g1, {"u", "u1"}).holds
+    assert is_controllable(cell.g1, cell.g1).holds
 
 
 def test_empty_language_is_controllable(cell):
-    assert is_controllable(empty_generator(cell.ek), cell.gk, {"u"}).holds
+    assert is_controllable(empty_generator(cell.ek), cell.gk).holds
 
 
 def test_controllability_validates_arguments(cell):
-    pk, gk = _coordinator_pair(cell)
+    pk, _ = _coordinator_pair(cell)
     with pytest.raises(AlphabetMismatchError):
-        is_controllable(pk, cell.g1, {"u"})
-    with pytest.raises(Exception):
-        is_controllable(pk, gk, {"c"})  # c is controllable
+        is_controllable(pk, cell.g1)
 
 
-@pytest.mark.parametrize("check", [is_controllable, sup_c])
-@pytest.mark.parametrize("eu", [[["u"]], ["x"]], ids=["list-name", "unknown"])
-def test_uncontrollable_events_are_validated(check, eu):
-    g = lang(Alphabet({"a", "u"}, {"a"}), "a.u")
-    with pytest.raises(ValidationError):
-        check(g, g, eu)
+@pytest.mark.parametrize("u_controllable", [False, True])
+def test_the_alphabet_decides_which_events_are_uncontrollable(u_controllable):
+    # The same words over {a, u}; only the alphabet's split differs.
+    alpha = Alphabet({"a", "u"}, {"a", "u"} if u_controllable else {"a"})
+    k, l = lang(alpha, "a"), lang(alpha, "a.u")
+    assert is_controllable(k, l).holds is u_controllable
+    expected = k if u_controllable else lang(alpha, "")
+    assert language_equal(sup_c(k, l), expected).holds
+    # The hidden controllable a precedes the projected event u.
+    assert is_occ(l, {"u"}).holds is u_controllable
 
 
 def test_sup_c_golden_coordinator_language(cell):
     pk, gk = _coordinator_pair(cell)
-    result = sup_c(pk, gk, {"u"})
+    result = sup_c(pk, gk)
     assert language_equal(result, cell.over_ek("a2", "c", "a1.a2.u")).holds
 
 
 def test_sup_c_of_controllable_language_is_identity(cell):
-    assert language_equal(sup_c(cell.g1, cell.g1, {"u", "u1"}),
-                          cell.g1).holds
+    assert language_equal(sup_c(cell.g1, cell.g1), cell.g1).holds
 
 
 def test_sup_c_can_be_empty():
@@ -78,7 +79,7 @@ def test_sup_c_can_be_empty():
     k = lang(alpha, "a")
     plant = lang(alpha, "a.u", "u")
     # ε has the uncontrollable continuation u in the plant but u ∉ K.
-    result = sup_c(k, plant, {"u"})
+    result = sup_c(k, plant)
     assert result.recognizes_empty_language
 
 
@@ -88,8 +89,8 @@ def test_sup_c_output_is_controllable_and_included():
     for _ in range(40):
         k = random_generator(rng, alpha)
         plant = random_generator(rng, alpha)
-        result = sup_c(k, plant, alpha.uncontrollable)
-        assert is_controllable(result, plant, alpha.uncontrollable).holds
+        result = sup_c(k, plant)
+        assert is_controllable(result, plant).holds
         assert language_subset(result, k).holds
         assert language_subset(result, plant).holds
 
@@ -100,7 +101,7 @@ def test_sup_c_matches_bounded_oracle():
     for _ in range(40):
         k = random_generator(rng, alpha)
         plant = random_generator(rng, alpha)
-        result = sup_c(k, plant, {"u", "v"})
+        result = sup_c(k, plant)
         expected = brute_sup_c(bounded_language(k, 8).words,
                                bounded_language(plant, 8).words,
                                {"u", "v"}, 8)
@@ -122,7 +123,7 @@ def test_basic_controllability_round_trip():
     for _ in range(60):
         plant = random_generator(rng, alpha)
         k = sub_automaton(rng, plant)
-        if not is_controllable(k, plant, {"u"}).holds:
+        if not is_controllable(k, plant).holds:
             continue
         loop = closed_loop(k, plant)
         assert language_equal(loop, k).holds
@@ -132,7 +133,7 @@ def test_basic_controllability_round_trip():
 
 def test_closed_loop_golden(cell):
     pk, gk = _coordinator_pair(cell)
-    supervisor = sup_c(pk, gk, {"u"})
+    supervisor = sup_c(pk, gk)
     loop = closed_loop(supervisor, gk)
     assert language_equal(loop, supervisor).holds
 
@@ -159,7 +160,7 @@ def test_admissibility_examples(cell):
     assert not report.holds
     assert report.counterexample == w("a1.a2.u")
     pk, gk = _coordinator_pair(cell)
-    assert is_admissible(sup_c(pk, gk, {"u"}), gk).holds
+    assert is_admissible(sup_c(pk, gk), gk).holds
 
 
 def test_admissibility_of_empty_supervisor_is_vacuous(cell):
@@ -190,7 +191,7 @@ def test_extended_controllability_equivalence():
 
         starred = all(star_ok(word) for word in kw)
         assert single == starred
-        verdict = is_controllable(k, plant, eu)
+        verdict = is_controllable(k, plant)
         if verdict.holds:
             assert single
         elif len(verdict.counterexample) <= 8:
@@ -202,7 +203,7 @@ def test_controllability_is_transitive():
     alpha = Alphabet({"a", "b", "u"}, {"a", "b"})
     for _ in range(40):
         m = random_generator(rng, alpha)
-        mid = sup_c(sub_automaton(rng, m), m, {"u"})
+        mid = sup_c(sub_automaton(rng, m), m)
         low = sup_c(sub_automaton(rng, mid) if not
-                    mid.recognizes_empty_language else mid, mid, {"u"})
-        assert is_controllable(low, m, {"u"}).holds
+                    mid.recognizes_empty_language else mid, mid)
+        assert is_controllable(low, m).holds
