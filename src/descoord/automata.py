@@ -274,16 +274,16 @@ def _canonicalize(
 def make_generator(
     states: Iterable[str],
     alphabet: Alphabet,
-    transitions: Mapping[tuple[str, str], str] | Iterable[tuple[str, str, str]],
+    transitions: Iterable[tuple[str, str, str]],
     initial: str,
 ) -> Generator:
-    """Validate and build a generator from named states.  Raises
+    """Validate and build a generator from named states and its
+    ``[source, event, target]`` transition triples.  Raises
     ``DeterminismError`` for a duplicate (state, event) transition and
-    ``ValidationError`` for a transition that is not a triple of strings (or
-    a mapping key that is not a (state, event) pair) and for references to
-    unknown states or events.  Every transition is validated, but only the
-    states reachable from ``initial`` are kept: the language cannot see
-    the others.
+    ``ValidationError`` for a transition that is not a triple of strings and
+    for references to unknown states or events.  Every transition is
+    validated, but only the states reachable from ``initial`` are kept: the
+    language cannot see the others.
     """
     names = list(states)
     for name in names:
@@ -296,14 +296,6 @@ def make_generator(
         raise ValidationError("a generator needs at least one state")
     if not isinstance(initial, str) or initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
-
-    if isinstance(transitions, Mapping):
-        if not all(isinstance(key, tuple) and len(key) == 2
-                   for key in transitions):
-            raise ValidationError("transition keys must be (state, event) "
-                                  "pairs")
-        transitions = [(src, event, dst)
-                       for (src, event), dst in transitions.items()]
 
     events = alphabet.events
     rows: list[dict[str, int]] = [{} for _ in names]

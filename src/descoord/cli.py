@@ -329,8 +329,8 @@ def _agrees(report: PropertyReport, bound: int, violated: bool) -> bool:
 
 
 def _oracle_controllability(k, plant, report, bound, json_mode) -> bool:
-    kw = bounded_language(k, bound).words
-    lw = bounded_language(plant, bound).words
+    kw = bounded_language(k, bound)
+    lw = bounded_language(plant, bound)
     eu = k.alphabet.uncontrollable
     violated = any(word + (event,) in lw and word + (event,) not in kw
                    for word in kw for event in eu)
@@ -340,7 +340,7 @@ def _oracle_controllability(k, plant, report, bound, json_mode) -> bool:
 
 
 def _oracle_conddec(k, scheme, report, bound, json_mode) -> bool:
-    kw = bounded_language(k, bound).words
+    kw = bounded_language(k, bound)
     p1k, p2k, pk = (bounded_projection(k, alphabet.events, bound)
                     for alphabet in (scheme.e1k, scheme.e2k, scheme.ek))
     composed = brute_product(
@@ -435,12 +435,12 @@ def cmd_synth(args) -> int:
         if args.oracle_bound is not None:
             bound = args.oracle_bound
             eu = scheme.full.uncontrollable
-            kw = bounded_language(k, bound).words
-            lw = bounded_language(plant, bound + 1).words
+            kw = bounded_language(k, bound)
+            lw = bounded_language(plant, bound + 1)
             low = brute_sup_c(kw, lw, eu, bound)
             high = brute_sup_c(kw, {w for w in lw if len(w) <= bound}, eu,
                                bound)
-            got = bounded_language(result, bound).words
+            got = bounded_language(result, bound)
             oracle_ok = _oracle_note(f"supC at bound {bound}", "supc", bound,
                                      low <= got <= high, args.json)
     elif args.mode == "supcc":
@@ -455,17 +455,17 @@ def cmd_synth(args) -> int:
         if args.oracle_bound is not None:
             bound = args.oracle_bound
             left = brute_product(
-                bounded_language(result.sup_k, bound).words,
+                bounded_language(result.sup_k, bound),
                 scheme.ek.events,
-                bounded_language(result.sup_1k, bound).words,
+                bounded_language(result.sup_1k, bound),
                 scheme.e1k.events, bound)
             composed_w = brute_product(
                 left, scheme.ek.events | scheme.e1k.events,
-                bounded_language(result.sup_2k, bound).words,
+                bounded_language(result.sup_2k, bound),
                 scheme.e2k.events, bound)
             oracle_ok = _oracle_note(
                 f"composition at bound {bound}", "composition", bound,
-                composed_w == bounded_language(result.composed, bound).words,
+                composed_w == bounded_language(result.composed, bound),
                 args.json)
     else:  # supervisors
         s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk)

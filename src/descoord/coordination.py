@@ -361,15 +361,17 @@ def default_coordinator(g1: Generator, g2: Generator,
     """Coordinator over E_k that does not restrict the plant:
     L_k = L(P^1_{1∩k}(G_1) ∥ P^2_{2∩k}(G_2)), so
     L(G_1 ∥ G_2) ∥ L_k = L(G_1 ∥ G_2).  Requires every reachable shared
-    event of the subsystems to belong to E_k."""
+    event of the subsystems to belong to E_k; otherwise raises
+    ``PreconditionError``, its report's witness the least event outside."""
     union_alphabets(g1.alphabet, g2.alphabet, ek)
     shared = reachable_events(g1) & reachable_events(g2)
     outside = shared - ek.events
     if outside:
         raise PreconditionError(
             f"shared events {sorted(outside)} are outside the coordinator "
-            f"event set"
-        )
+            f"event set",
+            PropertyReport(False, (min(outside),),
+                           "reachable shared event is outside E_k"))
     p1 = project(g1, g1.alphabet.events & ek.events)
     p2 = project(g2, g2.alphabet.events & ek.events)
     return widen_alphabet(sync_product(p1, p2), ek)

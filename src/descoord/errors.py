@@ -29,7 +29,7 @@ class PreconditionError(DescoordError):
     """An operation's precondition failed.  Carries the failing check's
     report so callers can surface the counterexample."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

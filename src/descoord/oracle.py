@@ -6,8 +6,6 @@ production constructions, and are deliberately naive.  Never use them on a
 production path.
 """
 
-from dataclasses import dataclass
-
 from .automata import EPSILON, Generator, Word
 from .errors import OracleBoundError
 
@@ -24,21 +22,14 @@ def _too_many(n: int) -> OracleBoundError:
         f"use a smaller bound")
 
 
-@dataclass(frozen=True)
-class BoundedLanguage:
-    """A prefix-closed set of words of length at most ``bound``."""
-
-    words: frozenset[Word]
-    bound: int
-
-
-def bounded_language(g: Generator, n: int) -> BoundedLanguage:
-    """Exactly {w in L(G) : |w| <= n}, by exhaustive graph walk.  Raises
-    ``OracleBoundError`` when there are more than ``MAX_WORDS``."""
+def bounded_language(g: Generator, n: int) -> frozenset[Word]:
+    """Exactly {w in L(G) : |w| <= n}, the prefix-closed set of G's words of
+    length at most n, by exhaustive graph walk.  Raises ``OracleBoundError``
+    when there are more than ``MAX_WORDS``."""
     if n < 0:
         raise ValueError("bound must be nonnegative")
     if g.recognizes_empty_language:
-        return BoundedLanguage(frozenset(), n)
+        return frozenset()
     # Count the words first, per length and end state, without listing
     # them: O(n * |transitions|).
     counts = {0: 1}
@@ -67,7 +58,7 @@ def bounded_language(g: Generator, n: int) -> BoundedLanguage:
                 if target is not None:
                     nxt.append((target, word + (event,)))
         frontier = nxt
-    return BoundedLanguage(frozenset(words), n)
+    return frozenset(words)
 
 
 def erase(word: Word, target_events) -> Word:

@@ -665,7 +665,7 @@ def bounded_observer_verdict(g: Generator, target, bound: int):
     then the next target symbol of t, recursively (memoized, exact for
     arbitrary u lengths)."""
     target = frozenset(target)
-    words = sorted(bounded_language(g, bound).words, key=lambda v: (len(v), v))
+    words = sorted(bounded_language(g, bound), key=lambda v: (len(v), v))
     projected = {erase(word, target) for word in words}
 
     hidden_closure: list[frozenset[int]] = []
@@ -718,7 +718,7 @@ def bounded_occ_verdict(g: Generator, target, eu, bound: int):
     event must stay uncontrollable whenever the next target event is."""
     target = frozenset(target)
     eu = frozenset(eu)
-    for word in sorted(bounded_language(g, bound).words,
+    for word in sorted(bounded_language(g, bound),
                        key=lambda v: (len(v), v)):
         dirty = False
         for position, event in enumerate(word):

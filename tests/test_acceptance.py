@@ -251,11 +251,11 @@ def test_criterion_06a_projection_distributes(announce):
         assert language_equal(lhs, rhs).holds
         # oracle words are genuine members; production words are confirmed
         # by an independent interleaving search
-        ws1 = bounded_language(g1, 8).words
-        ws2 = bounded_language(g2, 8).words
+        ws1 = bounded_language(g1, 8)
+        ws2 = bounded_language(g2, 8)
         oracle = brute_project(
             brute_product(ws1, e1.events, ws2, e2.events, 8), ek)
-        produced = bounded_language(lhs, 8).words
+        produced = bounded_language(lhs, 8)
         assert truncate(oracle, 8) <= produced
         for word in truncate(produced, 6):
             assert word_in_projected_product(word, [g1, g2], ek)
@@ -272,12 +272,12 @@ def test_criterion_06b_local_projection_identity(announce):
         pj = project(g2, ek)
         rhs = sync_product(g1, inverse_project(pj, e1))
         assert language_equal(lhs, rhs).holds
-        ws2 = bounded_language(g2, 8).words
+        ws2 = bounded_language(g2, 8)
         pj_w = brute_project(ws2, ek)
-        ws1 = bounded_language(g1, 8).words
+        ws1 = bounded_language(g1, 8)
         # every bounded-oracle member is genuine (its witnesses are short)
         oracle_rhs = {word for word in ws1 if erase(word, ek) in pj_w}
-        produced = bounded_language(lhs, 8).words
+        produced = bounded_language(lhs, 8)
         assert oracle_rhs <= produced
         for word in truncate(produced, 6):
             assert word_in_projected_product(word, [g1, g2], e1.events)
@@ -293,7 +293,7 @@ def test_criterion_06c_own_projection_restriction(announce):
         keep = frozenset(e for e in alpha.events if rng.random() < 0.5)
         restricted = sync_product(g, project(g, keep))
         assert language_equal(restricted, g).holds
-        lw = bounded_language(g, 8).words
+        lw = bounded_language(g, 8)
         pk_w = brute_project(lw, keep)
         assert brute_product(lw, alpha.events, pk_w, keep, 8) == lw
     announce("[acceptance 6c] PASS composing a language with its own "
@@ -307,8 +307,8 @@ def test_criterion_06d_extended_controllability(announce):
     for _ in range(100):
         plant = random_generator(rng, alpha)
         k = sub_automaton(rng, plant)
-        kw = bounded_language(k, 8).words
-        lw = bounded_language(plant, 8).words
+        kw = bounded_language(k, 8)
+        lw = bounded_language(plant, 8)
         single = all(word + (e,) in kw
                      for word in kw for e in eu if word + (e,) in lw)
         starred = True
@@ -345,8 +345,8 @@ def test_criterion_06e_transitivity(announce):
                                                                         mid)
         low = sup_c(inner, mid)
         assert is_controllable(low, m).holds
-        kw = bounded_language(low, 8).words
-        mw = bounded_language(m, 8).words
+        kw = bounded_language(low, 8)
+        mw = bounded_language(m, 8)
         assert all(word + ("u",) in kw
                    for word in kw if word + ("u",) in mw)
     announce("[acceptance 6e] PASS controllability is transitive "
@@ -365,11 +365,11 @@ def test_criterion_06f_inverse_image_composition(announce):
         )
         rhs = project(sync_product(g1, g2), ek)
         assert language_equal(lhs, rhs).holds
-        ws1 = bounded_language(g1, 8).words
-        ws2 = bounded_language(g2, 8).words
+        ws1 = bounded_language(g1, 8)
+        ws2 = bounded_language(g2, 8)
         o1 = brute_project(_grow_inverse(ws1, e1.events, e1k.events, 8), ek)
         o2 = brute_project(_grow_inverse(ws2, e2.events, e2k.events, 8), ek)
-        produced = bounded_language(rhs, 8).words
+        produced = bounded_language(rhs, 8)
         # both the bounded-oracle intersection and the production result are
         # confirmed by an independent interleaving search
         for word in truncate(o1 & o2, 6):
@@ -385,9 +385,9 @@ def test_criterion_06g_subset_from_projections(announce):
     for _ in range(100):
         full, e1, e2, _, g1, g2 = _two_subsystems(rng)
         a = sync_product(sub_automaton(rng, g1), sub_automaton(rng, g2))
-        ws1 = bounded_language(g1, 8).words
-        ws2 = bounded_language(g2, 8).words
-        for word in bounded_language(a, 8).words:
+        ws1 = bounded_language(g1, 8)
+        ws2 = bounded_language(g2, 8)
+        for word in bounded_language(a, 8):
             assert erase(word, e1.events) in ws1
             assert erase(word, e2.events) in ws2
         assert language_subset(
@@ -421,7 +421,7 @@ def test_criterion_06h_prefix_closure_of_inverse_images(announce):
         alpha_big = Alphabet(frozenset(events_big), {"a", "x", "y"})
         g = random_generator(rng, alpha_small)
         lifted = inverse_project(g, alpha_big)
-        assert is_prefix_closed(bounded_language(lifted, 5).words)
+        assert is_prefix_closed(bounded_language(lifted, 5))
     announce("[acceptance 6h] PASS prefix closure transfers through "
              "inverse images (100 instances)")
 
@@ -448,16 +448,16 @@ def test_criterion_07_sup_c_oracle(announce):
         plant = random_generator(rng, alpha, max_states=5)
         eu = alpha.uncontrollable
         result = sup_c(k, plant)
-        expected = brute_sup_c(bounded_language(k, 8).words,
-                               bounded_language(plant, 8).words, eu, 8)
-        assert bounded_language(result, 6).words == truncate(expected, 6)
+        expected = brute_sup_c(bounded_language(k, 8),
+                               bounded_language(plant, 8), eu, 8)
+        assert bounded_language(result, 6) == truncate(expected, 6)
         # The two-sided check at bound 6, with no truncation: the fixpoint
         # on L's words up to 7 is controllable, so it lies inside supC.
-        kw = bounded_language(k, 6).words
-        lw = bounded_language(plant, 7).words
+        kw = bounded_language(k, 6)
+        lw = bounded_language(plant, 7)
         low = brute_sup_c(kw, lw, eu, 6)
         high = brute_sup_c(kw, truncate(lw, 6), eu, 6)
-        assert low <= bounded_language(result, 6).words <= high
+        assert low <= bounded_language(result, 6) <= high
         exact += low == high
     assert exact >= 100, exact
     announce("[acceptance 7] PASS supC equals the bounded oracle on 200 "

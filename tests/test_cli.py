@@ -636,6 +636,12 @@ EK = "coordination 'ek' must be \"auto\" or a list of event names"
     pytest.param(("generators",), "g.json",
                  "{p}: project needs a 'generators' list",
                  id="generators-as-string"),
+    pytest.param(("generators", 1, "name"), "g1",
+                 "{p}: duplicate generator name 'g1'",
+                 id="duplicate-generator-name"),
+    pytest.param((*GEN, "events", 1, "name"), "a1",
+                 "{p} (inline): duplicate event names",
+                 id="duplicate-event-name"),
     pytest.param((), b"\xff{}",
                  "cannot read {p}: 'utf-8' codec can't decode byte 0xff in "
                  "position 0: invalid start byte",
@@ -653,6 +659,85 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, cell, capsys, path,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(p=project)}\n"
     assert captured.out == ""
+
+
+def with_named_coordinator(cell, gk, ek) -> dict:
+    """``inline_project(cell)`` with ``gk`` as the generator named "gk"
+    and as the coordinator, and ``ek`` as its 'ek' (left out when None)."""
+    doc = inline_project(cell)
+    doc["generators"].append(serialize_generator(gk, "gk"))
+    doc["coordination"]["gk"] = "gk"
+    if ek is None:
+        del doc["coordination"]["ek"]
+    else:
+        doc["coordination"]["ek"] = ek
+    return doc
+
+
+def every_output(directory, doc, monkeypatch) -> list:
+    """Exit code, ``--json`` stdout and written files of every check and
+    synthesis on the project ``doc``, run in ``directory`` with relative
+    paths, so that runs in two directories print the same paths."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    (directory / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+    outputs = []
+    for argv in ([["check", which] for which in cli.CHECKS]
+                 + [["synth", mode, "-o", "out"] for mode in cli.SYNTH_MODES]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "-p", "p.json", "--json"])
+        outputs.append((argv, code, stdout.getvalue()))
+    outputs.append({path.name: path.read_bytes()
+                    for path in sorted((directory / "out").iterdir())})
+    return outputs
+
+
+@pytest.mark.parametrize("ek", [["a1", "a2", "c", "u"], None],
+                         ids=["ek-listed", "ek-left-out"])
+def test_a_named_coordinator_gives_the_outputs_of_the_built_one(
+        tmp_path, cell, monkeypatch, ek):
+    # cell.gk is the coordinator that "gk": "auto" builds for these events.
+    built = every_output(tmp_path / "auto", inline_project(cell),
+                         monkeypatch)
+    named = every_output(tmp_path / "named",
+                         with_named_coordinator(cell, cell.gk, ek),
+                         monkeypatch)
+    assert named == built
+    # supc and supcc write five generators; K is not conditionally
+    # controllable, so supervisors writes none.
+    assert sorted(built[-1]) == ["composed.json", "sup_1k.json",
+                                 "sup_2k.json", "sup_k.json", "supc.json"]
+
+
+@pytest.mark.parametrize("gk_events, ek, message", [
+    pytest.param({"a1", "a2", "c", "u"}, ["a1", "a2", "c"],
+                 "ek does not match the named coordinator's alphabet",
+                 id="ek-differs-from-gk"),
+    pytest.param({"a1", "z"}, None,
+                 "the specification alphabet must equal E_1 ∪ E_2 ∪ E_k",
+                 id="gk-outside-the-spec-alphabet"),
+])
+def test_a_named_coordinator_must_fit_the_project(tmp_path, cell, capsys,
+                                                   gk_events, ek, message):
+    gk = universal_generator(Alphabet(gk_events, gk_events - {"u"}))
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps(with_named_coordinator(cell, gk, ek)),
+                       encoding="utf-8")
+    assert main(["check", "conddec", "-p", str(project)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_check_condctrl_reports_a_spec_outside_the_plant(tmp_path, cell,
+                                                         capsys):
+    # a2.a1 is in the plant, but neither machine can start c after its
+    # private start.
+    project = write_project(tmp_path, cell, spec_words=("a2.a1.c",))
+    assert main(["check", "condctrl", "-p", str(project)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "[FAIL] precondition (spec within plant): counterexample=a2.a1.c ")
 
 
 FIELDS = [

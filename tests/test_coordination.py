@@ -213,7 +213,7 @@ def test_the_projection_onto_e_k_adds_nothing_to_the_product():
             assert language_equal(two, sync_product(two, pk)).holds, seed
             if seed % 5:
                 continue
-            kw = bounded_language(k, 5).words
+            kw = bounded_language(k, 5)
             w1k, w2k, wk = (brute_project(kw, events) for events in targets)
             two = brute_product(w1k, targets[0], w2k, targets[1], 5)
             three = brute_product(two, targets[0] | targets[1], wk,
@@ -330,12 +330,12 @@ def test_the_third_ambient_factor_is_the_projected_specification():
         within = spec_within_plant(k, g1, g2, gk).holds
         ek = scheme.ek.events
         pk = project(k, ek)
-        pk_words = brute_project(bounded_language(k, n).words, ek)
+        pk_words = brute_project(bounded_language(k, n), ek)
         for g in (g1, g2):
             factor = project(sync_product(g, pk), ek)
             sides[within, language_equal(factor, pk).holds] += 1
             if seed < 60:
-                product = brute_product(bounded_language(g, n).words,
+                product = brute_product(bounded_language(g, n),
                                         g.alphabet.events, pk_words, ek, n)
                 bounded[within, brute_project(product, ek) == pk_words] += 1
     assert sides[True, False] == 0 and sides[True, True] >= 520, sides
@@ -542,8 +542,13 @@ def test_default_coordinator_over_full_alphabet_is_the_plant(cell):
 
 
 def test_default_coordinator_requires_shared_events(cell):
-    with pytest.raises(PreconditionError):
-        default_coordinator(cell.g1, cell.g2, cell.full.restrict({"c"}))
+    # The reachable shared events are {c, u}; the witness is the least of
+    # those outside E_k.
+    for ek, witness in (({"c"}, ("u",)), ({"a1"}, ("c",))):
+        with pytest.raises(PreconditionError) as info:
+            default_coordinator(cell.g1, cell.g2, cell.full.restrict(ek))
+        assert not info.value.report.holds
+        assert info.value.report.counterexample == witness
 
 
 def test_default_coordinator_never_restricts_the_plant():

@@ -175,7 +175,7 @@ def test_projection_output_is_deterministic_and_trim(g):
     result = project(g, keep)
     reached, _, _ = search(0, lambda q: result.rows[q].items())
     assert len(reached) == result.num_states
-    assert is_prefix_closed(bounded_language(result, 5).words)
+    assert is_prefix_closed(bounded_language(result, 5))
 
 
 # ---------------------------------------------------------------------------

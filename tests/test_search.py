@@ -23,6 +23,7 @@ from descoord import (
     from_words,
     inverse_project,
     is_admissible,
+    is_conditionally_controllable,
     is_controllable,
     is_observer,
     is_occ,
@@ -342,8 +343,8 @@ def test_a_violation_inside_a_row_ends_the_search_with_its_own_word():
     wide = make_generator(states, alphabet,
                           moves + [("1", "b", "0"), ("1", "u", "0")], "0")
     bound = cover(wide, narrow)
-    lw = bounded_language(wide, bound).words
-    nw = bounded_language(narrow, bound).words
+    lw = bounded_language(wide, bound)
+    nw = bounded_language(narrow, bound)
     inclusion = language_subset(wide, narrow)
     assert inclusion.counterexample == shortest(lw - nw) == ("a", "b")
     controllability = is_controllable(narrow, wide)
@@ -370,8 +371,8 @@ def test_counterexamples_are_the_shortest_violating_words(g, rng):
     for other in (random_generator(rng, g.alphabet, 3), sub_automaton(rng, g)):
         for left, right in ((g, other), (other, g)):
             bound = cover(left, right)
-            lw = bounded_language(left, bound).words
-            rw = bounded_language(right, bound).words
+            lw = bounded_language(left, bound)
+            rw = bounded_language(right, bound)
             assert (language_subset(left, right).counterexample
                     == shortest(lw - rw))
             # K = left, L = right: s·a in L \ K with s in K and a in E_u.
@@ -386,8 +387,8 @@ def test_counterexamples_are_the_shortest_violating_words(g, rng):
     for s in (random_generator(rng, wide, 3),
               sub_automaton(rng, inverse_project(g, wide))):
         bound = cover(s, g)
-        sw = bounded_language(s, bound).words
-        gw = bounded_language(g, bound).words
+        sw = bounded_language(s, bound)
+        gw = bounded_language(g, bound)
         loop = brute_product(sw, wide.events, gw, g.alphabet.events,
                              bound - 1)
         violations = [word + (u,) for word in loop for u in eu
@@ -459,6 +460,44 @@ def test_sup_cc_reads_each_transition_of_k_a_bounded_number_of_times():
         assert count() <= 7 * k.num_transitions, (p, count())
 
 
+# The layers below sup_cc, each given K of ``coordinated_line`` and the
+# rest of that tuple; sup_c runs against the plant G1 ∥ G2 ∥ Gk.
+LAYERS_ON_K = {
+    "sup_c": lambda k, g1, g2, gk, scheme: sup_c(
+        k, sync_product(sync_product(g1, g2), gk)),
+    "project": lambda k, g1, g2, gk, scheme: project(k, scheme.ek.events),
+    "is_occ": lambda k, g1, g2, gk, scheme: is_occ(k, scheme.ek.events),
+    "is_observer": lambda k, g1, g2, gk, scheme: is_observer(
+        k, scheme.ek.events),
+    "is_conditionally_controllable": lambda k, g1, g2, gk, scheme:
+        is_conditionally_controllable(k, g1, g2, gk),
+}
+
+
+@pytest.mark.parametrize("measured, bound, run", [
+    pytest.param((2.58, 2.53, 2.51, 2.50), 3, LAYERS_ON_K["sup_c"],
+                 id="sup_c"),
+    pytest.param((1.45, 1.46, 1.47, 1.48), 2, LAYERS_ON_K["project"],
+                 id="project"),
+    pytest.param((0.53, 0.51, 0.50, 0.50), 1, LAYERS_ON_K["is_occ"],
+                 id="is_occ"),
+    pytest.param((5.48, 5.44, 5.45, 5.47), 6, LAYERS_ON_K["is_observer"],
+                 id="is_observer"),
+    pytest.param((4.96, 4.93, 4.95, 4.97), 5.5,
+                 LAYERS_ON_K["is_conditionally_controllable"],
+                 id="is_conditionally_controllable"),
+])
+def test_layers_read_each_transition_of_k_a_bounded_number_of_times(
+        measured, bound, run):
+    # As for sup_cc above, on (p, p, p) = 3, 6, 12 and 24; ``measured``
+    # holds the reads per transition of K when this gate was set.
+    for p in (3, 6, 12, 24):
+        k, *rest = coordinated_line(p, p, p)
+        counted, count = counted_rows(k)
+        run(counted, *rest)
+        assert count() <= bound * k.num_transitions, (p, count(), measured)
+
+
 @pytest.mark.parametrize("measured, run", [
     pytest.param((8373, 16_498, 32_748, 65_248),
                  lambda k, g1, g2, gk, scheme: sup_cc(k, g1, g2, gk),
@@ -466,11 +505,23 @@ def test_sup_cc_reads_each_transition_of_k_a_bounded_number_of_times():
     pytest.param((6447, 12_697, 25_197, 50_197),
                  lambda k, g1, g2, gk, scheme: conditionally_decomposable(
                      k, scheme), id="conditionally_decomposable"),
+    pytest.param((3240, 6365, 12_615, 25_115), LAYERS_ON_K["sup_c"],
+                 id="sup_c"),
+    pytest.param((1926, 3801, 7551, 15_051), LAYERS_ON_K["project"],
+                 id="project"),
+    pytest.param((650, 1275, 2525, 5025), LAYERS_ON_K["is_occ"],
+                 id="is_occ"),
+    pytest.param((7091, 13_966, 27_716, 55_216), LAYERS_ON_K["is_observer"],
+                 id="is_observer"),
+    pytest.param((6443, 12_693, 25_193, 50_193),
+                 LAYERS_ON_K["is_conditionally_controllable"],
+                 id="is_conditionally_controllable"),
 ])
 def test_row_reads_grow_linearly_with_the_buffer(measured, run):
     # Reads of K's rows on ``buffered_line(3, 3, n)`` at n = 25, 50, 100
-    # and 200; ``measured`` holds the counts when this gate was set,
-    # ×1.97-1.99 per doubling, as K's transitions grow.
+    # and 200 (K has 1290, 2540, 5040 and 10 040 transitions); ``measured``
+    # holds the counts when this gate was set, ×1.96-1.99 per doubling, as
+    # K's transitions grow.
     reads = []
     for n in (25, 50, 100, 200):
         k, *rest = coordinated_line(3, 3, n)

@@ -126,7 +126,8 @@ def test_occ_handles_hidden_cycles():
         ("s1", "u"): "s2",
     }
     from descoord import make_generator
-    g = make_generator(["s0", "s1", "s2"], alpha, gens, "s0")
+    g = make_generator(["s0", "s1", "s2"], alpha,
+                       [(*key, dst) for key, dst in gens.items()], "s0")
     report = is_occ(g, {"a", "u"})
     assert not report.holds
     assert report.counterexample == w("h.u")
@@ -197,7 +198,8 @@ def looping_generator(rng: random.Random):
     table[x, hidden[0]] = x
     table[x, hidden[-1]] = y
     table[y, rng.choice(hidden)] = x
-    return make_generator([f"s{q}" for q in range(n)], alpha, table,
+    return make_generator([f"s{q}" for q in range(n)], alpha,
+                          [(*key, dst) for key, dst in table.items()],
                           "s0"), target
 
 
@@ -228,7 +230,7 @@ def test_observer_closure_matches_the_per_state_searches():
         *s, e = report.counterexample
         projected = erase(tuple(s), target) + (e,)
         if any(erase(word, target) == projected
-               for word in bounded_language(g, 5).words):
+               for word in bounded_language(g, 5)):
             assert not literal
             seen["fails within the bound"] += 1
     assert min(seen[key] for key in ("self-loop", "two-cycle", "holds",

@@ -102,15 +102,15 @@ def test_sup_c_matches_bounded_oracle():
         k = random_generator(rng, alpha)
         plant = random_generator(rng, alpha)
         result = sup_c(k, plant)
-        expected = brute_sup_c(bounded_language(k, 8).words,
-                               bounded_language(plant, 8).words,
+        expected = brute_sup_c(bounded_language(k, 8),
+                               bounded_language(plant, 8),
                                {"u", "v"}, 8)
-        got = bounded_language(result, 6).words
+        got = bounded_language(result, 6)
         assert got == {word for word in expected if len(word) <= 6}
         # Two-sided at bound 6: the fixpoint on L's words up to 7 lies
         # inside supC, the one on L's words up to 6 around it.
-        kw = bounded_language(k, 6).words
-        lw = bounded_language(plant, 7).words
+        kw = bounded_language(k, 6)
+        lw = bounded_language(plant, 7)
         assert (brute_sup_c(kw, lw, {"u", "v"}, 6) <= got
                 <= brute_sup_c(kw, {w for w in lw if len(w) <= 6},
                                {"u", "v"}, 6))
@@ -176,8 +176,8 @@ def test_extended_controllability_equivalence():
     for _ in range(60):
         plant = random_generator(rng, alpha)
         k = sub_automaton(rng, plant)
-        kw = bounded_language(k, 8).words
-        lw = bounded_language(plant, 8).words
+        kw = bounded_language(k, 8)
+        lw = bounded_language(plant, 8)
         single = all(word + (e,) in kw
                      for word in kw for e in eu if word + (e,) in lw)
 
