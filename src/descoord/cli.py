@@ -248,35 +248,35 @@ def _resolve(project: ProjectFile):
     k = _lookup(project, block["spec"])
     decomposable = None
 
-    try:
-        if gk_field == "auto":
-            if ek_field == "auto":
-                ek, decomposable = suggest_coordinator_events(k, g1, g2)
-            else:
-                pool = union_alphabets(g1.alphabet, g2.alphabet, k.alphabet)
-                unknown = set(ek_field) - pool.events
-                if unknown:
-                    raise ProjectError(
-                        f"ek lists unknown events: {sorted(unknown)}"
-                    )
-                ek = pool.restrict(ek_field)
-            gk = default_coordinator(g1, g2, ek)
+    if gk_field == "auto":
+        if ek_field == "auto":
+            ek, decomposable = suggest_coordinator_events(k, g1, g2)
         else:
-            gk = _lookup(project, gk_field)
-            ek = gk.alphabet
-            if ek_field != "auto" and set(ek_field) != set(ek.events):
+            pool = union_alphabets(g1.alphabet, g2.alphabet, k.alphabet)
+            unknown = set(ek_field) - pool.events
+            if unknown:
                 raise ProjectError(
-                    "ek does not match the named coordinator's alphabet"
+                    f"ek lists unknown events: {sorted(unknown)}"
                 )
-        scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
-        if k.alphabet != scheme.full:
+            ek = pool.restrict(ek_field)
+        # An E_k that leaves out a reachable shared event is an error in
+        # the project, not a failed check, so it exits 2, not 1.
+        try:
+            gk = default_coordinator(g1, g2, ek)
+        except PreconditionError as exc:
+            raise ProjectError(str(exc)) from exc
+    else:
+        gk = _lookup(project, gk_field)
+        ek = gk.alphabet
+        if ek_field != "auto" and set(ek_field) != set(ek.events):
             raise ProjectError(
-                "the specification alphabet must equal E_1 ∪ E_2 ∪ E_k"
+                "ek does not match the named coordinator's alphabet"
             )
-    except ProjectError:
-        raise
-    except DescoordError as exc:
-        raise ProjectError(str(exc)) from exc
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
+    if k.alphabet != scheme.full:
+        raise ProjectError(
+            "the specification alphabet must equal E_1 ∪ E_2 ∪ E_k"
+        )
     return k, g1, g2, gk, scheme, decomposable
 
 
@@ -381,12 +381,7 @@ def cmd_check(args) -> int:
         reports.append(("conditional independence",
                         conditionally_independent(g1, g2, gk)))
     elif args.which == "condctrl":
-        try:
-            full = is_conditionally_controllable(k, g1, g2, gk)
-        except PreconditionError as exc:
-            emit_report("precondition (spec within plant)", exc.report,
-                        args.json)
-            return 1
+        full = is_conditionally_controllable(k, g1, g2, gk)
         reports.append(("condition (i)", full.condition_i))
         reports.append(("condition (ii.a)", full.condition_iia))
         reports.append(("condition (ii.b)", full.condition_iib))
@@ -404,13 +399,12 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _write_generator(directory: Path, stem: str, g: Generator,
-                     json_mode: bool) -> None:
-    path = directory / f"{stem}.json"
-    path.write_text(generator_to_text(g, stem), encoding="utf-8")
+def _write_generator(path, name: str, g: Generator, json_mode: bool) -> None:
+    """Write ``g`` to ``path`` as generator ``name`` and say so."""
+    Path(path).write_text(generator_to_text(g, name), encoding="utf-8")
     if json_mode:
         print(json.dumps({
-            "artifact": stem, "path": str(path), "states": g.num_states,
+            "artifact": name, "path": str(path), "states": g.num_states,
             "transitions": g.num_transitions,
             "empty_language": g.recognizes_empty_language,
         }, sort_keys=True))
@@ -422,6 +416,8 @@ def _write_generator(directory: Path, stem: str, g: Generator,
 def cmd_synth(args) -> int:
     if args.oracle_bound is not None and args.mode not in ORACLES:
         raise DescoordError(f"synth {args.mode} has no oracle to bound")
+    if args.force and args.mode != "supcc":
+        raise DescoordError(f"synth {args.mode} does not take --force")
     project = load_project(args.project)
     k, g1, g2, gk, scheme = resolve_coordination(project)
     out = Path(args.out)
@@ -431,7 +427,7 @@ def cmd_synth(args) -> int:
     if args.mode == "supc":
         plant = sync_product(sync_product(g1, g2), gk)
         result = sup_c(k, plant)
-        _write_generator(out, "supc", result, args.json)
+        _write_generator(out / "supc.json", "supc", result, args.json)
         if args.oracle_bound is not None:
             bound = args.oracle_bound
             eu = scheme.full.uncontrollable
@@ -445,10 +441,9 @@ def cmd_synth(args) -> int:
                                      low <= got <= high, args.json)
     elif args.mode == "supcc":
         result = sup_cc(k, g1, g2, gk, force=args.force)
-        _write_generator(out, "sup_k", result.sup_k, args.json)
-        _write_generator(out, "sup_1k", result.sup_1k, args.json)
-        _write_generator(out, "sup_2k", result.sup_2k, args.json)
-        _write_generator(out, "composed", result.composed, args.json)
+        for stem in ("sup_k", "sup_1k", "sup_2k", "composed"):
+            _write_generator(out / f"{stem}.json", stem,
+                             getattr(result, stem), args.json)
         emit_note(
             f"certified supremal: {'yes' if result.certified else 'no'}",
             args.json, certified=result.certified)
@@ -468,22 +463,10 @@ def cmd_synth(args) -> int:
                 composed_w == bounded_language(result.composed, bound),
                 args.json)
     else:  # supervisors
-        s_k, s_1, s_2 = synthesize_supervisors(k, g1, g2, gk)
-        _write_generator(out, "s_k", s_k, args.json)
-        _write_generator(out, "s_1", s_1, args.json)
-        _write_generator(out, "s_2", s_2, args.json)
+        supervisors = synthesize_supervisors(k, g1, g2, gk)
+        for stem, g in zip(("s_k", "s_1", "s_2"), supervisors):
+            _write_generator(out / f"{stem}.json", stem, g, args.json)
     return 0 if oracle_ok else 1
-
-
-def _write_result(args, result: Generator, name: str) -> int:
-    """Write ``result`` to ``args.out`` as generator ``name`` and say so."""
-    Path(args.out).write_text(generator_to_text(result, name),
-                              encoding="utf-8")
-    emit_note(f"wrote {args.out} ({result.num_states} states, "
-              f"{result.num_transitions} transitions)",
-              args.json, path=args.out, states=result.num_states,
-              transitions=result.num_transitions)
-    return 0
 
 
 def cmd_compose(args) -> int:
@@ -492,13 +475,16 @@ def cmd_compose(args) -> int:
     result = parts[0]
     for g in parts[1:]:
         result = sync_product(result, g)
-    return _write_result(args, result, "+".join(args.names))
+    _write_generator(args.out, "+".join(args.names), result, args.json)
+    return 0
 
 
 def cmd_project(args) -> int:
     project = load_project(args.project)
     g = _lookup(project, args.name)
-    return _write_result(args, project_generator(g, args.events), args.name)
+    _write_generator(args.out, args.name, project_generator(g, args.events),
+                     args.json)
+    return 0
 
 
 def cmd_info(args) -> int:
@@ -573,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("-o", "--out", required=True,
                          help="output directory for result generators")
     p_synth.add_argument("--force", action="store_true",
-                         help="compute even when observer/OCC preconditions "
-                              "fail (result marked uncertified)")
+                         help="supcc only: compute even when observer/OCC "
+                              "preconditions fail (result marked uncertified)")
     p_synth.add_argument("--oracle-bound", type=_bound, default=None)
 
     p_compose = sub.add_parser("compose",

@@ -99,15 +99,20 @@ def conditionally_independent(g1: Generator, g2: Generator,
 
 
 def _projected_parts(k: Generator, scheme: CoordinationScheme):
-    """The subset constructions of P_k(K), P_{1+k}(K) and P_{2+k}(K):
-    made once per synthesis and shared by every step on its path, so a
-    projection built after the decomposability walk, which walks the last
-    two, reuses the steps the walk took."""
+    """The subset constructions of P_k(K), P_{1+k}(K) and P_{2+k}(K)."""
     return tuple(SubsetConstruction(k, target.events)
                  for target in (scheme.ek, scheme.e1k, scheme.e2k))
 
 
-def _generators(parts) -> tuple[Generator, ...]:
+def _decomposed(k: Generator, scheme: CoordinationScheme):
+    """The generators of P_k(K), P_{1+k}(K) and P_{2+k}(K) for a K over E
+    that must be conditionally decomposable.  The generators are built
+    from the subset constructions the decomposability walk took its steps
+    in, so no step is taken twice."""
+    _check_spec_alphabet(k, scheme)
+    parts = _projected_parts(k, scheme)
+    _require(_decomposable(k, *parts[1:]),
+             "specification is not conditionally decomposable")
     return tuple(part.generator() for part in parts)
 
 
@@ -199,8 +204,8 @@ def is_conditionally_controllable(
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
-    return _conditionally_controllable(
-        g1, g2, gk, _generators(_projected_parts(k, scheme)))
+    return _conditionally_controllable(g1, g2, gk, tuple(
+        part.generator() for part in _projected_parts(k, scheme)))
 
 
 def _conditionally_controllable(
@@ -238,12 +243,8 @@ def synthesize_supervisors(
     _require(conditionally_independent(g1, g2, gk),
              "subsystems are not conditionally independent given the "
              "coordinator")
-    _check_spec_alphabet(k, scheme)
-    parts = _projected_parts(k, scheme)
-    _require(_decomposable(k, *parts[1:]),
-             "specification is not conditionally decomposable")
+    supervisors = _decomposed(k, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
-    supervisors = _generators(parts)
     report = _conditionally_controllable(g1, g2, gk, supervisors)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "
@@ -298,16 +299,12 @@ def sup_cc(
     (the composition is still controllable w.r.t. L, only supremality is at
     stake)."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
-    _check_spec_alphabet(k, scheme)
-    parts = _projected_parts(k, scheme)
-    _require(_decomposable(k, *parts[1:]),
-             "specification is not conditionally decomposable")
+    pk, p1k, p2k = _decomposed(k, scheme)
     reports = observer_occ_reports(g1, g2, scheme.ek)
     if not force:
         for name, report in reports:
             _require(report, f"{name} precondition failed")
     certified = all(report.holds for _, report in reports)
-    pk, p1k, p2k = _generators(parts)
 
     full = scheme.full
     # L_1 ∥ L_2 lives over the ambient alphabet E, so events private to the
@@ -387,9 +384,11 @@ def suggest_coordinator_events(
     Starts from the reachable shared events (plus any specification event
     outside both subsystems, which can only live in E_k), then adds the
     remaining events smallest-first, returning the first success; falls
-    back to the full alphabet when nothing smaller works.  Returns the
-    event set and the conditional-decomposability report of K for it, so
-    that a caller need not decide it again."""
+    back to the full alphabet when nothing smaller works.  The set returned
+    always makes K conditionally decomposable: under the full alphabet
+    P_{1+k} and P_{2+k} are the identity.  Returns the event set and the
+    conditional-decomposability report of K for it, so that a caller need
+    not decide it again."""
     pool = union_alphabets(g1.alphabet, g2.alphabet, k.alphabet)
     if not (g1.alphabet.events | g2.alphabet.events) <= k.alphabet.events:
         raise AlphabetMismatchError(

@@ -286,6 +286,27 @@ def test_project_command_rejects_events_outside_the_generator(tmp_path, cell,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["compose", "g1", "g2"], "g1+g2"),
+    (["project", "spec", "a1", "a2", "c", "u"], "spec"),
+], ids=["compose", "project"])
+def test_every_written_generator_is_announced_by_one_record(
+        tmp_path, cell, capsys, argv, name):
+    project = write_project(tmp_path, cell)
+    assert main(["synth", "supc", "-p", str(project),
+                 "-o", str(tmp_path / "out"), "--json"]) == 0
+    synth = json.loads(capsys.readouterr().out)
+    out = tmp_path / "result.json"
+    assert main([argv[0], "-p", str(project), "-o", str(out), "--json",
+                 *argv[1:]]) == 0
+    record = json.loads(capsys.readouterr().out)
+    g = read_generator(out)
+    assert record.keys() == synth.keys()
+    assert record == {"artifact": name, "empty_language": False,
+                      "path": str(out), "states": g.num_states,
+                      "transitions": g.num_transitions}
+
+
 def test_info_command(tmp_path, cell, capsys):
     project = write_project(tmp_path, cell)
     assert main(["info", "-p", str(project), "g1"]) == 0
@@ -480,6 +501,18 @@ def test_oracle_bound_without_an_oracle_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["supc", "supervisors"])
+def test_force_outside_supcc_exits_2(tmp_path, capsys, mode):
+    project = write_line_project(tmp_path, ["a1", "a2", "b1", "b2"])
+    out = tmp_path / "out"
+    assert main(["synth", mode, "-p", str(project), "-o", str(out),
+                 "--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: synth {mode} does not take --force\n"
+    assert not out.exists()
+
+
 def test_conddec_oracle_confirms_a_failing_verdict(tmp_path, capsys):
     # With E_k = ∅ the line is not decomposable: a2 empties a buffer that
     # starts empty.  The oracle projects K exactly up to the bound, so it
@@ -630,6 +663,10 @@ EK = "coordination 'ek' must be \"auto\" or a list of event names"
     pytest.param(("coordination", "ek"), ["zz"],
                  "ek lists unknown events: ['zz']",
                  id="ek-lists-unknown-events"),
+    pytest.param(("generators", 1, "events", 1, "controllable"), False,
+                 "events ['c'] are controllable in one alphabet and "
+                 "uncontrollable in another",
+                 id="controllability-conflict"),
     pytest.param(("coordination", "ek"), ["a1", "a2", "u"],
                  "shared events ['c'] are outside the coordinator event set",
                  id="ek-leaves-a-shared-event-out"),
@@ -730,6 +767,22 @@ def test_a_named_coordinator_must_fit_the_project(tmp_path, cell, capsys,
     assert captured.out == ""
 
 
+def test_auto_ek_needs_a_spec_over_both_subsystem_alphabets(tmp_path, cell,
+                                                            capsys):
+    spec = from_words(cell.full.restrict(cell.full.events - {"u1"}),
+                      ["a2.a1", "a1.a2.u"])
+    doc = inline_project(cell)
+    doc["generators"][2] = serialize_generator(spec, "spec")
+    doc["coordination"]["ek"] = "auto"
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", "conddec", "-p", str(project)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the specification must cover both "
+                            "subsystem alphabets\n")
+    assert captured.out == ""
+
+
 def test_check_condctrl_reports_a_spec_outside_the_plant(tmp_path, cell,
                                                          capsys):
     # a2.a1 is in the plant, but neither machine can start c after its
@@ -737,7 +790,21 @@ def test_check_condctrl_reports_a_spec_outside_the_plant(tmp_path, cell,
     project = write_project(tmp_path, cell, spec_words=("a2.a1.c",))
     assert main(["check", "condctrl", "-p", str(project)]) == 1
     assert capsys.readouterr().out.startswith(
-        "[FAIL] precondition (spec within plant): counterexample=a2.a1.c ")
+        "[FAIL] precondition: specification is not contained in the plant "
+        "language: counterexample=a2.a1.c ")
+
+
+def test_condctrl_and_supervisors_report_a_spec_outside_the_plant_alike(
+        tmp_path, cell, capsys):
+    project = write_project(tmp_path, cell, spec_words=("a2.a1.c",))
+    out = tmp_path / "out"
+    for argv in (["check", "condctrl"], ["synth", "supervisors", "-o",
+                                         str(out)]):
+        assert main([*argv, "-p", str(project)]) == 1
+        assert capsys.readouterr().out == (
+            "[FAIL] precondition: specification is not contained in the "
+            "plant language: counterexample=a2.a1.c (word is in the left "
+            "language only)\n")
 
 
 FIELDS = [

@@ -592,11 +592,18 @@ def test_suggest_on_disjoint_subsystems_returns_empty():
 
 
 def test_suggest_returns_the_report_for_the_set_it_chose():
+    # The chosen E_k always decomposes K: the search stops only on a
+    # decomposable set or on K's whole alphabet, under which P_{1+k} and
+    # P_{2+k} are the identity.  Both ways out are taken.
+    outcomes = collections.Counter()
     for seed in range(100):
         k, g1, g2, _, _ = mixed_instance(random.Random(f"suggest/{seed}"))
         ek, report = suggest_coordinator_events(k, g1, g2)
         scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
         assert report == conditionally_decomposable(k, scheme), seed
+        assert report.holds, seed
+        outcomes[ek == k.alphabet] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 50, outcomes
 
 
 # ---------------------------------------------------------------------------
