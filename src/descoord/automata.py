@@ -271,20 +271,10 @@ def _canonicalize(
     return Generator(alphabet, tuple(labels[q] for q in nodes), canonical)
 
 
-def make_generator(
-    states: Iterable[str],
-    alphabet: Alphabet,
-    transitions: Iterable[tuple[str, str, str]],
-    initial: str,
-) -> Generator:
-    """Validate and build a generator from named states and its
-    ``[source, event, target]`` transition triples.  Raises
-    ``DeterminismError`` for a duplicate (state, event) transition and
-    ``ValidationError`` for a transition that is not a triple of strings and
-    for references to unknown states or events.  Every transition is
-    validated, but only the states reachable from ``initial`` are kept: the
-    language cannot see the others.
-    """
+def _validated(states: Iterable[str], alphabet: Alphabet,
+               transitions: Iterable[tuple[str, str, str]], initial: str):
+    """``make_generator`` up to ``_canonicalize``, which never raises: every
+    error is raised here.  Returns the state names, rows and initial index."""
     names = list(states)
     for name in names:
         if not isinstance(name, str) or not name:
@@ -316,7 +306,25 @@ def make_generator(
             raise DeterminismError(
                 f"duplicate transition on ({src!r}, {event!r})"
             )
-    return _canonicalize(alphabet, names, rows, index[initial])
+    return names, rows, index[initial]
+
+
+def make_generator(
+    states: Iterable[str],
+    alphabet: Alphabet,
+    transitions: Iterable[tuple[str, str, str]],
+    initial: str,
+) -> Generator:
+    """Validate and build a generator from named states and its
+    ``[source, event, target]`` transition triples.  Raises
+    ``DeterminismError`` for a duplicate (state, event) transition and
+    ``ValidationError`` for a transition that is not a triple of strings and
+    for references to unknown states or events.  Every transition is
+    validated, but only the states reachable from ``initial`` are kept: the
+    language cannot see the others.
+    """
+    return _canonicalize(alphabet, *_validated(states, alphabet, transitions,
+                                               initial))
 
 
 def empty_generator(alphabet: Alphabet) -> Generator:

@@ -23,6 +23,7 @@ All output is deterministic: state names are canonical (``q0``, ``q1``,
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -31,9 +32,10 @@ from .automata import (
     Alphabet,
     Generator,
     PropertyReport,
+    _canonicalize,
+    _validated,
     empty_generator,
     format_word,
-    make_generator,
     reachable_events,
     shortest_words,
     union_alphabets,
@@ -116,6 +118,13 @@ def _strings(value) -> bool:
 def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator]:
     """Check the shape of a generator document, then build the generator.
     Every error is a ``ProjectError`` whose message starts with ``origin``."""
+    name, entry = _validate_generator(doc, origin)
+    return name, _canonicalize(*entry) if type(entry) is tuple else entry
+
+
+def _validate_generator(doc: dict, origin: str):
+    """``parse_generator`` without the build: the name, and the generator
+    of the empty language or else the arguments of ``_canonicalize``."""
     def fail(msg: str):
         raise ProjectError(f"{origin}: {msg}")
 
@@ -143,7 +152,7 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
     if not empty:
         if not isinstance(states, list) or not isinstance(initial, str):
             fail("'states' must be a list of names and 'initial' a name")
-        # make_generator checks each state name and each triple.
+        # _validated checks each state name and each triple.
         if not isinstance(transitions, list):
             fail("'transitions' must be [source, event, target] triples")
     if "marked" in doc:
@@ -154,18 +163,45 @@ def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator
             entry["name"] for entry in events if entry["controllable"]))
         if empty:
             return name, empty_generator(alphabet)
-        g = make_generator(states, alphabet, transitions, initial)
+        return name, (alphabet, *_validated(states, alphabet, transitions,
+                                            initial))
     except DescoordError as exc:
         raise ProjectError(f"{origin}: {exc}") from exc
-    return name, g
 
 
 # ---------------------------------------------------------------------------
 # project file
 
+class _Generators(Mapping):
+    """A project's generators by name, read-only, each validated at load and
+    built on its first lookup, which caches it and drops its validated rows."""
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+
+    def __getitem__(self, name: str) -> Generator:
+        entry = self._entries[name]
+        if type(entry) is tuple:
+            entry = self._entries[name] = _canonicalize(*entry)
+        return entry
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def alphabet(self, name: str) -> Alphabet:
+        entry = self._entries[name]
+        return entry[0] if type(entry) is tuple else entry.alphabet
+
+
 @dataclass(frozen=True)
 class ProjectFile:
-    generators: MappingProxyType[str, Generator]
+    generators: Mapping[str, Generator]
     coordination: MappingProxyType[str, object] | None
 
 
@@ -192,13 +228,13 @@ def load_project(path: str) -> ProjectFile:
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"),
                                                    list):
         raise ProjectError(f"{path}: project needs a 'generators' list")
-    generators: dict[str, Generator] = {}
+    generators = {}
     for entry in doc["generators"]:
         if isinstance(entry, str):
             gen_path = origin.parent / entry
-            name, g = parse_generator(_read_json(gen_path), str(gen_path))
+            name, g = _validate_generator(_read_json(gen_path), str(gen_path))
         else:
-            name, g = parse_generator(entry, f"{path} (inline)")
+            name, g = _validate_generator(entry, f"{path} (inline)")
         if name in generators:
             raise ProjectError(f"{path}: duplicate generator name {name!r}")
         generators[name] = g
@@ -209,13 +245,16 @@ def load_project(path: str) -> ProjectFile:
         if isinstance(coordination.get("ek"), list):
             coordination["ek"] = tuple(coordination["ek"])
         coordination = MappingProxyType(coordination)
-    return ProjectFile(MappingProxyType(generators), coordination)
+    return ProjectFile(_Generators(generators), coordination)
 
 
-def _lookup(project: ProjectFile, name: str) -> Generator:
-    if name not in project.generators:
+def _lookup(project: ProjectFile, name: str, build: bool = True):
+    """Generator ``name``, or with ``build`` false its alphabet, which is
+    read without building the generator."""
+    generators = project.generators
+    if name not in generators:
         raise ProjectError(f"unknown generator name {name!r}")
-    return project.generators[name]
+    return generators[name] if build else generators.alphabet(name)
 
 
 def resolve_coordination(project: ProjectFile):
@@ -224,10 +263,11 @@ def resolve_coordination(project: ProjectFile):
     return _resolve(project)[:5]
 
 
-def _resolve(project: ProjectFile):
+def _resolve(project: ProjectFile, spec: bool = True):
     """``resolve_coordination`` plus the conditional-decomposability report
     of K under the chosen E_k when the coordinator-event search decided it
-    (``"ek": "auto"``), else None."""
+    (``"ek": "auto"``), else None.  With ``spec`` false, K is None unless
+    the search built it."""
     block = project.coordination
     if block is None:
         raise ProjectError("project has no 'coordination' block")
@@ -245,14 +285,16 @@ def _resolve(project: ProjectFile):
                            "event names")
     g1 = _lookup(project, block["g1"])
     g2 = _lookup(project, block["g2"])
-    k = _lookup(project, block["spec"])
+    k_alphabet = _lookup(project, block["spec"], build=False)
+    k = _lookup(project, block["spec"]) if spec else None
     decomposable = None
 
     if gk_field == "auto":
         if ek_field == "auto":
+            k = _lookup(project, block["spec"])
             ek, decomposable = suggest_coordinator_events(k, g1, g2)
         else:
-            pool = union_alphabets(g1.alphabet, g2.alphabet, k.alphabet)
+            pool = union_alphabets(g1.alphabet, g2.alphabet, k_alphabet)
             unknown = set(ek_field) - pool.events
             if unknown:
                 raise ProjectError(
@@ -273,7 +315,7 @@ def _resolve(project: ProjectFile):
                 "ek does not match the named coordinator's alphabet"
             )
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
-    if k.alphabet != scheme.full:
+    if k_alphabet != scheme.full:
         raise ProjectError(
             "the specification alphabet must equal E_1 ∪ E_2 ∪ E_k"
         )
@@ -359,7 +401,9 @@ def cmd_check(args) -> int:
     if args.oracle_bound is not None and args.which not in ORACLES:
         raise DescoordError(f"check {args.which} has no oracle to bound")
     project = load_project(args.project)
-    k, g1, g2, gk, scheme, decomposable = _resolve(project)
+    # observer, occ, condindep and optimality are conditions on the plant.
+    k, g1, g2, gk, scheme, decomposable = _resolve(
+        project, args.which in ("controllability", "conddec", "condctrl"))
     reports: list[tuple[str, PropertyReport]] = []
     oracle_jobs = []
 

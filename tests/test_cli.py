@@ -2,8 +2,10 @@
 
 import collections
 import contextlib
+import gc
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from descoord import (
     universal_generator,
 )
 from descoord.cli import (
+    build_parser,
     generator_to_text,
     load_project,
     main,
@@ -470,10 +473,10 @@ def test_oracle_bound_beyond_the_word_limit_exits_2(tmp_path, capsys):
                    f"{oracle.MAX_WORDS} words; use a smaller bound\n")
 
 
-def write_line_project(tmp_path, ek):
-    """Write ``buffered_line(3, 2, 2)`` as a project with inline
-    generators, an automatic coordinator and ``ek``; returns its path."""
-    k, g1, g2 = buffered_line(3, 2, 2)
+def write_line_project(tmp_path, ek, size=(3, 2, 2)):
+    """Write ``buffered_line(*size)`` as a project with inline generators,
+    an automatic coordinator and ``ek``; returns its path."""
+    k, g1, g2 = buffered_line(*size)
     doc = {
         "generators": [serialize_generator(g, name) for name, g in
                        (("g1", g1), ("g2", g2), ("spec", k))],
@@ -630,11 +633,11 @@ def put(doc, path, value):
 
 
 GEN = ("generators", 0)
+SPEC = ("generators", 2)
 TRIPLES = "'transitions' must be [source, event, target] triples"
 EK = "coordination 'ek' must be \"auto\" or a list of event names"
 
-
-@pytest.mark.parametrize("path, value, message", [
+MALFORMED = [
     pytest.param(
         (*GEN, "states", 0), ["q0"],
         "{p} (inline): invalid state name: ['q0']",
@@ -685,14 +688,56 @@ EK = "coordination 'ek' must be \"auto\" or a list of event names"
                  id="not-utf-8"),
     pytest.param((), b"[" * 100000, "{p}: JSON nested too deeply",
                  id="nested-too-deeply"),
-])
-def test_malformed_input_exits_2_with_one_line(tmp_path, cell, capsys, path,
-                                               value, message):
+    # The specification, which the plant-only checks never build.
+    pytest.param((*SPEC, "states", 1), "q0",
+                 "{p} (inline): duplicate state names",
+                 id="spec-duplicate-states"),
+    pytest.param((*SPEC, "initial"), "zz",
+                 "{p} (inline): unknown initial state: 'zz'",
+                 id="spec-unknown-initial-state"),
+    pytest.param((*SPEC, "transitions", 1), ["q0", "a1", "q2"],
+                 "{p} (inline): duplicate transition on ('q0', 'a1')",
+                 id="spec-nondeterministic"),
+    pytest.param((*SPEC, "transitions", 0), ["q0", "a1", "zz"],
+                 "{p} (inline): transition 'q0'-'a1'->'zz' references an "
+                 "unknown state", id="spec-unknown-state"),
+    pytest.param((*SPEC, "transitions", 0), ["q0", "zz", "q1"],
+                 "{p} (inline): transition label 'zz' not in the alphabet",
+                 id="spec-unknown-event"),
+    pytest.param((*SPEC, "transitions", 0), ["q0", "a1"],
+                 "{p} (inline): " + TRIPLES, id="spec-bad-triple"),
+]
+
+
+def malformed_project(tmp_path, cell, path, value):
+    """The workcell's inline project with ``value`` at ``path``, written to
+    a file; returns its path."""
     project = tmp_path / "p.json"
     doc = put(inline_project(cell), path, value)
     project.write_bytes(doc if isinstance(doc, bytes)
                         else json.dumps(doc).encode())
+    return project
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED)
+def test_malformed_input_exits_2_with_one_line(tmp_path, cell, capsys, path,
+                                               value, message):
+    project = malformed_project(tmp_path, cell, path, value)
     assert main(["check", "conddec", "-p", str(project)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(p=project)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("which", ["observer", "occ", "condindep",
+                                   "optimality"])
+@pytest.mark.parametrize("path, value, message", MALFORMED)
+def test_checks_that_never_build_the_spec_still_validate_it(
+        tmp_path, cell, capsys, path, value, message, which):
+    # Every generator is validated at load, also one the command never
+    # builds, so the exit code and the line are those of check conddec.
+    project = malformed_project(tmp_path, cell, path, value)
+    assert main(["check", which, "-p", str(project)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(p=project)}\n"
     assert captured.out == ""
@@ -899,3 +944,130 @@ def test_auto_event_search_decides_the_chosen_set_once(tmp_path, monkeypatch,
     assert [r.counterexample for r in decided] == [("a2",), ("a1", "a2"),
                                                    None]
     assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
+def built_generators(monkeypatch, cell) -> collections.Counter:
+    """Count, by generator name, the project generators that the CLI
+    builds, told apart by their alphabets."""
+    names = {cell.e1: "g1", cell.e2: "g2", cell.full: "spec"}
+    built = collections.Counter()
+    build = cli._canonicalize
+
+    def counted(alphabet, *args):
+        built[names[alphabet]] += 1
+        return build(alphabet, *args)
+
+    monkeypatch.setattr(cli, "_canonicalize", counted)
+    return built
+
+
+PLANT = {"g1": 1, "g2": 1}
+EVERY = {"g1": 1, "g2": 1, "spec": 1}
+
+
+BUILDS = [
+    (["check", "observer"], PLANT), (["check", "occ"], PLANT),
+    (["check", "condindep"], PLANT), (["check", "optimality"], PLANT),
+    (["check", "controllability"], EVERY), (["check", "conddec"], EVERY),
+    (["check", "condctrl"], EVERY), (["synth", "supcc", "-o", "out"], EVERY),
+    (["compose", "-o", "composed.json", "g1", "g2"], PLANT),
+    (["info", "spec"], {"spec": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, built", BUILDS,
+                         ids=["-".join(argv) for argv, _ in BUILDS])
+def test_a_command_builds_only_the_generators_it_reads(
+        tmp_path, cell, monkeypatch, capsys, argv, built):
+    project = write_project(tmp_path, cell)
+    monkeypatch.chdir(tmp_path)
+    counts = built_generators(monkeypatch, cell)
+    assert main([*argv, "-p", str(project)]) in (0, 1)
+    assert counts == built
+
+
+@pytest.mark.parametrize("which", cli.CHECKS)
+def test_the_coordinator_event_search_builds_the_spec_once(
+        tmp_path, cell, monkeypatch, capsys, which):
+    project = write_project(tmp_path, cell)
+    doc = json.loads(project.read_text(encoding="utf-8"))
+    doc["coordination"]["ek"] = "auto"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    counts = built_generators(monkeypatch, cell)
+    assert main(["check", which, "-p", str(project)]) in (0, 1)
+    assert counts == EVERY
+
+
+def test_a_generator_is_built_on_its_first_lookup_only(tmp_path, cell,
+                                                       monkeypatch):
+    counts = built_generators(monkeypatch, cell)
+    generators = load_project(str(write_project(tmp_path, cell))).generators
+    assert "spec" in generators and "gk" not in generators
+    assert list(generators) == ["g1", "g2", "spec"] and len(generators) == 3
+    assert counts == {}
+    spec = generators["spec"]
+    assert generators["spec"] is spec
+    assert counts == {"spec": 1}
+    assert language_equal(spec, cell.k).holds
+
+
+COMMAND_FORMS = ([["check", which] for which in cli.CHECKS]
+                 + [["synth", mode, "-o", "out"] for mode in cli.SYNTH_MODES]
+                 + [["compose", "-o", "composed.json", "g1", "g2"],
+                    ["project", "-o", "projected.json", "g1", "a1"],
+                    ["info", "g1"]])
+
+
+@pytest.mark.parametrize("instance", ["workcell", "buffered-line"])
+def test_no_command_leaves_cyclic_garbage(tmp_path, cell, monkeypatch,
+                                          instance):
+    # The collector finds no more unreachable objects after a command
+    # than argparse alone leaves behind: the engine and the project's
+    # generators make no reference cycles.
+    project = (write_project(tmp_path, cell) if instance == "workcell"
+               else write_line_project(tmp_path, "auto", (20, 3, 3)))
+    monkeypatch.chdir(tmp_path)
+    for form in COMMAND_FORMS:
+        argv = [*form, "-p", str(project)]
+        gc.collect()
+        build_parser().parse_args(argv)
+        parser_garbage = gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 1)
+        assert gc.collect() <= parser_garbage, form
+
+
+def json_nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's included."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from json_nodes(child, (*path, key))
+
+
+FUZZ_VALUES = [None, 0, 1, -1, 0.5, 1e300, True, False, "", "auto", "q0",
+               "c", "g1", "spec", [], [[]], [None], ["q0", "c", "q0"], {},
+               {"name": "g1"}, {"g1": []}, [{}]]
+
+
+def test_replacing_any_node_of_a_project_never_escapes(tmp_path, cell,
+                                                       monkeypatch):
+    # A seeded sample of one node of the project replaced by one value,
+    # under one command form.
+    monkeypatch.chdir(tmp_path)
+    paths = list(json_nodes(inline_project(cell)))
+    rng = random.Random(7)
+    for _ in range(2500):
+        path, value = rng.choice(paths), rng.choice(FUZZ_VALUES)
+        argv = [*rng.choice(COMMAND_FORMS), "-p", "p.json"]
+        doc = put(inline_project(cell), path, value)
+        (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (path, value, argv)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1, (path, value, argv)
+            assert err.getvalue().endswith("\n"), (path, value, argv)

@@ -1,5 +1,5 @@
 """Static checks on the source tree.  pyproject.toml admits Python 3.10:
-every source, test and benchmark file must parse with the 3.10 grammar,
+every source, test, benchmark and tool file must parse with the 3.10 grammar,
 whichever interpreter runs the suite.  No package module may import a name
 it never uses, the package exports exactly the names it imports, and every
 function, class and method of the package is read somewhere or exported."""
@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_file_parses_as_python_3_10():
-    paths = sorted(path for top in ("src", "tests", "benchmarks")
+    paths = sorted(path for top in ("src", "tests", "benchmarks", "tools")
                    for path in (ROOT / top).rglob("*.py"))
     assert len(paths) > 20
     failures = []
