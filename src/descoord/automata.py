@@ -151,11 +151,11 @@ class Generator:
 
     @property
     def num_states(self) -> int:
-        return len(self.labels)
+        return len(self.rows)
 
     @property
     def states(self) -> range:
-        return range(len(self.labels))
+        return range(len(self.rows))
 
     @property
     def num_transitions(self) -> int:

@@ -25,6 +25,7 @@ import json
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from types import MappingProxyType
 
@@ -325,28 +326,21 @@ def _resolve(project: ProjectFile, spec: bool = True):
 # ---------------------------------------------------------------------------
 # report output
 
+def _emit(json_mode: bool, text: str, record: dict) -> None:
+    """The one stdout printer: ``record`` as one JSON line with sorted keys
+    under ``--json``, else ``text``."""
+    print(json.dumps(record, sort_keys=True) if json_mode else text)
+
+
 def emit_report(name: str, report: PropertyReport, json_mode: bool) -> None:
-    if json_mode:
-        record = {
-            "check": name,
-            "holds": report.holds,
-            "counterexample": (list(report.counterexample)
-                               if report.counterexample is not None else None),
-            "detail": report.detail,
-        }
-        print(json.dumps(record, sort_keys=True))
-    elif report.holds:
-        print(f"[PASS] {name}: {report.detail}")
-    else:
-        print(f"[FAIL] {name}: counterexample="
-              f"{format_word(report.counterexample)} ({report.detail})")
-
-
-def emit_note(text: str, json_mode: bool, **fields) -> None:
-    if json_mode:
-        print(json.dumps({"note": text, **fields}, sort_keys=True))
-    else:
-        print(text)
+    word = report.counterexample
+    _emit(json_mode,
+          f"[PASS] {name}: {report.detail}" if report.holds else
+          f"[FAIL] {name}: counterexample={format_word(word)} "
+          f"({report.detail})",
+          {"check": name, "holds": report.holds,
+           "counterexample": None if word is None else list(word),
+           "detail": report.detail})
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +349,9 @@ def emit_note(text: str, json_mode: bool, **fields) -> None:
 def _oracle_note(what: str, oracle: str, bound: int, consistent: bool,
                  json_mode: bool) -> bool:
     """Print the oracle's verdict on ``what`` and return ``consistent``."""
-    emit_note(f"[ORACLE] {what}: "
-              f"{'consistent' if consistent else 'MISMATCH'}",
-              json_mode, oracle=oracle, bound=bound, consistent=consistent)
+    text = f"[ORACLE] {what}: {'consistent' if consistent else 'MISMATCH'}"
+    _emit(json_mode, text, {"note": text, "oracle": oracle, "bound": bound,
+                            "consistent": consistent})
     return consistent
 
 
@@ -405,22 +399,20 @@ def cmd_check(args) -> int:
     k, g1, g2, gk, scheme, decomposable = _resolve(
         project, args.which in ("controllability", "conddec", "condctrl"))
     reports: list[tuple[str, PropertyReport]] = []
-    oracle_jobs = []
+    oracle = None  # the cross-check of a check in ORACLES
 
     if args.which == "controllability":
         plant = sync_product(sync_product(g1, g2), gk)
         report = is_controllable(k, plant)
         reports.append(("controllability", report))
-        if args.oracle_bound is not None:
-            oracle_jobs.append(lambda: _oracle_controllability(
-                k, plant, report, args.oracle_bound, args.json))
+        oracle = lambda: _oracle_controllability(
+            k, plant, report, args.oracle_bound, args.json)
     elif args.which == "conddec":
         report = (conditionally_decomposable(k, scheme)
                   if decomposable is None else decomposable)
         reports.append(("conditional decomposability", report))
-        if args.oracle_bound is not None:
-            oracle_jobs.append(lambda: _oracle_conddec(
-                k, scheme, report, args.oracle_bound, args.json))
+        oracle = lambda: _oracle_conddec(
+            k, scheme, report, args.oracle_bound, args.json)
     elif args.which == "condindep":
         reports.append(("conditional independence",
                         conditionally_independent(g1, g2, gk)))
@@ -438,23 +430,19 @@ def cmd_check(args) -> int:
 
     for name, report in reports:
         emit_report(name, report, args.json)
-    oracle_ok = all([job() for job in oracle_jobs])
-    ok = all(report.holds for _, report in reports) and oracle_ok
+    ok = ((args.oracle_bound is None or oracle())
+          and all(report.holds for _, report in reports))
     return 0 if ok else 1
 
 
 def _write_generator(path, name: str, g: Generator, json_mode: bool) -> None:
     """Write ``g`` to ``path`` as generator ``name`` and say so."""
     Path(path).write_text(generator_to_text(g, name), encoding="utf-8")
-    if json_mode:
-        print(json.dumps({
-            "artifact": name, "path": str(path), "states": g.num_states,
-            "transitions": g.num_transitions,
-            "empty_language": g.recognizes_empty_language,
-        }, sort_keys=True))
-    else:
-        print(f"wrote {path} ({g.num_states} states, "
-              f"{g.num_transitions} transitions)")
+    _emit(json_mode, f"wrote {path} ({g.num_states} states, "
+                     f"{g.num_transitions} transitions)",
+          {"artifact": name, "path": str(path), "states": g.num_states,
+           "transitions": g.num_transitions,
+           "empty_language": g.recognizes_empty_language})
 
 
 def cmd_synth(args) -> int:
@@ -488,9 +476,8 @@ def cmd_synth(args) -> int:
         for stem in ("sup_k", "sup_1k", "sup_2k", "composed"):
             _write_generator(out / f"{stem}.json", stem,
                              getattr(result, stem), args.json)
-        emit_note(
-            f"certified supremal: {'yes' if result.certified else 'no'}",
-            args.json, certified=result.certified)
+        text = f"certified supremal: {'yes' if result.certified else 'no'}"
+        _emit(args.json, text, {"note": text, "certified": result.certified})
         if args.oracle_bound is not None:
             bound = args.oracle_bound
             left = brute_product(
@@ -516,10 +503,8 @@ def cmd_synth(args) -> int:
 def cmd_compose(args) -> int:
     project = load_project(args.project)
     parts = [_lookup(project, name) for name in args.names]
-    result = parts[0]
-    for g in parts[1:]:
-        result = sync_product(result, g)
-    _write_generator(args.out, "+".join(args.names), result, args.json)
+    _write_generator(args.out, "+".join(args.names),
+                     reduce(sync_product, parts), args.json)
     return 0
 
 
@@ -539,29 +524,20 @@ def cmd_info(args) -> int:
         for e in g.alphabet.sorted_events
     ]
     samples = [format_word(w) for w in shortest_words(g, 5)]
-    if args.json:
-        print(json.dumps({
-            "name": args.name,
-            "events": events,
-            "reachable_events": sorted(reachable_events(g)),
-            "states": g.num_states,
-            "transitions": g.num_transitions,
-            "empty_language": g.recognizes_empty_language,
-            "sample_words": samples,
-        }, sort_keys=True))
-    else:
-        flags = ", ".join(
-            f"{e['name']}{'' if e['controllable'] else ' (u)'}"
-            for e in events)
-        print(f"generator {args.name}: {g.num_states} states, "
-              f"{g.num_transitions} transitions")
-        print(f"  events: {flags}")
-        print(f"  reachable events: "
-              f"{', '.join(sorted(reachable_events(g))) or '(none)'}")
-        if g.recognizes_empty_language:
-            print("  language: empty")
-        else:
-            print(f"  sample words: {', '.join(samples)}")
+    reachable = sorted(reachable_events(g))
+    flags = ", ".join(f"{e['name']}{'' if e['controllable'] else ' (u)'}"
+                      for e in events)
+    _emit(args.json,
+          f"generator {args.name}: {g.num_states} states, "
+          f"{g.num_transitions} transitions\n  events: {flags}\n"
+          f"  reachable events: {', '.join(reachable) or '(none)'}\n"
+          + ("  language: empty" if g.recognizes_empty_language
+             else f"  sample words: {', '.join(samples)}"),
+          {"name": args.name, "events": events,
+           "reachable_events": reachable, "states": g.num_states,
+           "transitions": g.num_transitions,
+           "empty_language": g.recognizes_empty_language,
+           "sample_words": samples})
     return 0
 
 
@@ -584,62 +560,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
         p.add_argument("-p", "--project", required=True,
                        help="project file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable one-line JSON records")
+        return p
 
-    p_check = sub.add_parser("check", help="run a property check")
+    p_check = command("check", cmd_check, "run a property check")
     p_check.add_argument("which", choices=CHECKS)
-    common(p_check)
     p_check.add_argument("--oracle-bound", type=_bound, default=None,
                          help="also verify against the brute-force oracle "
                               "at this word-length bound")
 
-    p_synth = sub.add_parser("synth", help="run a synthesis")
+    p_synth = command("synth", cmd_synth, "run a synthesis")
     p_synth.add_argument("mode", choices=SYNTH_MODES)
-    common(p_synth)
     p_synth.add_argument("-o", "--out", required=True,
                          help="output directory for result generators")
     p_synth.add_argument("--force", action="store_true",
                          help="supcc only: compute even when observer/OCC "
                               "preconditions fail (result marked uncertified)")
-    p_synth.add_argument("--oracle-bound", type=_bound, default=None)
+    p_synth.add_argument("--oracle-bound", type=_bound, default=None,
+                         help="supc and supcc only: also verify against "
+                              "the brute-force oracle at this bound")
 
-    p_compose = sub.add_parser("compose",
-                               help="synchronous product of named generators")
-    common(p_compose)
+    p_compose = command("compose", cmd_compose,
+                        "synchronous product of named generators")
     p_compose.add_argument("-o", "--out", required=True,
                            help="output generator file")
     p_compose.add_argument("names", nargs="+")
 
-    p_project = sub.add_parser("project",
-                               help="natural projection of a generator")
-    common(p_project)
-    p_project.add_argument("-o", "--out", required=True)
+    p_project = command("project", cmd_project,
+                        "natural projection of a generator")
+    p_project.add_argument("-o", "--out", required=True,
+                           help="output generator file")
     p_project.add_argument("name")
     p_project.add_argument("events", nargs="+")
 
-    p_info = sub.add_parser("info", help="describe a named generator")
-    common(p_info)
+    p_info = command("info", cmd_info, "describe a named generator")
     p_info.add_argument("name")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "check": cmd_check,
-        "synth": cmd_synth,
-        "compose": cmd_compose,
-        "project": cmd_project,
-        "info": cmd_info,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except PreconditionError as exc:
         emit_report(f"precondition: {exc}", exc.report, args.json)
         return 1

@@ -184,6 +184,21 @@ def test_alphabet_validation():
     assert alpha.uncontrollable == {"b", "u"}
 
 
+def test_a_failing_report_needs_a_counterexample():
+    with pytest.raises(ValidationError,
+                       match="failing report requires a counterexample"):
+        PropertyReport(False)
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_a_report_is_true_exactly_when_it_holds(holds):
+    report = PropertyReport(holds, None if holds else ("a",))
+    passing = PropertyReport(True)
+    full = ConditionalControllabilityReport(passing, passing, report)
+    assert bool(report) is bool(full) is full.holds is holds
+    assert full.first_failure() is (None if holds else report)
+
+
 def test_single_state_generator_recognizes_epsilon(cell):
     g = make_generator(["only"], cell.e1, [], "only")
     assert membership(g, ())
@@ -348,6 +363,11 @@ def test_word_parse_format_round_trip():
 def test_shortest_words_is_deterministic(cell):
     words = shortest_words(cell.g1, 4)
     assert words == [(), ("a1",), ("c",), ("a1", "u")]
+
+
+def test_shortest_words_of_no_language_or_no_count_is_empty(cell):
+    assert shortest_words(empty_generator(cell.e1), 4) == []
+    assert shortest_words(cell.g1, 0) == []
 
 
 @given(generators())

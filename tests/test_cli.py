@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import argparse
 import collections
 import contextlib
 import gc
@@ -321,6 +322,24 @@ def test_info_command(tmp_path, cell, capsys):
     assert record["sample_words"][0] == "ε"
 
 
+def test_commands_on_a_generator_of_the_empty_language(tmp_path, cell,
+                                                       capsys):
+    doc = inline_project(cell)
+    doc["generators"][0] = serialize_generator(empty_generator(cell.e1), "g1")
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    for which in ("observer", "occ"):
+        assert main(["check", which, "-p", str(project)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"[PASS] {which}(subsystem 1): empty language"
+    assert main(["info", "-p", str(project), "g1"]) == 0
+    assert capsys.readouterr().out == (
+        "generator g1: 1 states, 0 transitions\n"
+        "  events: a1, c, u (u), u1 (u)\n"
+        "  reachable events: (none)\n"
+        "  language: empty\n")
+
+
 def test_only_the_accessible_part_of_a_file_is_kept(tmp_path, capsys):
     doc = {
         "name": "g",
@@ -452,6 +471,28 @@ def test_negative_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
         err = capsys.readouterr().err
         assert "--oracle-bound: must be >= 0, got -1" in err
         assert "Traceback" not in err
+
+
+def test_a_non_integer_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
+    project = write_project(tmp_path, cell)
+    with pytest.raises(SystemExit) as info:
+        main(["check", "conddec", "-p", str(project), "--oracle-bound", "x"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --oracle-bound: invalid int value: 'x'" in err
+    assert "Traceback" not in err
+
+
+def test_every_optional_flag_of_every_command_has_help():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands) == ["check", "compose", "info", "project",
+                                "synth"]
+    missing = [f"{name} {action.option_strings[-1]}"
+               for name, parser in commands.items()
+               for action in parser._actions
+               if action.option_strings and not action.help]
+    assert missing == []
 
 
 def test_oracle_bound_beyond_the_word_limit_exits_2(tmp_path, capsys):
@@ -661,6 +702,9 @@ MALFORMED = [
         ("coordination", "g1"), ["g1"],
         "coordination 'g1', 'g2', 'gk' and 'spec' must be generator names",
         id="g1-as-list"),
+    pytest.param(("coordination",), {"g2": "g2", "spec": "spec"},
+                 "coordination block is missing 'g1'",
+                 id="coordination-without-g1"),
     pytest.param(("coordination", "ek"), 5, EK, id="ek-as-number"),
     pytest.param(("coordination", "ek"), "ab", EK, id="ek-as-string"),
     pytest.param(("coordination", "ek"), ["zz"],

@@ -9,6 +9,7 @@ import pytest
 
 from descoord import (
     Alphabet,
+    AlphabetMismatchError,
     ControllabilityConflictError,
     CoordinationScheme,
     PreconditionError,
@@ -438,6 +439,19 @@ def test_plant_controllability_conflict_is_an_error(cell, run):
     gk = universal_generator(ek)
     with pytest.raises(ControllabilityConflictError, match=r"\['c'\]"):
         run(cell.k, cell.g1, cell.g2, gk)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(sup_cc, id="sup_cc"),
+    pytest.param(is_conditionally_controllable, id="condctrl"),
+    pytest.param(synthesize_supervisors, id="supervisors"),
+    pytest.param(lambda k, *plant: conditionally_decomposable(
+        k, CoordinationScheme(*(g.alphabet for g in plant))), id="conddec"),
+])
+def test_a_spec_outside_the_scheme_alphabet_is_an_error(cell, run):
+    # G_1 itself, over E_1 only, is no specification over E_1 ∪ E_2 ∪ E_k.
+    with pytest.raises(AlphabetMismatchError, match="E_1 ∪ E_2 ∪ E_k"):
+        run(cell.g1, cell.g1, cell.g2, cell.gk)
 
 
 # ---------------------------------------------------------------------------

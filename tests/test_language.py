@@ -121,6 +121,18 @@ def test_widen_alphabet_keeps_the_word_set(cell):
     assert not membership(wide, w("a2"))
 
 
+@pytest.mark.parametrize("lift", [widen_alphabet, inverse_project])
+def test_lifting_needs_a_superset_alphabet(cell, lift):
+    with pytest.raises(AlphabetMismatchError, match="superset"):
+        lift(cell.g1, cell.e2)
+
+
+def test_inverse_image_of_the_empty_language_is_empty(cell):
+    lifted = inverse_project(empty_generator(cell.e1), cell.full)
+    assert lifted.recognizes_empty_language
+    assert lifted.alphabet == cell.full
+
+
 def test_language_equal_golden_composition(cell):
     parts = [
         cell.over_ek("a2", "c", "a1.a2.u"),
@@ -145,6 +157,14 @@ def test_strict_inclusion_has_counterexample():
     report = language_equal(small, big)
     assert not report.holds
     assert report.counterexample == ("b",)
+
+
+def test_language_equal_names_a_word_of_the_left_language_only():
+    alpha = Alphabet({"a", "b"}, {"a", "b"})
+    report = language_equal(lang(alpha, "a", "b"), lang(alpha, "a"))
+    assert not report.holds
+    assert report.counterexample == ("b",)
+    assert report.detail == "word is in the left language only"
 
 
 def test_language_subset_of_empty():

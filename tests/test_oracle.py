@@ -47,6 +47,15 @@ def test_bounded_language_of_empty(cell):
     assert bounded_language(empty_generator(cell.full), 5) == frozenset()
 
 
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda g: bounded_language(g, -1), id="language"),
+    pytest.param(lambda g: bounded_projection(g, {"c"}, -1), id="projection"),
+])
+def test_a_negative_bound_is_rejected(cell, walk):
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        walk(cell.g1)
+
+
 def test_brute_project_golden(cell):
     kw = bounded_language(cell.k, 4)
     projected = brute_project(kw, cell.ek.events)

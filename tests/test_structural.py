@@ -10,6 +10,7 @@ from descoord import (
     Alphabet,
     ValidationError,
     coordination,
+    empty_generator,
     is_observer,
     is_occ,
     make_generator,
@@ -105,6 +106,12 @@ def test_occ_vacuous_without_uncontrollable_events():
     alpha = Alphabet({"a", "b"}, {"a", "b"})
     g = lang(alpha, "a.b", "b.a.b")
     assert is_occ(g, {"b"}).holds
+
+
+@pytest.mark.parametrize("check", [is_observer, is_occ])
+def test_the_empty_language_meets_both_conditions(cell, check):
+    report = check(empty_generator(cell.e1), {"c", "u"})
+    assert report.holds and report.detail == "empty language"
 
 
 @pytest.mark.parametrize("check", [

@@ -125,3 +125,46 @@ def test_the_definition_guard_sees_a_dead_function_and_method():
     }
     assert dead_definitions(trees, {"exported"}) == [
         "a.py:2: dead", "a.py:7: Box.unread"]
+
+
+def stray_printers(tree: ast.Module) -> list[str]:
+    """The ``print`` calls without a ``file=`` argument, and the
+    ``sort_keys=True`` keywords, of ``tree`` outside its function
+    ``_emit``: stdout records printed or encoded anywhere but the one
+    printer."""
+    inside = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.FunctionDef) and top.name == "_emit"
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                and not any(k.arg == "file" for k in node.keywords)):
+            found.append((node.lineno, "print"))
+        if (isinstance(node, ast.keyword) and node.arg == "sort_keys"
+                and isinstance(node.value, ast.Constant)
+                and node.value.value is True):
+            found.append((node.lineno, "sort_keys=True"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_cli_prints_every_stdout_record_through_one_function():
+    source = (ROOT / "src" / "descoord" / "cli.py").read_text(
+        encoding="utf-8")
+    assert "def _emit(" in source
+    assert stray_printers(ast.parse(source)) == []
+
+
+def test_the_printer_guard_sees_a_second_printer():
+    tree = ast.parse("def _emit(json_mode, text, record):\n"
+                     "    print(dumps(record, sort_keys=True) if json_mode\n"
+                     "          else text)\n"
+                     "def cmd(args):\n"
+                     "    print('warning', file=sys.stderr)\n"
+                     "    if args.json:\n"
+                     "        print(dumps({}, sort_keys=True))\n"
+                     "    print('done')\n")
+    assert stray_printers(tree) == ["7: print", "7: sort_keys=True",
+                                    "8: print"]
