@@ -20,7 +20,6 @@ from .automata import (
     union_alphabets,
     universal_generator,
 )
-from .cli import parse_generator
 from .coordination import (
     ConditionalControllabilityReport,
     SynthesisResult,
@@ -111,3 +110,13 @@ __all__ = [
     "universal_generator",
     "widen_alphabet",
 ]
+
+
+def parse_generator(doc: dict,
+                    origin: str = "<inline>") -> tuple[str, Generator]:
+    """``descoord.cli.parse_generator``.  ``cli`` is imported on the first
+    call, not with the package: ``python -m descoord.cli`` would otherwise
+    run a module already in ``sys.modules``, and runpy warns."""
+    from .cli import parse_generator
+
+    return parse_generator(doc, origin)

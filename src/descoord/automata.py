@@ -183,11 +183,12 @@ def search(start, successors):
     ``successors(node)`` returns the ``(event, target)`` pairs of ``node``
     in sorted event order, as an iterable (the walks build a list); a
     ``None`` target is a violation and ends the search.  Returns
-    ``(nodes, rows, violation)``: the nodes in discovery order, one row
-    ``{event: index}`` per expanded node, its events in sorted order, and
-    the word leading to the violation (None when there is none).  Nodes are
-    expanded in discovery order and a parent pointer records each node's
-    first discovery, so the violation word is the shortest one, ties broken
+    ``(nodes, rows, violation, parents)``: the nodes in discovery order, one
+    row ``{event: index}`` per expanded node, its events in sorted order,
+    the word leading to the violation (None when there is none), and for
+    each node the ``(index, event)`` of its first discovery (``(0, "")`` for
+    the start).  Nodes are expanded in discovery order, so the violation
+    word, rebuilt from the parents, is the shortest one, ties broken
     lexicographically, and the node order is the canonical state order of a
     generator built from the rows.
 
@@ -205,14 +206,14 @@ def search(start, successors):
                 while index:
                     index, event = parents[index]
                     word.append(event)
-                return nodes, rows, tuple(reversed(word))
+                return nodes, rows, tuple(reversed(word)), parents
             found = ids.get(target)
             if found is None:
                 found = ids[target] = len(nodes)
                 nodes.append(target)
                 parents.append((index, event))
             row[event] = found
-    return nodes, rows, None
+    return nodes, rows, None, parents
 
 
 def intersect(a_rows, b_rows, refused=frozenset()):
@@ -267,7 +268,7 @@ def _canonicalize(
     """The generator of the states reachable from ``initial`` in ``rows``
     (state ``q`` labelled ``labels[q]``), renumbered canonically by one
     search.  The rows given may list their events in any order."""
-    nodes, canonical, _ = search(initial, lambda q: sorted(rows[q].items()))
+    nodes, canonical, *_ = search(initial, lambda q: sorted(rows[q].items()))
     return Generator(alphabet, tuple(labels[q] for q in nodes), canonical)
 
 

@@ -21,6 +21,7 @@ All output is deterministic: state names are canonical (``q0``, ``q1``,
 """
 
 import argparse
+import gc
 import json
 import sys
 from collections.abc import Mapping
@@ -606,8 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # No command makes a reference cycle, so the cyclic collector would
+    # only cost time: it is paused for the command, then left as it was.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except PreconditionError as exc:
         emit_report(f"precondition: {exc}", exc.report, args.json)
@@ -616,6 +621,9 @@ def main(argv=None) -> int:
         # OSError: an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

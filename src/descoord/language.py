@@ -95,8 +95,8 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     merged = union_alphabets(g1.alphabet, g2.alphabet)
     if g1.recognizes_empty_language or g2.recognizes_empty_language:
         return empty_generator(merged)
-    nodes, rows, _ = intersect(_lifted_rows(g1, merged),
-                               _lifted_rows(g2, merged))
+    nodes, rows, *_ = intersect(_lifted_rows(g1, merged),
+                                _lifted_rows(g2, merged))
     return Generator(merged, tuple(nodes), rows)
 
 
@@ -159,7 +159,7 @@ class SubsetConstruction:
         """P(L(G)) as a generator: the search over the whole construction,
         in canonical state order, each state labelled by its subset."""
         row = self.row
-        nodes, rows, _ = search(0, lambda subset: row(subset).items())
+        nodes, rows, *_ = search(0, lambda subset: row(subset).items())
         members = self.members
         return Generator(self.alphabet, tuple(members[i] for i in nodes),
                          rows, self.g.recognizes_empty_language)

@@ -48,9 +48,12 @@ def sup_c(k: Generator, l: Generator) -> Generator:
     violates when an event of E_u missing from q_K's row is in q_L's row.
     When none does, the product is the result.  Otherwise the deleted
     states are those that reach a violating node along uncontrollable
-    edges, one ``backward`` pass, and a second search keeps the part still
+    edges, one ``backward`` pass, and the result is the part still
     reachable through surviving states, numbered in its own discovery
-    order.  K ⊆ L is not required; the product intersects implicitly."""
+    order.  When the node that first discovered each surviving state
+    survives too, that order is the product's, so the surviving rows are
+    renumbered by rank; otherwise a second search walks the survivors.
+    K ⊆ L is not required; the product intersects implicitly."""
     _require_same_alphabet(k, l, "sup_c")
     alphabet = k.alphabet
     eu = alphabet.uncontrollable
@@ -58,7 +61,7 @@ def sup_c(k: Generator, l: Generator) -> Generator:
         return empty_generator(alphabet)
     lacks = [eu.difference(row) for row in k.rows]
     enabled = [eu.intersection(row) for row in l.rows]
-    pairs, rows, _ = intersect(k.rows, l.rows)
+    pairs, rows, _, parents = intersect(k.rows, l.rows)
     violating = [node for node, (qk, ql) in enumerate(pairs)
                  if not lacks[qk].isdisjoint(enabled[ql])]
     if not violating:
@@ -68,11 +71,16 @@ def sup_c(k: Generator, l: Generator) -> Generator:
     if 0 in deleted:
         return empty_generator(alphabet)
 
-    def surviving(node):
-        return [(event, target) for event, target in rows[node].items()
-                if target not in deleted]
-
-    nodes, survivors, _ = search(0, surviving)
+    nodes = [node for node in range(len(rows)) if node not in deleted]
+    if any(parents[node][0] in deleted for node in nodes):
+        nodes, survivors, *_ = search(0, lambda node: [
+            (event, target) for event, target in rows[node].items()
+            if target not in deleted])
+    else:
+        rank = {node: index for index, node in enumerate(nodes)}
+        survivors = [{event: rank[target]
+                      for event, target in rows[node].items()
+                      if target in rank} for node in nodes]
     return Generator(alphabet, tuple(pairs[node] for node in nodes),
                      survivors)
 

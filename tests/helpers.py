@@ -399,7 +399,7 @@ def reference_sup_c_deletions(k: Generator, l: Generator, eu):
             if tl is not None:
                 yield event, (tk, tl)
 
-    pairs, rows, _ = search((0, 0), product)
+    pairs, rows, *_ = search((0, 0), product)
     predecessors: dict[int, list[int]] = {}
     for node, row in enumerate(rows):
         for event, target in row.items():
@@ -434,7 +434,7 @@ def reference_sup_c(k: Generator, l: Generator, eu) -> Generator:
             if target not in deleted:
                 yield event, target
 
-    nodes, survivors, _ = search(0, surviving)
+    nodes, survivors, *_ = search(0, surviving)
     return Generator(k.alphabet, tuple(pairs[node] for node in nodes),
                      survivors)
 
@@ -459,7 +459,7 @@ def reference_sync_product(g1: Generator, g2: Generator) -> Generator:
             yield event, (row1[event] if in1 else q1,
                           row2[event] if in2 else q2)
 
-    nodes, rows, _ = search((0, 0), successors)
+    nodes, rows, *_ = search((0, 0), successors)
     return Generator(merged, tuple(nodes), rows)
 
 
@@ -492,7 +492,7 @@ def language_union(g1: Generator, g2: Generator) -> Generator:
                 out.append((event, (DEAD, row2[event])))
         return out
 
-    nodes, rows, _ = search((0, 0), successors)
+    nodes, rows, *_ = search((0, 0), successors)
     return Generator(alphabet, tuple(nodes), rows)
 
 

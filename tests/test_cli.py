@@ -6,7 +6,10 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from descoord import (
     make_generator,
     oracle,
     project as project_generator,
+    sup_c,
+    sup_cc,
     sync_product,
     universal_generator,
 )
@@ -1079,6 +1084,88 @@ def test_no_command_leaves_cyclic_garbage(tmp_path, cell, monkeypatch,
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) in (0, 1)
         assert gc.collect() <= parser_garbage, form
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, code, message", [
+    (["check", "conddec"], 0, "[PASS] "),
+    (["check", "condctrl"], 1, "precondition: "),
+    (["info", "nothing"], 2, "error: "),
+    (["check", "conddec", "--no-such-flag"], SystemExit,
+     "unrecognized arguments"),
+], ids=["exit-0", "exit-1", "exit-2", "argparse"])
+def test_main_leaves_the_collector_as_it_found_it(
+        tmp_path, cell, capsys, collector, enabled, argv, code, message):
+    # The precondition (exit 1) is the spec outside the plant; exit 2 is
+    # an unknown generator.
+    project = write_project(tmp_path, cell, spec_words=(
+        ("a2.a1.c",) if code == 1 else ("a2.a1", "a1.a2.u")))
+    (gc.enable if enabled else gc.disable)()
+    if code is SystemExit:
+        with pytest.raises(SystemExit):
+            main([*argv, "-p", str(project)])
+    else:
+        assert main([*argv, "-p", str(project)]) == code
+    assert gc.isenabled() is enabled
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
+def test_synth_supc_runs_no_collection(tmp_path, collector):
+    # Without the pause in ``main``, this command starts 23 collections
+    # here.
+    project = write_line_project(tmp_path, ["a1", "a2", "b1", "b2"],
+                                 (10, 10, 10))
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "supc", "-p", str(project),
+                         "-o", str(tmp_path / "out")]) == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_the_library_leaves_the_collector_alone(cell, collector, monkeypatch,
+                                                enabled):
+    k, g1, g2 = buffered_line(6, 3, 3)
+    (gc.enable if enabled else gc.disable)()
+    touched = []
+    for name in ("enable", "disable", "freeze", "unfreeze", "collect"):
+        monkeypatch.setattr(gc, name, lambda *args, name=name:
+                            touched.append(name))
+    sup_c(k, sync_product(g1, g2))
+    sup_cc(cell.k, cell.g1, cell.g2, cell.gk)
+    assert (touched, gc.isenabled()) == ([], enabled)
+
+
+def test_the_cli_module_runs_under_warnings_as_errors(tmp_path):
+    # The package does not import ``descoord.cli``, so runpy does not warn
+    # that the module it is about to run was already imported.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "descoord.cli", "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ")
 
 
 def json_nodes(doc, path=()):

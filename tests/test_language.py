@@ -193,7 +193,7 @@ def test_language_union_basics():
 def test_projection_output_is_deterministic_and_trim(g):
     keep = set(list(sorted(g.alphabet.events))[:2])
     result = project(g, keep)
-    reached, _, _ = search(0, lambda q: result.rows[q].items())
+    reached, *_ = search(0, lambda q: result.rows[q].items())
     assert len(reached) == result.num_states
     assert is_prefix_closed(bounded_language(result, 5))
 

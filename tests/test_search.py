@@ -102,10 +102,11 @@ def test_constructions_are_canonical_by_construction(g, rng):
             assert set(row) <= result.alphabet.events
 
 
-def test_sup_c_numbers_the_survivors_by_their_own_search():
-    # State 1 is deleted (L enables the uncontrollable u there, K does not).
-    # It is the first discoverer of 3 in the product and the only way to 5,
-    # so the survivors' order is not the product's and 5 must go.
+def survivor_found_by_a_deleted_state():
+    """(K, L) where state 1 is deleted (L enables the uncontrollable u
+    there, K does not).  It is the first discoverer of 3 in the product and
+    the only way to 5, so the survivors' order is not the product's and 5
+    must go."""
     alphabet = Alphabet({"a", "b", "c", "d", "e", "u"},
                         {"a", "b", "c", "d", "e"})
     k_edges = [("0", "a", "1"), ("0", "b", "2"), ("1", "c", "3"),
@@ -113,7 +114,11 @@ def test_sup_c_numbers_the_survivors_by_their_own_search():
     states = [str(i) for i in range(6)]
     k = make_generator(states, alphabet, k_edges, "0")
     l = make_generator(states, alphabet, k_edges + [("1", "u", "0")], "0")
-    result = sup_c(k, l)
+    return k, l
+
+
+def test_sup_c_numbers_the_survivors_by_their_own_search():
+    result = sup_c(*survivor_found_by_a_deleted_state())
     assert result.rows == ({"b": 1}, {"c": 2, "d": 3}, {}, {})
     assert result.num_states == 4
 
@@ -122,15 +127,18 @@ SUP_C_ALPHABET = Alphabet({"a", "b", "c", "u", "v"}, {"a", "b", "c"})
 
 
 def sup_c_instance(rng: random.Random):
-    """A random (K, L) over ``SUP_C_ALPHABET``, in turn: K a random
-    subautomaton of L; K and L drawn independently; or K a random
-    generator over the controllable events entered through a diamond, L
-    that K plus an uncontrollable move at d1 and at some random states.
-    In the diamond, d0 moves to d1 and then d2, each of which enters the
-    random part on one event; d2 first moves to d3 on a smaller one.  So
-    d1 is deleted, the random part survives through d2, and it comes
-    before d3 in the product but after it among the survivors."""
-    kind = rng.randrange(3)
+    """A random (K, L) over ``SUP_C_ALPHABET``, of one of five kinds drawn
+    uniformly: K a random subautomaton of L; K and L drawn independently;
+    or, in three kinds, K a random generator over the controllable events
+    entered through a diamond and L that K plus uncontrollable moves.  In
+    the diamond, d0 moves to d1 and then d2, each of which enters the
+    random part on one event.  In two of the three kinds, d2 first moves to
+    d3 on a smaller event, and L has an uncontrollable move at d1 and at
+    some random states.  So d1 is deleted, the random part survives through
+    d2, and it comes before d3 in the product but after it among the
+    survivors.  In the third, L's one uncontrollable move is at d2, so d2
+    alone is deleted and the survivors keep the product's order."""
+    kind = rng.randrange(5)
     if kind == 0:
         l = random_generator(rng, SUP_C_ALPHABET, 5, 0.5)
         return sub_automaton(rng, l, rng.choice((0.7, 0.9, 1.0))), l
@@ -143,12 +151,17 @@ def sup_c_instance(rng: random.Random):
     left, right = sorted(rng.sample("abc", 2))
     enter = rng.choice("bc")
     triples = [("d0", left, "d1"), ("d0", right, "d2"),
-               ("d1", enter, "s0"), ("d2", enter, "s0"),
-               ("d2", rng.choice("ab" if enter == "c" else "a"), "d3")]
+               ("d1", enter, "s0"), ("d2", enter, "s0")]
+    if kind < 4:
+        triples.append(
+            ("d2", rng.choice("ab" if enter == "c" else "a"), "d3"))
     triples += [(f"s{q}", event, f"s{target}")
                 for q, row in enumerate(core.rows)
                 for event, target in row.items()]
     k = make_generator(states, SUP_C_ALPHABET, triples, "d0")
+    if kind == 4:
+        triples.append(("d2", rng.choice("uv"), rng.choice(states)))
+        return k, make_generator(states, SUP_C_ALPHABET, triples, "d0")
     triples.append(("d1", rng.choice("uv"), "d0"))
     for q in core.states:
         if rng.random() < 0.25:
@@ -173,21 +186,36 @@ def sup_c_case(k, l, eu) -> str:
     return "deletions"
 
 
-def test_sup_c_agrees_with_the_route_it_replaced():
+def test_sup_c_agrees_with_the_route_it_replaced(monkeypatch):
+    searches = []
+
+    def counted(*args):
+        searches.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(synthesis, "search", counted)
     rng = random.Random(8)
-    cases = Counter()
+    cases, routes = Counter(), Counter()
     for _ in range(600):
         k, l = sup_c_instance(rng)
         eu = SUP_C_ALPHABET.uncontrollable
+        searches.clear()
         got, expected = sup_c(k, l), reference_sup_c(k, l, eu)
         assert got.labels == expected.labels
         assert got.rows == expected.rows
         assert (got.recognizes_empty_language
                 == expected.recognizes_empty_language)
-        cases[sup_c_case(k, l, eu)] += 1
+        case = sup_c_case(k, l, eu)
+        cases[case] += 1
+        # Survivors out of product order always take the survivor search.
+        assert searches or case != "survivors out of product order"
+        # Survivors renumbered by rank or by their own search.
+        if case != "no deletions" and not got.recognizes_empty_language:
+            routes["search" if searches else "rank"] += 1
     assert min(cases[case] for case in (
         "no deletions", "deletions",
         "survivors out of product order")) >= 100, cases
+    assert min(routes["search"], routes["rank"]) >= 100, routes
 
 
 def test_sup_c_searches_the_product_once_unless_a_survivor_is_renumbered(
@@ -213,10 +241,15 @@ def test_sup_c_searches_the_product_once_unless_a_survivor_is_renumbered(
     # Nothing violates: the product is the result.
     spec, g1, g2 = buffered_line(6, 3, 3)
     assert count(spec, spec)[0] == 0
-    # The full buffer blocks the uncontrollable b1 deep in the product:
-    # one search, for the survivors.
+    # The full buffer blocks the uncontrollable b1 deep in the product,
+    # and each survivor's first discoverer survives: the survivors are
+    # renumbered by rank, with no search.
     n, result = count(spec, sync_product(g1, g2))
-    assert (n, result.num_states < spec.num_states) == (1, True)
+    assert (n, result.num_states < spec.num_states) == (0, True)
+    # A deleted state first discovers a survivor: one search, for the
+    # survivors.
+    n, result = count(*survivor_found_by_a_deleted_state())
+    assert (n, result.num_states) == (1, 4)
     # The initial state violates: nothing survives, no search.
     alphabet = Alphabet({"a", "u"}, {"a"})
     n, result = count(from_words(alphabet, ["a"]),
