@@ -130,17 +130,14 @@ class Generator:
 
     States are canonical dense integers: every state is reachable, state 0
     is the initial state, where every walk starts, and the others follow in
-    breadth-first order, events sorted.  A label names a state for display
-    only: a parsed or word-built generator keeps its state names, and a
-    constructed one labels each state with the node it was discovered as (a
-    pair of operand states, or a tuple of subset members).  ``rows[q]`` maps
-    each event defined at state ``q``, in sorted order, to its target; rows
-    are made read-only here.  Do not instantiate directly; use
-    ``make_generator`` or the other public constructors.
+    breadth-first order, events sorted.  A state is its number and nothing
+    more: no state name, operand pair or subset it was built from is kept.
+    ``rows[q]`` maps each event defined at state ``q``, in sorted order, to
+    its target; rows are made read-only here.  Do not instantiate directly;
+    use ``make_generator`` or the other public constructors.
     """
 
     alphabet: Alphabet
-    labels: tuple
     rows: tuple[Mapping[str, int], ...]
     recognizes_empty_language: bool = False
 
@@ -148,6 +145,11 @@ class Generator:
         object.__setattr__(self, "rows", tuple(
             row if type(row) is MappingProxyType else MappingProxyType(row)
             for row in self.rows))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The canonical state names ``q0 … q{n-1}`` of generator files."""
+        return tuple(f"q{i}" for i in range(len(self.rows)))
 
     @property
     def num_states(self) -> int:
@@ -261,21 +263,20 @@ def backward(rows, events, *sources) -> list[set[int]]:
 
 def _canonicalize(
     alphabet: Alphabet,
-    labels: list[str],
     rows: list[dict[str, int]],
     initial: int,
 ) -> Generator:
-    """The generator of the states reachable from ``initial`` in ``rows``
-    (state ``q`` labelled ``labels[q]``), renumbered canonically by one
-    search.  The rows given may list their events in any order."""
-    nodes, canonical, *_ = search(initial, lambda q: sorted(rows[q].items()))
-    return Generator(alphabet, tuple(labels[q] for q in nodes), canonical)
+    """The generator of the states reachable from ``initial`` in ``rows``,
+    renumbered canonically by one search.  The rows given may list their
+    events in any order."""
+    canonical = search(initial, lambda q: sorted(rows[q].items()))[1]
+    return Generator(alphabet, canonical)
 
 
 def _validated(states: Iterable[str], alphabet: Alphabet,
                transitions: Iterable[tuple[str, str, str]], initial: str):
     """``make_generator`` up to ``_canonicalize``, which never raises: every
-    error is raised here.  Returns the state names, rows and initial index."""
+    error is raised here.  Returns the rows and the initial index."""
     names = list(states)
     for name in names:
         if not isinstance(name, str) or not name:
@@ -307,7 +308,7 @@ def _validated(states: Iterable[str], alphabet: Alphabet,
             raise DeterminismError(
                 f"duplicate transition on ({src!r}, {event!r})"
             )
-    return names, rows, index[initial]
+    return rows, index[initial]
 
 
 def make_generator(
@@ -330,14 +331,12 @@ def make_generator(
 
 def empty_generator(alphabet: Alphabet) -> Generator:
     """The generator of the empty language over ``alphabet``."""
-    return Generator(alphabet, ("dead",), ({},),
-                     recognizes_empty_language=True)
+    return Generator(alphabet, ({},), recognizes_empty_language=True)
 
 
 def universal_generator(alphabet: Alphabet) -> Generator:
     """One state, self-loops on every event: recognizes all of E*."""
-    return Generator(alphabet, ("all",),
-                     (dict.fromkeys(alphabet.sorted_events, 0),))
+    return Generator(alphabet, (dict.fromkeys(alphabet.sorted_events, 0),))
 
 
 def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
@@ -345,18 +344,16 @@ def from_words(alphabet: Alphabet, words: Iterable[Word | str]) -> Generator:
     parsed = [parse_word(w) if isinstance(w, str) else tuple(w) for w in words]
     for word in parsed:
         _require_events(alphabet, word)
-    labels = ["ε"]
     rows: list[dict[str, int]] = [{}]
     nodes: dict[Word, int] = {EPSILON: 0}
     for word in parsed:
         for cut in range(1, len(word) + 1):
             prefix = word[:cut]
             if prefix not in nodes:
-                nodes[prefix] = len(labels)
-                labels.append(format_word(prefix))
+                nodes[prefix] = len(rows)
                 rows.append({})
                 rows[nodes[prefix[:-1]]][prefix[-1]] = nodes[prefix]
-    return _canonicalize(alphabet, labels, rows, 0)
+    return _canonicalize(alphabet, rows, 0)
 
 
 def membership(g: Generator, word: Iterable[str]) -> bool:

@@ -77,26 +77,27 @@ ORACLES = ("controllability", "conddec", "supc", "supcc")
 # generator file format
 
 def generator_to_text(g: Generator, name: str) -> str:
-    """The generator file of ``g``: states are renamed to dense ``q<i>`` ids
-    so isomorphic automata serialize to identical bytes.  The text is that
-    of ``json.dumps(doc, indent=2) + "\\n"`` for the document with keys
-    ``name``, ``events``, ``states``, ``initial``, ``transitions`` and, for
-    the empty language only, ``recognizes_empty_language``; it is built
-    directly, because ``json`` encodes with ``indent`` in pure Python.
-    Names are quoted by ``json.dumps``, once each; ``q<i>`` needs no
+    """The generator file of ``g``: states are named by ``g.labels``, dense
+    ``q<i>`` ids, so isomorphic automata serialize to identical bytes.  The
+    text is that of ``json.dumps(doc, indent=2) + "\\n"`` for the document
+    with keys ``name``, ``events``, ``states``, ``initial``, ``transitions``
+    and, for the empty language only, ``recognizes_empty_language``; it is
+    built directly, because ``json`` encodes with ``indent`` in pure Python.
+    Event names are quoted by ``json.dumps``, once each; ``q<i>`` needs no
     escaping."""
     quoted = {event: json.dumps(event) for event in g.alphabet.sorted_events}
-    states = [f'"q{i}"' for i in range(g.num_states)]
+    labels = g.labels
     events = [
         f'    {{\n      "name": {text},\n      "controllable": '
         f'{"true" if event in g.alphabet.controllable else "false"}\n    }}'
         for event, text in quoted.items()
     ]
     transitions = [
-        f"    [\n      {states[src]},\n      {quoted[event]},\n"
-        f"      {states[dst]}\n    ]"
+        f'    [\n      "{labels[src]}",\n      {quoted[event]},\n'
+        f'      "{labels[dst]}"\n    ]'
         for src, row in enumerate(g.rows) for event, dst in row.items()
     ]
+    states = [f'    "{label}"' for label in labels]
 
     def block(items: list[str]) -> str:
         return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
@@ -104,8 +105,8 @@ def generator_to_text(g: Generator, name: str) -> str:
     fields = [
         f'"name": {json.dumps(name)}',
         f'"events": {block(events)}',
-        f'"states": {block(["    " + state for state in states])}',
-        f'"initial": {states[0]}',
+        f'"states": {block(states)}',
+        f'"initial": "{labels[0]}"',
         f'"transitions": {block(transitions)}',
     ]
     if g.recognizes_empty_language:
@@ -143,6 +144,12 @@ def _validate_generator(doc: dict, origin: str):
                for entry in events):
         fail("each event needs a string 'name' and boolean 'controllable'")
     names = [entry["name"] for entry in events]
+    for event in names:
+        # A lone surrogate such as "\ud800" cannot be printed as text.
+        try:
+            event.encode("utf-8")
+        except UnicodeEncodeError:
+            fail(f"event name {event!r} is not valid Unicode text")
     if len(set(names)) != len(names):
         fail("duplicate event names")
     empty = doc.get("recognizes_empty_language", False)
@@ -222,6 +229,11 @@ def _read_json(path: Path):
         ) from exc
     except RecursionError as exc:
         raise ProjectError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        # Not a JSONDecodeError: an integer literal too long to convert.
+        raise ProjectError(
+            f"{path}: invalid JSON: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def load_project(path: str) -> ProjectFile:

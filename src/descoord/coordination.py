@@ -320,7 +320,7 @@ def sup_cc(
     # supC_k, and every E_k event it takes supC_k can take too.  So
     # supC_k ∥ supC_{1+k} is supC_{1+k} itself, state for state and in the
     # same discovery order, and the composition below has the same rows
-    # and the same labels as the three-way one.
+    # as the three-way one.
     composed = sync_product(sup_1k, sup_2k)
     return SynthesisResult(sup_k, sup_1k, sup_2k, composed, certified)
 

@@ -72,7 +72,7 @@ def widen_alphabet(g: Generator, superset: Alphabet) -> Generator:
         raise AlphabetMismatchError("superset alphabet does not contain the "
                                     "generator's events")
     union_alphabets(g.alphabet, superset)
-    return Generator(superset, g.labels, g.rows, g.recognizes_empty_language)
+    return Generator(superset, g.rows, g.recognizes_empty_language)
 
 
 def _lifted_rows(g: Generator, superset: Alphabet):
@@ -91,13 +91,13 @@ def _lifted_rows(g: Generator, superset: Alphabet):
 def sync_product(g1: Generator, g2: Generator) -> Generator:
     """Synchronous product: shared events move together, private events
     interleave.  Built as P_1^{-1}(L(G_1)) ∩ P_2^{-1}(L(G_2)) over the
-    union alphabet, each state labelled by its pair.  The result is trim."""
+    union alphabet, its states numbered in the search's discovery order of
+    the operand pairs.  The result is trim."""
     merged = union_alphabets(g1.alphabet, g2.alphabet)
     if g1.recognizes_empty_language or g2.recognizes_empty_language:
         return empty_generator(merged)
-    nodes, rows, *_ = intersect(_lifted_rows(g1, merged),
-                                _lifted_rows(g2, merged))
-    return Generator(merged, tuple(nodes), rows)
+    rows = intersect(_lifted_rows(g1, merged), _lifted_rows(g2, merged))[1]
+    return Generator(merged, rows)
 
 
 class SubsetConstruction:
@@ -157,21 +157,18 @@ class SubsetConstruction:
 
     def generator(self) -> Generator:
         """P(L(G)) as a generator: the search over the whole construction,
-        in canonical state order, each state labelled by its subset."""
+        its subsets numbered in canonical state order."""
         row = self.row
-        nodes, rows, *_ = search(0, lambda subset: row(subset).items())
-        members = self.members
-        return Generator(self.alphabet, tuple(members[i] for i in nodes),
-                         rows, self.g.recognizes_empty_language)
+        rows = search(0, lambda subset: row(subset).items())[1]
+        return Generator(self.alphabet, rows, self.g.recognizes_empty_language)
 
 
 def project(g: Generator, events: Iterable[str]) -> Generator:
     """Natural projection of L(G) onto ``events``, a subset of G's events
     (``ValidationError`` otherwise): erase the other transitions, then
     determinize by the subset construction of ``SubsetConstruction``,
-    searched in full.  A state is labelled by its subset (sorted member
-    ids), so identical runs produce identical automata.  The result is
-    deterministic and trim."""
+    searched in full, so identical runs produce identical automata.  The
+    result is deterministic and trim."""
     return SubsetConstruction(g, events).generator()
 
 
@@ -184,7 +181,7 @@ def inverse_project(g: Generator, superset: Alphabet) -> Generator:
     union_alphabets(g.alphabet, superset)
     if g.recognizes_empty_language:
         return empty_generator(superset)
-    return Generator(superset, g.labels, _lifted_rows(g, superset))
+    return Generator(superset, _lifted_rows(g, superset))
 
 
 def language_subset(g1: Generator, g2: Generator) -> PropertyReport:

@@ -65,7 +65,7 @@ def sup_c(k: Generator, l: Generator) -> Generator:
     violating = [node for node, (qk, ql) in enumerate(pairs)
                  if not lacks[qk].isdisjoint(enabled[ql])]
     if not violating:
-        return Generator(alphabet, tuple(pairs), rows)
+        return Generator(alphabet, rows)
 
     (deleted,) = backward(rows, eu, violating)
     if 0 in deleted:
@@ -73,16 +73,15 @@ def sup_c(k: Generator, l: Generator) -> Generator:
 
     nodes = [node for node in range(len(rows)) if node not in deleted]
     if any(parents[node][0] in deleted for node in nodes):
-        nodes, survivors, *_ = search(0, lambda node: [
+        survivors = search(0, lambda node: [
             (event, target) for event, target in rows[node].items()
-            if target not in deleted])
+            if target not in deleted])[1]
     else:
         rank = {node: index for index, node in enumerate(nodes)}
         survivors = [{event: rank[target]
                       for event, target in rows[node].items()
                       if target in rank} for node in nodes]
-    return Generator(alphabet, tuple(pairs[node] for node in nodes),
-                     survivors)
+    return Generator(alphabet, survivors)
 
 
 def is_admissible(s: Generator, g: Generator) -> PropertyReport:

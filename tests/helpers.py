@@ -282,11 +282,11 @@ def word_in_projected_product(word, components, target_events) -> bool:
 # replaced routes, kept as references for differential tests
 
 def reference_parse(states, triples, initial):
-    """``(labels, rows)`` of ``make_generator(states, alphabet, triples,
-    initial)`` by the route parsing used to take: integer rows indexed by
-    position in ``states``, renumbered by a breadth-first search from
-    ``initial`` with events in sorted order, unreachable states dropped.
-    The input is assumed valid."""
+    """The rows of ``make_generator(states, alphabet, triples, initial)``
+    by the route parsing used to take: integer rows indexed by position in
+    ``states``, renumbered by a breadth-first search from ``initial`` with
+    events in sorted order, unreachable states dropped.  The input is
+    assumed valid."""
     index = {name: i for i, name in enumerate(states)}
     rows = [{} for _ in states]
     for src, event, dst in triples:
@@ -302,7 +302,7 @@ def reference_parse(states, triples, initial):
                 order.append(target)
             row[event] = renamed[target]
         canonical.append(row)
-    return tuple(states[old] for old in order), tuple(canonical)
+    return tuple(canonical)
 
 
 def reference_is_observer(g: Generator, events):
@@ -434,9 +434,7 @@ def reference_sup_c(k: Generator, l: Generator, eu) -> Generator:
             if target not in deleted:
                 yield event, target
 
-    nodes, survivors, *_ = search(0, surviving)
-    return Generator(k.alphabet, tuple(pairs[node] for node in nodes),
-                     survivors)
+    return Generator(k.alphabet, search(0, surviving)[1])
 
 
 def reference_sync_product(g1: Generator, g2: Generator) -> Generator:
@@ -459,8 +457,7 @@ def reference_sync_product(g1: Generator, g2: Generator) -> Generator:
             yield event, (row1[event] if in1 else q1,
                           row2[event] if in2 else q2)
 
-    nodes, rows, *_ = search((0, 0), successors)
-    return Generator(merged, tuple(nodes), rows)
+    return Generator(merged, search((0, 0), successors)[1])
 
 
 def language_union(g1: Generator, g2: Generator) -> Generator:
@@ -492,8 +489,7 @@ def language_union(g1: Generator, g2: Generator) -> Generator:
                 out.append((event, (DEAD, row2[event])))
         return out
 
-    nodes, rows, *_ = search((0, 0), successors)
-    return Generator(alphabet, tuple(nodes), rows)
+    return Generator(alphabet, search((0, 0), successors)[1])
 
 
 def reference_is_admissible(s: Generator, g: Generator) -> PropertyReport:
@@ -639,7 +635,7 @@ def counted_rows(g: Generator):
             reads += 1
             return super().__iter__()
 
-    counted = Generator(g.alphabet, g.labels, tuple(map(Row, g.rows)))
+    counted = Generator(g.alphabet, tuple(map(Row, g.rows)))
     return counted, lambda: reads
 
 

@@ -56,8 +56,8 @@ def test_make_generator_canonical_ids_and_marking():
         [("x", "a", "y"), ("y", "b", "x")], "x",
     )
     assert g.run(()) == 0
-    assert g.labels[0] == "x"
-    assert g.labels == ("x", "y")  # z is unreachable and dropped
+    assert g.labels[0] == "q0"
+    assert g.labels == ("q0", "q1")  # z is unreachable and dropped
 
 
 def test_make_generator_rejects_nondeterminism():
@@ -254,7 +254,7 @@ def test_parsing_drops_unreachable_states():
         [("x", "a", "y"), ("dead", "b", "x")], "x",
     )
     assert g.num_states == 2
-    assert g.labels == ("x", "y")
+    assert g.labels == ("q0", "q1")
     assert g.rows == ({"a": 1}, {})
     assert bounded_language(g, 4) == {(), ("a",)}
 
@@ -313,8 +313,7 @@ def named_tables(draw):
 def test_parsing_matches_the_route_it_replaced(named):
     states, alphabet, triples, initial = named
     g = make_generator(states, alphabet, triples, initial)
-    labels, rows = reference_parse(states, triples, initial)
-    assert g.labels == labels
+    rows = reference_parse(states, triples, initial)
     assert [list(row.items()) for row in g.rows] == \
         [list(row.items()) for row in rows]
 

@@ -682,6 +682,7 @@ GEN = ("generators", 0)
 SPEC = ("generators", 2)
 TRIPLES = "'transitions' must be [source, event, target] triples"
 EK = "coordination 'ek' must be \"auto\" or a list of event names"
+LONG = "an integer literal has more than 4300 digits"
 
 MALFORMED = [
     pytest.param(
@@ -737,6 +738,18 @@ MALFORMED = [
                  id="not-utf-8"),
     pytest.param((), b"[" * 100000, "{p}: JSON nested too deeply",
                  id="nested-too-deeply"),
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal longer than sys.get_int_max_str_digits() (4300).
+    pytest.param((), b'{"generators": [' + b"9" * 5000 + b"]}",
+                 "{p}: invalid JSON: " + LONG, id="project-long-integer"),
+    pytest.param(GEN, b'{"name": "g1", "events": [], "states": ['
+                 + b"9" * 5000 + b"]}",
+                 "{p.parent}/g.json: invalid JSON: " + LONG,
+                 id="generator-file-long-integer"),
+    # A lone surrogate decodes from JSON but cannot be printed as text.
+    pytest.param((*GEN, "events", 0, "name"), "\ud800",
+                 "{p} (inline): event name '\\ud800' is not valid Unicode "
+                 "text", id="event-name-lone-surrogate"),
     # The specification, which the plant-only checks never build.
     pytest.param((*SPEC, "states", 1), "q0",
                  "{p} (inline): duplicate state names",
@@ -760,8 +773,12 @@ MALFORMED = [
 
 def malformed_project(tmp_path, cell, path, value):
     """The workcell's inline project with ``value`` at ``path``, written to
-    a file; returns its path."""
+    a file; returns its path.  Bytes at a non-empty path are written to the
+    generator file ``g.json`` beside it, which the path then names."""
     project = tmp_path / "p.json"
+    if path and isinstance(value, bytes):
+        (tmp_path / "g.json").write_bytes(value)
+        value = "g.json"
     doc = put(inline_project(cell), path, value)
     project.write_bytes(doc if isinstance(doc, bytes)
                         else json.dumps(doc).encode())

@@ -163,7 +163,6 @@ def test_a_projection_onto_no_events_is_one_subset_with_no_step():
     assert construction.row(0) == {}
     assert construction.members == [tuple(k.states)]
     projected = project(k, ())
-    assert projected.labels == (tuple(k.states),)
     assert projected.rows == ({},)
 
 

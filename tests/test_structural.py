@@ -312,6 +312,29 @@ def test_observer_closes_over_hidden_events_in_one_backward_call(
     assert reads[1] == reads[2] <= 2 * 2000 + 8, reads
 
 
+@pytest.mark.parametrize("measured, run", [
+    pytest.param((4003, 4005, 4009, 4017), project, id="project"),
+    pytest.param((2001, 2001, 2001, 2001), is_occ, id="is_occ"),
+    pytest.param((28_027, 28_029, 28_033, 28_041), is_observer,
+                 id="is_observer"),
+])
+def test_row_reads_grow_by_a_constant_per_target_event(measured, run):
+    # Reads of the rows of ``chain_into_loops(2000, 8)`` with its first 1,
+    # 2, 4 and 8 loop events as the targets, at a fixed G; ``measured``
+    # holds the counts when this gate was set: two more reads per added
+    # event for project and the whole is_observer, none for is_occ.  A
+    # layer that reads G's rows once per target event fails the bound of
+    # the one-event count plus 4 reads per target event.
+    g, target = chain_into_loops(2000, 8)
+    reads = []
+    for m in (1, 2, 4, 8):
+        counted, count = counted_rows(g)
+        run(counted, target[:m])
+        reads.append(count())
+    assert all(count <= reads[0] + 4 * m
+               for count, m in zip(reads, (1, 2, 4, 8))), (reads, measured)
+
+
 def test_a_failing_observer_check_leaves_the_projection_unbuilt(monkeypatch):
     # After ``a`` the projection is in the subset {s1, s3}, which offers
     # ``b``; s1 cannot reach it, so the walk ends on a.b with the chain of
