@@ -114,6 +114,17 @@ def generator_to_text(g: Generator, name: str) -> str:
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
+def _is_text(name: str) -> bool:
+    """Whether ``name`` encodes as UTF-8, so that a strict UTF-8 stdout can
+    print it: a lone surrogate such as "\\ud800", read from JSON or made
+    from an undecodable byte of a command-line argument, cannot."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _strings(value) -> bool:
     return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
 
@@ -136,6 +147,8 @@ def _validate_generator(doc: dict, origin: str):
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         fail("missing or invalid 'name'")
+    if not _is_text(name):
+        fail(f"generator name {name!r} is not valid Unicode text")
     events = doc.get("events")
     if not isinstance(events, list):
         fail("missing or invalid 'events'")
@@ -145,10 +158,7 @@ def _validate_generator(doc: dict, origin: str):
         fail("each event needs a string 'name' and boolean 'controllable'")
     names = [entry["name"] for entry in events]
     for event in names:
-        # A lone surrogate such as "\ud800" cannot be printed as text.
-        try:
-            event.encode("utf-8")
-        except UnicodeEncodeError:
+        if not _is_text(event):
             fail(f"event name {event!r} is not valid Unicode text")
     if len(set(names)) != len(names):
         fail("duplicate event names")
@@ -625,6 +635,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
+        # The line that announces a written file must print its path.
+        if not _is_text(getattr(args, "out", "")):
+            raise DescoordError(f"output path {args.out!r} is not valid "
+                                f"Unicode text")
         return args.run(args)
     except PreconditionError as exc:
         emit_report(f"precondition: {exc}", exc.report, args.json)

@@ -12,11 +12,10 @@ from .automata import (
     backward,
     empty_generator,
     intersect,
-    search,
     union_alphabets,
 )
 from .errors import PreconditionError
-from .language import _require_same_alphabet, inverse_project, sync_product
+from .language import _lifted_rows, _require_same_alphabet, sync_product
 
 
 def is_controllable(k: Generator, l: Generator) -> PropertyReport:
@@ -49,11 +48,12 @@ def sup_c(k: Generator, l: Generator) -> Generator:
     When none does, the product is the result.  Otherwise the deleted
     states are those that reach a violating node along uncontrollable
     edges, one ``backward`` pass, and the result is the part still
-    reachable through surviving states, numbered in its own discovery
-    order.  When the node that first discovered each surviving state
-    survives too, that order is the product's, so the surviving rows are
-    renumbered by rank; otherwise a second search walks the survivors.
-    K ⊆ L is not required; the product intersects implicitly."""
+    reachable through surviving states.  One breadth-first pass over the
+    product rows numbers it: the pass skips deleted targets and numbers
+    each survivor when it first reaches it, expanding survivors in that
+    order and reading each row in its sorted event order, so it is the
+    survivors' own search order.  K ⊆ L is not required; the product
+    intersects implicitly."""
     _require_same_alphabet(k, l, "sup_c")
     alphabet = k.alphabet
     eu = alphabet.uncontrollable
@@ -61,7 +61,7 @@ def sup_c(k: Generator, l: Generator) -> Generator:
         return empty_generator(alphabet)
     lacks = [eu.difference(row) for row in k.rows]
     enabled = [eu.intersection(row) for row in l.rows]
-    pairs, rows, _, parents = intersect(k.rows, l.rows)
+    pairs, rows, _ = intersect(k.rows, l.rows)
     violating = [node for node, (qk, ql) in enumerate(pairs)
                  if not lacks[qk].isdisjoint(enabled[ql])]
     if not violating:
@@ -71,16 +71,15 @@ def sup_c(k: Generator, l: Generator) -> Generator:
     if 0 in deleted:
         return empty_generator(alphabet)
 
-    nodes = [node for node in range(len(rows)) if node not in deleted]
-    if any(parents[node][0] in deleted for node in nodes):
-        survivors = search(0, lambda node: [
-            (event, target) for event, target in rows[node].items()
-            if target not in deleted])[1]
-    else:
-        rank = {node: index for index, node in enumerate(nodes)}
-        survivors = [{event: rank[target]
-                      for event, target in rows[node].items()
-                      if target in rank} for node in nodes]
+    nodes, ids, survivors = [0], {0: 0}, []
+    for node in nodes:
+        survivors.append(row := {})
+        for event, target in rows[node].items():
+            if target not in deleted:
+                if target not in ids:
+                    ids[target] = len(nodes)
+                    nodes.append(target)
+                row[event] = ids[target]
     return Generator(alphabet, survivors)
 
 
@@ -92,9 +91,7 @@ def is_admissible(s: Generator, g: Generator) -> PropertyReport:
     merged = union_alphabets(s.alphabet, g.alphabet)
     if s.recognizes_empty_language or g.recognizes_empty_language:
         return PropertyReport(True, detail="closed loop is empty")
-    lifted_s = inverse_project(s, merged)
-    lifted_g = inverse_project(g, merged)
-    word = intersect(lifted_s.rows, lifted_g.rows,
+    word = intersect(_lifted_rows(s, merged), _lifted_rows(g, merged),
                      g.alphabet.uncontrollable)[2]
     if word is not None:
         return PropertyReport(

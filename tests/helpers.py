@@ -399,7 +399,7 @@ def reference_sup_c_deletions(k: Generator, l: Generator, eu):
             if tl is not None:
                 yield event, (tk, tl)
 
-    pairs, rows, *_ = search((0, 0), product)
+    pairs, rows, _ = search((0, 0), product)
     predecessors: dict[int, list[int]] = {}
     for node, row in enumerate(rows):
         for event, target in row.items():

@@ -429,6 +429,25 @@ def test_unwritable_output_exits_2(tmp_path, cell, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["synth", "supc"],
+                                  ["compose", "g1", "g2"],
+                                  ["project", "g1", "a1"]],
+                         ids=["synth", "compose", "project"])
+def test_an_output_path_that_is_not_text_exits_2(tmp_path, cell, capsys,
+                                                 argv):
+    # An undecodable byte 0xff of a command-line argument arrives as
+    # "\udcff", which the line announcing the written file cannot print.
+    project = write_project(tmp_path, cell)
+    before = sorted(tmp_path.iterdir())
+    out = str(tmp_path / "out\udcff")
+    assert main([argv[0], "-p", str(project), "-o", out, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: output path {out!r} is not valid "
+                            f"Unicode text\n")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "not-a-check", "-p", "x.json"])
@@ -750,6 +769,9 @@ MALFORMED = [
     pytest.param((*GEN, "events", 0, "name"), "\ud800",
                  "{p} (inline): event name '\\ud800' is not valid Unicode "
                  "text", id="event-name-lone-surrogate"),
+    pytest.param((*GEN, "name"), "\udcff",
+                 "{p} (inline): generator name '\\udcff' is not valid "
+                 "Unicode text", id="generator-name-lone-surrogate"),
     # The specification, which the plant-only checks never build.
     pytest.param((*SPEC, "states", 1), "q0",
                  "{p} (inline): duplicate state names",

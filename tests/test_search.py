@@ -186,74 +186,48 @@ def sup_c_case(k, l, eu) -> str:
     return "deletions"
 
 
-def test_sup_c_agrees_with_the_route_it_replaced(monkeypatch):
-    searches = []
-
-    def counted(*args):
-        searches.append(args[0])
-        return search(*args)
-
-    monkeypatch.setattr(synthesis, "search", counted)
+def test_sup_c_agrees_with_the_route_it_replaced():
     rng = random.Random(8)
-    cases, routes = Counter(), Counter()
+    cases = Counter()
     for _ in range(600):
         k, l = sup_c_instance(rng)
         eu = SUP_C_ALPHABET.uncontrollable
-        searches.clear()
         got, expected = sup_c(k, l), reference_sup_c(k, l, eu)
         assert got.rows == expected.rows
         assert (got.recognizes_empty_language
                 == expected.recognizes_empty_language)
-        case = sup_c_case(k, l, eu)
-        cases[case] += 1
-        # Survivors out of product order always take the survivor search.
-        assert searches or case != "survivors out of product order"
-        # Survivors renumbered by rank or by their own search.
-        if case != "no deletions" and not got.recognizes_empty_language:
-            routes["search" if searches else "rank"] += 1
+        cases[sup_c_case(k, l, eu)] += 1
     assert min(cases[case] for case in (
         "no deletions", "deletions",
         "survivors out of product order")) >= 100, cases
-    assert min(routes["search"], routes["rank"]) >= 100, routes
 
 
-def test_sup_c_searches_the_product_once_unless_a_survivor_is_renumbered(
-        monkeypatch):
-    walks, searches = [], []
+def test_sup_c_walks_the_product_once(monkeypatch):
+    walks = []
 
-    def counted(calls, kernel):
-        def wrapper(*args):
-            calls.append(args[0])
-            return kernel(*args)
-        return wrapper
+    def counted(*args):
+        walks.append(args[0])
+        return intersect(*args)
 
-    monkeypatch.setattr(synthesis, "intersect", counted(walks, intersect))
-    monkeypatch.setattr(synthesis, "search", counted(searches, search))
+    monkeypatch.setattr(synthesis, "intersect", counted)
 
-    def count(k, l):
+    def once(k, l):
         walks.clear()
-        searches.clear()
         result = sup_c(k, l)
         assert len(walks) == 1
-        return len(searches), result
+        return result
 
     # Nothing violates: the product is the result.
     spec, g1, g2 = buffered_line(6, 3, 3)
-    assert count(spec, spec)[0] == 0
-    # The full buffer blocks the uncontrollable b1 deep in the product,
-    # and each survivor's first discoverer survives: the survivors are
-    # renumbered by rank, with no search.
-    n, result = count(spec, sync_product(g1, g2))
-    assert (n, result.num_states < spec.num_states) == (0, True)
-    # A deleted state first discovers a survivor: one search, for the
-    # survivors.
-    n, result = count(*survivor_found_by_a_deleted_state())
-    assert (n, result.num_states) == (1, 4)
-    # The initial state violates: nothing survives, no search.
+    assert once(spec, spec).rows == spec.rows
+    # The full buffer blocks the uncontrollable b1 deep in the product.
+    assert once(spec, sync_product(g1, g2)).num_states < spec.num_states
+    # A deleted state first discovers a survivor.
+    assert once(*survivor_found_by_a_deleted_state()).num_states == 4
+    # The initial state violates: nothing survives.
     alphabet = Alphabet({"a", "u"}, {"a"})
-    n, result = count(from_words(alphabet, ["a"]),
-                      from_words(alphabet, ["a", "u"]))
-    assert (n, result.recognizes_empty_language) == (0, True)
+    assert once(from_words(alphabet, ["a"]),
+                from_words(alphabet, ["a", "u"])).recognizes_empty_language
 
 
 def naive_backward(rows, events, sources) -> set[int]:
