@@ -267,15 +267,57 @@ def _canonicalize(
 ) -> Generator:
     """The generator of the states reachable from ``initial`` in ``rows``,
     renumbered canonically by one search.  The rows given may list their
-    events in any order."""
+    events in any order.  Takes ownership of ``rows``: rows already in
+    canonical order, such as those of a file ``desc`` wrote, become the
+    generator's as they are, and no search runs."""
+    if initial == 0 and _in_canonical_order(rows):
+        return Generator(alphabet, rows)
     canonical = search(initial, lambda q: sorted(rows[q].items()))[1]
     return Generator(alphabet, canonical)
+
+
+def _in_canonical_order(rows) -> bool:
+    """Whether ``search`` from 0 renumbers ``rows`` to themselves: each row
+    is reached before it is scanned, its events are sorted, and each target
+    is a reached state or else the next id, which is then reached."""
+    reached = 1
+    for state, row in enumerate(rows):
+        if state == reached:
+            return False
+        previous = ""
+        for event, target in row.items():
+            if event <= previous or target > reached:
+                return False
+            previous = event
+            if target == reached:
+                reached += 1
+    return True
+
+
+def _optimistic_rows(index, events, transitions):
+    """The rows of ``transitions``, one cheap check per triple, or None at
+    the first triple that is not plainly well formed.  A member that
+    compares equal to a state or event name is taken as that name."""
+    rows: list[dict[str, int]] = [{} for _ in index]
+    try:
+        for triple in transitions:
+            if type(triple) is not tuple and type(triple) is not list:
+                return None
+            src, event, dst = triple
+            row = rows[index[src]]
+            if event not in events or event in row:
+                return None
+            row[event] = index[dst]
+    except (TypeError, ValueError, KeyError):
+        return None
+    return rows
 
 
 def _validated(states: Iterable[str], alphabet: Alphabet,
                transitions: Iterable[tuple[str, str, str]], initial: str):
     """``make_generator`` up to ``_canonicalize``, which never raises: every
-    error is raised here.  Returns the rows and the initial index."""
+    error is raised here, by the strict loop that reruns the triples where
+    ``_optimistic_rows`` gives up.  Returns the rows and the initial index."""
     names = list(states)
     for name in names:
         if not isinstance(name, str) or not name:
@@ -288,8 +330,12 @@ def _validated(states: Iterable[str], alphabet: Alphabet,
     if not isinstance(initial, str) or initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
 
+    transitions = list(transitions)  # the strict loop may read it again
     events = alphabet.events
-    rows: list[dict[str, int]] = [{} for _ in names]
+    rows = _optimistic_rows(index, events, transitions)
+    if rows is not None:
+        return rows, index[initial]
+    rows = [{} for _ in names]
     for triple in transitions:
         if not (isinstance(triple, (tuple, list)) and len(triple) == 3
                 and isinstance(triple[0], str) and isinstance(triple[1], str)

@@ -193,7 +193,8 @@ def _validate_generator(doc: dict, origin: str):
 
 class _Generators(Mapping):
     """A project's generators by name, read-only, each validated at load and
-    built on its first lookup, which caches it and drops its validated rows."""
+    built on its first lookup, which caches it in place of its validated
+    rows."""
 
     def __init__(self, entries: dict):
         self._entries = entries

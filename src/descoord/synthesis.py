@@ -15,7 +15,7 @@ from .automata import (
     union_alphabets,
 )
 from .errors import PreconditionError
-from .language import _lifted_rows, _require_same_alphabet, sync_product
+from .language import _lifted_rows, _require_same_alphabet
 
 
 def is_controllable(k: Generator, l: Generator) -> PropertyReport:
@@ -88,22 +88,31 @@ def is_admissible(s: Generator, g: Generator) -> PropertyReport:
     superset, is admissible for a plant when, after every word of
     L(S) ∥ L(G), it enables every uncontrollable event the plant enables.
     Decided on the intersection of both inverse images."""
-    merged = union_alphabets(s.alphabet, g.alphabet)
-    if s.recognizes_empty_language or g.recognizes_empty_language:
-        return PropertyReport(True, detail="closed loop is empty")
-    word = intersect(_lifted_rows(s, merged), _lifted_rows(g, merged),
-                     g.alphabet.uncontrollable)[2]
-    if word is not None:
-        return PropertyReport(
-            False, word, "supervisor disables an uncontrollable plant event")
-    return PropertyReport(True, detail="supervisor is admissible")
+    return _admitted_loop(s, g)[0]
 
 
 def closed_loop(s: Generator, g: Generator) -> Generator:
     """L(S/G) = L(S) ∥ L(G) for an admissible supervisor; raises
     ``PreconditionError`` (with the admissibility report) otherwise."""
-    report = is_admissible(s, g)
+    report, loop = _admitted_loop(s, g)
     if not report.holds:
         raise PreconditionError("supervisor is not admissible for this plant",
                                 report)
-    return sync_product(s, g)
+    return loop
+
+
+def _admitted_loop(s: Generator, g: Generator):
+    """``is_admissible``'s report and, when it holds, ``sync_product(s, g)``
+    from the same walk: a refused event only ends ``intersect``, so a walk
+    that finds no violation is the product's walk."""
+    merged = union_alphabets(s.alphabet, g.alphabet)
+    if s.recognizes_empty_language or g.recognizes_empty_language:
+        return (PropertyReport(True, detail="closed loop is empty"),
+                empty_generator(merged))
+    _, rows, word = intersect(_lifted_rows(s, merged), _lifted_rows(g, merged),
+                              g.alphabet.uncontrollable)
+    if word is not None:
+        return PropertyReport(False, word, "supervisor disables an "
+                              "uncontrollable plant event"), None
+    return (PropertyReport(True, detail="supervisor is admissible"),
+            Generator(merged, rows))

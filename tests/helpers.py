@@ -11,9 +11,11 @@ from descoord import (
     AlphabetMismatchError,
     ConditionalControllabilityReport,
     CoordinationScheme,
+    DeterminismError,
     Generator,
     PreconditionError,
     PropertyReport,
+    ValidationError,
     default_coordinator,
     empty_generator,
     from_words,
@@ -303,6 +305,52 @@ def reference_parse(states, triples, initial):
             row[event] = renamed[target]
         canonical.append(row)
     return tuple(canonical)
+
+
+def reference_validated(states, alphabet: Alphabet, transitions, initial):
+    """``automata._validated`` by the one strict loop it used to be: the
+    rows indexed by position in ``states`` and the initial index, or the
+    first error, each triple checked in full before it is used."""
+    names = list(states)
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ValidationError(f"invalid state name: {name!r}")
+    index = {name: i for i, name in enumerate(names)}
+    if len(names) != len(index):
+        raise ValidationError("duplicate state names")
+    if not names:
+        raise ValidationError("a generator needs at least one state")
+    if not isinstance(initial, str) or initial not in index:
+        raise ValidationError(f"unknown initial state: {initial!r}")
+    rows = [{} for _ in names]
+    for triple in transitions:
+        if not (isinstance(triple, (tuple, list)) and len(triple) == 3
+                and isinstance(triple[0], str) and isinstance(triple[1], str)
+                and isinstance(triple[2], str)):
+            raise ValidationError(
+                "'transitions' must be [source, event, target] triples")
+        src, event, dst = triple
+        source, target = index.get(src), index.get(dst)
+        if source is None or target is None:
+            raise ValidationError(f"transition {src!r}-{event!r}->{dst!r} "
+                                  f"references an unknown state")
+        if event not in alphabet.events:
+            raise ValidationError(
+                f"transition label {event!r} not in the alphabet")
+        if rows[source].setdefault(event, target) != target:
+            raise DeterminismError(
+                f"duplicate transition on ({src!r}, {event!r})")
+    return rows, index[initial]
+
+
+def reference_make_generator(states, alphabet: Alphabet, transitions,
+                             initial) -> Generator:
+    """``make_generator`` by the strict loop and one search, whatever the
+    order of the rows: ``reference_validated``, then the search that
+    ``automata._canonicalize`` runs on rows not in canonical order."""
+    rows, start = reference_validated(states, alphabet, transitions, initial)
+    return Generator(alphabet, search(
+        start, lambda q: sorted(rows[q].items()))[1])
 
 
 def reference_is_observer(g: Generator, events):

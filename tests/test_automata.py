@@ -1,5 +1,6 @@
 """Tests for generators, alphabets and the basic language queries."""
 
+import collections
 import dataclasses
 import importlib
 import inspect
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import descoord
+from descoord import automata
 from descoord import (
     Alphabet,
     ConditionalControllabilityReport,
@@ -41,6 +43,7 @@ from helpers import (
     is_prefix_closed,
     lang,
     random_generator,
+    reference_make_generator,
     reference_parse,
     serialize_generator,
     w,
@@ -318,7 +321,7 @@ def test_parsing_matches_the_route_it_replaced(named):
         [list(row.items()) for row in rows]
 
 
-@pytest.mark.parametrize("triples, error, message", [
+UNREACHABLE_ERRORS = [
     ([("dead", "c", "x")], ValidationError,
      "transition label 'c' not in the alphabet"),
     ([("dead", "a", "ghost")], ValidationError,
@@ -329,12 +332,156 @@ def test_parsing_matches_the_route_it_replaced(named):
      "'transitions' must be [source, event, target] triples"),
     ({("dead", "a"): "x"}, ValidationError,
      "'transitions' must be [source, event, target] triples"),
-])
+]
+
+
+@pytest.mark.parametrize("triples, error, message", UNREACHABLE_ERRORS)
 def test_transitions_of_unreachable_states_are_validated(triples, error,
                                                          message):
     with pytest.raises(error) as info:
         make_generator(["x", "dead"], AB, triples, "x")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("triples, error, message", UNREACHABLE_ERRORS)
+def test_transitions_given_as_an_iterator_are_validated_alike(triples, error,
+                                                              message):
+    # A fast path that gives up must not leave the strict one an iterator
+    # it has already read.
+    with pytest.raises(error) as info:
+        make_generator(["x", "dead"], AB, iter(triples), "x")
+    assert str(info.value) == message
+
+
+ABC = Alphabet({"a", "b", "c"}, {"a"})
+
+
+def document_variants(rng) -> dict:
+    """A seeded random document as drawn, often with a non-zero initial
+    state and unreachable states; the file of its generator, which is in
+    canonical order; and that file shuffled four ways: triple order, state
+    list order (which moves the initial state off index 0), events within
+    each row, and a state nothing reaches added at a random place."""
+    n = rng.randint(1, 5)
+    triples = [(f"s{q}", event, f"s{rng.randrange(n)}") for q in range(n)
+               for event in "abc" if rng.random() < 0.5]
+    drawn = ([f"s{i}" for i in range(n)], triples, f"s{rng.randrange(n)}")
+    doc = serialize_generator(make_generator(drawn[0], ABC, *drawn[1:]), "g")
+    states, triples, initial = doc["states"], doc["transitions"], "q0"
+    by_row = []
+    for src in states:
+        row = [triple for triple in triples if triple[0] == src]
+        by_row += rng.sample(row, len(row))
+    dead = [*states]
+    dead.insert(rng.randint(0, len(states)), "dead")
+    return {"drawn": drawn, "written": (states, triples, initial),
+            "triple order": (states, rng.sample(triples, len(triples)),
+                             initial),
+            "state order": (rng.sample(states, len(states)), triples,
+                            initial),
+            "row order": (states, by_row, initial),
+            "dead state": (dead, [*triples, ("dead", "b", states[-1])],
+                           initial)}
+
+
+def corruptions(rng, states, triples, initial):
+    """Single-node corruptions of a document with at least one triple:
+    each replaces one triple, or adds one, or replaces a state name."""
+    at = rng.randrange(len(triples))
+    src, event, dst = triples[at]
+    other = rng.choice(states)
+    replaced = [
+        (src, "z", dst), (src, event, "ghost"), ("ghost", event, dst),
+        (src, event), (src, event, dst, dst), "q0a", None, {src: dst},
+        (1, event, dst), (src, None, dst), (src, event, 2),
+        ([src], event, dst), (src, [event], dst), (src, event, [dst]),
+        [src, event, dst],
+    ]
+    out = [(states, [*triples[:at], triple, *triples[at + 1:]], initial)
+           for triple in replaced]
+    # A second transition on (src, event): an error unless it repeats
+    # the first.
+    out += [(states, [*triples, (src, event, target)], initial)
+            for target in (dst, other)]
+    out += [([*states[:1], name, *states[2:]], triples, initial)
+            for name in ("", 7, ["q1"])]
+    return out
+
+
+def outcome(build, *args):
+    """The rows ``build(*args)`` gives, or the type and message of its
+    error."""
+    try:
+        g = build(*args)
+    except ValidationError as exc:  # DeterminismError included
+        return type(exc), str(exc)
+    return [list(row.items()) for row in g.rows]
+
+
+def test_both_fast_paths_match_the_strict_routes(monkeypatch):
+    searches, tried = [], []
+    real_search, real_rows = automata.search, automata._optimistic_rows
+
+    def search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    def optimistic_rows(*args):
+        tried.append(real_rows(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(automata, "search", search)
+    monkeypatch.setattr(automata, "_optimistic_rows", optimistic_rows)
+    # The rows of q2 and q3 look canonical, but nothing reaches them.
+    states = ["q0", "q1", "q2", "q3"]
+    for trap in ([("q0", "a", "q1"), ("q2", "b", "q3")],
+                 [("q0", "a", "q1"), ("q2", "b", "q2")]):
+        assert outcome(make_generator, states, ABC, trap, "q0") == [
+            [("a", 1)], []]
+    assert len(searches) == 2 and None not in tried
+    rng = random.Random(26)
+    # Three names unpack from a string or a mapping too.
+    documents = [("corrupt", (["x", "y"], [triple], "x"))
+                 for triple in ("xay", {"x": 0, "a": 1, "y": 2})]
+    for _ in range(150):
+        variants = document_variants(rng)
+        documents += variants.items()
+        if variants["written"][1]:
+            documents += [("corrupt", doc) for doc in
+                          corruptions(rng, *variants["written"])]
+    paths = collections.Counter()
+    for kind, (states, triples, initial) in documents:
+        expected = outcome(reference_make_generator, states, ABC, triples,
+                           initial)
+        for given in (triples, iter(triples)):
+            counts = len(searches), len(tried)
+            got = outcome(make_generator, states, ABC, given, initial)
+            assert got == expected, (kind, states, triples, initial)
+            validation = ("strict" if len(tried) == counts[1] else
+                          "fast" if tried[-1] is not None else "fallback")
+            paths[kind, validation,
+                  "raised" if type(got) is tuple else
+                  "searched" if len(searches) > counts[0] else "kept"] += 1
+    # A written file always takes both fast paths.
+    assert {path[1:] for path in paths if path[0] == "written"} == {
+        ("fast", "kept")}
+    assert paths["written", "fast", "kept"] == 300
+    # Reordered and drawn documents miss the canonical shortcut, except
+    # where the order happens to stay canonical, as with one state.
+    for kind in ("state order", "dead state", "drawn"):
+        assert paths[kind, "fast", "searched"] >= 60, paths
+    for kind in ("triple order", "row order", "drawn"):
+        assert paths[kind, "fast", "searched"] >= 20, paths
+        assert paths[kind, "fast", "kept"] >= 40, paths
+    # The validation fallback both raises and, on a repeated triple,
+    # builds; a list triple is no reason to fall back.
+    assert paths["corrupt", "fallback", "raised"] >= 2000, paths
+    assert paths["corrupt", "fallback", "searched"] + paths[
+        "corrupt", "fallback", "kept"] >= 250, paths
+    assert paths["corrupt", "fast", "kept"] >= 250, paths
+    # A bad state name is raised before any triple is read.
+    assert paths["corrupt", "strict", "raised"] >= 750, paths
+    assert sum(paths.values()) == 2 * len(documents)
 
 
 def test_reachable_events_examples(cell):

@@ -1,5 +1,5 @@
-"""The summary of tools/bench_pairs.py, on made-up runs: the script's
-benchmark runs themselves are not exercised here."""
+"""The summary of tools/bench_pairs.py, on made-up runs, and its argument
+checks: the script's benchmark runs themselves are not exercised here."""
 
 import argparse
 import importlib.util
@@ -67,3 +67,53 @@ def test_pairs_are_parsed_as_inclusive_seed_ranges():
     assert bench_pairs.parse_pairs("ek-search=3") == ("ek-search", [3])
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.parse_pairs("check-line")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--claim", "check-lines:latency_p50_s", "--pairs", "check-line=1"],
+     "--claim: workload 'check-lines' is not in the plan"),
+    (["--claim", "supc-line:latency_p50_s", "--pairs", "check-line=1"],
+     "--claim: workload 'supc-line' is not in the plan"),
+    (["--claim", "check-line:latency_p50", "--pairs", "check-line=1"],
+     "--claim: 'latency_p50' is not an end-to-end metric of BENCHMARK.json"),
+    (["--claim", "check-line", "--pairs", "check-line=1"],
+     "--claim: '' is not an end-to-end metric of BENCHMARK.json"),
+    (["--pairs", "check-lines=1"], "--pairs: unknown workload 'check-lines'"),
+    (["--pairs", "check-line=1", "--seconds", "0"],
+     "--seconds must be at least 1"),
+])
+def test_bad_arguments_exit_2_before_anything_runs(argv, message, tmp_path,
+                                                    monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("nothing may be exported or run")
+
+    monkeypatch.setattr(bench_pairs, "export", refuse)
+    monkeypatch.setattr(bench_pairs, "run_side", refuse)
+    out = tmp_path / "BENCH_x.json"
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--out", str(out),
+                                     *argv])
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main()
+    assert info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], errors
+    assert not out.exists()
+
+
+def test_the_default_plan_and_a_declared_claim_pass_the_checks(
+        tmp_path, monkeypatch):
+    # The checks accept what BENCHMARK.json declares: the run reaches the
+    # export, which stops it here.
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    monkeypatch.setattr(bench_pairs, "export", stop)
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--out", str(tmp_path / "BENCH_x.json"),
+        "--claim", "check-line:latency_p50_s", "--seconds", "1"])
+    with pytest.raises(Stop):
+        bench_pairs.main()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
+    automata,
     cli,
     coordination,
     empty_generator,
@@ -1047,6 +1048,28 @@ def built_generators(monkeypatch, cell) -> collections.Counter:
 
     monkeypatch.setattr(cli, "_canonicalize", counted)
     return built
+
+
+def test_a_written_file_is_read_back_without_a_search(monkeypatch):
+    # The rows of a file desc wrote are in canonical order, so loading it
+    # renumbers nothing; a copy with its triples reversed needs the search.
+    searches = []
+    real = automata.search
+
+    def search(*args):
+        searches.append(args)
+        return real(*args)
+
+    g = buffered_line(6, 3, 2)[0]
+    doc = json.loads(generator_to_text(g, "spec"))
+    monkeypatch.setattr(automata, "search", search)
+    back = parse_generator(doc)[1]
+    assert searches == []
+    assert generator_to_text(back, "spec") == generator_to_text(g, "spec")
+    doc["transitions"].reverse()
+    again = parse_generator(doc)[1]
+    assert len(searches) == 1
+    assert generator_to_text(again, "spec") == generator_to_text(g, "spec")
 
 
 PLANT = {"g1": 1, "g2": 1}

@@ -14,13 +14,16 @@ from descoord import (
     is_admissible,
     is_controllable,
     is_occ,
+    language,
     language_equal,
     language_subset,
     project,
     sup_c,
     sync_product,
+    synthesis,
     universal_generator,
 )
+from descoord.automata import intersect
 from descoord.oracle import bounded_language, brute_sup_c
 
 from helpers import lang, random_generator, sub_automaton, w
@@ -136,6 +139,28 @@ def test_closed_loop_golden(cell):
     supervisor = sup_c(pk, gk)
     loop = closed_loop(supervisor, gk)
     assert language_equal(loop, supervisor).holds
+
+
+def test_closed_loop_walks_the_product_once(cell, monkeypatch):
+    # The admissibility walk is the product's walk: no second intersect.
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return intersect(*args)
+
+    monkeypatch.setattr(synthesis, "intersect", counted)
+    monkeypatch.setattr(language, "intersect", counted)
+    pk, gk = _coordinator_pair(cell)
+    supervisor = sup_c(pk, gk)
+    walks.clear()
+    loop = closed_loop(supervisor, gk)
+    assert len(walks) == 1
+    monkeypatch.undo()
+    expected = sync_product(supervisor, gk)
+    assert loop.alphabet == expected.alphabet
+    assert [list(row.items()) for row in loop.rows] == \
+        [list(row.items()) for row in expected.rows]
 
 
 def test_closed_loop_with_universal_supervisor_is_plant(cell):

@@ -13,6 +13,8 @@ quartile of each end-to-end metric on each side, the number of pairs the
 change wins, the relative change of the medians and the failed and
 attempted op counts, followed by every run's result.  It is rewritten
 after each pair, so an interrupted session keeps the pairs it finished.
+A workload or claim that BENCHMARK.json does not declare, and ``--seconds``
+below 1, exit with status 2 before anything is exported or run.
 Standard library only.
 """
 
@@ -145,8 +147,17 @@ def main() -> int:
     parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args()
     plan = args.pairs or [parse_pairs(text) for text in DEFAULT_PAIRS]
-    better = {metric["name"]: metric["better"] for metric in json.loads(
-        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+    better = {metric["name"]: metric["better"]
+              for metric in declared["end_to_end"]}
+    known = {workload["name"] for workload in declared["workloads"]}
+    for workload, _ in plan:
+        if workload not in known:
+            parser.error(f"--pairs: unknown workload {workload!r}; "
+                         f"BENCHMARK.json has {', '.join(sorted(known))}")
+    if args.seconds < 1:
+        parser.error("--seconds must be at least 1")
     doc = {
         "what": args.what,
         "command": (f"python3 benchmarks/run.py --workload <workload> "
@@ -161,6 +172,11 @@ def main() -> int:
     }
     if args.claim:
         workload, _, metric = args.claim.partition(":")
+        if workload not in dict(plan):
+            parser.error(f"--claim: workload {workload!r} is not in the plan")
+        if metric not in better:
+            parser.error(f"--claim: {metric!r} is not an end-to-end metric "
+                         f"of BENCHMARK.json")
         doc["claim"] = {"workload": workload, "metric": metric}
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
