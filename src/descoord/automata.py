@@ -294,30 +294,31 @@ def _in_canonical_order(rows) -> bool:
     return True
 
 
-def _optimistic_rows(index, events, transitions):
-    """The rows of ``transitions``, one cheap check per triple, or None at
-    the first triple that is not plainly well formed.  A member that
-    compares equal to a state or event name is taken as that name."""
-    rows: list[dict[str, int]] = [{} for _ in index]
-    try:
-        for triple in transitions:
-            if type(triple) is not tuple and type(triple) is not list:
-                return None
-            src, event, dst = triple
-            row = rows[index[src]]
-            if event not in events or event in row:
-                return None
-            row[event] = index[dst]
-    except (TypeError, ValueError, KeyError):
-        return None
-    return rows
+def _add_triple(rows, index, events, triple) -> None:
+    """Add ``triple`` to ``rows`` after checking it in full, or raise at
+    its first fault.  A repeated identical triple is accepted."""
+    if not (isinstance(triple, (tuple, list)) and len(triple) == 3
+            and isinstance(triple[0], str) and isinstance(triple[1], str)
+            and isinstance(triple[2], str)):
+        raise ValidationError(
+            "'transitions' must be [source, event, target] triples")
+    src, event, dst = triple
+    source, target = index.get(src), index.get(dst)
+    if source is None or target is None:
+        raise ValidationError(f"transition {src!r}-{event!r}->{dst!r} "
+                              f"references an unknown state")
+    if event not in events:
+        raise ValidationError(f"transition label {event!r} not in the alphabet")
+    if rows[source].setdefault(event, target) != target:
+        raise DeterminismError(
+            f"duplicate transition on ({src!r}, {event!r})"
+        )
 
 
 def _validated(states: Iterable[str], alphabet: Alphabet,
                transitions: Iterable[tuple[str, str, str]], initial: str):
     """``make_generator`` up to ``_canonicalize``, which never raises: every
-    error is raised here, by the strict loop that reruns the triples where
-    ``_optimistic_rows`` gives up.  Returns the rows and the initial index."""
+    error is raised here.  Returns the rows and the initial index."""
     names = list(states)
     for name in names:
         if not isinstance(name, str) or not name:
@@ -330,29 +331,22 @@ def _validated(states: Iterable[str], alphabet: Alphabet,
     if not isinstance(initial, str) or initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
 
-    transitions = list(transitions)  # the strict loop may read it again
     events = alphabet.events
-    rows = _optimistic_rows(index, events, transitions)
-    if rows is not None:
-        return rows, index[initial]
-    rows = [{} for _ in names]
+    rows: list[dict[str, int]] = [{} for _ in names]
     for triple in transitions:
-        if not (isinstance(triple, (tuple, list)) and len(triple) == 3
-                and isinstance(triple[0], str) and isinstance(triple[1], str)
-                and isinstance(triple[2], str)):
-            raise ValidationError(
-                "'transitions' must be [source, event, target] triples")
-        src, event, dst = triple
-        source, target = index.get(src), index.get(dst)
-        if source is None or target is None:
-            raise ValidationError(f"transition {src!r}-{event!r}->{dst!r} "
-                                  f"references an unknown state")
-        if event not in events:
-            raise ValidationError(f"transition label {event!r} not in the alphabet")
-        if rows[source].setdefault(event, target) != target:
-            raise DeterminismError(
-                f"duplicate transition on ({src!r}, {event!r})"
-            )
+        # One cheap pass for a plainly well-formed triple; any other is
+        # checked in full by _add_triple.
+        try:
+            if type(triple) is list or type(triple) is tuple:
+                src, event, dst = triple
+                if (type(src) is type(event) is type(dst) is str
+                        and event in events):
+                    target = index[dst]
+                    if rows[index[src]].setdefault(event, target) == target:
+                        continue
+        except (ValueError, KeyError):
+            pass
+        _add_triple(rows, index, events, triple)
     return rows, index[initial]
 
 

@@ -93,11 +93,21 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     interleave.  Built as P_1^{-1}(L(G_1)) ∩ P_2^{-1}(L(G_2)) over the
     union alphabet, its states numbered in the search's discovery order of
     the operand pairs.  The result is trim."""
+    merged, rows, _ = _product_walk(g1, g2)
+    return Generator(merged, rows) if rows else empty_generator(merged)
+
+
+def _product_walk(g1: Generator, g2: Generator, refused=frozenset()):
+    """``sync_product``'s walk: the union alphabet, and the rows and the
+    violation word of ``intersect`` over both operands lifted to it, which
+    ends where G_2 takes an event of ``refused`` that G_1 does not.  No
+    rows and no word when either language is empty."""
     merged = union_alphabets(g1.alphabet, g2.alphabet)
     if g1.recognizes_empty_language or g2.recognizes_empty_language:
-        return empty_generator(merged)
-    rows = intersect(_lifted_rows(g1, merged), _lifted_rows(g2, merged))[1]
-    return Generator(merged, rows)
+        return merged, [], None
+    _, rows, word = intersect(_lifted_rows(g1, merged),
+                              _lifted_rows(g2, merged), refused)
+    return merged, rows, word
 
 
 class SubsetConstruction:

@@ -12,10 +12,9 @@ from .automata import (
     backward,
     empty_generator,
     intersect,
-    union_alphabets,
 )
 from .errors import PreconditionError
-from .language import _lifted_rows, _require_same_alphabet
+from .language import _product_walk, _require_same_alphabet
 
 
 def is_controllable(k: Generator, l: Generator) -> PropertyReport:
@@ -88,31 +87,29 @@ def is_admissible(s: Generator, g: Generator) -> PropertyReport:
     superset, is admissible for a plant when, after every word of
     L(S) ∥ L(G), it enables every uncontrollable event the plant enables.
     Decided on the intersection of both inverse images."""
-    return _admitted_loop(s, g)[0]
+    return _admissibility(s, g)[0]
 
 
 def closed_loop(s: Generator, g: Generator) -> Generator:
     """L(S/G) = L(S) ∥ L(G) for an admissible supervisor; raises
     ``PreconditionError`` (with the admissibility report) otherwise."""
-    report, loop = _admitted_loop(s, g)
+    report, merged, rows = _admissibility(s, g)
     if not report.holds:
         raise PreconditionError("supervisor is not admissible for this plant",
                                 report)
-    return loop
+    return Generator(merged, rows) if rows else empty_generator(merged)
 
 
-def _admitted_loop(s: Generator, g: Generator):
-    """``is_admissible``'s report and, when it holds, ``sync_product(s, g)``
-    from the same walk: a refused event only ends ``intersect``, so a walk
-    that finds no violation is the product's walk."""
-    merged = union_alphabets(s.alphabet, g.alphabet)
-    if s.recognizes_empty_language or g.recognizes_empty_language:
-        return (PropertyReport(True, detail="closed loop is empty"),
-                empty_generator(merged))
-    _, rows, word = intersect(_lifted_rows(s, merged), _lifted_rows(g, merged),
-                              g.alphabet.uncontrollable)
-    if word is not None:
-        return PropertyReport(False, word, "supervisor disables an "
-                              "uncontrollable plant event"), None
-    return (PropertyReport(True, detail="supervisor is admissible"),
-            Generator(merged, rows))
+def _admissibility(s: Generator, g: Generator):
+    """``is_admissible``'s report, with the alphabet and rows of the walk
+    that decides it.  A refused event only ends the walk, so when the
+    report holds they are ``sync_product(s, g)``'s."""
+    merged, rows, word = _product_walk(s, g, g.alphabet.uncontrollable)
+    if not rows:
+        report = PropertyReport(True, detail="closed loop is empty")
+    elif word is not None:
+        report = PropertyReport(
+            False, word, "supervisor disables an uncontrollable plant event")
+    else:
+        report = PropertyReport(True, detail="supervisor is admissible")
+    return report, merged, rows

@@ -346,8 +346,7 @@ def test_transitions_of_unreachable_states_are_validated(triples, error,
 @pytest.mark.parametrize("triples, error, message", UNREACHABLE_ERRORS)
 def test_transitions_given_as_an_iterator_are_validated_alike(triples, error,
                                                               message):
-    # A fast path that gives up must not leave the strict one an iterator
-    # it has already read.
+    # The triples are read once, so an iterator is checked as a list is.
     with pytest.raises(error) as info:
         make_generator(["x", "dead"], AB, iter(triples), "x")
     assert str(info.value) == message
@@ -395,7 +394,9 @@ def corruptions(rng, states, triples, initial):
         (src, event), (src, event, dst, dst), "q0a", None, {src: dst},
         (1, event, dst), (src, None, dst), (src, event, 2),
         ([src], event, dst), (src, [event], dst), (src, event, [dst]),
-        [src, event, dst],
+        (Alias(src), event, dst), (src, Alias(event), dst),
+        (src, event, Alias(dst)), (Name(src), event, dst),
+        (src, Name(event), dst), [src, event, dst],
     ]
     out = [(states, [*triples[:at], triple, *triples[at + 1:]], initial)
            for triple in replaced]
@@ -406,6 +407,23 @@ def corruptions(rng, states, triples, initial):
     out += [([*states[:1], name, *states[2:]], triples, initial)
             for name in ("", 7, ["q1"])]
     return out
+
+
+class Alias:
+    """Not a string, but equal to one and hashed alike."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        return other == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class Name(str):
+    """A string, though not of type ``str``."""
 
 
 def outcome(build, *args):
@@ -419,26 +437,26 @@ def outcome(build, *args):
 
 
 def test_both_fast_paths_match_the_strict_routes(monkeypatch):
-    searches, tried = [], []
-    real_search, real_rows = automata.search, automata._optimistic_rows
+    searches, checked = [], []
+    real_search, real_add = automata.search, automata._add_triple
 
     def search(*args):
         searches.append(args)
         return real_search(*args)
 
-    def optimistic_rows(*args):
-        tried.append(real_rows(*args))
-        return tried[-1]
+    def add_triple(*args):
+        checked.append(args[-1])
+        return real_add(*args)
 
     monkeypatch.setattr(automata, "search", search)
-    monkeypatch.setattr(automata, "_optimistic_rows", optimistic_rows)
+    monkeypatch.setattr(automata, "_add_triple", add_triple)
     # The rows of q2 and q3 look canonical, but nothing reaches them.
     states = ["q0", "q1", "q2", "q3"]
     for trap in ([("q0", "a", "q1"), ("q2", "b", "q3")],
                  [("q0", "a", "q1"), ("q2", "b", "q2")]):
         assert outcome(make_generator, states, ABC, trap, "q0") == [
             [("a", 1)], []]
-    assert len(searches) == 2 and None not in tried
+    assert len(searches) == 2 and checked == []
     rng = random.Random(26)
     # Three names unpack from a string or a mapping too.
     documents = [("corrupt", (["x", "y"], [triple], "x"))
@@ -454,33 +472,33 @@ def test_both_fast_paths_match_the_strict_routes(monkeypatch):
         expected = outcome(reference_make_generator, states, ABC, triples,
                            initial)
         for given in (triples, iter(triples)):
-            counts = len(searches), len(tried)
+            counts = len(searches), len(checked)
             got = outcome(make_generator, states, ABC, given, initial)
             assert got == expected, (kind, states, triples, initial)
-            validation = ("strict" if len(tried) == counts[1] else
-                          "fast" if tried[-1] is not None else "fallback")
+            validation = "checked" if len(checked) > counts[1] else "cheap"
             paths[kind, validation,
                   "raised" if type(got) is tuple else
                   "searched" if len(searches) > counts[0] else "kept"] += 1
     # A written file always takes both fast paths.
     assert {path[1:] for path in paths if path[0] == "written"} == {
-        ("fast", "kept")}
-    assert paths["written", "fast", "kept"] == 300
+        ("cheap", "kept")}
+    assert paths["written", "cheap", "kept"] == 300
     # Reordered and drawn documents miss the canonical shortcut, except
     # where the order happens to stay canonical, as with one state.
     for kind in ("state order", "dead state", "drawn"):
-        assert paths[kind, "fast", "searched"] >= 60, paths
+        assert paths[kind, "cheap", "searched"] >= 60, paths
     for kind in ("triple order", "row order", "drawn"):
-        assert paths[kind, "fast", "searched"] >= 20, paths
-        assert paths[kind, "fast", "kept"] >= 40, paths
-    # The validation fallback both raises and, on a repeated triple,
-    # builds; a list triple is no reason to fall back.
-    assert paths["corrupt", "fallback", "raised"] >= 2000, paths
-    assert paths["corrupt", "fallback", "searched"] + paths[
-        "corrupt", "fallback", "kept"] >= 250, paths
-    assert paths["corrupt", "fast", "kept"] >= 250, paths
+        assert paths[kind, "cheap", "searched"] >= 20, paths
+        assert paths[kind, "cheap", "kept"] >= 40, paths
+    # A triple checked in full either raises or, with a member of a
+    # subclass of str, is built; a list triple and a repeated triple are
+    # no reason to check.
+    assert paths["corrupt", "checked", "raised"] >= 2000, paths
+    assert paths["corrupt", "checked", "searched"] + paths[
+        "corrupt", "checked", "kept"] >= 250, paths
+    assert paths["corrupt", "cheap", "kept"] >= 250, paths
     # A bad state name is raised before any triple is read.
-    assert paths["corrupt", "strict", "raised"] >= 750, paths
+    assert paths["corrupt", "cheap", "raised"] >= 750, paths
     assert sum(paths.values()) == 2 * len(documents)
 
 

@@ -20,7 +20,6 @@ from descoord import (
     project,
     sup_c,
     sync_product,
-    synthesis,
     universal_generator,
 )
 from descoord.automata import intersect
@@ -149,7 +148,6 @@ def test_closed_loop_walks_the_product_once(cell, monkeypatch):
         walks.append(args)
         return intersect(*args)
 
-    monkeypatch.setattr(synthesis, "intersect", counted)
     monkeypatch.setattr(language, "intersect", counted)
     pk, gk = _coordinator_pair(cell)
     supervisor = sup_c(pk, gk)
