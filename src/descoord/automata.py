@@ -123,6 +123,14 @@ class PropertyReport:
     def __bool__(self) -> bool:
         return self.holds
 
+    @classmethod
+    def of(cls, word: Word | None, failed: str, held: str):
+        """The report of a walk that found the violation ``word``, detailed
+        by ``failed``, or found none (``word`` is None), so that the
+        property holds, detailed by ``held``."""
+        return (cls(True, detail=held) if word is None
+                else cls(False, word, failed))
+
 
 @dataclass(frozen=True, eq=False)
 class Generator:

@@ -26,7 +26,7 @@ import json
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 from types import MappingProxyType
 
@@ -368,12 +368,14 @@ def emit_report(name: str, report: PropertyReport, json_mode: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# oracle cross-checks (--oracle-bound)
+# oracle cross-checks (--oracle-bound): each returns (what, oracle,
+# consistent) for ``_oracle_note`` to print
 
-def _oracle_note(what: str, oracle: str, bound: int, consistent: bool,
+def _oracle_note(what: str, oracle: str, consistent: bool, bound: int,
                  json_mode: bool) -> bool:
     """Print the oracle's verdict on ``what`` and return ``consistent``."""
-    text = f"[ORACLE] {what}: {'consistent' if consistent else 'MISMATCH'}"
+    text = (f"[ORACLE] {what} at bound {bound}: "
+            f"{'consistent' if consistent else 'MISMATCH'}")
     _emit(json_mode, text, {"note": text, "oracle": oracle, "bound": bound,
                             "consistent": consistent})
     return consistent
@@ -388,18 +390,17 @@ def _agrees(report: PropertyReport, bound: int, violated: bool) -> bool:
     return len(report.counterexample) > bound or violated
 
 
-def _oracle_controllability(k, plant, report, bound, json_mode) -> bool:
+def _oracle_controllability(k, plant, report, bound):
     kw = bounded_language(k, bound)
     lw = bounded_language(plant, bound)
     eu = k.alphabet.uncontrollable
     violated = any(word + (event,) in lw and word + (event,) not in kw
                    for word in kw for event in eu)
-    consistent = _agrees(report, bound, violated)
-    return _oracle_note(f"controllability at bound {bound}",
-                        "controllability", bound, consistent, json_mode)
+    return ("controllability", "controllability",
+            _agrees(report, bound, violated))
 
 
-def _oracle_conddec(k, scheme, report, bound, json_mode) -> bool:
+def _oracle_conddec(k, scheme, report, bound):
     kw = bounded_language(k, bound)
     p1k, p2k, pk = (bounded_projection(k, alphabet.events, bound)
                     for alphabet in (scheme.e1k, scheme.e2k, scheme.ek))
@@ -407,36 +408,52 @@ def _oracle_conddec(k, scheme, report, bound, json_mode) -> bool:
         brute_product(p1k, scheme.e1k.events, p2k, scheme.e2k.events, bound),
         scheme.e1k.events | scheme.e2k.events, pk, scheme.ek.events, bound,
     )
-    consistent = _agrees(report, bound, composed != kw)
-    return _oracle_note(f"conditional decomposability at bound {bound}",
-                        "conddec", bound, consistent, json_mode)
+    return ("conditional decomposability", "conddec",
+            _agrees(report, bound, composed != kw))
+
+
+def _oracle_supc(k, plant, result, bound):
+    eu = k.alphabet.uncontrollable
+    kw = bounded_language(k, bound)
+    lw = bounded_language(plant, bound + 1)
+    low = brute_sup_c(kw, lw, eu, bound)
+    high = brute_sup_c(kw, {w for w in lw if len(w) <= bound}, eu, bound)
+    return "supC", "supc", low <= bounded_language(result, bound) <= high
+
+
+def _oracle_supcc(scheme, result, bound):
+    left = brute_product(
+        bounded_language(result.sup_k, bound), scheme.ek.events,
+        bounded_language(result.sup_1k, bound), scheme.e1k.events, bound)
+    composed = brute_product(
+        left, scheme.ek.events | scheme.e1k.events,
+        bounded_language(result.sup_2k, bound), scheme.e2k.events, bound)
+    return ("composition", "composition",
+            composed == bounded_language(result.composed, bound))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments and the project, prints its
+# results, and returns whether they hold and the oracle that cross-checks
+# them (None when there is none)
 
-def cmd_check(args) -> int:
-    if args.oracle_bound is not None and args.which not in ORACLES:
-        raise DescoordError(f"check {args.which} has no oracle to bound")
-    project = load_project(args.project)
+def cmd_check(args, project):
     # observer, occ, condindep and optimality are conditions on the plant.
     k, g1, g2, gk, scheme, decomposable = _resolve(
         project, args.which in ("controllability", "conddec", "condctrl"))
     reports: list[tuple[str, PropertyReport]] = []
-    oracle = None  # the cross-check of a check in ORACLES
+    oracle = None
 
     if args.which == "controllability":
         plant = sync_product(sync_product(g1, g2), gk)
         report = is_controllable(k, plant)
         reports.append(("controllability", report))
-        oracle = lambda: _oracle_controllability(
-            k, plant, report, args.oracle_bound, args.json)
+        oracle = partial(_oracle_controllability, k, plant, report)
     elif args.which == "conddec":
         report = (conditionally_decomposable(k, scheme)
                   if decomposable is None else decomposable)
         reports.append(("conditional decomposability", report))
-        oracle = lambda: _oracle_conddec(
-            k, scheme, report, args.oracle_bound, args.json)
+        oracle = partial(_oracle_conddec, k, scheme, report)
     elif args.which == "condindep":
         reports.append(("conditional independence",
                         conditionally_independent(g1, g2, gk)))
@@ -454,9 +471,7 @@ def cmd_check(args) -> int:
 
     for name, report in reports:
         emit_report(name, report, args.json)
-    ok = ((args.oracle_bound is None or oracle())
-          and all(report.holds for _, report in reports))
-    return 0 if ok else 1
+    return all(report.holds for _, report in reports), oracle
 
 
 def _write_generator(path, name: str, g: Generator, json_mode: bool) -> None:
@@ -469,79 +484,45 @@ def _write_generator(path, name: str, g: Generator, json_mode: bool) -> None:
            "empty_language": g.recognizes_empty_language})
 
 
-def cmd_synth(args) -> int:
-    if args.oracle_bound is not None and args.mode not in ORACLES:
-        raise DescoordError(f"synth {args.mode} has no oracle to bound")
-    if args.force and args.mode != "supcc":
-        raise DescoordError(f"synth {args.mode} does not take --force")
-    project = load_project(args.project)
+def cmd_synth(args, project):
     k, g1, g2, gk, scheme = resolve_coordination(project)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    oracle_ok = True
 
     if args.mode == "supc":
         plant = sync_product(sync_product(g1, g2), gk)
         result = sup_c(k, plant)
         _write_generator(out / "supc.json", "supc", result, args.json)
-        if args.oracle_bound is not None:
-            bound = args.oracle_bound
-            eu = scheme.full.uncontrollable
-            kw = bounded_language(k, bound)
-            lw = bounded_language(plant, bound + 1)
-            low = brute_sup_c(kw, lw, eu, bound)
-            high = brute_sup_c(kw, {w for w in lw if len(w) <= bound}, eu,
-                               bound)
-            got = bounded_language(result, bound)
-            oracle_ok = _oracle_note(f"supC at bound {bound}", "supc", bound,
-                                     low <= got <= high, args.json)
-    elif args.mode == "supcc":
+        return True, partial(_oracle_supc, k, plant, result)
+    if args.mode == "supcc":
         result = sup_cc(k, g1, g2, gk, force=args.force)
         for stem in ("sup_k", "sup_1k", "sup_2k", "composed"):
             _write_generator(out / f"{stem}.json", stem,
                              getattr(result, stem), args.json)
         text = f"certified supremal: {'yes' if result.certified else 'no'}"
         _emit(args.json, text, {"note": text, "certified": result.certified})
-        if args.oracle_bound is not None:
-            bound = args.oracle_bound
-            left = brute_product(
-                bounded_language(result.sup_k, bound),
-                scheme.ek.events,
-                bounded_language(result.sup_1k, bound),
-                scheme.e1k.events, bound)
-            composed_w = brute_product(
-                left, scheme.ek.events | scheme.e1k.events,
-                bounded_language(result.sup_2k, bound),
-                scheme.e2k.events, bound)
-            oracle_ok = _oracle_note(
-                f"composition at bound {bound}", "composition", bound,
-                composed_w == bounded_language(result.composed, bound),
-                args.json)
-    else:  # supervisors
-        supervisors = synthesize_supervisors(k, g1, g2, gk)
-        for stem, g in zip(("s_k", "s_1", "s_2"), supervisors):
-            _write_generator(out / f"{stem}.json", stem, g, args.json)
-    return 0 if oracle_ok else 1
+        return True, partial(_oracle_supcc, scheme, result)
+    supervisors = synthesize_supervisors(k, g1, g2, gk)
+    for stem, g in zip(("s_k", "s_1", "s_2"), supervisors):
+        _write_generator(out / f"{stem}.json", stem, g, args.json)
+    return True, None
 
 
-def cmd_compose(args) -> int:
-    project = load_project(args.project)
+def cmd_compose(args, project):
     parts = [_lookup(project, name) for name in args.names]
     _write_generator(args.out, "+".join(args.names),
                      reduce(sync_product, parts), args.json)
-    return 0
+    return True, None
 
 
-def cmd_project(args) -> int:
-    project = load_project(args.project)
+def cmd_project(args, project):
     g = _lookup(project, args.name)
     _write_generator(args.out, args.name, project_generator(g, args.events),
                      args.json)
-    return 0
+    return True, None
 
 
-def cmd_info(args) -> int:
-    project = load_project(args.project)
+def cmd_info(args, project):
     g = _lookup(project, args.name)
     events = [
         {"name": e, "controllable": e in g.alphabet.controllable}
@@ -562,22 +543,21 @@ def cmd_info(args) -> int:
            "transitions": g.num_transitions,
            "empty_language": g.recognizes_empty_language,
            "sample_words": samples})
-    return 0
+    return True, None
 
 
-def _bound(text: str) -> int:
-    """argparse type of ``--oracle-bound``: a word length, so not negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _usage_error(parser, message: str):
+    """``ArgumentParser.error``, which would print the usage and exit:
+    raise ``message`` instead, for ``main`` to print as one line."""
+    raise DescoordError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    error = _usage_error
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="desc",
         description="Supervisory control synthesis for modular "
                     "discrete-event systems with a coordinator.",
@@ -595,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = command("check", cmd_check, "run a property check")
     p_check.add_argument("which", choices=CHECKS)
-    p_check.add_argument("--oracle-bound", type=_bound, default=None,
+    p_check.add_argument("--oracle-bound", type=int, default=None,
                          help="also verify against the brute-force oracle "
                               "at this word-length bound")
 
@@ -606,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--force", action="store_true",
                          help="supcc only: compute even when observer/OCC "
                               "preconditions fail (result marked uncertified)")
-    p_synth.add_argument("--oracle-bound", type=_bound, default=None,
+    p_synth.add_argument("--oracle-bound", type=int, default=None,
                          help="supc and supcc only: also verify against "
                               "the brute-force oracle at this bound")
 
@@ -636,11 +616,25 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
+        # The arguments are checked before the project is read.
+        target = getattr(args, "which", getattr(args, "mode", None))
+        bound = getattr(args, "oracle_bound", None)
         # The line that announces a written file must print its path.
         if not _is_text(getattr(args, "out", "")):
             raise DescoordError(f"output path {args.out!r} is not valid "
                                 f"Unicode text")
-        return args.run(args)
+        if bound is not None and bound < 0:
+            raise DescoordError(f"argument --oracle-bound: must be >= 0, "
+                                f"got {bound}")
+        if bound is not None and target not in ORACLES:
+            raise DescoordError(f"{args.command} {target} has no oracle to "
+                                f"bound")
+        if getattr(args, "force", False) and target != "supcc":
+            raise DescoordError(f"synth {target} does not take --force")
+        ok, oracle = args.run(args, load_project(args.project))
+        if bound is not None:
+            ok = _oracle_note(*oracle(bound), bound, args.json) and ok
+        return 0 if ok else 1
     except PreconditionError as exc:
         emit_report(f"precondition: {exc}", exc.report, args.json)
         return 1

@@ -166,20 +166,16 @@ def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
             out.append((event, (t1, t2, row[event])))
         return out
 
-    word = search((0, 0, 0), successors)[2]
-    if word is None:
-        return PropertyReport(True, detail="specification is conditionally "
-                                           "decomposable")
-    return PropertyReport(
-        False, word,
+    return PropertyReport.of(
+        search((0, 0, 0), successors)[2],
         "word is in the product of the projections but not in the "
         "specification",
-    )
+        "specification is conditionally decomposable")
 
 
 def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
                                gk: Generator) -> None:
-    plant = sync_product(sync_product(g1, g2), gk)
+    plant = sync_product(g1, sync_product(g2, gk))
     _require(language_subset(k, plant),
              "specification is not contained in the plant language")
 

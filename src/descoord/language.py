@@ -206,10 +206,9 @@ def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
                               "right-hand language is empty")
 
     # Every event of G1 that G2 does not take is a violation.
-    word = intersect(g2.rows, g1.rows, g1.alphabet.events)[2]
-    if word is not None:
-        return PropertyReport(False, word, "word is in the left language only")
-    return PropertyReport(True, detail="inclusion holds")
+    return PropertyReport.of(
+        intersect(g2.rows, g1.rows, g1.alphabet.events)[2],
+        "word is in the left language only", "inclusion holds")
 
 
 def language_equal(g1: Generator, g2: Generator) -> PropertyReport:

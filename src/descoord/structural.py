@@ -58,12 +58,10 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
                     out.append((event, (row[event], det_row[event])))
         return out
 
-    word = search((0, 0), successors)[2]
-    if word is not None:
-        return PropertyReport(
-            False, word,
-            "projected continuation is not realizable after this word")
-    return PropertyReport(True, detail="observer property holds")
+    return PropertyReport.of(
+        search((0, 0), successors)[2],
+        "projected continuation is not realizable after this word",
+        "observer property holds")
 
 
 def is_occ(g: Generator, events: Iterable[str]) -> PropertyReport:
@@ -90,10 +88,7 @@ def is_occ(g: Generator, events: Iterable[str]) -> PropertyReport:
                 for event in g.alphabet.events
                 if not (dirty and event in refused)}
                for dirty in (0, 1)]
-    word = intersect(monitor, g.rows, refused)[2]
-    if word is not None:
-        return PropertyReport(
-            False, word,
-            "controllable hidden event precedes an uncontrollable projected "
-            "event")
-    return PropertyReport(True, detail="output control consistency holds")
+    return PropertyReport.of(
+        intersect(monitor, g.rows, refused)[2],
+        "controllable hidden event precedes an uncontrollable projected event",
+        "output control consistency holds")

@@ -28,11 +28,10 @@ def is_controllable(k: Generator, l: Generator) -> PropertyReport:
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return PropertyReport(True, detail="vacuously controllable")
 
-    word = intersect(k.rows, l.rows, k.alphabet.uncontrollable)[2]
-    if word is not None:
-        return PropertyReport(
-            False, word, "uncontrollable continuation leaves the specification")
-    return PropertyReport(True, detail="controllability holds")
+    return PropertyReport.of(
+        intersect(k.rows, l.rows, k.alphabet.uncontrollable)[2],
+        "uncontrollable continuation leaves the specification",
+        "controllability holds")
 
 
 def sup_c(k: Generator, l: Generator) -> Generator:
@@ -105,11 +104,7 @@ def _admissibility(s: Generator, g: Generator):
     that decides it.  A refused event only ends the walk, so when the
     report holds they are ``sync_product(s, g)``'s."""
     merged, rows, word = _product_walk(s, g, g.alphabet.uncontrollable)
-    if not rows:
-        report = PropertyReport(True, detail="closed loop is empty")
-    elif word is not None:
-        report = PropertyReport(
-            False, word, "supervisor disables an uncontrollable plant event")
-    else:
-        report = PropertyReport(True, detail="supervisor is admissible")
+    report = PropertyReport.of(
+        word, "supervisor disables an uncontrollable plant event",
+        "supervisor is admissible" if rows else "closed loop is empty")
     return report, merged, rows

@@ -450,10 +450,41 @@ def test_an_output_path_that_is_not_text_exits_2(tmp_path, cell, capsys,
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["check", "not-a-check", "-p", "x.json"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    assert main(["check", "not-a-check", "-p", "x.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument which: invalid choice: "
+                                   "'not-a-check'")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus", "-p", "{p}"],
+    ["check", "nope", "-p", "{p}"],
+    ["synth", "nope", "-p", "{p}", "-o", "{o}"],
+    ["check", "conddec"],
+    ["synth", "supcc", "-p", "{p}"],
+    ["check", "conddec", "-p", "{p}", "--no-such-flag"],
+    ["check", "conddec", "-p", "{p}", "--oracle-bound", "x"],
+    ["check", "conddec", "-p", "{p}", "--oracle-bound", "-1"],
+    ["check", "observer", "-p", "{p}", "--oracle-bound", "2"],
+    ["synth", "supervisors", "-p", "{p}", "-o", "{o}", "--oracle-bound", "2"],
+    ["synth", "supc", "-p", "{p}", "-o", "{o}", "--force"],
+    ["synth", "supc", "-p", "{p}", "-o", "{o}\udcff"],
+], ids=["unknown-command", "invalid-check", "invalid-mode", "missing-p",
+        "missing-o", "unrecognized-flag", "bound-x", "bound-negative",
+        "bound-on-observer", "bound-on-supervisors", "force-on-supc",
+        "non-text-o"])
+def test_every_bad_argument_is_one_error_line(tmp_path, cell, capsys, argv):
+    project = write_project(tmp_path, cell)
+    before = sorted(tmp_path.iterdir())
+    assert main([arg.format(p=project, o=tmp_path / "out")
+                 for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_oracle_bound_flags(tmp_path, cell, capsys):
@@ -490,22 +521,17 @@ def test_negative_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
     project = write_project(tmp_path, cell)
     for argv in (["check", "conddec"],
                  ["synth", "supc", "-o", str(tmp_path / "out")]):
-        with pytest.raises(SystemExit) as info:
-            main([*argv, "-p", str(project), "--oracle-bound", "-1"])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "--oracle-bound: must be >= 0, got -1" in err
-        assert "Traceback" not in err
+        assert main([*argv, "-p", str(project), "--oracle-bound", "-1"]) == 2
+        assert capsys.readouterr().err == ("error: argument --oracle-bound: "
+                                           "must be >= 0, got -1\n")
 
 
 def test_a_non_integer_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
     project = write_project(tmp_path, cell)
-    with pytest.raises(SystemExit) as info:
-        main(["check", "conddec", "-p", str(project), "--oracle-bound", "x"])
-    assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --oracle-bound: invalid int value: 'x'" in err
-    assert "Traceback" not in err
+    assert main(["check", "conddec", "-p", str(project),
+                 "--oracle-bound", "x"]) == 2
+    assert capsys.readouterr().err == ("error: argument --oracle-bound: "
+                                       "invalid int value: 'x'\n")
 
 
 def test_every_optional_flag_of_every_command_has_help():
@@ -1161,8 +1187,8 @@ def collector():
     (["check", "conddec"], 0, "[PASS] "),
     (["check", "condctrl"], 1, "precondition: "),
     (["info", "nothing"], 2, "error: "),
-    (["check", "conddec", "--no-such-flag"], SystemExit,
-     "unrecognized arguments"),
+    (["check", "conddec", "--no-such-flag"], 2,
+     "error: unrecognized arguments: --no-such-flag\n"),
 ], ids=["exit-0", "exit-1", "exit-2", "argparse"])
 def test_main_leaves_the_collector_as_it_found_it(
         tmp_path, cell, capsys, collector, enabled, argv, code, message):
@@ -1171,14 +1197,11 @@ def test_main_leaves_the_collector_as_it_found_it(
     project = write_project(tmp_path, cell, spec_words=(
         ("a2.a1.c",) if code == 1 else ("a2.a1", "a1.a2.u")))
     (gc.enable if enabled else gc.disable)()
-    if code is SystemExit:
-        with pytest.raises(SystemExit):
-            main([*argv, "-p", str(project)])
-    else:
-        assert main([*argv, "-p", str(project)]) == code
+    assert main([*argv, "-p", str(project)]) == code
     assert gc.isenabled() is enabled
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
+    assert captured.err.count("\n") == (code == 2)
 
 
 def test_synth_supc_runs_no_collection(tmp_path, collector):

@@ -361,6 +361,16 @@ def test_supervisor_synthesis_achieves_the_specification(cell):
     assert language_equal(total, expected).holds
 
 
+def test_synthesize_supervisors_builds_each_product_once(cell, monkeypatch):
+    # G_1 ∥ G_2 for conditional independence, G_2 ∥ G_k and then G_1 with
+    # it for K ⊆ L, and one G_i ∥ P_k(K) per side condition.
+    target = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
+    products = counted_calls(monkeypatch, "sync_product")
+    synthesize_supervisors(target, cell.g1, cell.g2, cell.gk)
+    # The list keeps every operand alive, so no two share an id.
+    assert len({(id(a), id(b)) for a, b in products}) == len(products) == 5
+
+
 def test_synthesis_with_fully_controllable_plant(cell):
     # Everything controllable: the plant language itself is achievable and
     # the supervisors are its projections.

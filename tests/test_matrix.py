@@ -1,0 +1,40 @@
+"""tools/matrix.py on the running interpreter only, on one small test
+file, and its report of an interpreter that cannot import pytest."""
+
+import importlib.util
+import json
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+PATH = Path(__file__).resolve().parents[1] / "tools" / "matrix.py"
+SPEC = importlib.util.spec_from_file_location("matrix", PATH)
+matrix = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(matrix)
+
+
+def test_one_line_of_counts_for_the_running_interpreter():
+    proc = subprocess.run(
+        [sys.executable, str(PATH), sys.executable, "--", "-q",
+         "-p", "no:cacheprovider", "tests/test_readme.py"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "python": sys.executable, "version": platform.python_version(),
+        "passed": 1, "failed": 0, "error": 0, "exit": 0}
+
+
+def test_an_interpreter_without_a_test_package_is_skipped(tmp_path):
+    # ``-S`` leaves site-packages off the path, so pytest finds only the
+    # links, and pluggy is not among them.
+    python = tmp_path / "python"
+    python.write_text(f'#!/bin/sh\nexec "{sys.executable}" -S "$@"\n')
+    python.chmod(0o755)
+    links = tmp_path / "links"
+    links.mkdir()
+    matrix.link_packages(links, [name for name in matrix.PACKAGES
+                                 if name != "pluggy"])
+    assert matrix.run(str(python), links) == {
+        "python": str(python), "version": platform.python_version(),
+        "skipped": "no module named 'pluggy'"}

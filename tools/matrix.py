@@ -1,0 +1,101 @@
+"""Run the tier-1 suite under other Python interpreters, one at a time.
+
+    python3 tools/matrix.py python3.12 python3.13 [-- PYTEST_ARGS...]
+
+The interpreters named need no test packages of their own.  The script
+makes a throwaway directory of symlinks to the pure-Python test packages
+of the interpreter that runs it (pytest, ``_pytest``, pluggy, iniconfig,
+packaging, pygments, hypothesis, attrs and sortedcontainers), and runs
+``python -m pytest -q --continue-on-collection-errors`` from the
+repository root under each interpreter with ``PYTHONPATH=src:<links>``.
+Arguments after ``--`` replace that suite's arguments.
+
+It prints one JSON line per interpreter: its version, the passed, failed
+and error counts of pytest's summary line and pytest's exit code, or
+``skipped`` with the module that ``import pytest`` could not find.  Under Python 3.10, pytest
+also needs ``exceptiongroup`` and ``tomli``, which later versions do not;
+an interpreter with neither reads as skipped.  Standard library only.
+"""
+
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# Import names: attrs installs ``attr`` and ``attrs``, and pytest and
+# hypothesis import ``py`` and ``_hypothesis_globals``, modules they
+# install beside their packages.
+PACKAGES = ("pytest", "_pytest", "py", "pluggy", "iniconfig", "packaging",
+            "pygments", "hypothesis", "_hypothesis_globals", "attr", "attrs",
+            "sortedcontainers")
+TIER_1 = ("-q", "--continue-on-collection-errors")
+# Prints the version, then the module ``import pytest`` misses, if any.
+PROBE = """\
+import platform
+print(platform.python_version())
+try:
+    import pytest
+except ModuleNotFoundError as exc:
+    print(exc.name)
+"""
+
+
+def link_packages(directory: Path, names=PACKAGES) -> None:
+    """Link each of ``names`` that this interpreter can import into
+    ``directory``: a package by its directory, a module by its file."""
+    for name in names:
+        spec = importlib.util.find_spec(name)
+        if spec is None or spec.origin is None:
+            continue
+        origin = Path(spec.origin)
+        if spec.submodule_search_locations:
+            (directory / name).symlink_to(origin.parent)
+        else:
+            (directory / origin.name).symlink_to(origin)
+
+
+def run(python: str, links: Path, pytest_args=TIER_1) -> dict:
+    """Run pytest under ``python`` with ``links`` on its path, and return
+    its record."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(links)])}
+    probe = subprocess.run([python, "-c", PROBE], env=env, cwd=ROOT,
+                           capture_output=True, text=True, check=True)
+    version, *missing = probe.stdout.split()
+    record = {"python": python, "version": version}
+    if missing:
+        return {**record, "skipped": f"no module named {missing[0]!r}"}
+    proc = subprocess.run([python, "-m", "pytest", *pytest_args], env=env,
+                          cwd=ROOT, capture_output=True, text=True)
+    summary = proc.stdout.strip().splitlines()[-1:] or [""]
+    counts = {kind: int(match.group(1)) if match else 0
+              for kind in ("passed", "failed", "error")
+              for match in [re.search(rf"(\d+) {kind}", summary[0])]}
+    return {**record, **counts, "exit": proc.returncode}
+
+
+def main(argv: list[str]) -> int:
+    if "--" in argv:
+        split = argv.index("--")
+        pythons, pytest_args = argv[:split], tuple(argv[split + 1:])
+    else:
+        pythons, pytest_args = argv, TIER_1
+    if not pythons:
+        print("usage: matrix.py PYTHON... [-- PYTEST_ARGS...]",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="matrix-") as links:
+        link_packages(Path(links))
+        for python in pythons:
+            print(json.dumps(run(python, Path(links), pytest_args)),
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
