@@ -125,10 +125,6 @@ def _is_text(name: str) -> bool:
     return True
 
 
-def _strings(value) -> bool:
-    return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
-
-
 def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator]:
     """Check the shape of a generator document, then build the generator.
     Every error is a ``ProjectError`` whose message starts with ``origin``."""
@@ -248,6 +244,9 @@ def _read_json(path: Path):
 
 
 def load_project(path: str) -> ProjectFile:
+    """Read the project at ``path`` and check all of it, whatever the
+    command: every generator in file order, then the coordination block.
+    Each generator is built on its first lookup."""
     origin = Path(path)
     doc = _read_json(origin)
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"),
@@ -263,23 +262,60 @@ def load_project(path: str) -> ProjectFile:
         if name in generators:
             raise ProjectError(f"{path}: duplicate generator name {name!r}")
         generators[name] = g
+    generators = _Generators(generators)
     coordination = doc.get("coordination")
     if coordination is not None:
         if not isinstance(coordination, dict):
             raise ProjectError(f"{path}: 'coordination' must be an object")
         if isinstance(coordination.get("ek"), list):
             coordination["ek"] = tuple(coordination["ek"])
+        _check_coordination(coordination, generators)
         coordination = MappingProxyType(coordination)
-    return ProjectFile(_Generators(generators), coordination)
+    return ProjectFile(generators, coordination)
 
 
-def _lookup(project: ProjectFile, name: str, build: bool = True):
-    """Generator ``name``, or with ``build`` false its alphabet, which is
-    read without building the generator."""
-    generators = project.generators
-    if name not in generators:
+def _check_coordination(block: dict, generators: _Generators) -> None:
+    """Check a coordination block on the generators' alphabets alone.  Left
+    to ``_resolve``, as they need built generators: a reachable shared event
+    outside a listed E_k, and the coordinator-event search's own faults."""
+    for key in ("g1", "g2", "spec"):
+        if key not in block:
+            raise ProjectError(f"coordination block is missing {key!r}")
+    gk_field, ek_field = block.get("gk", "auto"), block.get("ek", "auto")
+    names = [block["g1"], block["g2"], block["spec"], gk_field]
+    if not all(isinstance(name, str) for name in names):
+        raise ProjectError("coordination 'g1', 'g2', 'gk' and 'spec' must be "
+                           "generator names")
+    if ek_field != "auto" and not (isinstance(ek_field, tuple) and all(
+            isinstance(event, str) for event in ek_field)):
+        raise ProjectError("coordination 'ek' must be \"auto\" or a list of "
+                           "event names")
+    for name in names[:3] if gk_field == "auto" else names:
+        if name not in generators:
+            raise ProjectError(f"unknown generator name {name!r}")
+    e1, e2, k_alphabet = map(generators.alphabet, names[:3])
+    if gk_field != "auto":
+        ek = generators.alphabet(gk_field)
+        if ek_field != "auto" and set(ek_field) != set(ek.events):
+            raise ProjectError("ek does not match the named coordinator's "
+                               "alphabet")
+    elif ek_field == "auto":
+        return
+    else:
+        pool = union_alphabets(e1, e2, k_alphabet)
+        unknown = set(ek_field) - pool.events
+        if unknown:
+            raise ProjectError(f"ek lists unknown events: {sorted(unknown)}")
+        ek = pool.restrict(ek_field)
+    if k_alphabet != union_alphabets(e1, e2, ek):
+        raise ProjectError("the specification alphabet must equal "
+                           "E_1 ∪ E_2 ∪ E_k")
+
+
+def _lookup(project: ProjectFile, name: str) -> Generator:
+    if name not in project.generators:
         raise ProjectError(f"unknown generator name {name!r}")
-    return generators[name] if build else generators.alphabet(name)
+    return project.generators[name]
 
 
 def resolve_coordination(project: ProjectFile):
@@ -292,58 +328,30 @@ def _resolve(project: ProjectFile, spec: bool = True):
     """``resolve_coordination`` plus the conditional-decomposability report
     of K under the chosen E_k when the coordinator-event search decided it
     (``"ek": "auto"``), else None.  With ``spec`` false, K is None unless
-    the search built it."""
+    the search built it.  ``load_project`` has checked the block."""
     block = project.coordination
     if block is None:
         raise ProjectError("project has no 'coordination' block")
-    for key in ("g1", "g2", "spec"):
-        if key not in block:
-            raise ProjectError(f"coordination block is missing {key!r}")
-    gk_field = block.get("gk", "auto")
-    ek_field = block.get("ek", "auto")
-    if not all(isinstance(name, str) for name in
-               (block["g1"], block["g2"], block["spec"], gk_field)):
-        raise ProjectError("coordination 'g1', 'g2', 'gk' and 'spec' must be "
-                           "generator names")
-    if ek_field != "auto" and not _strings(ek_field):
-        raise ProjectError("coordination 'ek' must be \"auto\" or a list of "
-                           "event names")
-    g1 = _lookup(project, block["g1"])
-    g2 = _lookup(project, block["g2"])
-    k_alphabet = _lookup(project, block["spec"], build=False)
-    k = _lookup(project, block["spec"]) if spec else None
+    generators = project.generators
+    g1, g2 = generators[block["g1"]], generators[block["g2"]]
+    gk_field, ek_field = block.get("gk", "auto"), block.get("ek", "auto")
+    k = generators[block["spec"]] if spec else None
     decomposable = None
-
-    if gk_field == "auto":
+    if gk_field != "auto":
+        gk = generators[gk_field]
+    else:
         if ek_field == "auto":
-            k = _lookup(project, block["spec"])
+            k = generators[block["spec"]]
             ek, decomposable = suggest_coordinator_events(k, g1, g2)
         else:
-            pool = union_alphabets(g1.alphabet, g2.alphabet, k_alphabet)
-            unknown = set(ek_field) - pool.events
-            if unknown:
-                raise ProjectError(
-                    f"ek lists unknown events: {sorted(unknown)}"
-                )
-            ek = pool.restrict(ek_field)
+            ek = generators.alphabet(block["spec"]).restrict(ek_field)
         # An E_k that leaves out a reachable shared event is an error in
         # the project, not a failed check, so it exits 2, not 1.
         try:
             gk = default_coordinator(g1, g2, ek)
         except PreconditionError as exc:
             raise ProjectError(str(exc)) from exc
-    else:
-        gk = _lookup(project, gk_field)
-        ek = gk.alphabet
-        if ek_field != "auto" and set(ek_field) != set(ek.events):
-            raise ProjectError(
-                "ek does not match the named coordinator's alphabet"
-            )
-    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, ek)
-    if k_alphabet != scheme.full:
-        raise ProjectError(
-            "the specification alphabet must equal E_1 ∪ E_2 ∪ E_k"
-        )
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     return k, g1, g2, gk, scheme, decomposable
 
 
@@ -445,7 +453,7 @@ def cmd_check(args, project):
     oracle = None
 
     if args.which == "controllability":
-        plant = sync_product(sync_product(g1, g2), gk)
+        plant = sync_product(g1, sync_product(g2, gk))
         report = is_controllable(k, plant)
         reports.append(("controllability", report))
         oracle = partial(_oracle_controllability, k, plant, report)
@@ -490,7 +498,7 @@ def cmd_synth(args, project):
     out.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "supc":
-        plant = sync_product(sync_product(g1, g2), gk)
+        plant = sync_product(g1, sync_product(g2, gk))
         result = sup_c(k, plant)
         _write_generator(out / "supc.json", "supc", result, args.json)
         return True, partial(_oracle_supc, k, plant, result)

@@ -844,18 +844,39 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, cell, capsys, path,
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("which", ["observer", "occ", "condindep",
-                                   "optimality"])
-@pytest.mark.parametrize("path, value, message", MALFORMED)
+LOADING_FORMS = {
+    **{which: ["check", which] for which in ("observer", "occ", "condindep",
+                                             "optimality")},
+    "info": ["info", "g1"],
+    "compose": ["compose", "-o", "out.json", "g1", "g2"],
+    "project": ["project", "-o", "out.json", "g1", "a1"],
+}
+# Only check and synth resolve the coordination block, and two of its
+# faults show only then: a shared event left out of a listed E_k needs the
+# built generators, and under "ek": "auto" the coordinator-event search
+# checks that the spec covers E_1 ∪ E_2
+# (test_auto_ek_needs_a_spec_over_both_subsystem_alphabets).
+RESOLVED_ONLY = {"ek-leaves-a-shared-event-out"}
+
+
+@pytest.mark.parametrize("path, value, message, form", [
+    pytest.param(*case.values, LOADING_FORMS[name], id=f"{case.id}-{name}")
+    for case in MALFORMED for name in LOADING_FORMS
+    if LOADING_FORMS[name][0] == "check" or case.id not in RESOLVED_ONLY])
 def test_checks_that_never_build_the_spec_still_validate_it(
-        tmp_path, cell, capsys, path, value, message, which):
-    # Every generator is validated at load, also one the command never
-    # builds, so the exit code and the line are those of check conddec.
+        tmp_path, cell, capsys, monkeypatch, path, value, message, form):
+    # Every generator and the coordination block are validated at load,
+    # also by a command that never builds the spec or reads the block, so
+    # the exit code and the line are those of check conddec, and no file
+    # is written.
     project = malformed_project(tmp_path, cell, path, value)
-    assert main(["check", which, "-p", str(project)]) == 2
+    monkeypatch.chdir(tmp_path)
+    files = sorted(tmp_path.iterdir())
+    assert main([*form, "-p", str(project)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(p=project)}\n"
     assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def with_named_coordinator(cell, gk, ek) -> dict:
@@ -916,7 +937,8 @@ def test_a_named_coordinator_gives_the_outputs_of_the_built_one(
                  id="gk-outside-the-spec-alphabet"),
 ])
 def test_a_named_coordinator_must_fit_the_project(tmp_path, cell, capsys,
-                                                   gk_events, ek, message):
+                                                   monkeypatch, gk_events, ek,
+                                                   message):
     gk = universal_generator(Alphabet(gk_events, gk_events - {"u"}))
     project = tmp_path / "p.json"
     project.write_text(json.dumps(with_named_coordinator(cell, gk, ek)),
@@ -925,6 +947,30 @@ def test_a_named_coordinator_must_fit_the_project(tmp_path, cell, capsys,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+    # The block is checked at load, so every command rejects it alike.
+    monkeypatch.chdir(tmp_path)
+    for name in ("info", "compose", "project"):
+        assert main([*LOADING_FORMS[name], "-p", str(project)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == [project]
+
+
+def test_a_project_without_coordination_serves_the_generator_commands(
+        tmp_path, cell, capsys, monkeypatch):
+    doc = inline_project(cell)
+    del doc["coordination"]
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for name in ("info", "compose", "project"):
+        assert main([*LOADING_FORMS[name], "-p", str(project)]) == 0
+        assert capsys.readouterr().err == ""
+    assert (tmp_path / "out.json").is_file()
+    for argv in (["check", "occ"], ["synth", "supc", "-o", "synth"]):
+        assert main([*argv, "-p", str(project)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: project has no 'coordination' block\n")
+    assert not (tmp_path / "synth").exists()
 
 
 def test_auto_ek_needs_a_spec_over_both_subsystem_alphabets(tmp_path, cell,
@@ -1121,6 +1167,27 @@ def test_a_command_builds_only_the_generators_it_reads(
     counts = built_generators(monkeypatch, cell)
     assert main([*argv, "-p", str(project)]) in (0, 1)
     assert counts == built
+
+
+@pytest.mark.parametrize("argv", [["check", "controllability"],
+                                  ["synth", "supc", "-o", "out"]],
+                         ids=["check", "synth"])
+def test_the_plant_is_built_from_g2_with_gk_first(tmp_path, cell, monkeypatch,
+                                                  capsys, argv):
+    # G_2 ∥ G_k and then G_1 with it, never G_1 ∥ G_2, which is the large
+    # intermediate on a long line.
+    project = write_project(tmp_path, cell)
+    monkeypatch.chdir(tmp_path)
+    operands = []
+    product = cli.sync_product
+
+    def counted(a, b):
+        operands.append((a.alphabet, b.alphabet))
+        return product(a, b)
+
+    monkeypatch.setattr(cli, "sync_product", counted)
+    assert main([*argv, "-p", str(project)]) in (0, 1)
+    assert operands == [(cell.e2, cell.ek), (cell.e1, cell.scheme.e2k)]
 
 
 @pytest.mark.parametrize("which", cli.CHECKS)
