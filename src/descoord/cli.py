@@ -11,7 +11,8 @@ File formats (JSON, UTF-8, no comments):
   ``states``, ``initial``, optional ``marked`` (ignored with a warning
   under the prefix-closed convention), ``transitions`` (list of
   [source, event, target] triples).  A ``recognizes_empty_language`` flag
-  marks the generator of the empty language.
+  exempts no field from validation: a valid document with it is read as
+  the empty language, and its states and transitions are discarded.
 * project file: ``generators`` (list of file paths or inline generator
   objects) and ``coordination``: {g1, g2, gk (name or "auto"), spec,
   ek (event list or "auto")}.
@@ -164,24 +165,22 @@ def _validate_generator(doc: dict, origin: str):
     states = doc.get("states")
     initial = doc.get("initial")
     transitions = doc.get("transitions", [])
-    if not empty:
-        if not isinstance(states, list) or not isinstance(initial, str):
-            fail("'states' must be a list of names and 'initial' a name")
-        # _validated checks each state name and each triple.
-        if not isinstance(transitions, list):
-            fail("'transitions' must be [source, event, target] triples")
+    if not isinstance(states, list) or not isinstance(initial, str):
+        fail("'states' must be a list of names and 'initial' a name")
+    # _validated checks each state name and each triple.
+    if not isinstance(transitions, list):
+        fail("'transitions' must be [source, event, target] triples")
     if "marked" in doc:
         print(f"warning: {origin}: 'marked' ignored "
               f"(prefix-closed convention)", file=sys.stderr)
     try:
         alphabet = Alphabet(frozenset(names), frozenset(
             entry["name"] for entry in events if entry["controllable"]))
-        if empty:
-            return name, empty_generator(alphabet)
-        return name, (alphabet, *_validated(states, alphabet, transitions,
-                                            initial))
+        validated = (alphabet, *_validated(states, alphabet, transitions,
+                                           initial))
     except DescoordError as exc:
         raise ProjectError(f"{origin}: {exc}") from exc
+    return name, empty_generator(alphabet) if empty else validated
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +275,9 @@ def load_project(path: str) -> ProjectFile:
 
 def _check_coordination(block: dict, generators: _Generators) -> None:
     """Check a coordination block on the generators' alphabets alone.  Left
-    to ``_resolve``, as they need built generators: a reachable shared event
-    outside a listed E_k, and the coordinator-event search's own faults."""
+    to ``resolve_coordination``, as they need built generators: a reachable
+    shared event outside a listed E_k, and the coordinator-event search's
+    own faults."""
     for key in ("g1", "g2", "spec"):
         if key not in block:
             raise ProjectError(f"coordination block is missing {key!r}")
@@ -318,17 +318,13 @@ def _lookup(project: ProjectFile, name: str) -> Generator:
     return project.generators[name]
 
 
-def resolve_coordination(project: ProjectFile):
-    """Returns (K, G1, G2, Gk, scheme) from the project's coordination
-    block, building the coordinator when it is declared "auto"."""
-    return _resolve(project)[:5]
-
-
-def _resolve(project: ProjectFile, spec: bool = True):
-    """``resolve_coordination`` plus the conditional-decomposability report
-    of K under the chosen E_k when the coordinator-event search decided it
-    (``"ek": "auto"``), else None.  With ``spec`` false, K is None unless
-    the search built it.  ``load_project`` has checked the block."""
+def resolve_coordination(project: ProjectFile, spec: bool = True):
+    """(K, G1, G2, Gk, report) from the project's coordination block,
+    building the coordinator when it is declared "auto".  The report is the
+    conditional-decomposability verdict of K under the chosen E_k when the
+    coordinator-event search decided it (``"ek": "auto"``), else None.
+    With ``spec`` false, K is None unless the search built it.
+    ``load_project`` has checked the block."""
     block = project.coordination
     if block is None:
         raise ProjectError("project has no 'coordination' block")
@@ -351,8 +347,7 @@ def _resolve(project: ProjectFile, spec: bool = True):
             gk = default_coordinator(g1, g2, ek)
         except PreconditionError as exc:
             raise ProjectError(str(exc)) from exc
-    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
-    return k, g1, g2, gk, scheme, decomposable
+    return k, g1, g2, gk, decomposable
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +424,15 @@ def _oracle_supc(k, plant, result, bound):
     return "supC", "supc", low <= bounded_language(result, bound) <= high
 
 
-def _oracle_supcc(scheme, result, bound):
-    left = brute_product(
-        bounded_language(result.sup_k, bound), scheme.ek.events,
-        bounded_language(result.sup_1k, bound), scheme.e1k.events, bound)
-    composed = brute_product(
-        left, scheme.ek.events | scheme.e1k.events,
-        bounded_language(result.sup_2k, bound), scheme.e2k.events, bound)
+def _oracle_supcc(result, bound):
+    # sup_k, sup_1k and sup_2k are over E_k, E_{1+k} and E_{2+k}.
+    ek, e1k, e2k = (g.alphabet.events
+                    for g in (result.sup_k, result.sup_1k, result.sup_2k))
+    left = brute_product(bounded_language(result.sup_k, bound), ek,
+                         bounded_language(result.sup_1k, bound), e1k, bound)
+    composed = brute_product(left, ek | e1k,
+                             bounded_language(result.sup_2k, bound), e2k,
+                             bound)
     return ("composition", "composition",
             composed == bounded_language(result.composed, bound))
 
@@ -447,7 +444,7 @@ def _oracle_supcc(scheme, result, bound):
 
 def cmd_check(args, project):
     # observer, occ, condindep and optimality are conditions on the plant.
-    k, g1, g2, gk, scheme, decomposable = _resolve(
+    k, g1, g2, gk, decomposable = resolve_coordination(
         project, args.which in ("controllability", "conddec", "condctrl"))
     reports: list[tuple[str, PropertyReport]] = []
     oracle = None
@@ -458,6 +455,7 @@ def cmd_check(args, project):
         reports.append(("controllability", report))
         oracle = partial(_oracle_controllability, k, plant, report)
     elif args.which == "conddec":
+        scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
         report = (conditionally_decomposable(k, scheme)
                   if decomposable is None else decomposable)
         reports.append(("conditional decomposability", report))
@@ -493,7 +491,7 @@ def _write_generator(path, name: str, g: Generator, json_mode: bool) -> None:
 
 
 def cmd_synth(args, project):
-    k, g1, g2, gk, scheme = resolve_coordination(project)
+    k, g1, g2, gk, _ = resolve_coordination(project)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -509,7 +507,7 @@ def cmd_synth(args, project):
                              getattr(result, stem), args.json)
         text = f"certified supremal: {'yes' if result.certified else 'no'}"
         _emit(args.json, text, {"note": text, "certified": result.certified})
-        return True, partial(_oracle_supcc, scheme, result)
+        return True, partial(_oracle_supcc, result)
     supervisors = synthesize_supervisors(k, g1, g2, gk)
     for stem, g in zip(("s_k", "s_1", "s_2"), supervisors):
         _write_generator(out / f"{stem}.json", stem, g, args.json)

@@ -302,11 +302,10 @@ def sup_cc(
             _require(report, f"{name} precondition failed")
     certified = all(report.holds for _, report in reports)
 
-    full = scheme.full
-    # L_1 ∥ L_2 lives over the ambient alphabet E, so events private to the
-    # coordinator interleave freely before the projection onto E_k.
-    ambient_12 = inverse_project(sync_product(g1, g2), full)
-    pk_plant = project(ambient_12, scheme.ek.events)
+    # P_k(L_1 ∥ L_2) over E_k ∩ (E_1 ∪ E_2): the product with P_k(K) adds
+    # the rest of E_k as self-loops.
+    g12 = sync_product(g1, g2)
+    pk_plant = project(g12, g12.alphabet.events & scheme.ek.events)
     sup_k = sup_c(sync_product(pk, pk_plant), gk)
     sup_1k, sup_2k = (sup_c(pik, sync_product(g, sup_k))
                       for pik, g in ((p1k, g1), (p2k, g2)))

@@ -3,6 +3,7 @@
 import argparse
 import collections
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -676,6 +677,22 @@ def test_oracle_bound_past_a_finite_language_costs_nothing(tmp_path, capsys):
         assert verdicts[0] == verdicts[1], (argv, verdicts)
 
 
+def test_the_supcc_oracle_compares_composed_with_the_three_way_product(
+        cell, capsys):
+    # The oracle reads E_k, E_{1+k} and E_{2+k} off the three parts, so a
+    # composed generator that is not their product reads MISMATCH.
+    result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, force=True)
+    wrong = dataclasses.replace(result,
+                                composed=universal_generator(cell.full))
+    for given_result, verdict in ((result, "consistent"),
+                                  (wrong, "MISMATCH")):
+        consistent = verdict == "consistent"
+        assert cli._oracle_note(*cli._oracle_supcc(given_result, 4), 4,
+                                False) is consistent
+        assert capsys.readouterr().out == (
+            f"[ORACLE] composition at bound 4: {verdict}\n")
+
+
 def test_auto_everything_project(tmp_path, cell):
     named = {"g1": cell.g1, "g2": cell.g2, "spec": cell.k}
     for name, g in named.items():
@@ -712,6 +729,26 @@ def inline_project(cell) -> dict:
     }
 
 
+@pytest.mark.parametrize("ek", ["auto", ["a1", "a2", "c", "u"]],
+                         ids=["ek-auto", "ek-listed"])
+def test_the_resolver_returns_the_search_report_under_auto_ek(tmp_path, cell,
+                                                              ek):
+    # The fifth value is the coordinator-event search's decomposability
+    # verdict on K, and None when no search ran.
+    doc = inline_project(cell)
+    doc["coordination"]["ek"] = ek
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    k, g1, g2, gk, report = cli.resolve_coordination(
+        load_project(str(project)))
+    assert [g.alphabet for g in (k, g1, g2)] == [cell.full, cell.e1, cell.e2]
+    if ek == "auto":
+        assert report.holds
+    else:
+        assert report is None
+        assert gk.alphabet == cell.ek
+
+
 def put(doc, path, value):
     """``doc`` with the field at ``path`` (keys and indices) set to
     ``value``; the empty path replaces the whole document."""
@@ -729,6 +766,14 @@ SPEC = ("generators", 2)
 TRIPLES = "'transitions' must be [source, event, target] triples"
 EK = "coordination 'ek' must be \"auto\" or a list of event names"
 LONG = "an integer literal has more than 4300 digits"
+
+
+def empty_g1(**fault) -> dict:
+    """The workcell's g1 as a document of the empty language over its
+    events, with the fields in ``fault`` replaced."""
+    return {**serialize_generator(empty_generator(Alphabet(
+        {"a1", "c", "u", "u1"}, {"a1", "c"})), "g1"), **fault}
+
 
 MALFORMED = [
     pytest.param(
@@ -750,6 +795,16 @@ MALFORMED = [
         (*GEN, "recognizes_empty_language"), "yes",
         "{p} (inline): 'recognizes_empty_language' must be a boolean",
         id="empty-flag-not-boolean"),
+    # The empty-language flag exempts no field from validation.
+    pytest.param(GEN, empty_g1(states=5),
+                 "{p} (inline): 'states' must be a list of names and "
+                 "'initial' a name", id="empty-states-not-a-list"),
+    pytest.param(GEN, empty_g1(initial="zz"),
+                 "{p} (inline): unknown initial state: 'zz'",
+                 id="empty-unknown-initial-state"),
+    pytest.param(GEN, empty_g1(transitions=[["q0", "zz", "q0"]]),
+                 "{p} (inline): transition label 'zz' not in the alphabet",
+                 id="empty-unknown-event"),
     pytest.param(
         ("coordination", "g1"), ["g1"],
         "coordination 'g1', 'g2', 'gk' and 'spec' must be generator names",

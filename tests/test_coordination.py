@@ -313,9 +313,13 @@ def test_condctrl_and_sup_cc_agree_with_the_routes_they_replaced():
                     == theirs.recognizes_empty_language), seed
         cases["sup_1k non-empty"] += (
             not result.sup_1k.recognizes_empty_language)
+        # sup_cc projects G_1 ∥ G_2 onto E_k ∩ (E_1 ∪ E_2) only.
+        cases["E_k has a private event"] += bool(
+            gk.alphabet.events - g1.alphabet.events - g2.alphabet.events)
     assert cases["within the plant"] >= 260, cases
     assert cases["side fails"] >= 48, cases
     assert cases["sup_1k non-empty"] >= 236, cases
+    assert cases["E_k has a private event"] >= 200, cases
 
 
 def test_the_third_ambient_factor_is_the_projected_specification():
