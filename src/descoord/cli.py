@@ -14,8 +14,11 @@ File formats (JSON, UTF-8, no comments):
   exempts no field from validation: a valid document with it is read as
   the empty language, and its states and transitions are discarded.
 * project file: ``generators`` (list of file paths or inline generator
-  objects) and ``coordination``: {g1, g2, gk (name or "auto"), spec,
+  objects) and ``coordination``: {g1, g2, spec, gk (name or "auto"),
   ek (event list or "auto")}.
+
+A key that its document, event entry or block does not list, or a key
+repeated within one JSON object, is a parse error (exit 2).
 
 All output is deterministic: state names are canonical (``q0``, ``q1``,
 ...), sets are sorted, counterexamples are shortest-then-lexicographic.
@@ -29,7 +32,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial, reduce
 from pathlib import Path
-from types import MappingProxyType
+from typing import NamedTuple
 
 from .automata import (
     Alphabet,
@@ -129,18 +132,22 @@ def _is_text(name: str) -> bool:
 def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator]:
     """Check the shape of a generator document, then build the generator.
     Every error is a ``ProjectError`` whose message starts with ``origin``."""
-    name, entry = _validate_generator(doc, origin)
+    name, _, entry = _validate_generator(doc, origin)
     return name, _canonicalize(*entry) if type(entry) is tuple else entry
 
 
 def _validate_generator(doc: dict, origin: str):
-    """``parse_generator`` without the build: the name, and the generator
-    of the empty language or else the arguments of ``_canonicalize``."""
+    """``parse_generator`` without the build: the name, the alphabet, and
+    the empty-language generator or else ``_canonicalize``'s arguments."""
     def fail(msg: str):
         raise ProjectError(f"{origin}: {msg}")
 
     if not isinstance(doc, dict):
         fail("generator must be a JSON object")
+    if unknown := doc.keys() - {"name", "events", "states", "initial",
+                                "transitions", "marked",
+                                "recognizes_empty_language"}:
+        fail(f"unknown generator keys: {sorted(unknown)}")
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         fail("missing or invalid 'name'")
@@ -153,6 +160,8 @@ def _validate_generator(doc: dict, origin: str):
                and isinstance(entry.get("controllable"), bool)
                for entry in events):
         fail("each event needs a string 'name' and boolean 'controllable'")
+    if unknown := set().union(*events) - {"name", "controllable"}:
+        fail(f"unknown event keys: {sorted(unknown)}")
     names = [entry["name"] for entry in events]
     for event in names:
         if not _is_text(event):
@@ -180,7 +189,7 @@ def _validate_generator(doc: dict, origin: str):
                                            initial))
     except DescoordError as exc:
         raise ProjectError(f"{origin}: {exc}") from exc
-    return name, empty_generator(alphabet) if empty else validated
+    return name, alphabet, empty_generator(alphabet) if empty else validated
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +218,32 @@ class _Generators(Mapping):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def alphabet(self, name: str) -> Alphabet:
-        entry = self._entries[name]
-        return entry[0] if type(entry) is tuple else entry.alphabet
+
+class Coordination(NamedTuple):
+    """A coordination block as read, one field per key: ``gk`` is None when
+    E_k builds the coordinator, ``ek`` when the search chooses E_k."""
+    g1: str
+    g2: str
+    spec: str
+    gk: str | None
+    ek: Alphabet | None
 
 
 @dataclass(frozen=True)
 class ProjectFile:
     generators: Mapping[str, Generator]
-    coordination: MappingProxyType[str, object] | None
+    coordination: Coordination | None
+
+
+def _object(path: Path, pairs: list) -> dict:
+    """A JSON object from ``pairs``; a repeated key is a ``ProjectError``."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProjectError(f"{path}: invalid JSON: key {key!r} is "
+                               f"repeated in an object")
+        obj[key] = value
+    return obj
 
 
 def _read_json(path: Path):
@@ -227,7 +253,7 @@ def _read_json(path: Path):
     except (OSError, ValueError) as exc:
         raise ProjectError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(raw)
+        return json.loads(raw, object_pairs_hook=partial(_object, path))
     except json.JSONDecodeError as exc:
         raise ProjectError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -251,56 +277,56 @@ def load_project(path: str) -> ProjectFile:
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"),
                                                    list):
         raise ProjectError(f"{path}: project needs a 'generators' list")
-    generators = {}
+    if unknown := doc.keys() - {"generators", "coordination"}:
+        raise ProjectError(f"{path}: unknown project keys: {sorted(unknown)}")
+    generators, alphabets = {}, {}
     for entry in doc["generators"]:
+        where = f"{path} (inline)"
         if isinstance(entry, str):
-            gen_path = origin.parent / entry
-            name, g = _validate_generator(_read_json(gen_path), str(gen_path))
-        else:
-            name, g = _validate_generator(entry, f"{path} (inline)")
+            where = origin.parent / entry
+            entry = _read_json(where)
+        name, alphabet, g = _validate_generator(entry, str(where))
         if name in generators:
             raise ProjectError(f"{path}: duplicate generator name {name!r}")
-        generators[name] = g
-    generators = _Generators(generators)
+        generators[name], alphabets[name] = g, alphabet
     coordination = doc.get("coordination")
     if coordination is not None:
         if not isinstance(coordination, dict):
             raise ProjectError(f"{path}: 'coordination' must be an object")
-        if isinstance(coordination.get("ek"), list):
-            coordination["ek"] = tuple(coordination["ek"])
-        _check_coordination(coordination, generators)
-        coordination = MappingProxyType(coordination)
-    return ProjectFile(generators, coordination)
+        coordination = _read_coordination(coordination, alphabets)
+    return ProjectFile(_Generators(generators), coordination)
 
 
-def _check_coordination(block: dict, generators: _Generators) -> None:
-    """Check a coordination block on the generators' alphabets alone.  Left
-    to ``resolve_coordination``, as they need built generators: a reachable
-    shared event outside a listed E_k, and the coordinator-event search's
-    own faults."""
+def _read_coordination(block: dict, alphabets: dict) -> Coordination:
+    """Check a coordination block on the generators' alphabets alone, and
+    read it.  Left to ``resolve_coordination``, as they need built
+    generators: a reachable shared event outside a listed E_k, and the
+    coordinator-event search's own faults."""
     for key in ("g1", "g2", "spec"):
         if key not in block:
             raise ProjectError(f"coordination block is missing {key!r}")
+    if unknown := block.keys() - Coordination._fields:
+        raise ProjectError(f"unknown coordination keys: {sorted(unknown)}")
     gk_field, ek_field = block.get("gk", "auto"), block.get("ek", "auto")
     names = [block["g1"], block["g2"], block["spec"], gk_field]
     if not all(isinstance(name, str) for name in names):
         raise ProjectError("coordination 'g1', 'g2', 'gk' and 'spec' must be "
                            "generator names")
-    if ek_field != "auto" and not (isinstance(ek_field, tuple) and all(
+    if ek_field != "auto" and not (isinstance(ek_field, list) and all(
             isinstance(event, str) for event in ek_field)):
         raise ProjectError("coordination 'ek' must be \"auto\" or a list of "
                            "event names")
     for name in names[:3] if gk_field == "auto" else names:
-        if name not in generators:
+        if name not in alphabets:
             raise ProjectError(f"unknown generator name {name!r}")
-    e1, e2, k_alphabet = map(generators.alphabet, names[:3])
+    e1, e2, k_alphabet = (alphabets[name] for name in names[:3])
     if gk_field != "auto":
-        ek = generators.alphabet(gk_field)
+        ek = alphabets[gk_field]
         if ek_field != "auto" and set(ek_field) != set(ek.events):
             raise ProjectError("ek does not match the named coordinator's "
                                "alphabet")
     elif ek_field == "auto":
-        return
+        return Coordination(*names[:3], None, None)
     else:
         pool = union_alphabets(e1, e2, k_alphabet)
         unknown = set(ek_field) - pool.events
@@ -310,6 +336,8 @@ def _check_coordination(block: dict, generators: _Generators) -> None:
     if k_alphabet != union_alphabets(e1, e2, ek):
         raise ProjectError("the specification alphabet must equal "
                            "E_1 ∪ E_2 ∪ E_k")
+    return Coordination(*names[:3], None if gk_field == "auto" else gk_field,
+                        ek)
 
 
 def _lookup(project: ProjectFile, name: str) -> Generator:
@@ -319,34 +347,28 @@ def _lookup(project: ProjectFile, name: str) -> Generator:
 
 
 def resolve_coordination(project: ProjectFile, spec: bool = True):
-    """(K, G1, G2, Gk, report) from the project's coordination block,
-    building the coordinator when it is declared "auto".  The report is the
-    conditional-decomposability verdict of K under the chosen E_k when the
-    coordinator-event search decided it (``"ek": "auto"``), else None.
-    With ``spec`` false, K is None unless the search built it.
-    ``load_project`` has checked the block."""
+    """(K, G1, G2, Gk, report) from the project's coordination record,
+    building the coordinator when the block declares it "auto".  The report
+    is the conditional-decomposability verdict of K under the chosen E_k
+    when the coordinator-event search decided it (``"ek": "auto"``), else
+    None.  With ``spec`` false, K is None unless the search built it."""
     block = project.coordination
     if block is None:
         raise ProjectError("project has no 'coordination' block")
     generators = project.generators
-    g1, g2 = generators[block["g1"]], generators[block["g2"]]
-    gk_field, ek_field = block.get("gk", "auto"), block.get("ek", "auto")
-    k = generators[block["spec"]] if spec else None
-    decomposable = None
-    if gk_field != "auto":
-        gk = generators[gk_field]
-    else:
-        if ek_field == "auto":
-            k = generators[block["spec"]]
-            ek, decomposable = suggest_coordinator_events(k, g1, g2)
-        else:
-            ek = generators.alphabet(block["spec"]).restrict(ek_field)
-        # An E_k that leaves out a reachable shared event is an error in
-        # the project, not a failed check, so it exits 2, not 1.
-        try:
-            gk = default_coordinator(g1, g2, ek)
-        except PreconditionError as exc:
-            raise ProjectError(str(exc)) from exc
+    g1, g2 = generators[block.g1], generators[block.g2]
+    k = generators[block.spec] if spec or block.ek is None else None
+    ek, decomposable = block.ek, None
+    if ek is None:
+        ek, decomposable = suggest_coordinator_events(k, g1, g2)
+    if block.gk is not None:
+        return k, g1, g2, generators[block.gk], decomposable
+    # An E_k that leaves out a reachable shared event is an error in the
+    # project, not a failed check, so it exits 2, not 1.
+    try:
+        gk = default_coordinator(g1, g2, ek)
+    except PreconditionError as exc:
+        raise ProjectError(str(exc)) from exc
     return k, g1, g2, gk, decomposable
 
 

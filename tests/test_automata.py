@@ -130,7 +130,9 @@ def test_generators_are_immutable(cell, tmp_path):
         project.generators["g2"] = g
     with pytest.raises(TypeError):
         project.coordination["gk"] = "g1"
-    assert project.coordination["ek"] == ("c",)
+    with pytest.raises(AttributeError):
+        project.coordination.gk = "g1"
+    assert project.coordination.ek == cell.e1.restrict(["c"])
     report = PropertyReport(True)
     values = (g, cell.e1, report,
               ConditionalControllabilityReport(report, report, report),

@@ -872,6 +872,28 @@ MALFORMED = [
                  id="spec-unknown-event"),
     pytest.param((*SPEC, "transitions", 0), ["q0", "a1"],
                  "{p} (inline): " + TRIPLES, id="spec-bad-triple"),
+    # Every document kind has a closed key set, so a misspelled optional
+    # key is an error, not a default: "Ek" would run the search.
+    pytest.param(("generator",), [],
+                 "{p}: unknown project keys: ['generator']",
+                 id="unknown-project-key"),
+    pytest.param((*GEN, "transition"), [["q0", "c", "q1"]],
+                 "{p} (inline): unknown generator keys: ['transition']",
+                 id="unknown-generator-key"),
+    pytest.param((*GEN, "events", 0, "controlable"), True,
+                 "{p} (inline): unknown event keys: ['controlable']",
+                 id="unknown-event-key"),
+    pytest.param(("coordination",),
+                 {"g1": "g1", "g2": "g2", "gk": "auto", "spec": "spec",
+                  "Ek": ["a1", "a2", "c", "u"]},
+                 "unknown coordination keys: ['Ek']",
+                 id="unknown-coordination-key"),
+    pytest.param((), b'{"generators": [], "generators": []}',
+                 "{p}: invalid JSON: key 'generators' is repeated in an "
+                 "object", id="project-repeated-key"),
+    pytest.param(GEN, b'{"name": "g1", "transitions": [], "transitions": []}',
+                 "{p.parent}/g.json: invalid JSON: key 'transitions' is "
+                 "repeated in an object", id="generator-file-repeated-key"),
 ]
 
 
@@ -1008,6 +1030,24 @@ def test_a_named_coordinator_must_fit_the_project(tmp_path, cell, capsys,
         assert main([*LOADING_FORMS[name], "-p", str(project)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(tmp_path.iterdir()) == [project]
+
+
+@pytest.mark.parametrize("gk, ek", [
+    pytest.param("auto", ["a1", "a2", "c", "u"], id="gk-auto-ek-listed"),
+    pytest.param("auto", "auto", id="gk-auto-ek-auto"),
+    pytest.param("gk", None, id="gk-named-ek-left-out"),
+    pytest.param("gk", ["u", "c", "a2", "a1"], id="gk-named-ek-equal"),
+])
+def test_the_block_is_read_into_a_coordination_record(tmp_path, cell, gk, ek):
+    # E_k is derived once, at load: the named coordinator's alphabet or the
+    # listed events; None leaves it to the coordinator-event search.
+    doc = with_named_coordinator(cell, cell.gk, ek)
+    doc["coordination"]["gk"] = gk
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_project(str(project)).coordination == cli.Coordination(
+        "g1", "g2", "spec", None if gk == "auto" else "gk",
+        None if ek == "auto" else cell.ek)
 
 
 def test_a_project_without_coordination_serves_the_generator_commands(
