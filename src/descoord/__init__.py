@@ -41,6 +41,7 @@ from .errors import (
     OracleBoundError,
     PreconditionError,
     ProjectError,
+    SubsetLimitError,
     ValidationError,
 )
 from .language import (
@@ -74,6 +75,7 @@ __all__ = [
     "PreconditionError",
     "ProjectError",
     "PropertyReport",
+    "SubsetLimitError",
     "SynthesisResult",
     "ValidationError",
     "Word",

@@ -150,9 +150,12 @@ class Generator:
     recognizes_empty_language: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(
-            row if type(row) is MappingProxyType else MappingProxyType(row)
-            for row in self.rows))
+        rows = self.rows
+        # Another generator's rows, a tuple of read-only rows, are kept.
+        if (type(rows) is not tuple
+                or set(map(type, rows)) != {MappingProxyType}):
+            rows = map(MappingProxyType, rows)
+        object.__setattr__(self, "rows", tuple(rows))
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -211,11 +214,7 @@ def search(start, successors):
         rows.append(row := {})
         for event, target in successors(node):
             if target is None:
-                word = [event]
-                while index:
-                    index, event = parents[index]
-                    word.append(event)
-                return nodes, rows, tuple(reversed(word))
+                return nodes, rows, _word(parents, index, event)
             found = ids.get(target)
             if found is None:
                 found = ids[target] = len(nodes)
@@ -229,20 +228,36 @@ def intersect(a_rows, b_rows, refused=frozenset()):
     """``search`` from the pair (0, 0) of two row tables over one
     alphabet, each started at its state 0: a pair (a, b) moves on each
     event of b's row, in row order, that a's row also has, and the search
-    ends where b takes an event of ``refused`` that a does not."""
-    def successors(pair):
-        qa, qb = pair
+    ends where b takes an event of ``refused`` that a does not.  Its own
+    loop, with ``search``'s contract and no successor list per node."""
+    nodes = [(0, 0)]
+    ids = {(0, 0): 0}
+    parents: list[tuple[int, str]] = [(0, "")]
+    rows: list[dict[str, int]] = []
+    for index, (qa, qb) in enumerate(nodes):
         row_a = a_rows[qa]
-        out = []
+        rows.append(row := {})
         for event, tb in b_rows[qb].items():
-            if event in row_a:
-                out.append((event, (row_a[event], tb)))
-            elif event in refused:
-                out.append((event, None))
-                break
-        return out
+            if (ta := row_a.get(event)) is None:
+                if event in refused:
+                    return nodes, rows, _word(parents, index, event)
+                continue
+            found = ids.get(target := (ta, tb))
+            if found is None:
+                found = ids[target] = len(nodes)
+                nodes.append(target)
+                parents.append((index, event))
+            row[event] = found
+    return nodes, rows, None
 
-    return search((0, 0), successors)
+
+def _word(parents, index, event) -> Word:
+    """The word along ``parents`` to node ``index``, then ``event``."""
+    word = [event]
+    while index:
+        index, event = parents[index]
+        word.append(event)
+    return tuple(reversed(word))
 
 
 def backward(rows, events, *sources) -> list[set[int]]:

@@ -30,7 +30,7 @@ import json
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -584,7 +584,9 @@ class _Parser(argparse.ArgumentParser):
     error = _usage_error
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``desc`` parser, built once per process."""
     parser = _Parser(
         prog="desc",
         description="Supervisory control synthesis for modular "
@@ -592,22 +594,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, text):
+    def command(name, text):
         p = sub.add_parser(name, help=text)
-        p.set_defaults(run=run)
         p.add_argument("-p", "--project", required=True,
                        help="project file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable one-line JSON records")
         return p
 
-    p_check = command("check", cmd_check, "run a property check")
+    p_check = command("check", "run a property check")
     p_check.add_argument("which", choices=CHECKS)
     p_check.add_argument("--oracle-bound", type=int, default=None,
                          help="also verify against the brute-force oracle "
                               "at this word-length bound")
 
-    p_synth = command("synth", cmd_synth, "run a synthesis")
+    p_synth = command("synth", "run a synthesis")
     p_synth.add_argument("mode", choices=SYNTH_MODES)
     p_synth.add_argument("-o", "--out", required=True,
                          help="output directory for result generators")
@@ -618,20 +619,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="supc and supcc only: also verify against "
                               "the brute-force oracle at this bound")
 
-    p_compose = command("compose", cmd_compose,
-                        "synchronous product of named generators")
+    p_compose = command("compose", "synchronous product of named generators")
     p_compose.add_argument("-o", "--out", required=True,
                            help="output generator file")
     p_compose.add_argument("names", nargs="+")
 
-    p_project = command("project", cmd_project,
-                        "natural projection of a generator")
+    p_project = command("project", "natural projection of a generator")
     p_project.add_argument("-o", "--out", required=True,
                            help="output generator file")
     p_project.add_argument("name")
     p_project.add_argument("events", nargs="+")
 
-    p_info = command("info", cmd_info, "describe a named generator")
+    p_info = command("info", "describe a named generator")
     p_info.add_argument("name")
 
     return parser
@@ -659,7 +658,11 @@ def main(argv=None) -> int:
                                 f"bound")
         if getattr(args, "force", False) and target != "supcc":
             raise DescoordError(f"synth {target} does not take --force")
-        ok, oracle = args.run(args, load_project(args.project))
+        # Looked up per call, not kept in the cached parser, so that a
+        # command rebound on this module, as a tracer does, is the one run.
+        run = {"check": cmd_check, "synth": cmd_synth, "compose": cmd_compose,
+               "project": cmd_project, "info": cmd_info}[args.command]
+        ok, oracle = run(args, load_project(args.project))
         if bound is not None:
             ok = _oracle_note(*oracle(bound), bound, args.json) and ok
         return 0 if ok else 1

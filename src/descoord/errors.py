@@ -41,3 +41,8 @@ class ProjectError(DescoordError):
 class OracleBoundError(DescoordError):
     """A brute-force oracle bound admits more words than the oracle will
     enumerate."""
+
+
+class SubsetLimitError(DescoordError):
+    """A subset construction needs more subsets than
+    ``language.MAX_SUBSETS``: its projection blows up."""

@@ -3,12 +3,14 @@ projection, inverse projection, and decidable comparisons.
 
 Everything here is a pure function returning canonical generators, so
 identical inputs always produce identical automata (state order included).
-Every walk runs on ``automata.search``: a constructed generator takes the
-search's discovery order as its state order, and a counterexample is the
-search's violation word, shortest with ties broken by lexicographic event
-order.  A walk over one generator iterates its rows, not its alphabet.
-The product and the inclusion check walk ``automata.intersect``, over
-rows that ``_lifted_rows`` gives the inverse projection's self-loops.
+Every walk runs on ``automata.search`` or on ``automata.intersect``, the
+pair walk, which is its own loop with the search's contract: a
+constructed generator takes the walk's discovery order as its state
+order, and a counterexample is its violation word, shortest with ties
+broken by lexicographic event order.  A walk over one generator iterates
+its rows, not its alphabet.  The product and the inclusion check walk
+``intersect``, over rows that ``_lifted_rows`` gives the inverse
+projection's self-loops.
 A projection's subset construction is built on demand
 (``SubsetConstruction``), so a check that only needs a verdict walks it
 without building the projected generator.
@@ -29,7 +31,14 @@ from .automata import (
     search,
     union_alphabets,
 )
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, SubsetLimitError
+
+# The subsets one ``SubsetConstruction`` may intern.  A projection of n
+# states can have 2^n; past the limit it stops with ``SubsetLimitError``,
+# having held about 150 MB, instead of exhausting memory.  The largest
+# construction of the benchmark instances has 4824 subsets (of a
+# 16 884-state specification), and of the tests 3216.
+MAX_SUBSETS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,8 @@ class SubsetConstruction:
     work and one that stops early leaves the rest unbuilt.  Onto no events,
     the one subset is all of G's states (each is reachable), with no step.
     An empty G's dead state is one subset with no step as well, and
-    ``generator`` carries G's empty-language flag."""
+    ``generator`` carries G's empty-language flag.  Interning a subset
+    past ``MAX_SUBSETS`` raises ``SubsetLimitError``."""
 
     def __init__(self, g: Generator, events: Iterable[str]):
         self.g = g
@@ -145,6 +155,12 @@ class SubsetConstruction:
         subset = tuple(sorted(seen))
         found = self._ids.get(subset)
         if found is None:
+            if len(self.members) >= MAX_SUBSETS:
+                raise SubsetLimitError(
+                    f"the projection of a {self.g.num_states}-state, "
+                    f"{self.g.num_transitions}-transition generator onto "
+                    f"{{{', '.join(self.alphabet.sorted_events)}}} stopped "
+                    f"after {len(self.members)} subsets, the limit")
             found = self._ids[subset] = len(self.members)
             self.members.append(subset)
             self._rows.append(None)

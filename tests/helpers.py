@@ -485,6 +485,25 @@ def reference_sup_c(k: Generator, l: Generator, eu) -> Generator:
     return Generator(k.alphabet, search(0, surviving)[1])
 
 
+def reference_intersect(a_rows, b_rows, refused=frozenset()):
+    """``automata.intersect`` by the route it used to take: ``search``
+    from (0, 0) with a successor function that builds each pair's list of
+    ``(event, target)`` moves, ending it at a refused event."""
+    def successors(pair):
+        qa, qb = pair
+        row_a = a_rows[qa]
+        out = []
+        for event, tb in b_rows[qb].items():
+            if event in row_a:
+                out.append((event, (row_a[event], tb)))
+            elif event in refused:
+                out.append((event, None))
+                break
+        return out
+
+    return search((0, 0), successors)
+
+
 def reference_sync_product(g1: Generator, g2: Generator) -> Generator:
     """``sync_product`` by the route it used to take: one search over the
     state pairs, stepping through the union alphabet's sorted events with
@@ -685,6 +704,21 @@ def counted_rows(g: Generator):
 
     counted = Generator(g.alphabet, tuple(map(Row, g.rows)))
     return counted, lambda: reads
+
+
+def hidden_blow_up(n: int) -> Generator:
+    """State s0 loops on a and b, and the hidden event h leads from it to
+    a chain c0 .. c{n} that reads a, then n - 1 events of a or b: n + 2
+    states and 2n + 2 transitions over {a, b, h}.  Its projection onto
+    {a, b} remembers which of the last n events were a, so its subset
+    construction has 2^n subsets (Meyer & Fischer, 1971)."""
+    alphabet = Alphabet({"a", "b", "h"}, {"a", "b", "h"})
+    chain = [f"c{i}" for i in range(n + 1)]
+    triples = [("s0", "a", "s0"), ("s0", "b", "s0"), ("s0", "h", "c0"),
+               ("c0", "a", "c1")]
+    triples += [(chain[i], event, chain[i + 1])
+                for i in range(1, n) for event in "ab"]
+    return make_generator(["s0", *chain], alphabet, triples, "s0")
 
 
 def hidden_chain(n: int) -> Generator:

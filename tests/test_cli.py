@@ -23,6 +23,7 @@ from descoord import (
     coordination,
     empty_generator,
     from_words,
+    language,
     language_equal,
     make_generator,
     oracle,
@@ -40,7 +41,7 @@ from descoord.cli import (
     parse_generator,
 )
 
-from helpers import buffered_line, serialize_generator
+from helpers import buffered_line, hidden_blow_up, serialize_generator
 
 
 def write_project(tmp_path, cell, ek=("a1", "a2", "c", "u"), gk="auto",
@@ -535,6 +536,24 @@ def test_a_non_integer_oracle_bound_is_a_usage_error(tmp_path, cell, capsys):
                                        "invalid int value: 'x'\n")
 
 
+def test_the_parser_is_built_once_and_runs_the_commands_bound_now(
+        tmp_path, cell, monkeypatch, capsys):
+    # A function rebound on the module after the parser was built, as a
+    # tracer's wrapper is, is the one that runs.
+    assert build_parser() is build_parser()
+    project = write_project(tmp_path, cell)
+    original, calls = cli.cmd_info, []
+
+    def traced(args, loaded):
+        calls.append(args.name)
+        return original(args, loaded)
+
+    monkeypatch.setattr(cli, "cmd_info", traced)
+    assert main(["info", "-p", str(project), "g1"]) == 0
+    assert calls == ["g1"]
+    assert capsys.readouterr().out.startswith("generator g1: ")
+
+
 def test_every_optional_flag_of_every_command_has_help():
     commands = next(action.choices for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
@@ -564,6 +583,34 @@ def test_oracle_bound_beyond_the_word_limit_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: oracle bound 40 admits more than "
                    f"{oracle.MAX_WORDS} words; use a smaller bound\n")
+
+
+@pytest.mark.parametrize("argv, ek", [
+    (["project", "-o", "out.json", "spec", "a", "b"], ["a", "b"]),
+    (["check", "conddec"], ["a", "b"]),
+    (["check", "conddec"], "auto"),
+], ids=["project", "conddec", "conddec-auto"])
+def test_a_projection_past_the_subset_limit_exits_2(tmp_path, capsys,
+                                                    monkeypatch, argv, ek):
+    # P_{1+k}(spec) onto {a, b} has 2^30 subsets; P_{2+k} is the identity.
+    named = {"g1": universal_generator(Alphabet({"a", "b"}, {"a", "b"})),
+             "g2": universal_generator(Alphabet({"a", "b", "h"},
+                                                {"a", "b", "h"})),
+             "spec": hidden_blow_up(30)}
+    doc = {
+        "generators": [serialize_generator(g, name)
+                       for name, g in named.items()],
+        "coordination": {"g1": "g1", "g2": "g2", "spec": "spec", "ek": ek},
+    }
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(language, "MAX_SUBSETS", 100)
+    assert main([*argv, "-p", str(project)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: the projection of a 32-state, 62-transition generator onto "
+        "{a, b} stopped after 100 subsets, the limit\n"))
+    assert not (tmp_path / "out.json").exists()
 
 
 def write_line_project(tmp_path, ek, size=(3, 2, 2)):

@@ -11,10 +11,12 @@ from descoord import (
     Alphabet,
     AlphabetMismatchError,
     ControllabilityConflictError,
+    SubsetLimitError,
     ValidationError,
     empty_generator,
     from_words,
     inverse_project,
+    language,
     language_equal,
     language_subset,
     membership,
@@ -28,6 +30,7 @@ from descoord.oracle import bounded_language
 
 from helpers import (
     generators,
+    hidden_blow_up,
     is_prefix_closed,
     lang,
     language_union,
@@ -248,3 +251,15 @@ def test_subset_follows_from_projection_subsets():
         a = widen_alphabet(a, full)
         assert language_subset(a, widen_alphabet(sync_product(g1, g2),
                                                  full)).holds
+
+
+def test_a_projection_stops_at_the_subset_limit(monkeypatch):
+    g = hidden_blow_up(6)
+    monkeypatch.setattr(language, "MAX_SUBSETS", 64)
+    assert project(g, {"a", "b"}).num_states == 64
+    monkeypatch.setattr(language, "MAX_SUBSETS", 63)
+    with pytest.raises(SubsetLimitError) as raised:
+        project(g, {"a", "b"})
+    assert str(raised.value) == (
+        "the projection of a 8-state, 14-transition generator onto {a, b} "
+        "stopped after 63 subsets, the limit")

@@ -1,5 +1,6 @@
 """tools/matrix.py on the running interpreter only, on one small test
-file, and its report of an interpreter that cannot import pytest."""
+file, its report of an interpreter that cannot import pytest, and its
+usage errors."""
 
 import importlib.util
 import json
@@ -7,6 +8,8 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PATH = Path(__file__).resolve().parents[1] / "tools" / "matrix.py"
 SPEC = importlib.util.spec_from_file_location("matrix", PATH)
@@ -38,3 +41,28 @@ def test_an_interpreter_without_a_test_package_is_skipped(tmp_path):
     assert matrix.run(str(python), links) == {
         "python": str(python), "version": platform.python_version(),
         "skipped": "no module named 'pluggy'"}
+
+
+def test_help_prints_the_usage():
+    proc = subprocess.run([sys.executable, str(PATH), "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(
+        "usage: matrix.py PYTHON... [-- PYTEST_ARGS...]\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["/no/such/python"], "no interpreter '/no/such/python'"),
+    ([sys.executable, "no-such-python-on-path"],
+     "no interpreter 'no-such-python-on-path'"),
+    (["--bogus", sys.executable], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: PYTHON"),
+    (["--", "-q"], "the following arguments are required: PYTHON"),
+], ids=["path", "name", "option", "none", "only-pytest-args"])
+def test_a_bad_argument_is_one_error_line_and_exit_2(argv, message):
+    proc = subprocess.run([sys.executable, str(PATH), *argv],
+                          capture_output=True, text=True, timeout=60)
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert errors == [f"matrix.py: error: {message}"], proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -48,6 +48,7 @@ from helpers import (
     generators,
     language_union,
     random_generator,
+    reference_intersect,
     reference_is_admissible,
     reference_is_controllable,
     reference_language_subset,
@@ -335,6 +336,55 @@ def test_pair_walks_agree_with_the_routes_they_replaced():
     for check in ("language_subset", "is_controllable"):
         for holds in (True, False):
             assert verdicts[check, holds] >= 300, verdicts
+
+
+def random_rows(rng: random.Random, events, density: float):
+    """A row table of 1 to 5 states over ``events``, each row in sorted
+    event order, each event present with probability ``density``."""
+    n = rng.randint(1, 5)
+    return [{event: rng.randrange(n) for event in events
+             if rng.random() < density} for _ in range(n)]
+
+
+def intersect_cases(rows, word, a_events, b_events) -> set[str]:
+    """The kinds of walk a triple of ``intersect`` shows."""
+    cases = set()
+    if word is not None and len(word) == 1:
+        cases.add("violation at (0, 0)")
+    earlier = {target for row in rows[:-1] for target in row.values()}
+    if word is not None and any(target not in earlier and target
+                                for target in rows[-1].values()):
+        cases.add("violation after new pairs in its row")
+    if any(not row for row in rows):
+        cases.add("empty row")
+    if b_events - a_events:
+        cases.add("events the first table lacks")
+    return cases
+
+
+def test_intersect_agrees_with_the_search_route_it_replaced():
+    rng = random.Random(31)
+    cases = Counter()
+    for _ in range(2000):
+        events = rng.sample("abcdef", rng.randint(1, 5))
+        b_events = sorted(events)
+        a_events = sorted(rng.sample(events, rng.randint(1, len(events))))
+        a_rows = random_rows(rng, a_events, rng.choice((0.5, 0.8, 1.0)))
+        b_rows = random_rows(rng, b_events, rng.choice((0.3, 0.6, 0.9)))
+        refused = rng.choice((frozenset(), frozenset(b_events),
+                              frozenset(rng.sample(b_events, 1))))
+        nodes, rows, word = intersect(a_rows, b_rows, refused)
+        expected = reference_intersect(a_rows, b_rows, refused)
+        assert nodes == expected[0] and word == expected[2]
+        assert [list(row.items()) for row in rows] == [
+            list(row.items()) for row in expected[1]]
+        cases["refused" if refused else "nothing refused"] += 1
+        cases.update(intersect_cases(rows, word, set(a_events),
+                                     set(b_events)))
+    assert min(cases[case] for case in (
+        "refused", "nothing refused", "violation at (0, 0)",
+        "violation after new pairs in its row", "empty row",
+        "events the first table lacks")) >= 100, cases
 
 
 def test_a_violation_inside_a_row_ends_the_search_with_its_own_word():

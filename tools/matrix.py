@@ -8,7 +8,9 @@ of the interpreter that runs it (pytest, ``_pytest``, pluggy, iniconfig,
 packaging, pygments, hypothesis, attrs and sortedcontainers), and runs
 ``python -m pytest -q --continue-on-collection-errors`` from the
 repository root under each interpreter with ``PYTHONPATH=src:<links>``.
-Arguments after ``--`` replace that suite's arguments.
+Arguments after ``--`` replace that suite's arguments.  ``--help`` prints
+the usage; an interpreter that cannot be found, or an unknown option, exits
+with status 2 and one ``error:`` line before any suite runs.
 
 It prints one JSON line per interpreter: its version, the passed, failed
 and error counts of pytest's summary line and pytest's exit code, or
@@ -17,10 +19,12 @@ also needs ``exceptiongroup`` and ``tomli``, which later versions do not;
 an interpreter with neither reads as skipped.  Standard library only.
 """
 
+import argparse
 import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -80,15 +84,19 @@ def run(python: str, links: Path, pytest_args=TIER_1) -> dict:
 
 
 def main(argv: list[str]) -> int:
+    pythons, pytest_args = argv, TIER_1
     if "--" in argv:
         split = argv.index("--")
         pythons, pytest_args = argv[:split], tuple(argv[split + 1:])
-    else:
-        pythons, pytest_args = argv, TIER_1
-    if not pythons:
-        print("usage: matrix.py PYTHON... [-- PYTEST_ARGS...]",
-              file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        usage="%(prog)s PYTHON... [-- PYTEST_ARGS...]",
+        description=__doc__.split("\n")[0])
+    parser.add_argument("pythons", nargs="+", metavar="PYTHON",
+                        help="an interpreter, by path or by name on PATH")
+    pythons = parser.parse_args(pythons).pythons
+    for python in pythons:
+        if shutil.which(python) is None:
+            parser.error(f"no interpreter {python!r}")
     with tempfile.TemporaryDirectory(prefix="matrix-") as links:
         link_packages(Path(links))
         for python in pythons:
