@@ -13,8 +13,8 @@ from .automata import (
     Alphabet,
     Generator,
     PropertyReport,
+    _word,
     reachable_events,
-    search,
     union_alphabets,
 )
 from .errors import AlphabetMismatchError, PreconditionError, ValidationError
@@ -98,10 +98,21 @@ def conditionally_independent(g1: Generator, g2: Generator,
                                        "independent given the coordinator")
 
 
-def _projected_parts(k: Generator, scheme: CoordinationScheme):
-    """The subset constructions of P_k(K), P_{1+k}(K) and P_{2+k}(K)."""
-    return tuple(SubsetConstruction(k, target.events)
-                 for target in (scheme.ek, scheme.e1k, scheme.e2k))
+def _constructions(k: Generator, scheme: CoordinationScheme):
+    """The subset constructions of P_{1+k}(K) and P_{2+k}(K)."""
+    return (SubsetConstruction(k, scheme.e1k.events),
+            SubsetConstruction(k, scheme.e2k.events))
+
+
+def _projected_parts(k: Generator, scheme: CoordinationScheme, parts):
+    """The generators of P_k(K), P_{1+k}(K) and P_{2+k}(K), given
+    ``parts``, the subset constructions of the last two.  P_k(K) is built
+    over whichever of them has fewer subsets once searched in full, not
+    from K: as E_k ⊆ E_{i+k}, P_k(K) = P_k^{i+k}(P_{i+k}(K))."""
+    p1k, p2k = (part.generator() for part in parts)
+    smaller = min(parts, key=lambda part: len(part.members))
+    return (SubsetConstruction(k, scheme.ek.events, smaller).generator(),
+            p1k, p2k)
 
 
 def _decomposed(k: Generator, scheme: CoordinationScheme):
@@ -110,10 +121,10 @@ def _decomposed(k: Generator, scheme: CoordinationScheme):
     from the subset constructions the decomposability walk took its steps
     in, so no step is taken twice."""
     _check_spec_alphabet(k, scheme)
-    parts = _projected_parts(k, scheme)
-    _require(_decomposable(k, *parts[1:]),
+    parts = _constructions(k, scheme)
+    _require(_decomposable(k, *parts),
              "specification is not conditionally decomposable")
-    return tuple(part.generator() for part in parts)
+    return _projected_parts(k, scheme, parts)
 
 
 def conditionally_decomposable(k: Generator,
@@ -123,8 +134,7 @@ def conditionally_decomposable(k: Generator,
     product outside K.  The factor P_k(K) is implied and not built: as
     E_k ⊆ E_{1+k}, P_{1+k}(w) = P_{1+k}(s) gives P_k(w) = P_k(s)."""
     _check_spec_alphabet(k, scheme)
-    return _decomposable(k, SubsetConstruction(k, scheme.e1k.events),
-                         SubsetConstruction(k, scheme.e2k.events))
+    return _decomposable(k, *_constructions(k, scheme))
 
 
 def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
@@ -135,42 +145,39 @@ def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
     event, the walk ends on that violation.  It is the shortest word of
     the product outside K, ties broken lexicographically, as on the built
     product: both walks are breadth-first in sorted event order over nodes
-    the word determines.  An empty K holds: its one dead state has no
-    step, so neither subset construction moves."""
+    the word determines.  Its own loop, with ``search``'s contract and no
+    successor list or row per node.  An empty K holds: its one dead state
+    has no step, so neither subset construction moves."""
     moves = [(event, event in p1k.alphabet.events,
               event in p2k.alphabet.events)
              for event in k.alphabet.sorted_events]
-    rows = k.rows
-
-    def successors(node):
-        x1, x2, q = node
-        row1, row2 = p1k.row(x1), p2k.row(x2)
-        row = rows[q]
-        out = []
+    rows, row1_of, row2_of = k.rows, p1k.row, p2k.row
+    verdicts = ("word is in the product of the projections but not in the "
+                "specification", "specification is conditionally decomposable")
+    nodes = [(0, 0, 0)]
+    ids = {(0, 0, 0): 0}
+    parents: list[tuple[int, str]] = [(0, "")]
+    for index, (x1, x2, q) in enumerate(nodes):
+        row1, row2, row = row1_of(x1), row2_of(x2), rows[q]
         for event, in1, in2 in moves:
             if in1:
-                if event not in row1:
+                if (t1 := row1.get(event)) is None:
                     continue
-                t1 = row1[event]
             else:
                 t1 = x1
             if in2:
-                if event not in row2:
+                if (t2 := row2.get(event)) is None:
                     continue
-                t2 = row2[event]
             else:
                 t2 = x2
-            if event not in row:
-                out.append((event, None))
-                break
-            out.append((event, (t1, t2, row[event])))
-        return out
-
-    return PropertyReport.of(
-        search((0, 0, 0), successors)[2],
-        "word is in the product of the projections but not in the "
-        "specification",
-        "specification is conditionally decomposable")
+            if (t := row.get(event)) is None:
+                return PropertyReport.of(_word(parents, index, event),
+                                         *verdicts)
+            if (target := (t1, t2, t)) not in ids:
+                ids[target] = len(nodes)
+                nodes.append(target)
+                parents.append((index, event))
+    return PropertyReport.of(None, *verdicts)
 
 
 def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
@@ -200,8 +207,8 @@ def is_conditionally_controllable(
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
     _require_spec_within_plant(k, g1, g2, gk)
-    return _conditionally_controllable(g1, g2, gk, tuple(
-        part.generator() for part in _projected_parts(k, scheme)))
+    return _conditionally_controllable(
+        g1, g2, gk, _projected_parts(k, scheme, _constructions(k, scheme)))
 
 
 def _conditionally_controllable(

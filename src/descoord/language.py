@@ -124,34 +124,55 @@ class SubsetConstruction:
     ``events``, a subset of G's events (``ValidationError`` otherwise),
     built on demand.  A subset is the hidden-event closure of a set of G's
     states, kept as its sorted member ids and interned as a dense id when
-    first reached (the start subset is id 0).  A subset's row, its steps
-    on every target event, is computed once, when a walk first expands
-    the subset, and kept, so that walks over one construction share their
-    work and one that stops early leaves the rest unbuilt.  Onto no events,
-    the one subset is all of G's states (each is reachable), with no step.
-    An empty G's dead state is one subset with no step as well, and
-    ``generator`` carries G's empty-language flag.  Interning a subset
-    past ``MAX_SUBSETS`` raises ``SubsetLimitError``."""
+    first reached (the start subset is id 0).  The closure reads each
+    member's row once and collects the member's steps on target events as
+    it goes; a new subset keeps them until a walk first expands it, when
+    they become its row, its steps on every target event, kept so that
+    walks over one construction share their work and one that stops early
+    leaves the rest unbuilt.  Onto no events, the one subset is all of G's
+    states (each is reachable), with no step.  An empty G's dead state is
+    one subset with no step as well, and ``generator`` carries G's
+    empty-language flag.  Interning a subset past ``MAX_SUBSETS`` raises
+    ``SubsetLimitError``.
 
-    def __init__(self, g: Generator, events: Iterable[str]):
+    ``_over``, a construction of G onto a superset of ``events`` whose
+    every row is built, gives the same construction without reading G's
+    rows: its subsets stand in for G's states, and a closed set of them is
+    keyed by the union of their members.  For each word w, the states of G
+    reached by the words that project to w are the union of those reached
+    by the words that project to each word u of ``_over``'s projection
+    that projects to w.  So the subsets, their order, their rows and
+    ``SubsetLimitError`` are those of the construction over G."""
+
+    def __init__(self, g: Generator, events: Iterable[str],
+                 _over: "SubsetConstruction | None" = None):
         self.g = g
         self.alphabet = g.alphabet.restrict(events)
-        self._hidden = g.alphabet.events - self.alphabet.events
+        base = g if _over is None else _over
+        self._graph = g.rows if _over is None else _over._rows
+        self._parts = None if _over is None else _over.members
+        self._hidden = base.alphabet.events - self.alphabet.events
         self.members: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._rows: list[dict[str, int] | None] = []
+        self._steps: list[dict[str, list[int]] | None] = []
         self._intern([0])
 
     def _intern(self, states: list[int]) -> int:
         """The id of the hidden-event closure of ``states``."""
-        rows, hidden = self.g.rows, self._hidden
+        rows, hidden = self._graph, self._hidden
         seen = set(states)
         queue = deque(seen)
+        stepped: dict[str, list[int]] = {}
         while queue:
             for event, nxt in rows[queue.popleft()].items():
-                if event in hidden and nxt not in seen:
+                if event not in hidden:
+                    stepped.setdefault(event, []).append(nxt)
+                elif nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
+        if self._parts is not None:
+            seen = set().union(*map(self._parts.__getitem__, seen))
         subset = tuple(sorted(seen))
         found = self._ids.get(subset)
         if found is None:
@@ -164,6 +185,7 @@ class SubsetConstruction:
             found = self._ids[subset] = len(self.members)
             self.members.append(subset)
             self._rows.append(None)
+            self._steps.append(stepped)
         return found
 
     def row(self, subset: int) -> dict[str, int]:
@@ -171,12 +193,7 @@ class SubsetConstruction:
         in sorted order, mapped to the subset it reaches."""
         row = self._rows[subset]
         if row is None:
-            rows, target = self.g.rows, self.alphabet.events
-            stepped: dict[str, list[int]] = {}
-            for state in self.members[subset]:
-                for event, nxt in rows[state].items():
-                    if event in target:
-                        stepped.setdefault(event, []).append(nxt)
+            stepped, self._steps[subset] = self._steps[subset], None
             row = self._rows[subset] = {event: self._intern(stepped[event])
                                         for event in sorted(stepped)}
         return row

@@ -179,7 +179,7 @@ def mixed_instance(rng: random.Random):
     return k, g1, g2, gk, scheme
 
 
-def reference_decomposable(k: Generator, scheme: CoordinationScheme):
+def built_product_decomposable(k: Generator, scheme: CoordinationScheme):
     """Conditional decomposability by the route the lazy walk replaced:
     build P_{1+k}(K) ∥ P_{2+k}(K) ∥ P_k(K) as generators, then test the
     inclusion of the product in K.  Returns (holds, counterexample)."""
@@ -187,6 +187,37 @@ def reference_decomposable(k: Generator, scheme: CoordinationScheme):
                     for target in (scheme.e1k, scheme.e2k, scheme.ek))
     report = language_subset(sync_product(sync_product(p1k, p2k), pk), k)
     return report.holds, report.counterexample
+
+
+def reference_decomposable(k: Generator, p1k, p2k) -> PropertyReport:
+    """``coordination._decomposable`` by the route it used to take:
+    ``search`` from (0, 0, 0) with a successor function that builds each
+    node's list of ``(event, target)`` moves over K's sorted events, where
+    a subset construction without the event stays put, ending it where
+    both constructions move and K does not."""
+    moves = [(event, event in p1k.alphabet.events,
+              event in p2k.alphabet.events)
+             for event in k.alphabet.sorted_events]
+
+    def successors(node):
+        x1, x2, q = node
+        row1, row2, row = p1k.row(x1), p2k.row(x2), k.rows[q]
+        out = []
+        for event, in1, in2 in moves:
+            if in1 and event not in row1 or in2 and event not in row2:
+                continue
+            if event not in row:
+                out.append((event, None))
+                break
+            out.append((event, (row1[event] if in1 else x1,
+                                row2[event] if in2 else x2, row[event])))
+        return out
+
+    return PropertyReport.of(
+        search((0, 0, 0), successors)[2],
+        "word is in the product of the projections but not in the "
+        "specification",
+        "specification is conditionally decomposable")
 
 
 def buffered_line(p1: int, p2: int, n: int):

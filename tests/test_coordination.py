@@ -40,6 +40,7 @@ from descoord.oracle import bounded_language, brute_product
 from helpers import (
     brute_project,
     buffered_line,
+    built_product_decomposable,
     collect_instances,
     decomposable_spec,
     distributed_instance,
@@ -124,10 +125,50 @@ def test_decomposability_walk_matches_the_built_product():
         for ek in (scheme.ek, scheme.full.restrict(kept)):
             other = CoordinationScheme(scheme.e1, scheme.e2, ek)
             report = conditionally_decomposable(k, other)
-            expected = reference_decomposable(k, other)
+            expected = built_product_decomposable(k, other)
             assert (report.holds, report.counterexample) == expected, seed
             verdicts[report.holds, k.recognizes_empty_language] += 1
     assert verdicts[False, False] > 80 and verdicts[True, True] > 20
+
+
+def decomposability_cases(rng: random.Random):
+    """K and schemes to decide it under: the instance's E_k, a random one
+    and the least one, the events outside E_1 ∪ E_2 (empty unless E_k
+    has such an event), each with the E_{1+k} and E_{2+k} swapped too."""
+    k, _, _, _, scheme = mixed_instance(rng)
+    least = scheme.full.events - scheme.e1.events - scheme.e2.events
+    kept = {e for e in sorted(scheme.full.events) if rng.random() < 0.5}
+    for events in (scheme.ek.events, kept | least, least):
+        ek = scheme.full.restrict(events)
+        yield k, CoordinationScheme(scheme.e1, scheme.e2, ek)
+        yield k, CoordinationScheme(scheme.e2, scheme.e1, ek)
+
+
+def test_decomposability_loop_agrees_with_the_search_route_it_replaced():
+    # The walk's own loop against ``search`` with a per-node successor
+    # list: the same verdict, counterexample and detail on each case, on
+    # K that hold, fail and are empty, and under E_k = ∅.
+    cases = collections.Counter()
+    rng = random.Random(32)
+    while cases["decided"] < 2000:
+        for k, scheme in decomposability_cases(rng):
+            report = conditionally_decomposable(k, scheme)
+            assert report == reference_decomposable(
+                k, SubsetConstruction(k, scheme.e1k.events),
+                SubsetConstruction(k, scheme.e2k.events))
+            cases["decided"] += 1
+            cases["holds" if report.holds else "fails"] += 1
+            cases["empty K"] += k.recognizes_empty_language
+            cases["E_k = ∅"] += not scheme.ek.events
+            if not report.holds:
+                last = report.counterexample[-1]
+                cases["fails", last in scheme.e1k.events,
+                      last in scheme.e2k.events] += 1
+    assert min(cases[case] for case in (
+        "holds", "fails", "empty K", "E_k = ∅")) >= 150, cases
+    # The last event moved P_{1+k}(K) only, P_{2+k}(K) only, or both.
+    assert min(cases["fails", *moved] for moved in (
+        (True, False), (False, True), (True, True))) >= 40, cases
 
 
 def test_decomposability_walk_stops_at_the_first_counterexample(monkeypatch):

@@ -3,6 +3,7 @@ language comparisons, including the projection-algebra lemmas on random
 instances."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from descoord import (
     widen_alphabet,
 )
 from descoord.automata import search
+from descoord.language import SubsetConstruction
 from descoord.oracle import bounded_language
 
 from helpers import (
@@ -263,3 +265,74 @@ def test_a_projection_stops_at_the_subset_limit(monkeypatch):
     assert str(raised.value) == (
         "the projection of a 8-state, 14-transition generator onto {a, b} "
         "stopped after 63 subsets, the limit")
+
+
+def hidden_cycle(rows, hidden) -> bool:
+    """Whether some state of the row table ``rows`` returns to itself
+    along ``hidden`` events."""
+    for start in range(len(rows)):
+        reached, stack = set(), [start]
+        while stack:
+            for event, nxt in rows[stack.pop()].items():
+                if event in hidden and nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        if start in reached:
+            return True
+    return False
+
+
+def test_a_projection_over_a_coarser_construction_is_the_projection():
+    # P(L(G)) built over the finished construction of a projection onto
+    # more events, each closed set of its subsets keyed by the union of
+    # their members, against ``project``: the same subsets in the same
+    # order, the same rows and the same empty-language flag.
+    rng = random.Random(32)
+    cases = Counter()
+    for index in range(1200):
+        events = rng.sample("abcdeh", rng.randint(1, 5))
+        alphabet = Alphabet(events, random_controllable(rng, events))
+        g = (empty_generator(alphabet) if index % 12 == 0 else
+             random_generator(rng, alphabet, 6, rng.choice((0.3, 0.5))))
+        coarse_events = [e for e in events if rng.random() < 0.7]
+        target = [e for e in coarse_events if rng.random() < 0.5]
+        coarse = SubsetConstruction(g, coarse_events)
+        walked = coarse.generator()
+        over = SubsetConstruction(g, target, coarse)
+        built, expected = over.generator(), project(g, target)
+        assert built.alphabet == expected.alphabet
+        assert [list(row.items()) for row in built.rows] == [
+            list(row.items()) for row in expected.rows]
+        assert (built.recognizes_empty_language
+                == expected.recognizes_empty_language)
+        direct = SubsetConstruction(g, target)
+        direct.generator()
+        assert over.members == direct.members
+        cases["empty language"] += g.recognizes_empty_language
+        cases["E_k = ∅"] += not target
+        cases["overlapping subsets"] += (
+            sum(map(len, over.members)) > g.num_states)
+        cases["hidden cycles"] += hidden_cycle(
+            walked.rows, set(coarse_events) - set(target))
+    assert min(cases[case] for case in (
+        "empty language", "E_k = ∅", "overlapping subsets",
+        "hidden cycles")) >= 80, cases
+
+
+def test_both_routes_to_a_projection_stop_at_the_subset_limit(monkeypatch):
+    # x self-loops everywhere, so the construction onto {a, b, h} hides it
+    # and has 8 subsets, while the one onto {a, b} has 64.
+    blow_up = hidden_blow_up(6)
+    g = inverse_project(blow_up, Alphabet(blow_up.alphabet.events | {"x"},
+                                          {"a", "b", "h", "x"}))
+    coarse = SubsetConstruction(g, {"a", "b", "h"})
+    assert coarse.generator().num_states == 8
+    monkeypatch.setattr(language, "MAX_SUBSETS", 63)
+    messages = []
+    for over in (None, coarse):
+        with pytest.raises(SubsetLimitError) as raised:
+            SubsetConstruction(g, {"a", "b"}, over).generator()
+        messages.append(str(raised.value))
+    assert messages == 2 * [
+        "the projection of a 8-state, 22-transition generator onto {a, b} "
+        "stopped after 63 subsets, the limit"]

@@ -1,6 +1,6 @@
 """tools/matrix.py on the running interpreter only, on one small test
 file, its report of an interpreter that cannot import pytest, and its
-usage errors."""
+usage errors, a path that is not a Python interpreter among them."""
 
 import importlib.util
 import json
@@ -38,7 +38,8 @@ def test_an_interpreter_without_a_test_package_is_skipped(tmp_path):
     links.mkdir()
     matrix.link_packages(links, [name for name in matrix.PACKAGES
                                  if name != "pluggy"])
-    assert matrix.run(str(python), links) == {
+    probed = matrix.probe(str(python), links)
+    assert matrix.run(str(python), links, probed) == {
         "python": str(python), "version": platform.python_version(),
         "skipped": "no module named 'pluggy'"}
 
@@ -58,7 +59,12 @@ def test_help_prints_the_usage():
     (["--bogus", sys.executable], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: PYTHON"),
     (["--", "-q"], "the following arguments are required: PYTHON"),
-], ids=["path", "name", "option", "none", "only-pytest-args"])
+    ([sys.executable, "/bin/false"], "'/bin/false' is not a Python "
+     "interpreter: its probe exited with status 1"),
+    (["/bin/true", sys.executable], "'/bin/true' is not a Python "
+     "interpreter: its probe printed nothing"),
+], ids=["path", "name", "option", "none", "only-pytest-args",
+        "probe-fails", "probe-prints-nothing"])
 def test_a_bad_argument_is_one_error_line_and_exit_2(argv, message):
     proc = subprocess.run([sys.executable, str(PATH), *argv],
                           capture_output=True, text=True, timeout=60)

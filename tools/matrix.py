@@ -9,8 +9,10 @@ packaging, pygments, hypothesis, attrs and sortedcontainers), and runs
 ``python -m pytest -q --continue-on-collection-errors`` from the
 repository root under each interpreter with ``PYTHONPATH=src:<links>``.
 Arguments after ``--`` replace that suite's arguments.  ``--help`` prints
-the usage; an interpreter that cannot be found, or an unknown option, exits
-with status 2 and one ``error:`` line before any suite runs.
+the usage.  Every interpreter is probed for its version before any suite
+runs; an interpreter that cannot be found, a path whose probe fails or
+prints nothing, or an unknown option, exits with status 2 and one
+``error:`` line before any suite runs.
 
 It prints one JSON line per interpreter: its version, the passed, failed
 and error counts of pytest's summary line and pytest's exit code, or
@@ -63,19 +65,40 @@ def link_packages(directory: Path, names=PACKAGES) -> None:
             (directory / origin.name).symlink_to(origin)
 
 
-def run(python: str, links: Path, pytest_args=TIER_1) -> dict:
+def _env(links: Path) -> dict:
+    """This environment with ``src`` and ``links`` as the Python path."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(links)])}
+
+
+def probe(python: str, links: Path) -> list[str]:
+    """What ``python`` prints for ``PROBE`` with ``links`` on its path: its
+    version, then the module ``import pytest`` misses, if any.  Raises
+    ``ValueError`` when the probe cannot run, fails or prints nothing."""
+    try:
+        proc = subprocess.run([python, "-c", PROBE], env=_env(links),
+                              cwd=ROOT, capture_output=True, text=True)
+    except OSError as exc:
+        raise ValueError(f"{python!r} cannot run: {exc.strerror}") from None
+    words = proc.stdout.split()
+    if proc.returncode or not words:
+        raise ValueError(f"{python!r} is not a Python interpreter: its probe "
+                         + (f"exited with status {proc.returncode}"
+                            if proc.returncode else "printed nothing"))
+    return words
+
+
+def run(python: str, links: Path, probed: list[str],
+        pytest_args=TIER_1) -> dict:
     """Run pytest under ``python`` with ``links`` on its path, and return
-    its record."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(links)])}
-    probe = subprocess.run([python, "-c", PROBE], env=env, cwd=ROOT,
-                           capture_output=True, text=True, check=True)
-    version, *missing = probe.stdout.split()
+    its record; ``probed`` is what ``probe`` read."""
+    version, *missing = probed
     record = {"python": python, "version": version}
     if missing:
         return {**record, "skipped": f"no module named {missing[0]!r}"}
-    proc = subprocess.run([python, "-m", "pytest", *pytest_args], env=env,
-                          cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run([python, "-m", "pytest", *pytest_args],
+                          env=_env(links), cwd=ROOT, capture_output=True,
+                          text=True)
     summary = proc.stdout.strip().splitlines()[-1:] or [""]
     counts = {kind: int(match.group(1)) if match else 0
               for kind in ("passed", "failed", "error")
@@ -98,9 +121,14 @@ def main(argv: list[str]) -> int:
         if shutil.which(python) is None:
             parser.error(f"no interpreter {python!r}")
     with tempfile.TemporaryDirectory(prefix="matrix-") as links:
-        link_packages(Path(links))
-        for python in pythons:
-            print(json.dumps(run(python, Path(links), pytest_args)),
+        links = Path(links)
+        link_packages(links)
+        try:
+            probed = [probe(python, links) for python in pythons]
+        except ValueError as exc:
+            parser.error(str(exc))
+        for python, found in zip(pythons, probed):
+            print(json.dumps(run(python, links, found, pytest_args)),
                   flush=True)
     return 0
 
