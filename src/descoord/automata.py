@@ -1,6 +1,10 @@
-"""Deterministic generators with partial transition functions, and the
-three kernels that the engine's state-space walks run on: a breadth-first
-search, a pair walk over two row tables, and a backward reachability pass.
+"""Deterministic generators with partial transition functions, and three
+walk kernels: a breadth-first search, a pair walk over two row tables, and
+a backward reachability pass.  Most state-space walks run on them; three
+are loops of their own, each where no kernel fits: the hidden-event
+closure of a subset construction (``language``), the conditional
+decomposability walk (``coordination``) and ``sup_c``'s survivor pass
+(``synthesis``).
 
 A generator recognizes the prefix-closed language of all words along which
 its transition function stays defined; there is no marking.  The empty
@@ -202,10 +206,7 @@ def search(start, successors):
     expanded in discovery order and a parent pointer records each node's
     first discovery, so the violation word is the shortest one, ties broken
     lexicographically, and the node order is the canonical state order of a
-    generator built from the rows.
-
-    Callers may rely on one more thing: nothing after a ``None`` target is
-    read, so a walk may stop building its list there."""
+    generator built from the rows."""
     nodes = [start]
     ids = {start: 0}
     parents: list[tuple[int, str]] = [(0, "")]

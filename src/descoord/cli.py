@@ -15,7 +15,10 @@ File formats (JSON, UTF-8, no comments):
   the empty language, and its states and transitions are discarded.
 * project file: ``generators`` (list of file paths or inline generator
   objects) and ``coordination``: {g1, g2, spec, gk (name or "auto"),
-  ek (event list or "auto")}.
+  ek (event list or "auto")}.  A left-out ``gk`` or ``ek`` is "auto".
+  As "auto" always means the default coordinator, a block that writes
+  ``"gk": "auto"`` in a project with a generator named ``auto`` is an
+  error.
 
 A key that its document, event entry or block does not list, or a key
 repeated within one JSON object, is a parse error (exit 2).
@@ -60,6 +63,7 @@ from .coordination import (
 from .errors import DescoordError, PreconditionError, ProjectError
 from .language import (
     CoordinationScheme,
+    _plant,
     project as project_generator,
     sync_product,
 )
@@ -307,37 +311,39 @@ def _read_coordination(block: dict, alphabets: dict) -> Coordination:
             raise ProjectError(f"coordination block is missing {key!r}")
     if unknown := block.keys() - Coordination._fields:
         raise ProjectError(f"unknown coordination keys: {sorted(unknown)}")
-    gk_field, ek_field = block.get("gk", "auto"), block.get("ek", "auto")
-    names = [block["g1"], block["g2"], block["spec"], gk_field]
-    if not all(isinstance(name, str) for name in names):
+    names = (block["g1"], block["g2"], block["spec"])
+    gk, ek = block.get("gk", "auto"), block.get("ek", "auto")
+    if not all(isinstance(name, str) for name in (*names, gk)):
         raise ProjectError("coordination 'g1', 'g2', 'gk' and 'spec' must be "
                            "generator names")
-    if ek_field != "auto" and not (isinstance(ek_field, list) and all(
-            isinstance(event, str) for event in ek_field)):
+    if gk == "auto":
+        if "gk" in block and "auto" in alphabets:
+            raise ProjectError("coordination 'gk' \"auto\" means the default "
+                               "coordinator, yet a generator is named 'auto'")
+        gk = None
+    if ek == "auto":
+        ek = None
+    elif not (isinstance(ek, list) and all(isinstance(e, str) for e in ek)):
         raise ProjectError("coordination 'ek' must be \"auto\" or a list of "
                            "event names")
-    for name in names[:3] if gk_field == "auto" else names:
+    for name in names if gk is None else (*names, gk):
         if name not in alphabets:
             raise ProjectError(f"unknown generator name {name!r}")
-    e1, e2, k_alphabet = (alphabets[name] for name in names[:3])
-    if gk_field != "auto":
-        ek = alphabets[gk_field]
-        if ek_field != "auto" and set(ek_field) != set(ek.events):
+    e1, e2, k_alphabet = (alphabets[name] for name in names)
+    if gk is not None:
+        if ek is not None and set(ek) != alphabets[gk].events:
             raise ProjectError("ek does not match the named coordinator's "
                                "alphabet")
-    elif ek_field == "auto":
-        return Coordination(*names[:3], None, None)
-    else:
+        ek = alphabets[gk]
+    elif ek is not None:
         pool = union_alphabets(e1, e2, k_alphabet)
-        unknown = set(ek_field) - pool.events
-        if unknown:
+        if unknown := set(ek) - pool.events:
             raise ProjectError(f"ek lists unknown events: {sorted(unknown)}")
-        ek = pool.restrict(ek_field)
-    if k_alphabet != union_alphabets(e1, e2, ek):
+        ek = pool.restrict(ek)
+    if ek is not None and k_alphabet != union_alphabets(e1, e2, ek):
         raise ProjectError("the specification alphabet must equal "
                            "E_1 ∪ E_2 ∪ E_k")
-    return Coordination(*names[:3], None if gk_field == "auto" else gk_field,
-                        ek)
+    return Coordination(*names, gk, ek)
 
 
 def _lookup(project: ProjectFile, name: str) -> Generator:
@@ -472,7 +478,7 @@ def cmd_check(args, project):
     oracle = None
 
     if args.which == "controllability":
-        plant = sync_product(g1, sync_product(g2, gk))
+        plant = _plant(g1, g2, gk)
         report = is_controllable(k, plant)
         reports.append(("controllability", report))
         oracle = partial(_oracle_controllability, k, plant, report)
@@ -518,7 +524,7 @@ def cmd_synth(args, project):
     out.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "supc":
-        plant = sync_product(g1, sync_product(g2, gk))
+        plant = _plant(g1, g2, gk)
         result = sup_c(k, plant)
         _write_generator(out / "supc.json", "supc", result, args.json)
         return True, partial(_oracle_supc, k, plant, result)

@@ -21,6 +21,7 @@ from .errors import AlphabetMismatchError, PreconditionError, ValidationError
 from .language import (
     CoordinationScheme,
     SubsetConstruction,
+    _plant,
     inverse_project,
     language_subset,
     project,
@@ -89,13 +90,10 @@ def conditionally_independent(g1: Generator, g2: Generator,
     shared = (reachable_events(sync_product(g1, g2))
               & reachable_events(g1) & reachable_events(g2))
     missing = shared - reachable_events(gk)
-    if missing:
-        return PropertyReport(
-            False, (min(missing),),
-            "shared reachable event does not occur in the coordinator",
-        )
-    return PropertyReport(True, detail="subsystems are conditionally "
-                                       "independent given the coordinator")
+    return PropertyReport.of(
+        (min(missing),) if missing else None,
+        "shared reachable event does not occur in the coordinator",
+        "subsystems are conditionally independent given the coordinator")
 
 
 def _constructions(k: Generator, scheme: CoordinationScheme):
@@ -182,8 +180,7 @@ def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
 
 def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
                                gk: Generator) -> None:
-    plant = sync_product(g1, sync_product(g2, gk))
-    _require(language_subset(k, plant),
+    _require(language_subset(k, _plant(g1, g2, gk)),
              "specification is not contained in the plant language")
 
 

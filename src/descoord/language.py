@@ -3,17 +3,18 @@ projection, inverse projection, and decidable comparisons.
 
 Everything here is a pure function returning canonical generators, so
 identical inputs always produce identical automata (state order included).
-Every walk runs on ``automata.search`` or on ``automata.intersect``, the
-pair walk, which is its own loop with the search's contract: a
+The product and the inclusion check walk ``automata.intersect``, the pair
+walk, which is its own loop with ``automata.search``'s contract: a
 constructed generator takes the walk's discovery order as its state
 order, and a counterexample is its violation word, shortest with ties
 broken by lexicographic event order.  A walk over one generator iterates
-its rows, not its alphabet.  The product and the inclusion check walk
-``intersect``, over rows that ``_lifted_rows`` gives the inverse
-projection's self-loops.
+its rows, not its alphabet.  The product walks rows that ``_lifted_rows``
+gives the inverse projection's self-loops.
 A projection's subset construction is built on demand
 (``SubsetConstruction``), so a check that only needs a verdict walks it
-without building the projected generator.
+without building the projected generator.  The projected generator is a
+``search`` over the construction; the hidden-event closure of each new
+subset is a breadth-first loop of its own.
 """
 
 from collections import deque
@@ -104,6 +105,13 @@ def sync_product(g1: Generator, g2: Generator) -> Generator:
     the operand pairs.  The result is trim."""
     merged, rows, _ = _product_walk(g1, g2)
     return Generator(merged, rows) if rows else empty_generator(merged)
+
+
+def _plant(g1: Generator, g2: Generator, gk: Generator) -> Generator:
+    """The plant G_1 ∥ G_2 ∥ G_k, built as G_1 ∥ (G_2 ∥ G_k): G_k ties the
+    subsystems, so the inner product is small, and the large G_1 ∥ G_2 is
+    never built."""
+    return sync_product(g1, sync_product(g2, gk))
 
 
 def _product_walk(g1: Generator, g2: Generator, refused=frozenset()):
@@ -247,15 +255,12 @@ def language_subset(g1: Generator, g2: Generator) -> PropertyReport:
 def language_equal(g1: Generator, g2: Generator) -> PropertyReport:
     """Does L(G1) = L(G2) hold?  The counterexample is a shortest word in
     the symmetric difference (ties broken lexicographically)."""
-    left = language_subset(g1, g2)
-    right = language_subset(g2, g1)
-    if left.holds and right.holds:
-        return PropertyReport(True, detail="languages are equal")
-    witnesses = []
-    if not left.holds:
-        witnesses.append((left.counterexample, "left language only"))
-    if not right.holds:
-        witnesses.append((right.counterexample, "right language only"))
-    word, side = min(witnesses, key=lambda w: (len(w[0]), w[0]))
-    return PropertyReport(False, word, f"word is in the {side}")
+    witnesses = [(report.counterexample, side)
+                 for report, side in ((language_subset(g1, g2), "left"),
+                                      (language_subset(g2, g1), "right"))
+                 if not report.holds]
+    word, side = min(witnesses, key=lambda w: (len(w[0]), w[0]),
+                     default=(None, ""))
+    return PropertyReport.of(word, f"word is in the {side} language only",
+                             "languages are equal")
 

@@ -53,8 +53,7 @@ def is_observer(g: Generator, events: Iterable[str]) -> PropertyReport:
             elif event in det_row:
                 if q not in reach[event]:
                     out.append((event, None))
-                    break
-                if event in row:
+                elif event in row:
                     out.append((event, (row[event], det_row[event])))
         return out
 

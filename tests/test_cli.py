@@ -798,13 +798,17 @@ def test_the_resolver_returns_the_search_report_under_auto_ek(tmp_path, cell,
 
 def put(doc, path, value):
     """``doc`` with the field at ``path`` (keys and indices) set to
-    ``value``; the empty path replaces the whole document."""
+    ``value``, where an index one past a list's end appends to the list;
+    the empty path replaces the whole document."""
     if not path:
         return value
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if isinstance(node, list) and path[-1] == len(node):
+        node.append(value)
+    else:
+        node[path[-1]] = value
     return doc
 
 
@@ -820,6 +824,11 @@ def empty_g1(**fault) -> dict:
     events, with the fields in ``fault`` replaced."""
     return {**serialize_generator(empty_generator(Alphabet(
         {"a1", "c", "u", "u1"}, {"a1", "c"})), "g1"), **fault}
+
+
+# A generator named "auto": over {c}, with no transition.
+AUTO = {"name": "auto", "events": [{"name": "c", "controllable": True}],
+        "states": ["q0"], "initial": "q0", "transitions": []}
 
 
 MALFORMED = [
@@ -935,6 +944,13 @@ MALFORMED = [
                   "Ek": ["a1", "a2", "c", "u"]},
                  "unknown coordination keys: ['Ek']",
                  id="unknown-coordination-key"),
+    # "auto" as 'gk' always means the default coordinator, so it cannot
+    # also name a generator: here one over {c} with no transition, which as
+    # the coordinator would disable c.
+    pytest.param(("generators", 3), AUTO,
+                 "coordination 'gk' \"auto\" means the default coordinator, "
+                 "yet a generator is named 'auto'",
+                 id="gk-auto-names-a-generator"),
     pytest.param((), b'{"generators": [], "generators": []}',
                  "{p}: invalid JSON: key 'generators' is repeated in an "
                  "object", id="project-repeated-key"),
@@ -966,6 +982,15 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, cell, capsys, path,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(p=project)}\n"
     assert captured.out == ""
+
+
+def test_an_omitted_gk_means_the_default_coordinator_beside_one_named_auto(
+        tmp_path, cell):
+    doc = put(inline_project(cell), ("generators", 3), AUTO)
+    del doc["coordination"]["gk"]
+    project = tmp_path / "p.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_project(str(project)).coordination.gk is None
 
 
 LOADING_FORMS = {
@@ -1321,13 +1346,13 @@ def test_the_plant_is_built_from_g2_with_gk_first(tmp_path, cell, monkeypatch,
     project = write_project(tmp_path, cell)
     monkeypatch.chdir(tmp_path)
     operands = []
-    product = cli.sync_product
+    product = language.sync_product
 
     def counted(a, b):
         operands.append((a.alphabet, b.alphabet))
         return product(a, b)
 
-    monkeypatch.setattr(cli, "sync_product", counted)
+    monkeypatch.setattr(language, "sync_product", counted)
     assert main([*argv, "-p", str(project)]) in (0, 1)
     assert operands == [(cell.e2, cell.ek), (cell.e1, cell.scheme.e2k)]
 

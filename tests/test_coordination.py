@@ -33,7 +33,7 @@ from descoord import (
     universal_generator,
 )
 
-from descoord import ConditionalControllabilityReport, coordination
+from descoord import ConditionalControllabilityReport, coordination, language
 from descoord.language import SubsetConstruction
 from descoord.oracle import bounded_language, brute_product
 
@@ -282,16 +282,18 @@ def test_synthesized_result_is_conditionally_controllable(cell):
 
 
 def counted_calls(monkeypatch, name):
-    """Patch ``coordination.<name>`` to record the operands of each call;
-    returns the list it appends to."""
+    """Patch ``<name>`` in ``coordination`` and in ``language``, which
+    builds the plant, to record the operands of each call; returns the list
+    both append to."""
     calls = []
-    original = getattr(coordination, name)
+    for module in (coordination, language):
+        original = getattr(module, name)
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+        def counted(*args, original=original):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(coordination, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
