@@ -29,6 +29,7 @@ All output is deterministic: state names are canonical (``q0``, ``q1``,
 
 import argparse
 import gc
+import io
 import json
 import sys
 from collections.abc import Mapping
@@ -184,8 +185,7 @@ def _validate_generator(doc: dict, origin: str):
     if not isinstance(transitions, list):
         fail("'transitions' must be [source, event, target] triples")
     if "marked" in doc:
-        print(f"warning: {origin}: 'marked' ignored "
-              f"(prefix-closed convention)", file=sys.stderr)
+        _warn_marked(origin)
     try:
         alphabet = Alphabet(frozenset(names), frozenset(
             entry["name"] for entry in events if entry["controllable"]))
@@ -194,6 +194,11 @@ def _validate_generator(doc: dict, origin: str):
     except DescoordError as exc:
         raise ProjectError(f"{origin}: {exc}") from exc
     return name, alphabet, empty_generator(alphabet) if empty else validated
+
+
+def _warn_marked(origin: str) -> None:
+    print(f"warning: {origin}: 'marked' ignored (prefix-closed convention)",
+          file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +255,19 @@ def _object(path: Path, pairs: list) -> dict:
     return obj
 
 
-def _read_json(path: Path):
+def _read_json(path: Path, files: list):
+    """The JSON document in the file at ``path``; appends the path and the
+    hash of the file's bytes to ``files``."""
     try:
+        raw = path.read_bytes()
+        # As read_text decodes: strict UTF-8, universal newlines.
         # ValueError: bytes that are not UTF-8, or a NUL in the path.
-        raw = path.read_text(encoding="utf-8")
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
     except (OSError, ValueError) as exc:
         raise ProjectError(f"cannot read {path}: {exc}") from exc
+    files.append((path, hash(raw)))
     try:
-        return json.loads(raw, object_pairs_hook=partial(_object, path))
+        return json.loads(text, object_pairs_hook=partial(_object, path))
     except json.JSONDecodeError as exc:
         raise ProjectError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -272,12 +282,53 @@ def _read_json(path: Path):
             f"{sys.get_int_max_str_digits()} digits") from exc
 
 
+class _Loaded(NamedTuple):
+    """The last project ``load_project`` returned, and what it was read
+    from: the path and parser limits, each file read with the hash of its
+    bytes, in read order, and the origins that warned of 'marked'."""
+    key: tuple
+    files: list
+    marked: list
+    project: ProjectFile
+
+
+_last: _Loaded | None = None
+
+
+def _hashed(path: Path) -> int | None:
+    try:
+        return hash(path.read_bytes())
+    except OSError:
+        return None
+
+
 def load_project(path: str) -> ProjectFile:
     """Read the project at ``path`` and check all of it, whatever the
     command: every generator in file order, then the coordination block.
-    Each generator is built on its first lookup."""
-    origin = Path(path)
-    doc = _read_json(origin)
+    Each generator is built on its first lookup.
+
+    The last project returned is kept, and no other, for a program that
+    runs several commands through ``main`` in one process.  The next call
+    on the same ``path`` string, under the same recursion and integer-digit
+    limits (JSON parsing depends on both), re-reads every file that load
+    read; when each has the hash it had (the interpreter's 64-bit hash of
+    its bytes, never its size or time), it prints the same warnings and
+    returns the same project, with the generators built so far.  At the
+    first difference, or at a file it cannot read, it drops the kept
+    project and reads afresh, so every error keeps its text and its order."""
+    global _last
+    key = (path, sys.getrecursionlimit(), sys.get_int_max_str_digits())
+    # Each call compares the files itself.  Threads may share the project
+    # it returns: a generator built by two of them at once is built equal.
+    last = _last
+    if last is not None and last.key == key and all(
+            _hashed(file) == hashed for file, hashed in last.files):
+        for where in last.marked:
+            _warn_marked(where)
+        return last.project
+    last = _last = None  # not held while another project is read
+    origin, files, marked = Path(path), [], []
+    doc = _read_json(origin, files)
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"),
                                                    list):
         raise ProjectError(f"{path}: project needs a 'generators' list")
@@ -288,8 +339,10 @@ def load_project(path: str) -> ProjectFile:
         where = f"{path} (inline)"
         if isinstance(entry, str):
             where = origin.parent / entry
-            entry = _read_json(where)
+            entry = _read_json(where, files)
         name, alphabet, g = _validate_generator(entry, str(where))
+        if "marked" in entry:
+            marked.append(str(where))
         if name in generators:
             raise ProjectError(f"{path}: duplicate generator name {name!r}")
         generators[name], alphabets[name] = g, alphabet
@@ -298,7 +351,9 @@ def load_project(path: str) -> ProjectFile:
         if not isinstance(coordination, dict):
             raise ProjectError(f"{path}: 'coordination' must be an object")
         coordination = _read_coordination(coordination, alphabets)
-    return ProjectFile(_Generators(generators), coordination)
+    project = ProjectFile(_Generators(generators), coordination)
+    _last = _Loaded(key, files, marked, project)
+    return project
 
 
 def _read_coordination(block: dict, alphabets: dict) -> Coordination:

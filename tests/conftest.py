@@ -13,6 +13,7 @@ from descoord import (
     from_words,
     union_alphabets,
 )
+from descoord import cli
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,13 @@ class Workcell:
 
     def over_ek(self, *words) -> Generator:
         return from_words(self.ek, words)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_project():
+    """Start each test with no project kept by ``load_project``, so that
+    the order of the tests cannot change what one of them reads or builds."""
+    cli._last = None
 
 
 @pytest.fixture(scope="session")

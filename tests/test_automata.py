@@ -125,14 +125,20 @@ def test_generators_are_immutable(cell, tmp_path):
         {"generators": [serialize_generator(g, "g1")],
          "coordination": {"g1": "g1", "g2": "g1", "spec": "g1",
                           "ek": ["c"]}}), encoding="utf-8")
+    # A project loaded twice is one object, shared between commands.
     project = load_project(str(path))
+    assert load_project(str(path)) is project
     with pytest.raises(TypeError):
         project.generators["g2"] = g
+    with pytest.raises(TypeError):
+        project.generators["g1"].rows[0]["x"] = 0
     with pytest.raises(TypeError):
         project.coordination["gk"] = "g1"
     with pytest.raises(AttributeError):
         project.coordination.gk = "g1"
     assert project.coordination.ek == cell.e1.restrict(["c"])
+    again = load_project(str(path)).generators["g1"]
+    assert (again.alphabet, again.rows) == (g.alphabet, g.rows)
     report = PropertyReport(True)
     values = (g, cell.e1, report,
               ConditionalControllabilityReport(report, report, report),

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -1380,6 +1381,94 @@ def test_a_generator_is_built_on_its_first_lookup_only(tmp_path, cell,
     assert generators["spec"] is spec
     assert counts == {"spec": 1}
     assert language_equal(spec, cell.k).holds
+
+
+def test_an_unchanged_project_is_read_and_built_once(tmp_path, cell,
+                                                    monkeypatch, capsys):
+    project = write_project(tmp_path, cell)
+    built = built_generators(monkeypatch, cell)
+    validated = []
+    validate = cli._validated
+
+    def counted(states, alphabet, *args):
+        validated.append(alphabet)
+        return validate(states, alphabet, *args)
+
+    monkeypatch.setattr(cli, "_validated", counted)
+    for which in ("conddec", "controllability"):
+        assert main(["check", which, "-p", str(project)]) in (0, 1)
+    assert validated == [cell.e1, cell.e2, cell.full]
+    assert built == EVERY
+
+
+def edit_in_place(path, old: str, new: str) -> None:
+    """Replace ``old`` by ``new``, of the same length, in the file at
+    ``path``, and give the file back its size and times."""
+    stat = path.stat()
+    text = path.read_text(encoding="utf-8")
+    assert len(old) == len(new) and old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (
+        stat.st_size, stat.st_mtime_ns)
+
+
+def test_an_edit_that_keeps_size_and_mtime_is_read(tmp_path, cell, capsys):
+    project = write_project(tmp_path, cell)
+    argv = ["check", "controllability", "-p", str(project)]
+    assert main(argv) == 1
+    assert "counterexample=a2.a1.u " in capsys.readouterr().out
+    # a1 and a2 trade places: the same events, another language.
+    edit_in_place(tmp_path / "spec.json", '"a1"', '"X!"')
+    edit_in_place(tmp_path / "spec.json", '"a2"', '"a1"')
+    edit_in_place(tmp_path / "spec.json", '"X!"', '"a2"')
+    assert main(argv) == 1
+    assert "counterexample=a1.a2.u " in capsys.readouterr().out
+
+
+def test_an_edit_that_breaks_the_spec_fails_the_next_load(
+        tmp_path, cell, monkeypatch, capsys):
+    project = write_project(tmp_path, cell)
+    assert main(["check", "conddec", "-p", str(project)]) == 0
+    capsys.readouterr()
+    spec = tmp_path / "spec.json"
+    edit_in_place(spec, '"transitions"', '"transitionz"')
+    built = built_generators(monkeypatch, cell)
+    assert main(["check", "observer", "-p", str(project)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {spec}: unknown generator keys: "
+                            f"['transitionz']\n")
+    assert captured.out == "" and built == {}
+
+
+def test_the_marked_warnings_print_on_every_load(tmp_path, cell, capsys):
+    project = write_project(tmp_path, cell)
+    for name in ("g1", "spec"):
+        path = tmp_path / f"{name}.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["marked"] = ["q0"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    warnings = "".join(f"warning: {tmp_path / name}.json: 'marked' ignored "
+                       f"(prefix-closed convention)\n"
+                       for name in ("g1", "spec"))
+    for which in ("conddec", "conddec", "observer"):
+        assert main(["check", which, "-p", str(project)]) == 0
+        assert capsys.readouterr().err == warnings
+
+
+def test_only_the_last_project_is_kept(tmp_path, cell):
+    (tmp_path / "first").mkdir()
+    (tmp_path / "other").mkdir()
+    first = write_project(tmp_path / "first", cell)
+    other = write_project(tmp_path / "other", cell)
+    project = load_project(str(first))
+    kept = weakref.ref(project)
+    del project
+    gc.collect()
+    assert load_project(str(first)) is kept()
+    load_project(str(other))
+    gc.collect()
+    assert kept() is None
 
 
 COMMAND_FORMS = ([["check", which] for which in cli.CHECKS]
