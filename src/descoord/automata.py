@@ -230,7 +230,9 @@ def intersect(a_rows, b_rows, refused=frozenset()):
     alphabet, each started at its state 0: a pair (a, b) moves on each
     event of b's row, in row order, that a's row also has, and the search
     ends where b takes an event of ``refused`` that a does not.  Its own
-    loop, with ``search``'s contract and no successor list per node."""
+    loop, with ``search``'s contract and no successor list per node.  The
+    parent pointers exist only when ``refused`` can end the walk: a walk
+    that cannot fail, such as a product's, records none."""
     nodes = [(0, 0)]
     ids = {(0, 0): 0}
     parents: list[tuple[int, str]] = [(0, "")]
@@ -247,7 +249,8 @@ def intersect(a_rows, b_rows, refused=frozenset()):
             if found is None:
                 found = ids[target] = len(nodes)
                 nodes.append(target)
-                parents.append((index, event))
+                if refused:
+                    parents.append((index, event))
             row[event] = found
     return nodes, rows, None
 

@@ -93,34 +93,29 @@ def generator_to_text(g: Generator, name: str) -> str:
     and, for the empty language only, ``recognizes_empty_language``; it is
     built directly, because ``json`` encodes with ``indent`` in pure Python.
     Event names are quoted by ``json.dumps``, once each; ``q<i>`` needs no
-    escaping."""
+    escaping.  The head, one piece per transition and the tail go into one
+    list that is joined once, so no text of the file's size is built but
+    the one returned."""
     quoted = {event: json.dumps(event) for event in g.alphabet.sorted_events}
     labels = g.labels
-    events = [
+    events = ",\n".join(
         f'    {{\n      "name": {text},\n      "controllable": '
         f'{"true" if event in g.alphabet.controllable else "false"}\n    }}'
-        for event, text in quoted.items()
-    ]
-    transitions = [
-        f'    [\n      "{labels[src]}",\n      {quoted[event]},\n'
-        f'      "{labels[dst]}"\n    ]'
-        for src, row in enumerate(g.rows) for event, dst in row.items()
-    ]
-    states = [f'    "{label}"' for label in labels]
-
-    def block(items: list[str]) -> str:
-        return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-    fields = [
-        f'"name": {json.dumps(name)}',
-        f'"events": {block(events)}',
-        f'"states": {block(states)}',
-        f'"initial": "{labels[0]}"',
-        f'"transitions": {block(transitions)}',
-    ]
-    if g.recognizes_empty_language:
-        fields.append('"recognizes_empty_language": true')
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+        for event, text in quoted.items())
+    events = f"[\n{events}\n  ]" if events else "[]"
+    states = '[\n    "' + '",\n    "'.join(labels) + '"\n  ]'
+    # Each transition carries the comma after it; the last one's is cut.
+    parts = [f'{{\n  "name": {json.dumps(name)},\n  "events": {events},\n'
+             f'  "states": {states},\n  "initial": "q0",\n'
+             f'  "transitions": [']
+    parts += [f'\n    [\n      "{labels[src]}",\n      {quoted[event]},\n'
+              f'      "{labels[dst]}"\n    ],'
+              for src, row in enumerate(g.rows) for event, dst in row.items()]
+    if len(parts) > 1:
+        parts[-1] = parts[-1][:-1] + "\n  "
+    parts.append(']\n}\n' if not g.recognizes_empty_language
+                 else '],\n  "recognizes_empty_language": true\n}\n')
+    return "".join(parts)
 
 
 def _is_text(name: str) -> bool:
@@ -711,6 +706,10 @@ def main(argv=None) -> int:
         if not _is_text(getattr(args, "out", "")):
             raise DescoordError(f"output path {args.out!r} is not valid "
                                 f"Unicode text")
+        # No file system takes a NUL byte in a path.
+        if "\0" in getattr(args, "out", ""):
+            raise DescoordError(f"output path {args.out!r} contains a NUL "
+                                f"byte")
         if bound is not None and bound < 0:
             raise DescoordError(f"argument --oracle-bound: must be >= 0, "
                                 f"got {bound}")

@@ -1,7 +1,9 @@
 """Shared builders for the test suite: deterministic random instances and
 definition-literal bounded evaluators used as independent oracles."""
 
+import gc
 import random
+import tracemalloc
 from collections import deque
 
 from hypothesis import strategies as st
@@ -863,6 +865,26 @@ def serialize_generator(g: Generator, name: str) -> dict:
     if g.recognizes_empty_language:
         doc["recognizes_empty_language"] = True
     return doc
+
+
+def traced_peak(call, *args):
+    """The result of ``call(*args)`` and the peak of the memory that
+    ``tracemalloc`` saw it allocate, with the cyclic collector off, as
+    ``desc`` runs, so that no collection lowers the peak.  A full
+    collection first empties the interpreter's free lists, so that no
+    object kept there for reuse, which ``tracemalloc`` does not see, makes
+    the peak depend on the tests run before."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

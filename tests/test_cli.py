@@ -42,7 +42,12 @@ from descoord.cli import (
     parse_generator,
 )
 
-from helpers import buffered_line, hidden_blow_up, serialize_generator
+from helpers import (
+    buffered_line,
+    hidden_blow_up,
+    serialize_generator,
+    traced_peak,
+)
 
 
 def write_project(tmp_path, cell, ek=("a1", "a2", "c", "u"), gk="auto",
@@ -134,6 +139,17 @@ def test_compose_and_project_write_the_reference_bytes(tmp_path, cell):
                  "spec", *sorted(events)]) == 0
     pk = project_generator(named["spec"], events)
     assert out.read_bytes() == reference_text(pk, "spec").encode()
+
+
+def test_writing_a_generator_builds_its_text_once():
+    # K∩L of the buffered line (12, 12, 12), 2548 states.  The text is
+    # joined once from one piece per transition: on Python 3.10-3.13 the
+    # peak read 5.65-5.94 times the text when each block was joined and
+    # then concatenated, and reads 3.39-3.60 times it since.
+    kl = buffered_line(12, 12, 12)[0]
+    text, peak = traced_peak(generator_to_text, kl, "kl")
+    assert text == reference_text(kl, "kl")
+    assert peak <= 4.5 * len(text), peak / len(text)
 
 
 def test_marked_field_is_ignored_with_a_warning(cell, capsys):
@@ -448,6 +464,23 @@ def test_an_output_path_that_is_not_text_exits_2(tmp_path, cell, capsys,
     captured = capsys.readouterr()
     assert captured.err == (f"error: output path {out!r} is not valid "
                             f"Unicode text\n")
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [["synth", "supc"],
+                                  ["compose", "g1", "g2"],
+                                  ["project", "g1", "a1"]],
+                         ids=["synth", "compose", "project"])
+def test_an_output_path_with_a_nul_byte_exits_2(tmp_path, cell, capsys,
+                                                argv):
+    # A shell cannot pass a NUL, but a caller of main can.
+    project = write_project(tmp_path, cell)
+    before = sorted(tmp_path.iterdir())
+    out = str(tmp_path / "out\0dir")
+    assert main([argv[0], "-p", str(project), "-o", out, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output path {out!r} contains a NUL byte\n"
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == before
 

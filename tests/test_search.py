@@ -7,6 +7,7 @@ linearly with the generator they walk."""
 
 import functools
 import random
+import sys
 from collections import Counter
 from types import MappingProxyType
 
@@ -56,6 +57,7 @@ from helpers import (
     reference_sup_c_deletions,
     reference_sync_product,
     sub_automaton,
+    traced_peak,
 )
 
 
@@ -385,6 +387,25 @@ def test_intersect_agrees_with_the_search_route_it_replaced():
         "refused", "nothing refused", "violation at (0, 0)",
         "violation after new pairs in its row", "empty row",
         "events the first table lacks")) >= 100, cases
+
+
+def test_a_walk_that_cannot_fail_keeps_no_parent_pointers():
+    # K∩L of the buffered line (12, 12, 12), 2548 states, walked against
+    # L = G1 ∥ G2.  K∩L ⊆ L, so refusing every event ends neither walk,
+    # and both build the same nodes and rows; only the walk that can fail
+    # needs the pointers that spell its violation word, at least one pair
+    # (index, event) per node: the two peaks were equal when both walks
+    # kept them, and are 87 bytes per node apart since.
+    kl, g1, g2 = buffered_line(12, 12, 12)
+    l_rows = sync_product(g1, g2).rows
+    plain, peak = traced_peak(intersect, l_rows, kl.rows)
+    refusing, refusing_peak = traced_peak(intersect, l_rows, kl.rows,
+                                          kl.alphabet.events)
+    assert plain == refusing and plain[2] is None
+    assert len(plain[0]) == kl.num_states == 2548
+    pointer = sys.getsizeof((2548, "a1"))
+    assert peak + pointer * len(plain[0]) <= refusing_peak, (peak,
+                                                             refusing_peak)
 
 
 def test_a_violation_inside_a_row_ends_the_search_with_its_own_word():
