@@ -171,10 +171,6 @@ class Generator:
         return len(self.rows)
 
     @property
-    def states(self) -> range:
-        return range(len(self.rows))
-
-    @property
     def num_transitions(self) -> int:
         return sum(map(len, self.rows))
 

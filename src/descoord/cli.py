@@ -32,10 +32,10 @@ import gc
 import io
 import json
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .automata import (
@@ -132,13 +132,13 @@ def _is_text(name: str) -> bool:
 def parse_generator(doc: dict, origin: str = "<inline>") -> tuple[str, Generator]:
     """Check the shape of a generator document, then build the generator.
     Every error is a ``ProjectError`` whose message starts with ``origin``."""
-    name, _, entry = _validate_generator(doc, origin)
-    return name, _canonicalize(*entry) if type(entry) is tuple else entry
+    name, _, build = _validate_generator(doc, origin)
+    return name, build()
 
 
 def _validate_generator(doc: dict, origin: str):
-    """``parse_generator`` without the build: the name, the alphabet, and
-    the empty-language generator or else ``_canonicalize``'s arguments."""
+    """``parse_generator`` up to the build: the name, the alphabet, and the
+    call without arguments that builds the generator and cannot fail."""
     def fail(msg: str):
         raise ProjectError(f"{origin}: {msg}")
 
@@ -184,11 +184,11 @@ def _validate_generator(doc: dict, origin: str):
     try:
         alphabet = Alphabet(frozenset(names), frozenset(
             entry["name"] for entry in events if entry["controllable"]))
-        validated = (alphabet, *_validated(states, alphabet, transitions,
-                                           initial))
+        rows, start = _validated(states, alphabet, transitions, initial)
     except DescoordError as exc:
         raise ProjectError(f"{origin}: {exc}") from exc
-    return name, alphabet, empty_generator(alphabet) if empty else validated
+    return name, alphabet, (partial(empty_generator, alphabet) if empty else
+                            partial(_canonicalize, alphabet, rows, start))
 
 
 def _warn_marked(origin: str) -> None:
@@ -198,30 +198,6 @@ def _warn_marked(origin: str) -> None:
 
 # ---------------------------------------------------------------------------
 # project file
-
-class _Generators(Mapping):
-    """A project's generators by name, read-only, each validated at load and
-    built on its first lookup, which caches it in place of its validated
-    rows."""
-
-    def __init__(self, entries: dict):
-        self._entries = entries
-
-    def __getitem__(self, name: str) -> Generator:
-        entry = self._entries[name]
-        if type(entry) is tuple:
-            entry = self._entries[name] = _canonicalize(*entry)
-        return entry
-
-    def __contains__(self, name) -> bool:
-        return name in self._entries
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class Coordination(NamedTuple):
     """A coordination block as read, one field per key: ``gk`` is None when
@@ -235,7 +211,7 @@ class Coordination(NamedTuple):
 
 @dataclass(frozen=True)
 class ProjectFile:
-    generators: Mapping[str, Generator]
+    generators: MappingProxyType[str, Generator]
     coordination: Coordination | None
 
 
@@ -300,7 +276,8 @@ def _hashed(path: Path) -> int | None:
 def load_project(path: str) -> ProjectFile:
     """Read the project at ``path`` and check all of it, whatever the
     command: every generator in file order, then the coordination block.
-    Each generator is built on its first lookup.
+    Only then, with the parsed documents let go, is each generator built,
+    so a project that fails to load builds nothing.
 
     The last project returned is kept, and no other, for a program that
     runs several commands through ``main`` in one process.  The next call
@@ -308,13 +285,12 @@ def load_project(path: str) -> ProjectFile:
     limits (JSON parsing depends on both), re-reads every file that load
     read; when each has the hash it had (the interpreter's 64-bit hash of
     its bytes, never its size or time), it prints the same warnings and
-    returns the same project, with the generators built so far.  At the
-    first difference, or at a file it cannot read, it drops the kept
-    project and reads afresh, so every error keeps its text and its order."""
+    returns the same project, its generators already built.  At the first
+    difference, or at a file it cannot read, it drops the kept project and
+    reads afresh, so every error keeps its text and its order."""
     global _last
     key = (path, sys.getrecursionlimit(), sys.get_int_max_str_digits())
-    # Each call compares the files itself.  Threads may share the project
-    # it returns: a generator built by two of them at once is built equal.
+    # Each call compares the files itself; the project is never changed.
     last = _last
     if last is not None and last.key == key and all(
             _hashed(file) == hashed for file, hashed in last.files):
@@ -329,31 +305,33 @@ def load_project(path: str) -> ProjectFile:
         raise ProjectError(f"{path}: project needs a 'generators' list")
     if unknown := doc.keys() - {"generators", "coordination"}:
         raise ProjectError(f"{path}: unknown project keys: {sorted(unknown)}")
-    generators, alphabets = {}, {}
+    builds, alphabets = {}, {}
     for entry in doc["generators"]:
         where = f"{path} (inline)"
         if isinstance(entry, str):
             where = origin.parent / entry
             entry = _read_json(where, files)
-        name, alphabet, g = _validate_generator(entry, str(where))
+        name, alphabet, build = _validate_generator(entry, str(where))
         if "marked" in entry:
             marked.append(str(where))
-        if name in generators:
+        if name in builds:
             raise ProjectError(f"{path}: duplicate generator name {name!r}")
-        generators[name], alphabets[name] = g, alphabet
+        builds[name], alphabets[name] = build, alphabet
     coordination = doc.get("coordination")
     if coordination is not None:
         if not isinstance(coordination, dict):
             raise ProjectError(f"{path}: 'coordination' must be an object")
         coordination = _read_coordination(coordination, alphabets)
-    project = ProjectFile(_Generators(generators), coordination)
+    doc = entry = None  # not held while the generators are built
+    project = ProjectFile(MappingProxyType(
+        {name: build() for name, build in builds.items()}), coordination)
     _last = _Loaded(key, files, marked, project)
     return project
 
 
 def _read_coordination(block: dict, alphabets: dict) -> Coordination:
     """Check a coordination block on the generators' alphabets alone, and
-    read it.  Left to ``resolve_coordination``, as they need built
+    read it.  Left to ``resolve_coordination``, as they walk the built
     generators: a reachable shared event outside a listed E_k, and the
     coordinator-event search's own faults."""
     for key in ("g1", "g2", "spec"):
@@ -402,18 +380,18 @@ def _lookup(project: ProjectFile, name: str) -> Generator:
     return project.generators[name]
 
 
-def resolve_coordination(project: ProjectFile, spec: bool = True):
+def resolve_coordination(project: ProjectFile):
     """(K, G1, G2, Gk, report) from the project's coordination record,
     building the coordinator when the block declares it "auto".  The report
     is the conditional-decomposability verdict of K under the chosen E_k
     when the coordinator-event search decided it (``"ek": "auto"``), else
-    None.  With ``spec`` false, K is None unless the search built it."""
+    None."""
     block = project.coordination
     if block is None:
         raise ProjectError("project has no 'coordination' block")
     generators = project.generators
     g1, g2 = generators[block.g1], generators[block.g2]
-    k = generators[block.spec] if spec or block.ek is None else None
+    k = generators[block.spec]
     ek, decomposable = block.ek, None
     if ek is None:
         ek, decomposable = suggest_coordinator_events(k, g1, g2)
@@ -521,9 +499,7 @@ def _oracle_supcc(result, bound):
 # them (None when there is none)
 
 def cmd_check(args, project):
-    # observer, occ, condindep and optimality are conditions on the plant.
-    k, g1, g2, gk, decomposable = resolve_coordination(
-        project, args.which in ("controllability", "conddec", "condctrl"))
+    k, g1, g2, gk, decomposable = resolve_coordination(project)
     reports: list[tuple[str, PropertyReport]] = []
     oracle = None
 

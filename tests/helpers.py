@@ -397,7 +397,7 @@ def reference_is_observer(g: Generator, events):
     det = project(g, target)
 
     matchable: list[frozenset[str]] = []
-    for state in g.states:
+    for state in range(g.num_states):
         seen = {state}
         queue = deque([state])
         enabled = set()
@@ -780,7 +780,7 @@ def bounded_observer_verdict(g: Generator, target, bound: int):
     projected = {erase(word, target) for word in words}
 
     hidden_closure: list[frozenset[int]] = []
-    for state in g.states:
+    for state in range(g.num_states):
         seen = {state}
         stack = [state]
         while stack:

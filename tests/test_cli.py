@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import descoord
 from descoord import (
     Alphabet,
+    ProjectError,
     automata,
     cli,
     coordination,
@@ -944,7 +946,7 @@ MALFORMED = [
     pytest.param((*GEN, "name"), "\udcff",
                  "{p} (inline): generator name '\\udcff' is not valid "
                  "Unicode text", id="generator-name-lone-surrogate"),
-    # The specification, which the plant-only checks never build.
+    # The specification, which the plant-only checks never read.
     pytest.param((*SPEC, "states", 1), "q0",
                  "{p} (inline): duplicate state names",
                  id="spec-duplicate-states"),
@@ -1049,7 +1051,7 @@ RESOLVED_ONLY = {"ek-leaves-a-shared-event-out"}
 def test_checks_that_never_build_the_spec_still_validate_it(
         tmp_path, cell, capsys, monkeypatch, path, value, message, form):
     # Every generator and the coordination block are validated at load,
-    # also by a command that never builds the spec or reads the block, so
+    # also by a command that never reads the spec or the block, so
     # the exit code and the line are those of check conddec, and no file
     # is written.
     project = malformed_project(tmp_path, cell, path, value)
@@ -1345,29 +1347,44 @@ def test_a_written_file_is_read_back_without_a_search(monkeypatch):
     assert generator_to_text(again, "spec") == generator_to_text(g, "spec")
 
 
-PLANT = {"g1": 1, "g2": 1}
+def test_the_package_parse_generator_is_the_cli_one(cell):
+    doc = serialize_generator(cell.g1, "g1")
+    name, g = descoord.parse_generator(doc, "g1.json")
+    cli_name, cli_g = parse_generator(doc, "g1.json")
+    assert name == cli_name == "g1"
+    assert generator_to_text(g, name) == generator_to_text(cli_g, name)
+    doc["states"] = 5
+    with pytest.raises(ProjectError) as shim:
+        descoord.parse_generator(doc, "g1.json")
+    with pytest.raises(ProjectError) as direct:
+        parse_generator(doc, "g1.json")
+    assert str(shim.value) == str(direct.value) == (
+        "g1.json: 'states' must be a list of names and 'initial' a name")
+
+
 EVERY = {"g1": 1, "g2": 1, "spec": 1}
 
 
 BUILDS = [
-    (["check", "observer"], PLANT), (["check", "occ"], PLANT),
-    (["check", "condindep"], PLANT), (["check", "optimality"], PLANT),
-    (["check", "controllability"], EVERY), (["check", "conddec"], EVERY),
-    (["check", "condctrl"], EVERY), (["synth", "supcc", "-o", "out"], EVERY),
-    (["compose", "-o", "composed.json", "g1", "g2"], PLANT),
-    (["info", "spec"], {"spec": 1}),
+    ["check", "observer"], ["check", "occ"], ["check", "condindep"],
+    ["check", "optimality"], ["check", "controllability"],
+    ["check", "conddec"], ["check", "condctrl"],
+    ["synth", "supcc", "-o", "out"],
+    ["compose", "-o", "composed.json", "g1", "g2"], ["info", "spec"],
 ]
 
 
-@pytest.mark.parametrize("argv, built", BUILDS,
-                         ids=["-".join(argv) for argv, _ in BUILDS])
-def test_a_command_builds_only_the_generators_it_reads(
-        tmp_path, cell, monkeypatch, capsys, argv, built):
+@pytest.mark.parametrize("argv", BUILDS, ids=["-".join(argv)
+                                              for argv in BUILDS])
+def test_every_command_builds_each_generator_once(
+        tmp_path, cell, monkeypatch, capsys, argv):
+    # The load builds every generator of the project, whichever the
+    # command reads.
     project = write_project(tmp_path, cell)
     monkeypatch.chdir(tmp_path)
     counts = built_generators(monkeypatch, cell)
     assert main([*argv, "-p", str(project)]) in (0, 1)
-    assert counts == built
+    assert counts == EVERY
 
 
 @pytest.mark.parametrize("argv", [["check", "controllability"],
@@ -1403,17 +1420,18 @@ def test_the_coordinator_event_search_builds_the_spec_once(
     assert counts == EVERY
 
 
-def test_a_generator_is_built_on_its_first_lookup_only(tmp_path, cell,
-                                                       monkeypatch):
+def test_the_load_builds_each_generator_once(tmp_path, cell, monkeypatch):
     counts = built_generators(monkeypatch, cell)
     generators = load_project(str(write_project(tmp_path, cell))).generators
+    assert counts == EVERY
     assert "spec" in generators and "gk" not in generators
     assert list(generators) == ["g1", "g2", "spec"] and len(generators) == 3
-    assert counts == {}
     spec = generators["spec"]
     assert generators["spec"] is spec
-    assert counts == {"spec": 1}
+    assert counts == EVERY
     assert language_equal(spec, cell.k).holds
+    with pytest.raises(TypeError):
+        generators["spec"] = cell.k
 
 
 def test_an_unchanged_project_is_read_and_built_once(tmp_path, cell,
@@ -1472,6 +1490,28 @@ def test_an_edit_that_breaks_the_spec_fails_the_next_load(
     assert captured.err == (f"error: {spec}: unknown generator keys: "
                             f"['transitionz']\n")
     assert captured.out == "" and built == {}
+
+
+def test_a_file_that_cannot_be_read_fails_the_next_load(
+        tmp_path, cell, monkeypatch, capsys):
+    project = write_project(tmp_path, cell)
+    assert main(["check", "conddec", "-p", str(project)]) == 0
+    capsys.readouterr()
+    g2 = tmp_path / "g2.json"
+    text = g2.read_bytes()
+    g2.unlink()
+    argv = ["info", "g1", "-p", str(project)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {g2}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+    # Restored, the project is read and built afresh.
+    g2.write_bytes(text)
+    built = built_generators(monkeypatch, cell)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("generator g1: ")
+    assert built == EVERY
 
 
 def test_the_marked_warnings_print_on_every_load(tmp_path, cell, capsys):

@@ -202,7 +202,7 @@ def test_a_projection_onto_no_events_is_one_subset_with_no_step():
     k, _, _ = buffered_line(160, 3, 3)
     construction = SubsetConstruction(k, ())
     assert construction.row(0) == {}
-    assert construction.members == [tuple(k.states)]
+    assert construction.members == [tuple(range(k.num_states))]
     projected = project(k, ())
     assert projected.rows == ({},)
 

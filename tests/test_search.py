@@ -66,7 +66,7 @@ def rebuilt(g):
     canonically whatever numbering it is given and drops the states it
     cannot reach."""
     return make_generator(
-        [str(i) for i in g.states], g.alphabet,
+        [str(i) for i in range(g.num_states)], g.alphabet,
         [(str(src), event, str(dst))
          for src, row in enumerate(g.rows) for event, dst in row.items()],
         "0",
@@ -150,7 +150,7 @@ def sup_c_instance(rng: random.Random):
                 random_generator(rng, SUP_C_ALPHABET, 4, 0.6))
     core = random_generator(rng, SUP_C_ALPHABET.restrict({"a", "b", "c"}),
                             5, 0.5)
-    states = ["d0", "d1", "d2", "d3"] + [f"s{q}" for q in core.states]
+    states = ["d0", "d1", "d2", "d3"] + [f"s{q}" for q in range(core.num_states)]
     left, right = sorted(rng.sample("abc", 2))
     enter = rng.choice("bc")
     triples = [("d0", left, "d1"), ("d0", right, "d2"),
@@ -166,7 +166,7 @@ def sup_c_instance(rng: random.Random):
         triples.append(("d2", rng.choice("uv"), rng.choice(states)))
         return k, make_generator(states, SUP_C_ALPHABET, triples, "d0")
     triples.append(("d1", rng.choice("uv"), "d0"))
-    for q in core.states:
+    for q in range(core.num_states):
         if rng.random() < 0.25:
             triples.append((f"s{q}", rng.choice("uv"),
                             rng.choice(states)))

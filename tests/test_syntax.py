@@ -76,10 +76,12 @@ def test_the_import_guard_sees_an_unused_name():
 def dead_definitions(trees: dict[str, ast.Module],
                      exported: set[str]) -> list[str]:
     """Module-level functions and classes of ``trees``, and their classes'
-    non-dunder methods, that no tree reads by name (as a name, an
-    attribute or an imported name) and that are not ``exported``."""
+    non-dunder methods, that no tree reads and that are not ``exported``.
+    A function or class is read by name (as a name, an attribute or an
+    imported name); a method only as an attribute (``x.name``), so that a
+    local variable of the same name does not hide it."""
     defined = []
-    read = set(exported)
+    names, attributes = set(exported), set()
     for path, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -92,13 +94,14 @@ def dead_definitions(trees: dict[str, ast.Module],
                     and not item.name.startswith("__"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+                names.update(alias.name for alias in node.names)
     return [f"{path}:{line}: {name}" for path, line, name in defined
-            if name.rpartition(".")[2] not in read]
+            if name.rpartition(".")[2] not in attributes
+            and ("." in name or name not in names)]
 
 
 def test_every_package_definition_is_read_or_exported():
@@ -118,13 +121,17 @@ def test_the_definition_guard_sees_a_dead_function_and_method():
                           "class Box:\n"
                           "    def __init__(self): pass\n"
                           "    def opened(self): pass\n"
-                          "    def unread(self): pass\n"),
+                          "    def unread(self): pass\n"
+                          "    def hidden(self): pass\n"),
+        # A parameter named like a method is a name, not a read of it.
         "b.py": ast.parse("from a import Box, used\n"
                           "used()\n"
-                          "Box().opened()\n"),
+                          "Box().opened()\n"
+                          "def walk(hidden): return list(hidden)\n"
+                          "walk([])\n"),
     }
     assert dead_definitions(trees, {"exported"}) == [
-        "a.py:2: dead", "a.py:7: Box.unread"]
+        "a.py:2: dead", "a.py:7: Box.unread", "a.py:8: Box.hidden"]
 
 
 def stray_printers(tree: ast.Module) -> list[str]:
