@@ -332,7 +332,7 @@ def _add_triple(rows, index, events, triple) -> None:
                               f"references an unknown state")
     if event not in events:
         raise ValidationError(f"transition label {event!r} not in the alphabet")
-    if rows[source].setdefault(event, target) != target:
+    if rows[source].setdefault(events[event], target) != target:
         raise DeterminismError(
             f"duplicate transition on ({src!r}, {event!r})"
         )
@@ -354,7 +354,9 @@ def _validated(states: Iterable[str], alphabet: Alphabet,
     if not isinstance(initial, str) or initial not in index:
         raise ValidationError(f"unknown initial state: {initial!r}")
 
-    events = alphabet.events
+    # Each row is keyed by the alphabet's own string for its event, not by
+    # the copy each triple carries.
+    events = {event: event for event in alphabet.events}
     rows: list[dict[str, int]] = [{} for _ in names]
     for triple in transitions:
         # One cheap pass for a plainly well-formed triple; any other is
@@ -362,9 +364,8 @@ def _validated(states: Iterable[str], alphabet: Alphabet,
         try:
             if type(triple) is list or type(triple) is tuple:
                 src, event, dst = triple
-                if (type(src) is type(event) is type(dst) is str
-                        and event in events):
-                    target = index[dst]
+                if type(src) is type(event) is type(dst) is str:
+                    event, target = events[event], index[dst]
                     if rows[index[src]].setdefault(event, target) == target:
                         continue
         except (ValueError, KeyError):

@@ -85,37 +85,44 @@ ORACLES = ("controllability", "conddec", "supc", "supcc")
 # ---------------------------------------------------------------------------
 # generator file format
 
-def generator_to_text(g: Generator, name: str) -> str:
-    """The generator file of ``g``: states are named by ``g.labels``, dense
-    ``q<i>`` ids, so isomorphic automata serialize to identical bytes.  The
-    text is that of ``json.dumps(doc, indent=2) + "\\n"`` for the document
-    with keys ``name``, ``events``, ``states``, ``initial``, ``transitions``
-    and, for the empty language only, ``recognizes_empty_language``; it is
-    built directly, because ``json`` encodes with ``indent`` in pure Python.
+def write_generator_text(g: Generator, name: str, write) -> None:
+    """Pass the generator file of ``g`` to ``write`` in pieces: states are
+    named by ``g.labels``, dense ``q<i>`` ids, so isomorphic automata
+    serialize to identical bytes.  The pieces joined are the text of
+    ``json.dumps(doc, indent=2) + "\\n"`` for the document with keys
+    ``name``, ``events``, ``states``, ``initial``, ``transitions`` and, for
+    the empty language only, ``recognizes_empty_language``; it is built
+    directly, because ``json`` encodes with ``indent`` in pure Python.
     Event names are quoted by ``json.dumps``, once each; ``q<i>`` needs no
-    escaping.  The head, one piece per transition and the tail go into one
-    list that is joined once, so no text of the file's size is built but
-    the one returned."""
+    escaping.  The pieces are the head, the transitions of each run of
+    1024 states, joined once per run, and the tail, so no text of the
+    file's size is ever built; a run without transitions writes nothing."""
     quoted = {event: json.dumps(event) for event in g.alphabet.sorted_events}
-    labels = g.labels
+    labels, rows = g.labels, g.rows
     events = ",\n".join(
         f'    {{\n      "name": {text},\n      "controllable": '
         f'{"true" if event in g.alphabet.controllable else "false"}\n    }}'
         for event, text in quoted.items())
     events = f"[\n{events}\n  ]" if events else "[]"
     states = '[\n    "' + '",\n    "'.join(labels) + '"\n  ]'
-    # Each transition carries the comma after it; the last one's is cut.
-    parts = [f'{{\n  "name": {json.dumps(name)},\n  "events": {events},\n'
-             f'  "states": {states},\n  "initial": "q0",\n'
-             f'  "transitions": [']
-    parts += [f'\n    [\n      "{labels[src]}",\n      {quoted[event]},\n'
-              f'      "{labels[dst]}"\n    ],'
-              for src, row in enumerate(g.rows) for event, dst in row.items()]
-    if len(parts) > 1:
-        parts[-1] = parts[-1][:-1] + "\n  "
-    parts.append(']\n}\n' if not g.recognizes_empty_language
-                 else '],\n  "recognizes_empty_language": true\n}\n')
-    return "".join(parts)
+    write(f'{{\n  "name": {json.dumps(name)},\n  "events": {events},\n'
+          f'  "states": {states},\n  "initial": "q0",\n'
+          f'  "transitions": [')
+    # Each transition carries the comma before it; the first one's is cut,
+    # and ``cut`` is 0 once a run is written.
+    cut = 1
+    for start in range(0, len(rows), 1024):
+        run = "".join([f',\n    [\n      "{labels[src]}",\n      '
+                       f'{quoted[event]},\n      "{labels[dst]}"\n    ]'
+                       for src, row in enumerate(rows[start:start + 1024],
+                                                 start)
+                       for event, dst in row.items()])
+        if run:
+            write(run[cut:])
+            cut = 0
+    write(("]" if cut else "\n  ]")
+          + ("\n}\n" if not g.recognizes_empty_language
+             else ',\n  "recognizes_empty_language": true\n}\n'))
 
 
 def _is_text(name: str) -> bool:
@@ -536,7 +543,8 @@ def cmd_check(args, project):
 
 def _write_generator(path, name: str, g: Generator, json_mode: bool) -> None:
     """Write ``g`` to ``path`` as generator ``name`` and say so."""
-    Path(path).write_text(generator_to_text(g, name), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as file:
+        write_generator_text(g, name, file.write)
     _emit(json_mode, f"wrote {path} ({g.num_states} states, "
                      f"{g.num_transitions} transitions)",
           {"artifact": name, "path": str(path), "states": g.num_states,

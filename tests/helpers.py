@@ -33,6 +33,7 @@ from descoord import (
     union_alphabets,
 )
 from descoord.automata import search
+from descoord.cli import write_generator_text
 from descoord.oracle import bounded_language, erase
 
 w = parse_word
@@ -848,7 +849,7 @@ def bounded_occ_verdict(g: Generator, target, eu, bound: int):
 def serialize_generator(g: Generator, name: str) -> dict:
     """The document a generator file holds, built as a dict:
     ``json.dumps(serialize_generator(g, name), indent=2) + "\\n"`` is the
-    reference for the bytes ``descoord.cli.generator_to_text`` writes."""
+    reference for the bytes ``descoord.cli.write_generator_text`` writes."""
     doc = {
         "name": name,
         "events": [
@@ -865,6 +866,13 @@ def serialize_generator(g: Generator, name: str) -> dict:
     if g.recognizes_empty_language:
         doc["recognizes_empty_language"] = True
     return doc
+
+
+def generator_to_text(g: Generator, name: str) -> str:
+    """The generator file of ``g``: the pieces the writer passes, joined."""
+    pieces: list[str] = []
+    write_generator_text(g, name, pieces.append)
+    return "".join(pieces)
 
 
 def traced_peak(call, *args):

@@ -35,7 +35,7 @@ from descoord import (
     universal_generator,
     widen_alphabet,
 )
-from descoord.cli import generator_to_text, main, parse_generator
+from descoord.cli import main, parse_generator
 from descoord.oracle import (
     bounded_language,
     brute_product,
@@ -49,6 +49,7 @@ from helpers import (
     brute_project,
     collect_instances,
     distributed_instance,
+    generator_to_text,
     is_prefix_closed,
     language_union,
     random_controllable,

@@ -35,11 +35,10 @@ from descoord import (
     sync_product,
     synthesize_supervisors,
 )
-from descoord.cli import generator_to_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from helpers import mixed_instance  # noqa: E402
+from helpers import generator_to_text, mixed_instance  # noqa: E402
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
 COUNT = 300
