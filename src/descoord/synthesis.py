@@ -51,17 +51,27 @@ def sup_c(k: Generator, l: Generator) -> Generator:
     each survivor when it first reaches it, expanding survivors in that
     order and reading each row in its sorted event order, so it is the
     survivors' own search order.  K ⊆ L is not required; the product
-    intersects implicitly."""
+    intersects implicitly.
+
+    One product table is alive at a time.  The walk holds the product rows
+    and the sets the scan reads, the events of E_u that a state of K lacks
+    and those a state of L enables, one set per distinct value, shared by
+    every state that has it.  The pair list lives only until the violation
+    scan, which drops it with the sets.  ``backward`` adds its predecessor
+    lists.  The survivor pass releases each product row as it reads it, so
+    the survivor table replaces the product table row by row."""
     _require_same_alphabet(k, l, "sup_c")
     alphabet = k.alphabet
     eu = alphabet.uncontrollable
     if k.recognizes_empty_language or l.recognizes_empty_language:
         return empty_generator(alphabet)
-    lacks = [eu.difference(row) for row in k.rows]
-    enabled = [eu.intersection(row) for row in l.rows]
+    shared = {}
+    lacks = [shared.setdefault(s, s) for s in map(eu.difference, k.rows)]
+    enabled = [shared.setdefault(s, s) for s in map(eu.intersection, l.rows)]
     pairs, rows, _ = intersect(k.rows, l.rows)
     violating = [node for node, (qk, ql) in enumerate(pairs)
                  if not lacks[qk].isdisjoint(enabled[ql])]
+    del shared, lacks, enabled, pairs
     if not violating:
         return Generator(alphabet, rows)
 
@@ -69,15 +79,17 @@ def sup_c(k: Generator, l: Generator) -> Generator:
     if 0 in deleted:
         return empty_generator(alphabet)
 
-    nodes, ids, survivors = [0], {0: 0}, []
+    nodes, ids, survivors = [0], [None] * len(rows), []
+    ids[0] = 0
     for node in nodes:
         survivors.append(row := {})
         for event, target in rows[node].items():
             if target not in deleted:
-                if target not in ids:
+                if ids[target] is None:
                     ids[target] = len(nodes)
                     nodes.append(target)
                 row[event] = ids[target]
+        rows[node] = None
     return Generator(alphabet, survivors)
 
 

@@ -223,12 +223,25 @@ def reference_decomposable(k: Generator, p1k, p2k) -> PropertyReport:
         "specification is conditionally decomposable")
 
 
+def line_buffer(n: int) -> Generator:
+    """K of the buffered line: a buffer of capacity n over the line's six
+    events, which ``b1`` fills and ``a2`` empties, every other event
+    self-looped.  Only a1 and a2 are controllable."""
+    full = Alphabet({"a1", "a2", "b1", "b2", "t1", "t2"}, {"a1", "a2"})
+    cells = [f"k{j}" for j in range(n + 1)]
+    triples = [(cell, event, cell) for cell in cells
+               for event in ("a1", "b2", "t1", "t2")]
+    triples += [(cells[j], "b1", cells[j + 1]) for j in range(n)]
+    triples += [(cells[j + 1], "a2", cells[j]) for j in range(n)]
+    return make_generator(cells, full, triples, "k0")
+
+
 def buffered_line(p1: int, p2: int, n: int):
     """(K∩L, G1, G2) of the buffered line: machine G_i runs
-    idle -a_i-> w0 -t_i-> ... -t_i-> w_{p_i} -b_i-> idle, and K, a buffer of
-    capacity n that ``b1`` fills and ``a2`` empties, is composed with both
-    machines.  Only a1 and a2 are controllable."""
-    full = Alphabet({"a1", "a2", "b1", "b2", "t1", "t2"}, {"a1", "a2"})
+    idle -a_i-> w0 -t_i-> ... -t_i-> w_{p_i} -b_i-> idle, and K, the buffer
+    of capacity n of ``line_buffer``, is composed with both machines."""
+    buffer = line_buffer(n)
+    full = buffer.alphabet
 
     def machine(i, depth):
         work = [f"w{j}" for j in range(depth + 1)]
@@ -238,12 +251,6 @@ def buffered_line(p1: int, p2: int, n: int):
                               full.restrict({f"a{i}", f"b{i}", f"t{i}"}),
                               triples, "idle")
 
-    cells = [f"k{j}" for j in range(n + 1)]
-    triples = [(cell, event, cell) for cell in cells
-               for event in ("a1", "b2", "t1", "t2")]
-    triples += [(cells[j], "b1", cells[j + 1]) for j in range(n)]
-    triples += [(cells[j + 1], "a2", cells[j]) for j in range(n)]
-    buffer = make_generator(cells, full, triples, "k0")
     g1, g2 = machine(1, p1), machine(2, p2)
     return sync_product(sync_product(buffer, g1), g2), g1, g2
 
@@ -882,13 +889,22 @@ def traced_peak(call, *args):
     collection first empties the interpreter's free lists, so that no
     object kept there for reuse, which ``tracemalloc`` does not see, makes
     the peak depend on the tests run before."""
+    result, peak, _ = traced_memory(call, *args)
+    return result, peak
+
+
+def traced_memory(call, *args):
+    """``traced_peak``'s result and peak, and the bytes that the call
+    retains: those it allocated that are still allocated when it returns,
+    which are the result's when the call caches nothing."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         result = call(*args)
-        return result, tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
+        return result, peak, current
     finally:
         tracemalloc.stop()
         if enabled:
