@@ -17,7 +17,8 @@ from .automata import (
     reachable_events,
     union_alphabets,
 )
-from .errors import AlphabetMismatchError, PreconditionError, ValidationError
+from .errors import (AlphabetMismatchError, PreconditionError,
+                     SubsetLimitError, ValidationError)
 from .language import (
     CoordinationScheme,
     SubsetConstruction,
@@ -150,13 +151,15 @@ def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
               event in p2k.alphabet.events)
              for event in k.alphabet.sorted_events]
     rows, row1_of, row2_of = k.rows, p1k.row, p2k.row
+    built1, built2 = p1k._rows, p2k._rows
     verdicts = ("word is in the product of the projections but not in the "
                 "specification", "specification is conditionally decomposable")
     nodes = [(0, 0, 0)]
     ids = {(0, 0, 0): 0}
     parents: list[tuple[int, str]] = [(0, "")]
     for index, (x1, x2, q) in enumerate(nodes):
-        row1, row2, row = row1_of(x1), row2_of(x2), rows[q]
+        row1, row2, row = (built1[x1] or row1_of(x1),
+                           built2[x2] or row2_of(x2), rows[q])
         for event, in1, in2 in moves:
             if in1:
                 if (t1 := row1.get(event)) is None:
@@ -184,6 +187,19 @@ def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
              "specification is not contained in the plant language")
 
 
+def _require_parts_within_plant(k: Generator, g1: Generator, g2: Generator,
+                                gk: Generator, parts) -> None:
+    """K ⊆ L(G_1 ∥ G_2 ∥ G_k), decided on ``parts``, the generators of
+    P_k(K), P_{1+k}(K) and P_{2+k}(K), as P_{i+k}(K) ⊆ L(G_i ∥ G_k) for
+    i = 1, 2.  It is exact: E_i, E_k ⊆ E_{i+k}, so P_i(s) and P_k(s) are
+    projections of P_{i+k}(s).  Only where an inclusion fails is K walked
+    against the plant, for the shortest word of K outside L."""
+    _, p1k, p2k = parts
+    if not all(language_subset(pik, sync_product(g, gk)).holds
+               for pik, g in ((p1k, g1), (p2k, g2))):
+        _require_spec_within_plant(k, g1, g2, gk)
+
+
 def is_conditionally_controllable(
     k: Generator,
     g1: Generator,
@@ -197,15 +213,22 @@ def is_conditionally_controllable(
            L(G_1) ∥ P_k(K) ∥ P_k^{2+k}(L(G_2) ∥ P_k(K)) and E_{1+k,u};
     (ii.b) symmetrically for subsystem 2.
 
-    Requires K ⊆ L(G_1 ∥ G_2 ∥ G_k), checked first (``PreconditionError``
-    with the witness word), for under it the third factor of (ii.a) is
-    P_k(K): each P_k(s), s in K, has the preimage P_{2+k}(s) in
-    L(G_2) ∥ P_k(K).  So side i is checked against L(G_i) ∥ P_k(K)."""
+    Requires K ⊆ L(G_1 ∥ G_2 ∥ G_k) (``PreconditionError`` with the
+    witness word), for under it the third factor of (ii.a) is P_k(K):
+    each P_k(s), s in K, has the preimage P_{2+k}(s) in L(G_2) ∥ P_k(K).
+    So side i is checked against L(G_i) ∥ P_k(K).  The inclusion is
+    decided on the projections, built first, so a failing K pays for
+    them before its witness walk, which also runs before a
+    ``SubsetLimitError`` is raised."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
-    _require_spec_within_plant(k, g1, g2, gk)
-    return _conditionally_controllable(
-        g1, g2, gk, _projected_parts(k, scheme, _constructions(k, scheme)))
+    try:
+        parts = _projected_parts(k, scheme, _constructions(k, scheme))
+    except SubsetLimitError:
+        _require_spec_within_plant(k, g1, g2, gk)
+        raise
+    _require_parts_within_plant(k, g1, g2, gk, parts)
+    return _conditionally_controllable(g1, g2, gk, parts)
 
 
 def _conditionally_controllable(
@@ -244,7 +267,7 @@ def synthesize_supervisors(
              "subsystems are not conditionally independent given the "
              "coordinator")
     supervisors = _decomposed(k, scheme)
-    _require_spec_within_plant(k, g1, g2, gk)
+    _require_parts_within_plant(k, g1, g2, gk, supervisors)
     report = _conditionally_controllable(g1, g2, gk, supervisors)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "

@@ -17,7 +17,6 @@ without building the projected generator.  The projected generator is a
 subset is a breadth-first loop of its own.
 """
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,18 +163,27 @@ class SubsetConstruction:
         self._ids: dict[tuple[int, ...], int] = {}
         self._rows: list[dict[str, int] | None] = []
         self._steps: list[dict[str, list[int]] | None] = []
+        self._single: dict[int, int] = {}
         self._intern([0])
 
     def _intern(self, states: list[int]) -> int:
-        """The id of the hidden-event closure of ``states``."""
+        """The id of the hidden-event closure of ``states``.  Nearly every
+        subset reached again is one state's closure, so that of a single
+        state is memoized by the state."""
+        single = states[0] if len(states) == 1 else None
+        if (found := self._single.get(single)) is not None:
+            return found
         rows, hidden = self._graph, self._hidden
         seen = set(states)
-        queue = deque(seen)
+        queue = list(seen)
         stepped: dict[str, list[int]] = {}
-        while queue:
-            for event, nxt in rows[queue.popleft()].items():
+        for state in queue:
+            for event, nxt in rows[state].items():
                 if event not in hidden:
-                    stepped.setdefault(event, []).append(nxt)
+                    if event in stepped:
+                        stepped[event].append(nxt)
+                    else:
+                        stepped[event] = [nxt]
                 elif nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -194,6 +202,8 @@ class SubsetConstruction:
             self.members.append(subset)
             self._rows.append(None)
             self._steps.append(stepped)
+        if single is not None:
+            self._single[single] = found
         return found
 
     def row(self, subset: int) -> dict[str, int]:

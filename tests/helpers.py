@@ -17,7 +17,10 @@ from descoord import (
     Generator,
     PreconditionError,
     PropertyReport,
+    SubsetLimitError,
     ValidationError,
+    conditionally_decomposable,
+    conditionally_independent,
     default_coordinator,
     empty_generator,
     from_words,
@@ -32,8 +35,10 @@ from descoord import (
     sync_product,
     union_alphabets,
 )
+from descoord import language
 from descoord.automata import search
 from descoord.cli import write_generator_text
+from descoord.language import SubsetConstruction
 from descoord.oracle import bounded_language, erase
 
 w = parse_word
@@ -323,6 +328,41 @@ def word_in_projected_product(word, components, target_events) -> bool:
 
 # ---------------------------------------------------------------------------
 # replaced routes, kept as references for differential tests
+
+class ReferenceSubsetConstruction(SubsetConstruction):
+    """``SubsetConstruction`` with the closure it used to take: no memo,
+    each input closed breadth-first over a ``deque``, and the steps
+    collected with ``setdefault``."""
+
+    def _intern(self, states: list[int]) -> int:
+        rows, hidden = self._graph, self._hidden
+        seen = set(states)
+        queue = deque(seen)
+        stepped: dict[str, list[int]] = {}
+        while queue:
+            for event, nxt in rows[queue.popleft()].items():
+                if event not in hidden:
+                    stepped.setdefault(event, []).append(nxt)
+                elif nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        if self._parts is not None:
+            seen = set().union(*map(self._parts.__getitem__, seen))
+        subset = tuple(sorted(seen))
+        found = self._ids.get(subset)
+        if found is None:
+            if len(self.members) >= language.MAX_SUBSETS:
+                raise SubsetLimitError(
+                    f"the projection of a {self.g.num_states}-state, "
+                    f"{self.g.num_transitions}-transition generator onto "
+                    f"{{{', '.join(self.alphabet.sorted_events)}}} stopped "
+                    f"after {len(self.members)} subsets, the limit")
+            found = self._ids[subset] = len(self.members)
+            self.members.append(subset)
+            self._rows.append(None)
+            self._steps.append(stepped)
+        return found
+
 
 def reference_parse(states, triples, initial):
     """The rows of ``make_generator(states, alphabet, triples, initial)``
@@ -669,6 +709,31 @@ def spec_within_plant(k: Generator, g1: Generator, g2: Generator,
                       gk: Generator) -> PropertyReport:
     """The report of K ⊆ L(G_1 ∥ G_2 ∥ G_k)."""
     return language_subset(k, sync_product(sync_product(g1, g2), gk))
+
+
+def reference_synthesize_supervisors(k: Generator, g1: Generator,
+                                     g2: Generator, gk: Generator):
+    """``synthesize_supervisors`` with each precondition decided by the
+    route it used to take: K ⊆ L by K's walk against the built plant
+    G_1 ∥ G_2 ∥ G_k, and conditional controllability by
+    ``reference_conditionally_controllable``."""
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
+    for report, what in (
+            (conditionally_independent(g1, g2, gk),
+             "subsystems are not conditionally independent given the "
+             "coordinator"),
+            (conditionally_decomposable(k, scheme),
+             "specification is not conditionally decomposable"),
+            (spec_within_plant(k, g1, g2, gk),
+             "specification is not contained in the plant language")):
+        if not report.holds:
+            raise PreconditionError(what, report)
+    report = reference_conditionally_controllable(k, g1, g2, gk)
+    if not report.holds:
+        raise PreconditionError("specification is not conditionally "
+                                "controllable", report.first_failure())
+    return tuple(project(k, target.events)
+                 for target in (scheme.ek, scheme.e1k, scheme.e2k))
 
 
 def reference_conditionally_controllable(k: Generator, g1: Generator,

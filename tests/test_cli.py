@@ -36,6 +36,7 @@ from descoord import (
     sup_cc,
     sync_product,
     universal_generator,
+    widen_alphabet,
 )
 from descoord.cli import (
     build_parser,
@@ -716,21 +717,13 @@ def test_oracle_bound_beyond_the_word_limit_exits_2(tmp_path, capsys):
     (["project", "-o", "out.json", "spec", "a", "b"], ["a", "b"]),
     (["check", "conddec"], ["a", "b"]),
     (["check", "conddec"], "auto"),
-], ids=["project", "conddec", "conddec-auto"])
+    (["check", "condctrl"], ["a", "b"]),
+], ids=["project", "conddec", "conddec-auto", "condctrl"])
 def test_a_projection_past_the_subset_limit_exits_2(tmp_path, capsys,
                                                     monkeypatch, argv, ek):
     # P_{1+k}(spec) onto {a, b} has 2^30 subsets; P_{2+k} is the identity.
-    named = {"g1": universal_generator(Alphabet({"a", "b"}, {"a", "b"})),
-             "g2": universal_generator(Alphabet({"a", "b", "h"},
-                                                {"a", "b", "h"})),
-             "spec": hidden_blow_up(30)}
-    doc = {
-        "generators": [serialize_generator(g, name)
-                       for name, g in named.items()],
-        "coordination": {"g1": "g1", "g2": "g2", "spec": "spec", "ek": ek},
-    }
-    project = tmp_path / "project.json"
-    project.write_text(json.dumps(doc), encoding="utf-8")
+    project = write_blow_up_project(tmp_path, ek, universal_generator(
+        Alphabet({"a", "b", "h"}, {"a", "b", "h"})))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(language, "MAX_SUBSETS", 100)
     assert main([*argv, "-p", str(project)]) == 2
@@ -738,6 +731,37 @@ def test_a_projection_past_the_subset_limit_exits_2(tmp_path, capsys,
         "error: the projection of a 32-state, 62-transition generator onto "
         "{a, b} stopped after 100 subsets, the limit\n"))
     assert not (tmp_path / "out.json").exists()
+
+
+def test_condctrl_past_the_subset_limit_still_fails_its_precondition(
+        tmp_path, capsys, monkeypatch):
+    # As above, but h never occurs in G2, so the spec's word h is outside
+    # the plant: the precondition fails as it does below the limit.
+    project = write_blow_up_project(tmp_path, ["a", "b"], widen_alphabet(
+        universal_generator(Alphabet({"a", "b"}, {"a", "b"})),
+        Alphabet({"a", "b", "h"}, {"a", "b", "h"})))
+    monkeypatch.setattr(language, "MAX_SUBSETS", 100)
+    assert main(["check", "condctrl", "-p", str(project)]) == 1
+    assert capsys.readouterr() == (
+        "[FAIL] precondition: specification is not contained in the plant "
+        "language: counterexample=h (word is in the left language only)\n",
+        "")
+
+
+def write_blow_up_project(tmp_path, ek, g2):
+    """Write a project of ``hidden_blow_up(30)`` as the spec, G1 universal
+    over {a, b}, ``g2`` over {a, b, h}, the default coordinator and
+    ``ek``; returns its path."""
+    named = {"g1": universal_generator(Alphabet({"a", "b"}, {"a", "b"})),
+             "g2": g2, "spec": hidden_blow_up(30)}
+    doc = {
+        "generators": [serialize_generator(g, name)
+                       for name, g in named.items()],
+        "coordination": {"g1": "g1", "g2": "g2", "spec": "spec", "ek": ek},
+    }
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(doc), encoding="utf-8")
+    return project
 
 
 def write_line_project(tmp_path, ek, size=(3, 2, 2)):

@@ -51,6 +51,7 @@ from helpers import (
     reference_conditionally_controllable,
     reference_decomposable,
     reference_sup_cc,
+    reference_synthesize_supervisors,
     spec_within_plant,
     w,
 )
@@ -298,9 +299,9 @@ def counted_calls(monkeypatch, name):
 
 
 def test_each_product_of_the_condctrl_check_is_built_once(cell, monkeypatch):
-    # Two for the plant G_1 ∥ G_2 ∥ G_k and one G_i ∥ P_k(K) per side
-    # condition, which under K ⊆ L is that side's whole ambient: nothing
-    # is projected.
+    # G_i ∥ G_k per side for K ⊆ L, decided as P_{i+k}(K) ⊆ L(G_i ∥ G_k),
+    # and one G_i ∥ P_k(K) per side condition, which under K ⊆ L is that
+    # side's whole ambient: nothing is projected.
     products = counted_calls(monkeypatch, "sync_product")
     projections = counted_calls(monkeypatch, "project")
     report = is_conditionally_controllable(cell.k, cell.g1, cell.g2, cell.gk)
@@ -321,13 +322,18 @@ def test_sup_cc_intersects_no_specification_with_a_plant_factor(
     assert not result.composed.recognizes_empty_language
 
 
-def condctrl_outcome(check, k, g1, g2, gk):
-    """The report of a condctrl route, or the precondition's report when
-    K ⊄ L."""
+def precondition_outcome(check, k, g1, g2, gk):
+    """What ``check`` returns, its generators as their alphabets, rows and
+    flags, or the message and report of the ``PreconditionError`` it
+    raises."""
     try:
-        return check(k, g1, g2, gk)
+        result = check(k, g1, g2, gk)
     except PreconditionError as exc:
-        return exc.report
+        return str(exc), exc.report
+    if isinstance(result, ConditionalControllabilityReport):
+        return result
+    return [(g.alphabet, [list(row.items()) for row in g.rows],
+             g.recognizes_empty_language) for g in result]
 
 
 def test_condctrl_and_sup_cc_agree_with_the_routes_they_replaced():
@@ -337,9 +343,9 @@ def test_condctrl_and_sup_cc_agree_with_the_routes_they_replaced():
     cases = collections.Counter()
     for seed in range(600):
         k, g1, g2, gk, _ = mixed_instance(random.Random(seed))
-        report = condctrl_outcome(is_conditionally_controllable,
-                                  k, g1, g2, gk)
-        assert report == condctrl_outcome(
+        report = precondition_outcome(is_conditionally_controllable,
+                                      k, g1, g2, gk)
+        assert report == precondition_outcome(
             reference_conditionally_controllable, k, g1, g2, gk), seed
         if isinstance(report, ConditionalControllabilityReport):
             cases["within the plant"] += 1
@@ -363,6 +369,46 @@ def test_condctrl_and_sup_cc_agree_with_the_routes_they_replaced():
     assert cases["side fails"] >= 48, cases
     assert cases["sup_1k non-empty"] >= 236, cases
     assert cases["E_k has a private event"] >= 200, cases
+
+
+def test_k_within_the_plant_is_decided_as_the_plant_walk_decides_it(
+        monkeypatch):
+    # K ⊆ L decided on P_{1+k}(K) and P_{2+k}(K), against the routes that
+    # walk K against the built plant: the same reports and supervisors, or
+    # the same precondition message and witness, on K within and outside
+    # the plant.  K is walked against the plant exactly when K ⊄ L.
+    walks = []
+    walk = coordination._require_spec_within_plant
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(coordination, "_require_spec_within_plant", counted)
+    cases = collections.Counter()
+    for seed in range(600):
+        rng = random.Random(f"within/{seed}")
+        k, g1, g2, gk, _ = (mixed_instance(rng) if seed % 2 else
+                            distributed_instance(
+                                rng, require_preconditions=False))
+        within = spec_within_plant(k, g1, g2, gk).holds
+        for check, reference in (
+                (is_conditionally_controllable,
+                 reference_conditionally_controllable),
+                (synthesize_supervisors, reference_synthesize_supervisors)):
+            walks.clear()
+            outcome = precondition_outcome(check, k, g1, g2, gk)
+            assert outcome == precondition_outcome(
+                reference, k, g1, g2, gk), (seed, check)
+            cases[check.__name__, within, len(walks)] += 1
+    # synthesize_supervisors decides K ⊆ L only once K is conditionally
+    # independent and decomposable, so some K ⊄ L fail before the walk.
+    assert set(cases) == {("is_conditionally_controllable", True, 0),
+                          ("is_conditionally_controllable", False, 1),
+                          ("synthesize_supervisors", True, 0),
+                          ("synthesize_supervisors", False, 1),
+                          ("synthesize_supervisors", False, 0)}, cases
+    assert min(cases.values()) >= 60, cases
 
 
 def test_the_third_ambient_factor_is_the_projected_specification():
@@ -409,8 +455,8 @@ def test_supervisor_synthesis_achieves_the_specification(cell):
 
 
 def test_synthesize_supervisors_builds_each_product_once(cell, monkeypatch):
-    # G_1 ∥ G_2 for conditional independence, G_2 ∥ G_k and then G_1 with
-    # it for K ⊆ L, and one G_i ∥ P_k(K) per side condition.
+    # G_1 ∥ G_2 for conditional independence, G_i ∥ G_k per side for
+    # K ⊆ L, and one G_i ∥ P_k(K) per side condition.
     target = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
     products = counted_calls(monkeypatch, "sync_product")
     synthesize_supervisors(target, cell.g1, cell.g2, cell.gk)

@@ -31,6 +31,7 @@ from descoord.language import SubsetConstruction
 from descoord.oracle import bounded_language
 
 from helpers import (
+    ReferenceSubsetConstruction,
     generators,
     hidden_blow_up,
     is_prefix_closed,
@@ -336,3 +337,63 @@ def test_both_routes_to_a_projection_stop_at_the_subset_limit(monkeypatch):
     assert messages == 2 * [
         "the projection of a 8-state, 22-transition generator onto {a, b} "
         "stopped after 63 subsets, the limit"]
+
+
+class CountedConstruction(SubsetConstruction):
+    """A construction that counts the single-state inputs of ``_intern``."""
+
+    singles = 0
+
+    def _intern(self, states):
+        self.singles += len(states) == 1
+        return super()._intern(states)
+
+
+def built_rows(construction):
+    return [list(row.items()) for row in construction._rows]
+
+
+def test_the_single_state_memo_agrees_with_the_memo_free_closure(
+        monkeypatch):
+    # Each construction, from G and over a coarser one, against the closure
+    # without the memo: the same members in the same order, the same rows,
+    # and past a lowered limit the same ``SubsetLimitError`` message.
+    rng = random.Random(40)
+    cases = Counter()
+    for index in range(600):
+        events = rng.sample("abcdeh", rng.randint(1, 5))
+        alphabet = Alphabet(events, random_controllable(rng, events))
+        g = (empty_generator(alphabet) if index % 12 == 0 else
+             random_generator(rng, alphabet, 6, rng.choice((0.3, 0.5))))
+        coarse_events = [e for e in events if rng.random() < 0.7]
+        target = [e for e in coarse_events if rng.random() < 0.5]
+        coarse, reference_coarse = (kind(g, coarse_events) for kind in (
+            CountedConstruction, ReferenceSubsetConstruction))
+        routes = [(coarse, reference_coarse, None, None)]
+        coarse.generator()
+        reference_coarse.generator()
+        routes.append((CountedConstruction(g, target, coarse),
+                       ReferenceSubsetConstruction(g, target,
+                                                   reference_coarse),
+                       coarse, reference_coarse))
+        for mine, theirs, over, reference_over in routes:
+            mine.generator()
+            theirs.generator()
+            assert mine.members == theirs.members, index
+            assert built_rows(mine) == built_rows(theirs), index
+            cases["memo hits"] += mine.singles > len(mine._single)
+            cases["over" if over else "from G"] += 1
+            limit = len(mine.members) - 1
+            if not limit:
+                continue
+            monkeypatch.setattr(language, "MAX_SUBSETS", limit)
+            messages = []
+            for kind, base in ((CountedConstruction, over),
+                               (ReferenceSubsetConstruction, reference_over)):
+                with pytest.raises(SubsetLimitError) as raised:
+                    kind(g, mine.alphabet.events, base).generator()
+                messages.append(str(raised.value))
+            monkeypatch.undo()
+            assert messages[0] == messages[1], index
+            cases["limit"] += 1
+    assert len(cases) == 4 and min(cases.values()) >= 300, cases
