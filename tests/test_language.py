@@ -367,16 +367,15 @@ def test_the_single_state_memo_agrees_with_the_memo_free_closure(
              random_generator(rng, alphabet, 6, rng.choice((0.3, 0.5))))
         coarse_events = [e for e in events if rng.random() < 0.7]
         target = [e for e in coarse_events if rng.random() < 0.5]
-        coarse, reference_coarse = (kind(g, coarse_events) for kind in (
-            CountedConstruction, ReferenceSubsetConstruction))
-        routes = [(coarse, reference_coarse, None, None)]
+        coarse = CountedConstruction(g, coarse_events)
+        reference_coarse = ReferenceSubsetConstruction(g, coarse_events)
         coarse.generator()
         reference_coarse.generator()
-        routes.append((CountedConstruction(g, target, coarse),
-                       ReferenceSubsetConstruction(g, target,
-                                                   reference_coarse),
-                       coarse, reference_coarse))
-        for mine, theirs, over, reference_over in routes:
+        for mine, theirs, over, reference_over in (
+                (coarse, reference_coarse, None, None),
+                (CountedConstruction(g, target, coarse),
+                 ReferenceSubsetConstruction(g, target, reference_coarse),
+                 coarse, reference_coarse)):
             mine.generator()
             theirs.generator()
             assert mine.members == theirs.members, index
