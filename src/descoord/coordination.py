@@ -14,6 +14,7 @@ from .automata import (
     Generator,
     PropertyReport,
     _word,
+    intersect,
     reachable_events,
     union_alphabets,
 )
@@ -151,7 +152,7 @@ def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
               event in p2k.alphabet.events)
              for event in k.alphabet.sorted_events]
     rows, row1_of, row2_of = k.rows, p1k.row, p2k.row
-    built1, built2 = p1k._rows, p2k._rows
+    built1, built2 = p1k.built, p2k.built
     verdicts = ("word is in the product of the projections but not in the "
                 "specification", "specification is conditionally decomposable")
     nodes = [(0, 0, 0)]
@@ -188,15 +189,21 @@ def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
 
 
 def _require_parts_within_plant(k: Generator, g1: Generator, g2: Generator,
-                                gk: Generator, parts) -> None:
-    """K ⊆ L(G_1 ∥ G_2 ∥ G_k), decided on ``parts``, the generators of
-    P_k(K), P_{1+k}(K) and P_{2+k}(K), as P_{i+k}(K) ⊆ L(G_i ∥ G_k) for
-    i = 1, 2.  It is exact: E_i, E_k ⊆ E_{i+k}, so P_i(s) and P_k(s) are
-    projections of P_{i+k}(s).  Only where an inclusion fails is K walked
-    against the plant, for the shortest word of K outside L."""
-    _, p1k, p2k = parts
-    if not all(language_subset(pik, sync_product(g, gk)).holds
-               for pik, g in ((p1k, g1), (p2k, g2))):
+                                gk: Generator, tables) -> None:
+    """K ⊆ L(G_1 ∥ G_2 ∥ G_k), exactly as P_{i+k}(K) ⊆ L(G_i ∥ G_k) for
+    i = 1, 2 (E_i, E_k ⊆ E_{i+k}) on ``tables``, the row tables of
+    P_{1+k}(K) and P_{2+k}(K), walked up to a first step outside.  Where
+    one fails, or passes the subset limit, K is walked against the plant
+    for the shortest word of K outside L."""
+    try:
+        holds = all(
+            not (plant := sync_product(g, gk)).recognizes_empty_language
+            and intersect(plant.rows, table, plant.alphabet.events)[2] is None
+            for table, g in zip(tables, (g1, g2)))
+    except SubsetLimitError:
+        _require_spec_within_plant(k, g1, g2, gk)
+        raise
+    if not holds:
         _require_spec_within_plant(k, g1, g2, gk)
 
 
@@ -216,19 +223,14 @@ def is_conditionally_controllable(
     Requires K ⊆ L(G_1 ∥ G_2 ∥ G_k) (``PreconditionError`` with the
     witness word), for under it the third factor of (ii.a) is P_k(K):
     each P_k(s), s in K, has the preimage P_{2+k}(s) in L(G_2) ∥ P_k(K).
-    So side i is checked against L(G_i) ∥ P_k(K).  The inclusion is
-    decided on the projections, built first, so a failing K pays for
-    them before its witness walk, which also runs before a
-    ``SubsetLimitError`` is raised."""
+    So side i is checked against L(G_i) ∥ P_k(K).  A failing K pays for
+    its projections' subsets up to the first step outside the plant."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
-    try:
-        parts = _projected_parts(k, scheme, _constructions(k, scheme))
-    except SubsetLimitError:
-        _require_spec_within_plant(k, g1, g2, gk)
-        raise
+    parts = _constructions(k, scheme)
     _require_parts_within_plant(k, g1, g2, gk, parts)
-    return _conditionally_controllable(g1, g2, gk, parts)
+    return _conditionally_controllable(
+        g1, g2, gk, _projected_parts(k, scheme, parts))
 
 
 def _conditionally_controllable(
@@ -266,8 +268,8 @@ def synthesize_supervisors(
     _require(conditionally_independent(g1, g2, gk),
              "subsystems are not conditionally independent given the "
              "coordinator")
-    supervisors = _decomposed(k, scheme)
-    _require_parts_within_plant(k, g1, g2, gk, supervisors)
+    _, p1k, p2k = supervisors = _decomposed(k, scheme)
+    _require_parts_within_plant(k, g1, g2, gk, (p1k.rows, p2k.rows))
     report = _conditionally_controllable(g1, g2, gk, supervisors)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "

@@ -136,11 +136,12 @@ class SubsetConstruction:
     it goes; a new subset keeps them until a walk first expands it, when
     they become its row, its steps on every target event, kept so that
     walks over one construction share their work and one that stops early
-    leaves the rest unbuilt.  Onto no events, the one subset is all of G's
-    states (each is reachable), with no step.  An empty G's dead state is
-    one subset with no step as well, and ``generator`` carries G's
-    empty-language flag.  Interning a subset past ``MAX_SUBSETS`` raises
-    ``SubsetLimitError``.
+    leaves the rest unbuilt.  ``built`` holds the rows built, else None;
+    indexing by a subset's id gives its ``row``.  Onto no events, the
+    one subset is all of G's states (each is reachable), with no step.
+    An empty G's dead state is one subset with no step as well, and
+    ``generator`` carries G's empty-language flag.  Interning a subset
+    past ``MAX_SUBSETS`` raises ``SubsetLimitError``.
 
     ``_over``, a construction of G onto a superset of ``events`` whose
     every row is built, gives the same construction without reading G's
@@ -156,20 +157,19 @@ class SubsetConstruction:
         self.g = g
         self.alphabet = g.alphabet.restrict(events)
         base = g if _over is None else _over
-        self._graph = g.rows if _over is None else _over._rows
+        self._graph = g.rows if _over is None else _over.built
         self._parts = None if _over is None else _over.members
         self._hidden = base.alphabet.events - self.alphabet.events
         self.members: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
-        self._rows: list[dict[str, int] | None] = []
+        self.built: list[dict[str, int] | None] = []
         self._steps: list[dict[str, list[int]] | None] = []
         self._single: dict[int, int] = {}
         self._intern([0])
 
     def _intern(self, states: list[int]) -> int:
-        """The id of the hidden-event closure of ``states``.  Nearly every
-        subset reached again is one state's closure, so that of a single
-        state is memoized by the state."""
+        """The id of the hidden-event closure of ``states``, memoized for
+        a single state: nearly every subset reached again is its closure."""
         single = states[0] if len(states) == 1 else None
         if (found := self._single.get(single)) is not None:
             return found
@@ -179,11 +179,10 @@ class SubsetConstruction:
         stepped: dict[str, list[int]] = {}
         for state in queue:
             for event, nxt in rows[state].items():
-                if event not in hidden:
-                    if event in stepped:
-                        stepped[event].append(nxt)
-                    else:
-                        stepped[event] = [nxt]
+                if event in stepped:
+                    stepped[event].append(nxt)
+                elif event not in hidden:
+                    stepped[event] = [nxt]
                 elif nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -200,7 +199,7 @@ class SubsetConstruction:
                     f"after {len(self.members)} subsets, the limit")
             found = self._ids[subset] = len(self.members)
             self.members.append(subset)
-            self._rows.append(None)
+            self.built.append(None)
             self._steps.append(stepped)
         if single is not None:
             self._single[single] = found
@@ -209,18 +208,19 @@ class SubsetConstruction:
     def row(self, subset: int) -> dict[str, int]:
         """The steps of ``subset``: each target event some member moves on,
         in sorted order, mapped to the subset it reaches."""
-        row = self._rows[subset]
+        row = self.built[subset]
         if row is None:
             stepped, self._steps[subset] = self._steps[subset], None
-            row = self._rows[subset] = {event: self._intern(stepped[event])
+            row = self.built[subset] = {event: self._intern(stepped[event])
                                         for event in sorted(stepped)}
         return row
+
+    __getitem__ = row
 
     def generator(self) -> Generator:
         """P(L(G)) as a generator: the search over the whole construction,
         its subsets numbered in canonical state order."""
-        row = self.row
-        rows = search(0, lambda subset: row(subset).items())[1]
+        rows = search(0, lambda subset: self[subset].items())[1]
         return Generator(self.alphabet, rows, self.g.recognizes_empty_language)
 
 

@@ -359,7 +359,7 @@ class ReferenceSubsetConstruction(SubsetConstruction):
                     f"after {len(self.members)} subsets, the limit")
             found = self._ids[subset] = len(self.members)
             self.members.append(subset)
-            self._rows.append(None)
+            self.built.append(None)
             self._steps.append(stepped)
         return found
 

@@ -44,6 +44,7 @@ from helpers import (
     collect_instances,
     decomposable_spec,
     distributed_instance,
+    hidden_blow_up,
     lang,
     language_union,
     mixed_instance,
@@ -409,6 +410,47 @@ def test_k_within_the_plant_is_decided_as_the_plant_walk_decides_it(
                           ("synthesize_supervisors", False, 1),
                           ("synthesize_supervisors", False, 0)}, cases
     assert min(cases.values()) >= 60, cases
+
+
+def test_a_spec_outside_the_plant_builds_its_projections_to_the_witness(
+        monkeypatch):
+    # P_{1+k}(K) of hidden_blow_up(12) has 2^12 subsets, and G_1 refuses
+    # its first step a: the inclusion walk stops there, having built two
+    # subsets of P_{1+k}(K) and only the start of P_{2+k}(K), and the
+    # plant walk gives the witness.
+    constructions = []
+
+    class Recorded(SubsetConstruction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            constructions.append(self)
+
+    monkeypatch.setattr(coordination, "SubsetConstruction", Recorded)
+    ab = Alphabet({"a", "b"}, {"a", "b"})
+    with pytest.raises(PreconditionError) as raised:
+        is_conditionally_controllable(
+            hidden_blow_up(12), from_words(ab, ["b"]),
+            universal_generator(Alphabet({"a", "b", "h"}, {"a", "b", "h"})),
+            universal_generator(ab))
+    assert raised.value.report.counterexample == ("a",)
+    assert [len(c.members) for c in constructions] == [2, 1]
+
+
+def test_an_empty_plant_contains_no_spec_of_the_empty_word():
+    # K = {ε} takes no step, nor do its projections, so only G_1 ∥ G_k's
+    # empty flag shows the inclusion walk that ε lies outside L.
+    ab = Alphabet({"a", "b"}, {"a", "b"})
+    k, g1, g2, gk = (from_words(ab, [""]),
+                     empty_generator(Alphabet({"a"}, {"a"})),
+                     universal_generator(Alphabet({"b"}, {"b"})),
+                     universal_generator(ab))
+    for check, reference in (
+            (is_conditionally_controllable,
+             reference_conditionally_controllable),
+            (synthesize_supervisors, reference_synthesize_supervisors)):
+        outcome = precondition_outcome(check, k, g1, g2, gk)
+        assert outcome == precondition_outcome(reference, k, g1, g2, gk)
+        assert outcome[1].counterexample == ()
 
 
 def test_the_third_ambient_factor_is_the_projected_specification():

@@ -350,7 +350,7 @@ class CountedConstruction(SubsetConstruction):
 
 
 def built_rows(construction):
-    return [list(row.items()) for row in construction._rows]
+    return [list(row.items()) for row in construction.built]
 
 
 def test_the_single_state_memo_agrees_with_the_memo_free_closure(
