@@ -16,7 +16,6 @@ All values are immutable and safe to share across threads.
 
 from collections import deque
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -63,17 +62,49 @@ def _require_events(alphabet: "Alphabet", word: Word) -> None:
             raise ValidationError(f"event {event!r} not in the alphabet")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """An immutable value whose fields are the parameters of its class's
+    ``__init__``, in order, which sets them once with ``_set``.  Its
+    ``repr`` is ``Name(field=value, ...)``; two values of one class are
+    equal when their fields are, and hash as their fields.  Assigning or
+    deleting any attribute raises ``AttributeError``.  A ``cached_property``
+    still works: it writes the instance ``__dict__`` directly."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Alphabet(_Record):
     """An event set split into controllable and uncontrollable events."""
 
-    events: frozenset[str]
-    controllable: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", _event_names(self.events))
-        object.__setattr__(self, "controllable",
-                           _event_names(self.controllable))
+    def __init__(self, events: Iterable[str], controllable: Iterable[str]):
+        self._set(_event_names(events), _event_names(controllable))
         extra = self.controllable - self.events
         if extra:
             raise ValidationError(
@@ -112,17 +143,14 @@ def union_alphabets(*alphabets: Alphabet) -> Alphabet:
     return Alphabet(controllable | uncontrollable, controllable)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Verdict of a decidable check, with a witness when it fails."""
 
-    holds: bool
-    counterexample: Word | None = None
-    detail: str = ""
-
-    def __post_init__(self):
-        if not self.holds and self.counterexample is None:
+    def __init__(self, holds: bool, counterexample: Word | None = None,
+                 detail: str = ""):
+        if not holds and counterexample is None:
             raise ValidationError("failing report requires a counterexample")
+        self._set(holds, counterexample, detail)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -136,8 +164,7 @@ class PropertyReport:
                 else cls(False, word, failed))
 
 
-@dataclass(frozen=True, eq=False)
-class Generator:
+class Generator(_Record):
     """A deterministic finite-state generator.
 
     States are canonical dense integers: every state is reachable, state 0
@@ -146,20 +173,21 @@ class Generator:
     more: no state name, operand pair or subset it was built from is kept.
     ``rows[q]`` maps each event defined at state ``q``, in sorted order, to
     its target; rows are made read-only here.  Do not instantiate directly;
-    use ``make_generator`` or the other public constructors.
+    use ``make_generator`` or the other public constructors.  Two
+    generators are equal only when they are one object.
     """
 
-    alphabet: Alphabet
-    rows: tuple[Mapping[str, int], ...]
-    recognizes_empty_language: bool = False
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        rows = self.rows
+    def __init__(self, alphabet: Alphabet,
+                 rows: Iterable[Mapping[str, int]],
+                 recognizes_empty_language: bool = False):
         # Another generator's rows, a tuple of read-only rows, are kept.
         if (type(rows) is not tuple
                 or set(map(type, rows)) != {MappingProxyType}):
             rows = map(MappingProxyType, rows)
-        object.__setattr__(self, "rows", tuple(rows))
+        self._set(alphabet, tuple(rows), recognizes_empty_language)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:

@@ -3,7 +3,7 @@ syntheses, emit reports and counterexamples in stable formats.
 
 Exit codes: 0 when every requested check holds (or the synthesis
 succeeded), 1 when a check failed and a counterexample was printed, 2 for
-usage, parse or resolution errors.
+usage, parse or resolution errors and when the host runs out of memory.
 
 File formats (JSON, UTF-8, no comments):
 
@@ -32,7 +32,6 @@ import gc
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from pathlib import Path
 from types import MappingProxyType
@@ -42,6 +41,7 @@ from .automata import (
     Alphabet,
     Generator,
     PropertyReport,
+    _Record,
     _canonicalize,
     _validated,
     empty_generator,
@@ -67,12 +67,6 @@ from .language import (
     _plant,
     project as project_generator,
     sync_product,
-)
-from .oracle import (
-    bounded_language,
-    bounded_projection,
-    brute_product,
-    brute_sup_c,
 )
 from .synthesis import is_controllable, sup_c
 
@@ -216,10 +210,10 @@ class Coordination(NamedTuple):
     ek: Alphabet | None
 
 
-@dataclass(frozen=True)
-class ProjectFile:
-    generators: MappingProxyType[str, Generator]
-    coordination: Coordination | None
+class ProjectFile(_Record):
+    def __init__(self, generators: MappingProxyType[str, Generator],
+                 coordination: Coordination | None):
+        self._set(generators, coordination)
 
 
 def _object(path: Path, pairs: list) -> dict:
@@ -435,7 +429,8 @@ def emit_report(name: str, report: PropertyReport, json_mode: bool) -> None:
 
 # ---------------------------------------------------------------------------
 # oracle cross-checks (--oracle-bound): each returns (what, oracle,
-# consistent) for ``_oracle_note`` to print
+# consistent) for ``_oracle_note`` to print, and each imports the oracle
+# itself, so that no other command loads it
 
 def _oracle_note(what: str, oracle: str, consistent: bool, bound: int,
                  json_mode: bool) -> bool:
@@ -457,6 +452,7 @@ def _agrees(report: PropertyReport, bound: int, violated: bool) -> bool:
 
 
 def _oracle_controllability(k, plant, report, bound):
+    from .oracle import bounded_language
     kw = bounded_language(k, bound)
     lw = bounded_language(plant, bound)
     eu = k.alphabet.uncontrollable
@@ -467,6 +463,7 @@ def _oracle_controllability(k, plant, report, bound):
 
 
 def _oracle_conddec(k, scheme, report, bound):
+    from .oracle import bounded_language, bounded_projection, brute_product
     kw = bounded_language(k, bound)
     p1k, p2k, pk = (bounded_projection(k, alphabet.events, bound)
                     for alphabet in (scheme.e1k, scheme.e2k, scheme.ek))
@@ -479,6 +476,7 @@ def _oracle_conddec(k, scheme, report, bound):
 
 
 def _oracle_supc(k, plant, result, bound):
+    from .oracle import bounded_language, brute_sup_c
     eu = k.alphabet.uncontrollable
     kw = bounded_language(k, bound)
     lw = bounded_language(plant, bound + 1)
@@ -488,6 +486,7 @@ def _oracle_supc(k, plant, result, bound):
 
 
 def _oracle_supcc(result, bound):
+    from .oracle import bounded_language, brute_product
     # sup_k, sup_1k and sup_2k are over E_k, E_{1+k} and E_{2+k}.
     ek, e1k, e2k = (g.alphabet.events
                     for g in (result.sup_k, result.sup_1k, result.sup_2k))
@@ -716,6 +715,11 @@ def main(argv=None) -> int:
     except (DescoordError, OSError) as exc:
         # OSError: an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # An exhausted host is not a failed check (exit 1).
+        print("error: out of memory: the automata built outgrew the host",
+              file=sys.stderr)
         return 2
     finally:
         if enabled:

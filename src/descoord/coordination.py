@@ -7,12 +7,11 @@ specification lives over E = E_1 ∪ E_2 ∪ E_k and talks to the subsystems
 only through its projections onto E_k, E_{1+k} and E_{2+k}.
 """
 
-from dataclasses import dataclass
-
 from .automata import (
     Alphabet,
     Generator,
     PropertyReport,
+    _Record,
     _word,
     intersect,
     reachable_events,
@@ -34,13 +33,13 @@ from .structural import is_observer, is_occ
 from .synthesis import is_controllable, sup_c
 
 
-@dataclass(frozen=True)
-class ConditionalControllabilityReport:
+class ConditionalControllabilityReport(_Record):
     """The three-part conditional-controllability verdict."""
 
-    condition_i: PropertyReport
-    condition_iia: PropertyReport
-    condition_iib: PropertyReport
+    def __init__(self, condition_i: PropertyReport,
+                 condition_iia: PropertyReport,
+                 condition_iib: PropertyReport):
+        self._set(condition_i, condition_iia, condition_iib)
 
     @property
     def holds(self) -> bool:
@@ -58,18 +57,16 @@ class ConditionalControllabilityReport:
         return None
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(_Record):
     """Output of the distributed supremal synthesis: the coordinator part,
     the two subsystem parts, and their synchronous product.  ``certified``
     is False when the observer/OCC preconditions were overridden, in which
     case the composition is still well-defined but not certified supremal."""
 
-    sup_k: Generator
-    sup_1k: Generator
-    sup_2k: Generator
-    composed: Generator
-    certified: bool = True
+    def __init__(self, sup_k: Generator, sup_1k: Generator,
+                 sup_2k: Generator, composed: Generator,
+                 certified: bool = True):
+        self._set(sup_k, sup_1k, sup_2k, composed, certified)
 
 
 def _require(report: PropertyReport, what: str) -> None:

@@ -18,7 +18,6 @@ subset is a breadth-first loop of its own.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import (
@@ -26,6 +25,7 @@ from .automata import (
     Alphabet,
     Generator,
     PropertyReport,
+    _Record,
     empty_generator,
     intersect,
     search,
@@ -41,18 +41,14 @@ from .errors import AlphabetMismatchError, SubsetLimitError
 MAX_SUBSETS = 1 << 18
 
 
-@dataclass(frozen=True)
-class CoordinationScheme:
+class CoordinationScheme(_Record):
     """The event-set triple (E_1, E_2, E_k) of a coordination architecture,
     with the derived sets E_{1+k}, E_{2+k} and E = E_1 ∪ E_2 ∪ E_k."""
 
-    e1: Alphabet
-    e2: Alphabet
-    ek: Alphabet
-
-    def __post_init__(self):
+    def __init__(self, e1: Alphabet, e2: Alphabet, ek: Alphabet):
+        self._set(e1, e2, ek)
         # Raises on any controllability disagreement between the three.
-        union_alphabets(self.e1, self.e2, self.ek)
+        union_alphabets(e1, e2, ek)
 
     @cached_property
     def e1k(self) -> Alphabet:
@@ -210,9 +206,12 @@ class SubsetConstruction:
         in sorted order, mapped to the subset it reaches."""
         row = self.built[subset]
         if row is None:
-            stepped, self._steps[subset] = self._steps[subset], None
+            # The steps are kept until the row is built, so that a row cut
+            # short by ``SubsetLimitError`` can be built again.
+            stepped = self._steps[subset]
             row = self.built[subset] = {event: self._intern(stepped[event])
                                         for event in sorted(stepped)}
+            self._steps[subset] = None
         return row
 
     __getitem__ = row

@@ -8,6 +8,7 @@ import json
 import pkgutil
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -104,14 +105,17 @@ def test_alphabet_rejects_malformed_event_collections(build):
         build()
 
 
-def package_dataclasses() -> set[type]:
-    """Every dataclass defined in a module of the ``descoord`` package."""
+def package_records() -> set[type]:
+    """Every record class defined in a module of the ``descoord`` package:
+    each subclass of its immutable-record base, and any dataclass."""
     found = set()
     for info in pkgutil.iter_modules(descoord.__path__):
         module = importlib.import_module(f"descoord.{info.name}")
         found.update(value for value in vars(module).values()
                      if inspect.isclass(value)
-                     and dataclasses.is_dataclass(value)
+                     and (issubclass(value, automata._Record)
+                          or dataclasses.is_dataclass(value))
+                     and value is not automata._Record
                      and value.__module__ == module.__name__)
     return found
 
@@ -143,12 +147,50 @@ def test_generators_are_immutable(cell, tmp_path):
     values = (g, cell.e1, report,
               ConditionalControllabilityReport(report, report, report),
               SynthesisResult(g, g, g, g), cell.scheme, project)
-    # One value of every dataclass of the package, so a new one joins.
-    assert {type(value) for value in values} == package_dataclasses()
+    # One value of every record class of the package, so a new one joins.
+    assert {type(value) for value in values} == package_records()
+    assert len(values) == 7
     for value in values:
-        for field in dataclasses.fields(value):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, field.name, getattr(value, field.name))
+        # The fields are the constructor's parameters, in order.
+        fields = list(inspect.signature(type(value)).parameters)
+        assert fields
+        for name in fields:
+            field = getattr(value, name)
+            for change in (partial(setattr, value, name, field),
+                           partial(delattr, value, name)):
+                with pytest.raises(AttributeError,
+                                   match=re.escape(repr(name))) as raised:
+                    change()
+                assert type(raised.value) is AttributeError
+            assert getattr(value, name) is field
+
+
+def test_records_compare_hash_and_print_by_their_fields(cell):
+    # A record equals a record of its own class whose fields are equal,
+    # hashes as its fields and prints them; a generator equals only itself.
+    report = PropertyReport(False, ("a",), "x")
+    assert repr(report) == ("PropertyReport(holds=False, "
+                            "counterexample=('a',), detail='x')")
+    assert report == PropertyReport(False, counterexample=("a",), detail="x")
+    assert hash(report) == hash(PropertyReport(False, ("a",), "x"))
+    assert report != PropertyReport(False, ("a",), "y")
+    assert report != (False, ("a",), "x")
+
+    class Subclass(PropertyReport):
+        pass
+
+    assert report != Subclass(False, ("a",), "x")
+    alphabet = Alphabet(sorted(cell.e1.events), cell.e1.controllable)
+    assert alphabet == cell.e1 and hash(alphabet) == hash(cell.e1)
+    g = universal_generator(Alphabet({"a"}, {"a"}))
+    assert repr(g) == (
+        "Generator(alphabet=Alphabet(events=frozenset({'a'}), "
+        "controllable=frozenset({'a'})), rows=(mappingproxy({'a': 0}),), "
+        "recognizes_empty_language=False)")
+    twin = descoord.Generator(g.alphabet, g.rows)
+    assert g == g and g != twin and len({g, twin}) == 2
+    assert hash(g) == object.__hash__(g)
+    assert g.labels is g.labels == ("q0",)
 
 
 ALPHABETS = st.lists(

@@ -3,7 +3,6 @@
 import argparse
 import collections
 import contextlib
-import dataclasses
 import gc
 import io
 import itertools
@@ -22,6 +21,7 @@ import descoord
 from descoord import (
     Alphabet,
     ProjectError,
+    SynthesisResult,
     automata,
     cli,
     coordination,
@@ -880,8 +880,8 @@ def test_the_supcc_oracle_compares_composed_with_the_three_way_product(
     # The oracle reads E_k, E_{1+k} and E_{2+k} off the three parts, so a
     # composed generator that is not their product reads MISMATCH.
     result = sup_cc(cell.k, cell.g1, cell.g2, cell.gk, force=True)
-    wrong = dataclasses.replace(result,
-                                composed=universal_generator(cell.full))
+    wrong = SynthesisResult(result.sup_k, result.sup_1k, result.sup_2k,
+                            universal_generator(cell.full), result.certified)
     for given_result, verdict in ((result, "consistent"),
                                   (wrong, "MISMATCH")):
         consistent = verdict == "consistent"
@@ -1762,6 +1762,58 @@ def test_the_cli_module_runs_under_warnings_as_errors(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: ")
+
+
+def test_a_desc_import_loads_only_what_it_runs(tmp_path, cell):
+    # Against the modules of the bare interpreter the child starts as: no
+    # code generation (``dataclasses`` and what it brings) and no oracle,
+    # which only an ``--oracle-bound`` run loads.
+    project = write_project(tmp_path, cell)
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import descoord.cli\n"
+        "new = set(sys.modules) - before\n"
+        "assert 'descoord.cli' in new, sorted(new)\n"
+        "unwanted = {'dataclasses', 'inspect', 'ast', 'descoord.oracle'}\n"
+        "assert not new & unwanted, sorted(new & unwanted)\n"
+        "code = descoord.cli.main(['check', 'conddec', '-p', sys.argv[1],\n"
+        "                          '--oracle-bound', '3'])\n"
+        "assert 'descoord.oracle' in sys.modules\n"
+        "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, str(project)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == (
+        "[ORACLE] conditional decomposability at bound 3: consistent")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "-o", "out.json", "g1", "g2"],
+    ["synth", "supc", "-o", "out"],
+    ["check", "controllability"],
+], ids=["compose", "synth-supc", "check-controllability"])
+def test_an_exhausted_host_exits_2_with_one_line(tmp_path, cell, capsys,
+                                                 monkeypatch, argv):
+    # A product that outgrows memory is not a failed check (exit 1).
+    project = write_project(tmp_path, cell)
+    monkeypatch.chdir(tmp_path)
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(language, "intersect", exhausted)
+    assert main([*argv, "-p", str(project)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: out of memory: the automata built outgrew the "
+                   "host\n")
+    assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "out" / "supc.json").exists()
 
 
 def json_nodes(doc, path=()):

@@ -268,6 +268,27 @@ def test_a_projection_stops_at_the_subset_limit(monkeypatch):
         "stopped after 63 subsets, the limit")
 
 
+def test_a_subset_construction_resumes_after_the_subset_limit(monkeypatch):
+    # The row cut short by the limit keeps its steps: built again, it
+    # stops at the limit again, and with the limit restored the
+    # construction completes as a fresh one does.
+    g = hidden_blow_up(6)
+    monkeypatch.setattr(language, "MAX_SUBSETS", 5)
+    construction = SubsetConstruction(g, {"a", "b"})
+    with pytest.raises(SubsetLimitError):
+        construction.generator()
+    cut = construction.built.index(None)
+    with pytest.raises(SubsetLimitError):
+        construction.row(cut)
+    monkeypatch.undo()
+    resumed = construction.generator()
+    fresh = SubsetConstruction(g, {"a", "b"})
+    assert fresh.generator().rows == resumed.rows
+    assert construction.members == fresh.members
+    assert construction.built == fresh.built
+    assert len(fresh.members) == 64
+
+
 def hidden_cycle(rows, hidden) -> bool:
     """Whether some state of the row table ``rows`` returns to itself
     along ``hidden`` events."""
