@@ -505,7 +505,7 @@ def _oracle_supcc(result, bound):
 # them (None when there is none)
 
 def cmd_check(args, project):
-    k, g1, g2, gk, decomposable = resolve_coordination(project)
+    k, g1, g2, gk, _ = resolve_coordination(project)
     reports: list[tuple[str, PropertyReport]] = []
     oracle = None
 
@@ -516,8 +516,7 @@ def cmd_check(args, project):
         oracle = partial(_oracle_controllability, k, plant, report)
     elif args.which == "conddec":
         scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
-        report = (conditionally_decomposable(k, scheme)
-                  if decomposable is None else decomposable)
+        report = conditionally_decomposable(k, scheme)
         reports.append(("conditional decomposability", report))
         oracle = partial(_oracle_conddec, k, scheme, report)
     elif args.which == "condindep":

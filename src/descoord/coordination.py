@@ -7,6 +7,8 @@ specification lives over E = E_1 ∪ E_2 ∪ E_k and talks to the subsystems
 only through its projections onto E_k, E_{1+k} and E_{2+k}.
 """
 
+import weakref
+
 from .automata import (
     Alphabet,
     Generator,
@@ -95,10 +97,26 @@ def conditionally_independent(g1: Generator, g2: Generator,
         "subsystems are conditionally independent given the coordinator")
 
 
+# For each live K, its last pair of subset constructions of P_{1+k}(K) and
+# P_{2+k}(K) built in full, which is only read, so threads share it.
+_kept = weakref.WeakKeyDictionary()
+
+
 def _constructions(k: Generator, scheme: CoordinationScheme):
-    """The subset constructions of P_{1+k}(K) and P_{2+k}(K)."""
-    return (SubsetConstruction(k, scheme.e1k.events),
-            SubsetConstruction(k, scheme.e2k.events))
+    """The subset constructions of P_{1+k}(K) and P_{2+k}(K), K's kept pair
+    if built onto these event sets, and K's decomposability report under
+    them, None until decided."""
+    targets = (scheme.e1k.events, scheme.e2k.events)
+    kept = _kept.get(k)
+    if kept is not None and kept[0] == targets:
+        return kept[1:]
+    return tuple(SubsetConstruction(k, events) for events in targets), None
+
+
+def _keep(k: Generator, parts, report: PropertyReport | None) -> None:
+    """Keep ``parts`` and ``report`` for K if both parts are finished."""
+    if all(part.finish() for part in parts):
+        _kept[k] = tuple(part.alphabet.events for part in parts), parts, report
 
 
 def _projected_parts(k: Generator, scheme: CoordinationScheme, parts):
@@ -115,13 +133,11 @@ def _projected_parts(k: Generator, scheme: CoordinationScheme, parts):
 def _decomposed(k: Generator, scheme: CoordinationScheme):
     """The generators of P_k(K), P_{1+k}(K) and P_{2+k}(K) for a K over E
     that must be conditionally decomposable.  The generators are built
-    from the subset constructions the decomposability walk took its steps
-    in, so no step is taken twice."""
-    _check_spec_alphabet(k, scheme)
-    parts = _constructions(k, scheme)
-    _require(_decomposable(k, *parts),
+    from the subset constructions its holding walk built in full and kept,
+    so no step is taken twice and a decided K is not walked again."""
+    _require(conditionally_decomposable(k, scheme),
              "specification is not conditionally decomposable")
-    return _projected_parts(k, scheme, parts)
+    return _projected_parts(k, scheme, _constructions(k, scheme)[0])
 
 
 def conditionally_decomposable(k: Generator,
@@ -129,9 +145,14 @@ def conditionally_decomposable(k: Generator,
     """Does K equal P_{1+k}(K) ∥ P_{2+k}(K) ∥ P_k(K)?  K is always
     contained in that product, so a counterexample is a word of the
     product outside K.  The factor P_k(K) is implied and not built: as
-    E_k ⊆ E_{1+k}, P_{1+k}(w) = P_{1+k}(s) gives P_k(w) = P_k(s)."""
+    E_k ⊆ E_{1+k}, P_{1+k}(w) = P_{1+k}(s) gives P_k(w) = P_k(s).  The
+    report is kept with K's finished pair, and a repeated call returns it."""
     _check_spec_alphabet(k, scheme)
-    return _decomposable(k, *_constructions(k, scheme))
+    parts, report = _constructions(k, scheme)
+    if report is None:
+        report = _decomposable(k, *parts)
+        _keep(k, parts, report)
+    return report
 
 
 def _decomposable(k: Generator, p1k, p2k) -> PropertyReport:
@@ -224,10 +245,11 @@ def is_conditionally_controllable(
     its projections' subsets up to the first step outside the plant."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
-    parts = _constructions(k, scheme)
+    parts, report = _constructions(k, scheme)
     _require_parts_within_plant(k, g1, g2, gk, parts)
-    return _conditionally_controllable(
-        g1, g2, gk, _projected_parts(k, scheme, parts))
+    projected = _projected_parts(k, scheme, parts)
+    _keep(k, parts, report)
+    return _conditionally_controllable(g1, g2, gk, projected)
 
 
 def _conditionally_controllable(

@@ -137,7 +137,8 @@ class SubsetConstruction:
     one subset is all of G's states (each is reachable), with no step.
     An empty G's dead state is one subset with no step as well, and
     ``generator`` carries G's empty-language flag.  Interning a subset
-    past ``MAX_SUBSETS`` raises ``SubsetLimitError``.
+    past ``MAX_SUBSETS`` raises ``SubsetLimitError``.  G's rows and flag
+    are kept, not G, so a construction never keeps G alive.
 
     ``_over``, a construction of G onto a superset of ``events`` whose
     every row is built, gives the same construction without reading G's
@@ -150,8 +151,8 @@ class SubsetConstruction:
 
     def __init__(self, g: Generator, events: Iterable[str],
                  _over: "SubsetConstruction | None" = None):
-        self.g = g
         self.alphabet = g.alphabet.restrict(events)
+        self._rows, self._empty = g.rows, g.recognizes_empty_language
         base = g if _over is None else _over
         self._graph = g.rows if _over is None else _over.built
         self._parts = None if _over is None else _over.members
@@ -189,8 +190,8 @@ class SubsetConstruction:
         if found is None:
             if len(self.members) >= MAX_SUBSETS:
                 raise SubsetLimitError(
-                    f"the projection of a {self.g.num_states}-state, "
-                    f"{self.g.num_transitions}-transition generator onto "
+                    f"the projection of a {len(self._rows)}-state, "
+                    f"{sum(map(len, self._rows))}-transition generator onto "
                     f"{{{', '.join(self.alphabet.sorted_events)}}} stopped "
                     f"after {len(self.members)} subsets, the limit")
             found = self._ids[subset] = len(self.members)
@@ -216,11 +217,18 @@ class SubsetConstruction:
 
     __getitem__ = row
 
+    def finish(self) -> bool:
+        """Whether every row is built.  Nothing is interned after that, so
+        a finished construction lets go of what only interning reads."""
+        if finished := None not in self.built:
+            self._ids = self._single = self._steps = None
+        return finished
+
     def generator(self) -> Generator:
         """P(L(G)) as a generator: the search over the whole construction,
         its subsets numbered in canonical state order."""
         rows = search(0, lambda subset: self[subset].items())[1]
-        return Generator(self.alphabet, rows, self.g.recognizes_empty_language)
+        return Generator(self.alphabet, rows, self._empty)
 
 
 def project(g: Generator, events: Iterable[str]) -> Generator:

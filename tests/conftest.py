@@ -13,7 +13,7 @@ from descoord import (
     from_words,
     union_alphabets,
 )
-from descoord import cli
+from descoord import cli, coordination
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,11 @@ class Workcell:
 
 @pytest.fixture(autouse=True)
 def no_kept_project():
-    """Start each test with no project kept by ``load_project``, so that
-    the order of the tests cannot change what one of them reads or builds."""
+    """Start each test with no project kept by ``load_project`` and no
+    subset constructions kept for a specification, so that the order of
+    the tests cannot change what one of them reads or builds."""
     cli._last = None
+    coordination._kept.clear()
 
 
 @pytest.fixture(scope="session")

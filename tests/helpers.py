@@ -353,8 +353,8 @@ class ReferenceSubsetConstruction(SubsetConstruction):
         if found is None:
             if len(self.members) >= language.MAX_SUBSETS:
                 raise SubsetLimitError(
-                    f"the projection of a {self.g.num_states}-state, "
-                    f"{self.g.num_transitions}-transition generator onto "
+                    f"the projection of a {len(self._rows)}-state, "
+                    f"{sum(map(len, self._rows))}-transition generator onto "
                     f"{{{', '.join(self.alphabet.sorted_events)}}} stopped "
                     f"after {len(self.members)} subsets, the limit")
             found = self._ids[subset] = len(self.members)

@@ -1192,16 +1192,21 @@ def with_named_coordinator(cell, gk, ek) -> dict:
     return doc
 
 
-def every_output(directory, doc, monkeypatch) -> list:
+def every_output(directory, doc, monkeypatch, fresh=False) -> list:
     """Exit code, ``--json`` stdout and written files of every check and
     synthesis on the project ``doc``, run in ``directory`` with relative
-    paths, so that runs in two directories print the same paths."""
+    paths, so that runs in two directories print the same paths.  With
+    ``fresh``, each command starts with nothing kept, as a new process
+    does: no project and no subset constructions."""
     directory.mkdir()
     monkeypatch.chdir(directory)
     (directory / "p.json").write_text(json.dumps(doc), encoding="utf-8")
     outputs = []
     for argv in ([["check", which] for which in cli.CHECKS]
                  + [["synth", mode, "-o", "out"] for mode in cli.SYNTH_MODES]):
+        if fresh:
+            cli._last = None
+            coordination._kept.clear()
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main([*argv, "-p", "p.json", "--json"])
@@ -1226,6 +1231,50 @@ def test_a_named_coordinator_gives_the_outputs_of_the_built_one(
     # controllable, so supervisors writes none.
     assert sorted(built[-1]) == ["composed.json", "sup_1k.json",
                                  "sup_2k.json", "sup_k.json", "supc.json"]
+
+
+@pytest.mark.parametrize("ek", [["a1", "a2", "b1", "b2"], "auto"],
+                         ids=["ek-listed", "ek-auto"])
+def test_commands_in_one_process_print_what_fresh_processes_print(
+        tmp_path, monkeypatch, ek):
+    # In one process each command after the first reads the kept project
+    # and K's kept pair of subset constructions; a new process has neither.
+    k, g1, g2 = buffered_line(20, 3, 3)
+    doc = {
+        "generators": [serialize_generator(g, name) for name, g in
+                       (("g1", g1), ("g2", g2), ("spec", k))],
+        "coordination": {"g1": "g1", "g2": "g2", "spec": "spec", "ek": ek},
+    }
+    kept = every_output(tmp_path / "kept", doc, monkeypatch)
+    assert kept == every_output(tmp_path / "fresh", doc, monkeypatch,
+                                fresh=True)
+    # controllability and condctrl fail, and so synth supervisors.
+    assert [code for _, code, _ in kept[:-1]] == [1, 0, 0, 1, 0, 0, 0,
+                                                  0, 0, 1]
+
+
+@pytest.mark.parametrize("argv", [["check", "conddec"],
+                                  ["synth", "supcc", "-o", "out"],
+                                  ["synth", "supervisors", "-o", "out"]],
+                         ids="-".join)
+def test_auto_ek_decides_each_event_set_once(tmp_path, monkeypatch, argv):
+    # The search decides E_k = ∅ and {a1}, which fail, then {a1, a2}, whose
+    # pair and verdict are kept: the check prints that verdict, and the
+    # syntheses build their projections from that pair without a walk.
+    project = write_line_project(tmp_path, "auto", size=(6, 2, 2))
+    decide = coordination._decomposable
+    walks = []
+
+    def counted(k, p1k, p2k):
+        walks.append((p1k.alphabet.events, p2k.alphabet.events))
+        return decide(k, p1k, p2k)
+
+    monkeypatch.setattr(coordination, "_decomposable", counted)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main([*argv, "-p", str(project)])
+    assert len(set(walks)) == len(walks) == 3
+    assert code == (1 if "supervisors" in argv else 0), stdout.getvalue()
 
 
 @pytest.mark.parametrize("gk_events, ek, message", [

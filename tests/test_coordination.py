@@ -3,16 +3,26 @@ conditional-controllability checks, supervisor synthesis and the
 distributed supremal computation."""
 
 import collections
+import gc
+import os
 import random
+import sys
+import threading
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from descoord import (
     Alphabet,
     AlphabetMismatchError,
     ControllabilityConflictError,
     CoordinationScheme,
+    Generator,
     PreconditionError,
+    SubsetLimitError,
+    SynthesisResult,
     check_optimality_conditions,
     closed_loop,
     conditionally_decomposable,
@@ -212,7 +222,9 @@ def test_a_projection_onto_no_events_is_one_subset_with_no_step():
 def test_decomposability_builds_no_projection_onto_e_k(monkeypatch):
     # P_k(K) is implied by P_{1+k}(K) ∥ P_{2+k}(K), so each decision builds
     # the subset constructions onto E_{1+k} and E_{2+k} only, on its own
-    # and in every step of the coordinator-event search.
+    # and in every step of the coordinator-event search.  The holding
+    # decision keeps its pair, so deciding it again builds nothing: neither
+    # the repeated call nor the search's last step.
     built, decided = [], []
 
     class Recorded(SubsetConstruction):
@@ -223,19 +235,26 @@ def test_decomposability_builds_no_projection_onto_e_k(monkeypatch):
     decide = coordination.conditionally_decomposable
 
     def recorded(k, scheme):
-        decided.append(scheme)
-        return decide(k, scheme)
+        start = len(built)
+        report = decide(k, scheme)
+        decided.append((scheme, built[start:]))
+        return report
 
     monkeypatch.setattr(coordination, "SubsetConstruction", Recorded)
     monkeypatch.setattr(coordination, "conditionally_decomposable", recorded)
     k, g1, g2 = buffered_line(6, 2, 2)
-    for ek in ((), ("a1",), ("a1", "a2")):
+    for ek in ((), ("a1",), ("a1", "a2"), ("a1", "a2")):
         recorded(k, CoordinationScheme(g1.alphabet, g2.alphabet,
                                        k.alphabet.restrict(ek)))
     ek, _ = suggest_coordinator_events(k, g1, g2)
-    assert len(decided) > 4 and decided[-1].ek == ek
-    assert built == [events for scheme in decided
-                     for events in (scheme.e1k.events, scheme.e2k.events)]
+    assert [set(scheme.ek.events) for scheme, _ in decided] == [
+        set(), {"a1"}, {"a1", "a2"}, {"a1", "a2"},
+        set(), {"a1"}, {"a1", "a2"}]
+    assert decided[-1][0].ek == ek
+    assert [bool(pair) for _, pair in decided] == [1, 1, 1, 0, 1, 1, 0]
+    for scheme, pair in decided:
+        assert pair in ([], [scheme.e1k.events, scheme.e2k.events])
+    assert len(built) == 10
 
 
 def test_the_projection_onto_e_k_adds_nothing_to_the_product():
@@ -762,6 +781,178 @@ def test_suggest_returns_the_report_for_the_set_it_chose():
         assert report.holds, seed
         outcomes[ek == k.alphabet] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 50, outcomes
+
+
+# ---------------------------------------------------------------------------
+# the subset constructions kept for a live specification
+
+def line_with_coordinator(size=(20, 3, 3)):
+    """(K∩L, G1, G2, G_k) of the buffered line with the default coordinator
+    over E_k = {a1, a2, b1, b2}."""
+    k, g1, g2 = buffered_line(*size)
+    ek = k.alphabet.restrict({"a1", "a2", "b1", "b2"})
+    return k, g1, g2, default_coordinator(g1, g2, ek)
+
+
+def test_the_series_on_one_spec_builds_one_pair_of_projections(monkeypatch):
+    # The holding conddec walk keeps the pair it finished and its verdict,
+    # and condctrl and sup_cc read them again: each builds only P_k(K),
+    # over one of the pair, and no call walks the inclusion again.
+    built = []
+
+    class Recorded(SubsetConstruction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.alphabet.events)
+
+    monkeypatch.setattr(coordination, "SubsetConstruction", Recorded)
+    walks = []
+    decide = coordination._decomposable
+    monkeypatch.setattr(coordination, "_decomposable",
+                        lambda *args: walks.append(args) or decide(*args))
+    k, g1, g2, gk = line_with_coordinator()
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
+    assert conditionally_decomposable(k, scheme).holds
+    is_conditionally_controllable(k, g1, g2, gk)
+    sup_cc(k, g1, g2, gk, force=True)
+    assert conditionally_decomposable(k, scheme).holds
+    assert built == [scheme.e1k.events, scheme.e2k.events,
+                     scheme.ek.events, scheme.ek.events]
+    assert len(walks) == 1
+
+
+def test_a_kept_pair_lets_its_spec_go():
+    # The pair keeps K's rows, not K, and makes no cycle: with the collector
+    # off, K goes with its last reference, and its kept pair with it.  The
+    # pair lets go of what only interning reads.
+    k, g1, g2, gk = line_with_coordinator()
+    scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        conditionally_decomposable(k, scheme)
+        is_conditionally_controllable(k, g1, g2, gk)
+        sup_cc(k, g1, g2, gk, force=True)
+        (targets, parts, report), = coordination._kept.values()
+        assert targets == (scheme.e1k.events, scheme.e2k.events)
+        assert report.holds
+        assert all(part._ids is part._single is part._steps is None
+                   for part in parts)
+        spec = weakref.ref(k)
+        del k
+        assert spec() is None
+        assert len(coordination._kept) == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_walk_cut_short_keeps_nothing(monkeypatch):
+    # A failing decision stops at its counterexample, and a construction
+    # stops at the subset limit: neither keeps a pair, and with the limit
+    # restored the same K gives what a fresh K gives.
+    k, g1, g2, gk = line_with_coordinator()
+    cut = CoordinationScheme(g1.alphabet, g2.alphabet,
+                             k.alphabet.restrict({"a1"}))
+    assert not conditionally_decomposable(k, cut).holds
+    assert len(coordination._kept) == 0
+    # P_{1+k}(K) onto {a, b} has 2^12 subsets; P_{2+k}(K) is K's own.
+    k = hidden_blow_up(12)
+    ab = Alphabet({"a", "b"}, {"a", "b"})
+    plant = (universal_generator(ab),
+             universal_generator(Alphabet({"h"}, {"h"})),
+             universal_generator(ab))
+    scheme = CoordinationScheme(ab, plant[1].alphabet, ab)
+    checks = (lambda k: conditionally_decomposable(k, scheme),
+              lambda k: is_conditionally_controllable(k, *plant))
+    monkeypatch.setattr(language, "MAX_SUBSETS", 100)
+    for check in checks:
+        with pytest.raises(SubsetLimitError):
+            check(k)
+        assert len(coordination._kept) == 0
+    monkeypatch.undo()
+    for check in checks:
+        fresh = Generator(k.alphabet, k.rows)
+        assert check(k) == check(fresh)
+        assert k in coordination._kept
+
+
+def test_threads_share_the_kept_pairs_of_one_spec():
+    # More threads than cores decide conddec and condctrl on one K under
+    # two event sets in turn, each replacing the other's kept pair, with
+    # the interpreter switching threads as often as it can: every verdict
+    # is the one a fresh K gives.
+    k, g1, g2, gk = line_with_coordinator((6, 2, 2))
+    gk2 = default_coordinator(g1, g2, k.alphabet.restrict({"a1", "a2"}))
+    cases = [(coordinator, CoordinationScheme(g1.alphabet, g2.alphabet,
+                                              coordinator.alphabet))
+             for coordinator in (gk, gk2)]
+
+    def verdicts(k):
+        return [(conditionally_decomposable(k, scheme),
+                 is_conditionally_controllable(k, g1, g2, gk))
+                for gk, scheme in cases]
+
+    want = verdicts(Generator(k.alphabet, k.rows))
+    got = []
+
+    def work():
+        for _ in range(10):
+            got.append(verdicts(k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work)
+                   for _ in range((os.cpu_count() or 1) + 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 10 * len(threads)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, each generator as its alphabet, rows
+    and flag, or the message and report of the ``PreconditionError`` it
+    raises."""
+    try:
+        result = call(*args)
+    except PreconditionError as exc:
+        return str(exc), exc.report
+    if isinstance(result, SynthesisResult):
+        result = (result.sup_k, result.sup_1k, result.sup_2k, result.composed,
+                  result.certified)
+    if not isinstance(result, tuple):
+        return result
+    return [(g.alphabet, [list(row.items()) for row in g.rows],
+             g.recognizes_empty_language) if isinstance(g, Generator) else g
+            for g in result]
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_the_series_on_one_spec_gives_what_fresh_specs_give(rng, contained):
+    # Each call of the paper's series on one K, which reuses the pair an
+    # earlier call kept, against the same call on a fresh K, which keeps
+    # nothing.  The search in the middle keeps the pair of the E_k it
+    # chooses, so the calls after it build theirs again.
+    k, g1, g2, gk, scheme = distributed_instance(
+        rng, require_preconditions=False, contained=contained)
+    series = ((conditionally_decomposable, scheme),
+              (is_conditionally_controllable, g1, g2, gk),
+              (sup_cc, g1, g2, gk, True),
+              (synthesize_supervisors, g1, g2, gk),
+              (suggest_coordinator_events, g1, g2),
+              (sup_cc, g1, g2, gk),
+              (is_conditionally_controllable, g1, g2, gk),
+              (conditionally_decomposable, scheme))
+    for call, *args in series:
+        fresh = Generator(k.alphabet, k.rows, k.recognizes_empty_language)
+        assert outcome(call, k, *args) == outcome(call, fresh, *args), call
 
 
 # ---------------------------------------------------------------------------
