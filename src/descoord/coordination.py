@@ -130,16 +130,6 @@ def _projected_parts(k: Generator, scheme: CoordinationScheme, parts):
             p1k, p2k)
 
 
-def _decomposed(k: Generator, scheme: CoordinationScheme):
-    """The generators of P_k(K), P_{1+k}(K) and P_{2+k}(K) for a K over E
-    that must be conditionally decomposable.  The generators are built
-    from the subset constructions its holding walk built in full and kept,
-    so no step is taken twice and a decided K is not walked again."""
-    _require(conditionally_decomposable(k, scheme),
-             "specification is not conditionally decomposable")
-    return _projected_parts(k, scheme, _constructions(k, scheme)[0])
-
-
 def conditionally_decomposable(k: Generator,
                                scheme: CoordinationScheme) -> PropertyReport:
     """Does K equal P_{1+k}(K) ∥ P_{2+k}(K) ∥ P_k(K)?  K is always
@@ -207,17 +197,17 @@ def _require_spec_within_plant(k: Generator, g1: Generator, g2: Generator,
 
 
 def _require_parts_within_plant(k: Generator, g1: Generator, g2: Generator,
-                                gk: Generator, tables) -> None:
+                                gk: Generator, parts) -> None:
     """K ⊆ L(G_1 ∥ G_2 ∥ G_k), exactly as P_{i+k}(K) ⊆ L(G_i ∥ G_k) for
-    i = 1, 2 (E_i, E_k ⊆ E_{i+k}) on ``tables``, the row tables of
-    P_{1+k}(K) and P_{2+k}(K), walked up to a first step outside.  Where
+    i = 1, 2 (E_i, E_k ⊆ E_{i+k}) on ``parts``, the subset constructions
+    of P_{1+k}(K) and P_{2+k}(K), built up to a first step outside.  Where
     one fails, or passes the subset limit, K is walked against the plant
     for the shortest word of K outside L."""
     try:
         holds = all(
             not (plant := sync_product(g, gk)).recognizes_empty_language
-            and intersect(plant.rows, table, plant.alphabet.events)[2] is None
-            for table, g in zip(tables, (g1, g2)))
+            and intersect(plant.rows, part, plant.alphabet.events)[2] is None
+            for part, g in zip(parts, (g1, g2)))
     except SubsetLimitError:
         _require_spec_within_plant(k, g1, g2, gk)
         raise
@@ -243,31 +233,26 @@ def is_conditionally_controllable(
     each P_k(s), s in K, has the preimage P_{2+k}(s) in L(G_2) ∥ P_k(K).
     So side i is checked against L(G_i) ∥ P_k(K).  A failing K pays for
     its projections' subsets up to the first step outside the plant."""
+    return _conditionally_controllable(k, g1, g2, gk)[0]
+
+
+def _conditionally_controllable(k: Generator, g1: Generator, g2: Generator,
+                                gk: Generator):
+    """The report of ``is_conditionally_controllable`` and the generators
+    of P_k(K), P_{1+k}(K) and P_{2+k}(K) it was decided on.  Each part is
+    checked against a plant over its own alphabet, E_k or E_{i+k}, whose
+    uncontrollable part is E_{k,u} or E_{i+k,u}."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _check_spec_alphabet(k, scheme)
-    parts, report = _constructions(k, scheme)
+    parts, decomposable = _constructions(k, scheme)
     _require_parts_within_plant(k, g1, g2, gk, parts)
-    projected = _projected_parts(k, scheme, parts)
-    _keep(k, parts, report)
-    return _conditionally_controllable(g1, g2, gk, projected)
-
-
-def _conditionally_controllable(
-    g1: Generator,
-    g2: Generator,
-    gk: Generator,
-    parts,
-) -> ConditionalControllabilityReport:
-    """The three conditions on ``parts``, the generators of P_k(K),
-    P_{1+k}(K) and P_{2+k}(K).  Each part is checked against a plant over
-    its own alphabet, E_k or E_{i+k}, whose uncontrollable part is E_{k,u}
-    or E_{i+k,u}."""
-    pk, p1k, p2k = parts
-    cond_i = is_controllable(pk, gk)
-    # Each side's own plant, its whole ambient under K ⊆ L.
-    cond_iia = is_controllable(p1k, sync_product(g1, pk))
-    cond_iib = is_controllable(p2k, sync_product(g2, pk))
-    return ConditionalControllabilityReport(cond_i, cond_iia, cond_iib)
+    pk, p1k, p2k = projected = _projected_parts(k, scheme, parts)
+    _keep(k, parts, decomposable)
+    return ConditionalControllabilityReport(
+        is_controllable(pk, gk),
+        # Each side's own plant, its whole ambient under K ⊆ L.
+        is_controllable(p1k, sync_product(g1, pk)),
+        is_controllable(p2k, sync_product(g2, pk))), projected
 
 
 def synthesize_supervisors(
@@ -280,16 +265,17 @@ def synthesize_supervisors(
     projections P_k(K), P_{1+k}(K) and P_{2+k}(K).
 
     Requires conditional independence, conditional decomposability and
-    conditional controllability; under those, the closed loops compose
-    exactly to K (the coordinator loop is P_k(K), and each local loop over
-    G_i ∥ (S_k/G_k) is P_{i+k}(K))."""
+    conditional controllability, in that order, the last decided by
+    ``is_conditionally_controllable``'s route on these projections; under
+    those, the closed loops compose exactly to K (the coordinator loop is
+    P_k(K), and each local loop over G_i ∥ (S_k/G_k) is P_{i+k}(K))."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
     _require(conditionally_independent(g1, g2, gk),
              "subsystems are not conditionally independent given the "
              "coordinator")
-    _, p1k, p2k = supervisors = _decomposed(k, scheme)
-    _require_parts_within_plant(k, g1, g2, gk, (p1k.rows, p2k.rows))
-    report = _conditionally_controllable(g1, g2, gk, supervisors)
+    _require(conditionally_decomposable(k, scheme),
+             "specification is not conditionally decomposable")
+    report, supervisors = _conditionally_controllable(k, g1, g2, gk)
     if not report.holds:
         raise PreconditionError("specification is not conditionally "
                                 "controllable", report.first_failure())
@@ -343,7 +329,10 @@ def sup_cc(
     (the composition is still controllable w.r.t. L, only supremality is at
     stake)."""
     scheme = CoordinationScheme(g1.alphabet, g2.alphabet, gk.alphabet)
-    pk, p1k, p2k = _decomposed(k, scheme)
+    _require(conditionally_decomposable(k, scheme),
+             "specification is not conditionally decomposable")
+    # The holding walk kept the pair it built in full: read, not built again.
+    pk, p1k, p2k = _projected_parts(k, scheme, _constructions(k, scheme)[0])
     reports = observer_occ_reports(g1, g2, scheme.ek)
     if not force:
         for name, report in reports:

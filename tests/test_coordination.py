@@ -318,6 +318,20 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
+def recorded_constructions(monkeypatch):
+    """Patch ``coordination.SubsetConstruction`` to record the target
+    events of each construction built; returns the list it appends to."""
+    built = []
+
+    class Recorded(SubsetConstruction):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.alphabet.events)
+
+    monkeypatch.setattr(coordination, "SubsetConstruction", Recorded)
+    return built
+
+
 def test_each_product_of_the_condctrl_check_is_built_once(cell, monkeypatch):
     # G_i ∥ G_k per side for K ⊆ L, decided as P_{i+k}(K) ⊆ L(G_i ∥ G_k),
     # and one G_i ∥ P_k(K) per side condition, which under K ⊆ L is that
@@ -517,12 +531,17 @@ def test_supervisor_synthesis_achieves_the_specification(cell):
 
 def test_synthesize_supervisors_builds_each_product_once(cell, monkeypatch):
     # G_1 ∥ G_2 for conditional independence, G_i ∥ G_k per side for
-    # K ⊆ L, and one G_i ∥ P_k(K) per side condition.
+    # K ⊆ L, and one G_i ∥ P_k(K) per side condition.  The supervisors are
+    # the projections condctrl was decided on: P_{1+k}(K) and P_{2+k}(K)
+    # from the pair conddec built, and P_k(K) over one of them.
     target = sup_cc(cell.k, cell.g1, cell.g2, cell.gk).composed
     products = counted_calls(monkeypatch, "sync_product")
+    built = recorded_constructions(monkeypatch)
     synthesize_supervisors(target, cell.g1, cell.g2, cell.gk)
     # The list keeps every operand alive, so no two share an id.
     assert len({(id(a), id(b)) for a, b in products}) == len(products) == 5
+    scheme = cell.scheme
+    assert built == [scheme.e1k.events, scheme.e2k.events, scheme.ek.events]
 
 
 def test_synthesis_with_fully_controllable_plant(cell):
@@ -796,16 +815,11 @@ def line_with_coordinator(size=(20, 3, 3)):
 
 def test_the_series_on_one_spec_builds_one_pair_of_projections(monkeypatch):
     # The holding conddec walk keeps the pair it finished and its verdict,
-    # and condctrl and sup_cc read them again: each builds only P_k(K),
-    # over one of the pair, and no call walks the inclusion again.
-    built = []
-
-    class Recorded(SubsetConstruction):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self.alphabet.events)
-
-    monkeypatch.setattr(coordination, "SubsetConstruction", Recorded)
+    # and condctrl, sup_cc and synthesize_supervisors read them again:
+    # each builds only P_k(K), over one of the pair, and no call walks the
+    # inclusion again.  synthesize_supervisors fails on condctrl's first
+    # failure, decided on the projections it built.
+    built = recorded_constructions(monkeypatch)
     walks = []
     decide = coordination._decomposable
     monkeypatch.setattr(coordination, "_decomposable",
@@ -815,9 +829,12 @@ def test_the_series_on_one_spec_builds_one_pair_of_projections(monkeypatch):
     assert conditionally_decomposable(k, scheme).holds
     is_conditionally_controllable(k, g1, g2, gk)
     sup_cc(k, g1, g2, gk, force=True)
+    with pytest.raises(PreconditionError,
+                       match="not conditionally controllable"):
+        synthesize_supervisors(k, g1, g2, gk)
     assert conditionally_decomposable(k, scheme).holds
     assert built == [scheme.e1k.events, scheme.e2k.events,
-                     scheme.ek.events, scheme.ek.events]
+                     scheme.ek.events, scheme.ek.events, scheme.ek.events]
     assert len(walks) == 1
 
 
@@ -878,10 +895,10 @@ def test_a_walk_cut_short_keeps_nothing(monkeypatch):
 
 
 def test_threads_share_the_kept_pairs_of_one_spec():
-    # More threads than cores decide conddec and condctrl on one K under
-    # two event sets in turn, each replacing the other's kept pair, with
-    # the interpreter switching threads as often as it can: every verdict
-    # is the one a fresh K gives.
+    # More threads than cores decide conddec and condctrl, and synthesize
+    # the supervisors, on one K under two event sets in turn, each
+    # replacing the other's kept pair, with the interpreter switching
+    # threads as often as it can: every outcome is the one a fresh K gives.
     k, g1, g2, gk = line_with_coordinator((6, 2, 2))
     gk2 = default_coordinator(g1, g2, k.alphabet.restrict({"a1", "a2"}))
     cases = [(coordinator, CoordinationScheme(g1.alphabet, g2.alphabet,
@@ -890,7 +907,8 @@ def test_threads_share_the_kept_pairs_of_one_spec():
 
     def verdicts(k):
         return [(conditionally_decomposable(k, scheme),
-                 is_conditionally_controllable(k, g1, g2, gk))
+                 is_conditionally_controllable(k, g1, g2, gk),
+                 outcome(synthesize_supervisors, k, g1, g2, gk))
                 for gk, scheme in cases]
 
     want = verdicts(Generator(k.alphabet, k.rows))
